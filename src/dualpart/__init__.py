@@ -25,11 +25,13 @@ from .group import (
     poisson_check,
 )
 from .partition import (
+    DualSweep,
     KrawtchoukMatrix,
     Partition,
     all_partitions,
     bidual,
     dual_partition,
+    dual_sweep,
     dual_under_iso,
     is_reflexive,
     join,
@@ -78,6 +80,7 @@ from .poset import (
     hierarchical_krawtchouk,
     hierarchical_poset,
     is_hierarchical,
+    level_orders,
     poset_duality_check,
     poset_krawtchouk_bruteforce,
     poset_partition,
@@ -92,10 +95,10 @@ __all__ = [
     "GuardExceeded", "InputError", "VerificationFailure",
     "Code", "Element", "GroupIso", "GroupSpec", "all_subgroups", "dual_code", "elements",
     "fourier_transform", "generate", "pairing", "pairing_exponent", "poisson_check",
-    "KrawtchoukMatrix", "Partition", "all_partitions", "bidual", "dual_partition",
-    "dual_under_iso", "is_reflexive", "join", "kk_product_check", "krawtchouk", "meet",
-    "mismatch_witness", "negate", "random_partition", "random_reflexive_partition",
-    "refines", "signature",
+    "DualSweep", "KrawtchoukMatrix", "Partition", "all_partitions", "bidual",
+    "dual_partition", "dual_sweep", "dual_under_iso", "is_reflexive", "join",
+    "kk_product_check", "krawtchouk", "meet", "mismatch_witness", "negate",
+    "random_partition", "random_reflexive_partition", "refines", "signature",
     "check_product_duality", "check_symmetrized_duality", "composition_vector",
     "flatten_element", "power_group", "product_group", "product_partition",
     "split_element", "symmetrized_partition",
@@ -104,7 +107,7 @@ __all__ = [
     "product_transform", "symmetrized_enumerator", "symmetrized_transform",
     "HierarchicalShape", "LevelIndex", "Poset", "PosetDualityReport", "all_posets",
     "antichain", "chain", "classical_krawtchouk", "dual_poset",
-    "hierarchical_krawtchouk", "hierarchical_poset", "is_hierarchical",
+    "hierarchical_krawtchouk", "hierarchical_poset", "is_hierarchical", "level_orders",
     "poset_duality_check", "poset_krawtchouk_bruteforce", "poset_partition",
     "poset_weight", "rt_krawtchouk",
     "__version__",

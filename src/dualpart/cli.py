@@ -31,19 +31,14 @@ from .group import ELEMENT_GUARD, SUBGROUP_GUARD, all_subgroups, dual_code
 from .induced import (
     check_product_duality,
     check_symmetrized_duality,
-    power_group,
     product_partition,
     symmetrized_partition,
 )
-from .partition import (
-    Partition,
-    dual_partition,
-    is_reflexive,
-    krawtchouk,
-)
+from .partition import dual_sweep
 from .poset import (
     hierarchical_krawtchouk,
     is_hierarchical,
+    level_orders,
     poset_duality_check,
     poset_krawtchouk_bruteforce,
     poset_partition,
@@ -111,16 +106,14 @@ def _expansion_guard_value(args: argparse.Namespace) -> int:
 def _cmd_dual(args) -> tuple[dict, int]:
     grp = _group(args)
     part = partition_from_json(_load_json(args.partition), grp)
-    ms = _element_guard(args)
-    dual = dual_partition(part, ms)
-    matrix = krawtchouk(part, dual, max_size=ms)
+    sweep = dual_sweep(part, _element_guard(args))
     return {
         "command": "dual",
         "group": group_to_json(grp),
         "partition": partition_to_json(part),
-        "dual": partition_to_json(dual),
-        "reflexive": dual.num_blocks == part.num_blocks,
-        "krawtchouk": krawtchouk_to_json(matrix),
+        "dual": partition_to_json(sweep.dual),
+        "reflexive": sweep.reflexive,
+        "krawtchouk": krawtchouk_to_json(sweep.krawtchouk(sweep.dual)),
     }, 0
 
 
@@ -128,13 +121,13 @@ def _cmd_bidual(args) -> tuple[dict, int]:
     grp = _group(args)
     part = partition_from_json(_load_json(args.partition), grp)
     ms = _element_guard(args)
-    dual = dual_partition(part, ms)
-    dd = dual_partition(dual, ms)
+    sweep = dual_sweep(part, ms)
+    dd = sweep.sweep_dual(ms).dual
     return {
         "command": "bidual",
         "group": group_to_json(grp),
         "partition": partition_to_json(part),
-        "dual": partition_to_json(dual),
+        "dual": partition_to_json(sweep.dual),
         "bidual": partition_to_json(dd),
         "reflexive": dd == part,
     }, 0
@@ -144,34 +137,30 @@ def _cmd_reflexive(args) -> tuple[dict, int]:
     grp = _group(args)
     part = partition_from_json(_load_json(args.partition), grp)
     ms = _element_guard(args)
-    dual = dual_partition(part, ms)
-    dd = dual_partition(dual, ms)
+    sweep = dual_sweep(part, ms)
     return {
         "command": "reflexive",
         "group": group_to_json(grp),
         "partition": partition_to_json(part),
-        "reflexive": dual.num_blocks == part.num_blocks,
+        "reflexive": sweep.reflexive,
         "partition_blocks": part.num_blocks,
-        "dual_blocks": dual.num_blocks,
-        "bidual": partition_to_json(dd),
+        "dual_blocks": sweep.dual.num_blocks,
+        "bidual": partition_to_json(sweep.sweep_dual(ms).dual),
     }, 0
 
 
 def _cmd_krawtchouk(args) -> tuple[dict, int]:
     grp = _group(args)
     part = partition_from_json(_load_json(args.partition), grp)
-    ms = _element_guard(args)
-    if args.char_partition:
-        char_part = partition_from_json(_load_json(args.char_partition), grp)
-    else:
-        char_part = dual_partition(part, ms)
-    matrix = krawtchouk(part, char_part, max_size=ms)
+    given = args.char_partition and partition_from_json(_load_json(args.char_partition), grp)
+    sweep = dual_sweep(part, _element_guard(args))
+    char_part = given or sweep.dual
     return {
         "command": "krawtchouk",
         "group": group_to_json(grp),
         "partition": partition_to_json(part),
         "char_partition": partition_to_json(char_part),
-        "krawtchouk": krawtchouk_to_json(matrix),
+        "krawtchouk": krawtchouk_to_json(sweep.krawtchouk(char_part)),
     }, 0
 
 
@@ -180,8 +169,9 @@ def _cmd_macwilliams(args) -> tuple[dict, int]:
     char_part = partition_from_json(_load_json(args.partition), grp)
     code = code_from_json(_load_json(args.code), grp)
     ms = _element_guard(args)
-    prim = dual_partition(char_part, ms)
-    matrix = krawtchouk(char_part, prim, max_size=ms)
+    sweep = dual_sweep(char_part, ms)
+    prim = sweep.dual
+    matrix = sweep.krawtchouk(prim)
     counts = linear_enumerator(code, prim)
     out = macwilliams_transform(counts, matrix, code.size)
     perp = dual_code(grp, code, ms)
@@ -202,90 +192,62 @@ def _cmd_macwilliams(args) -> tuple[dict, int]:
     }, 0
 
 
-def _induced_transform_fields(args, base: Partition, copies: int, induced_kind: str,
-                              doc: dict) -> None:
-    """Shared --code handling for product and symmetrize."""
+def _cmd_induced(args) -> tuple[dict, int]:
+    """product and symmetrize: the induced partition, its duality check, a code transform."""
+    grp = _group(args)
+    base = partition_from_json(_load_json(args.partition), grp)
+    copies = args.copies
+    if copies < 1:
+        raise InputError("--copies must be at least 1")
     ms = _element_guard(args)
-    big = power_group(base.group, copies)
-    code = code_from_json(_load_json(args.code), big)
-    if not is_reflexive(base, ms):
-        raise InputError("the base partition must be reflexive to transform a code")
-    dual_base = dual_partition(base, ms)
-    matrix = krawtchouk(dual_base, base, max_size=ms)
-    perp = dual_code(big, code, ms)
-    guard = _expansion_guard_value(args)
-    if induced_kind == "product":
-        counts = product_enumerator(code, [base] * copies)
-        out = product_transform(counts, [matrix] * copies, code.size, guard)
-        direct = product_enumerator(perp, [dual_base] * copies)
-        to_json = product_enumerator_to_json
+    product = args.cmd == "product"
+    if product:
+        induced = product_partition([base] * copies, ms)
     else:
-        counts = symmetrized_enumerator(code, base, copies)
-        out = symmetrized_transform(counts, matrix, code.size, guard)
-        direct = symmetrized_enumerator(perp, dual_base, copies)
-        to_json = symmetrized_enumerator_to_json
-    if out.counts != direct.counts:
-        raise VerificationFailure("transformed distribution differs from the dual code's")
-    doc["code"] = code_to_json(code, include_elements=False)
-    doc["code_size"] = code.size
-    doc["enumerator"] = to_json(counts)
-    doc["factor_krawtchouk"] = krawtchouk_to_json(matrix)
-    doc["transform"] = to_json(out)
-    doc["verified"] = True
-
-
-def _cmd_product(args) -> tuple[dict, int]:
-    grp = _group(args)
-    base = partition_from_json(_load_json(args.partition), grp)
-    copies = args.copies
-    if copies < 1:
-        raise InputError("--copies must be at least 1")
-    ms = _element_guard(args)
-    parts = [base] * copies
-    induced = product_partition(parts, ms)
+        induced = symmetrized_partition(base, copies, ms)
     doc = {
-        "command": "product",
+        "command": args.cmd,
         "base_group": group_to_json(grp),
         "base_partition": partition_to_json(base),
         "copies": copies,
         "group": group_to_json(induced.group),
         "partition": partition_to_json(induced),
     }
+    sweep = dual_sweep(base, ms) if args.check or args.code else None
     if args.check:
-        witness = check_product_duality(parts, ms)
+        if product:
+            witness = check_product_duality([base] * copies, ms, [sweep.dual] * copies)
+        else:
+            witness = check_symmetrized_duality(base, copies, ms, sweep.dual)
         doc["duality"] = {
             "commutes": witness is None,
             "witness": None if witness is None else [element_to_json(x) for x in witness],
         }
     if args.code:
-        _induced_transform_fields(args, base, copies, "product", doc)
-    return doc, 0
-
-
-def _cmd_symmetrize(args) -> tuple[dict, int]:
-    grp = _group(args)
-    base = partition_from_json(_load_json(args.partition), grp)
-    copies = args.copies
-    if copies < 1:
-        raise InputError("--copies must be at least 1")
-    ms = _element_guard(args)
-    induced = symmetrized_partition(base, copies, ms)
-    doc = {
-        "command": "symmetrize",
-        "base_group": group_to_json(grp),
-        "base_partition": partition_to_json(base),
-        "copies": copies,
-        "group": group_to_json(induced.group),
-        "partition": partition_to_json(induced),
-    }
-    if args.check:
-        witness = check_symmetrized_duality(base, copies, ms)
-        doc["duality"] = {
-            "commutes": witness is None,
-            "witness": None if witness is None else [element_to_json(x) for x in witness],
-        }
-    if args.code:
-        _induced_transform_fields(args, base, copies, "symmetrized", doc)
+        code = code_from_json(_load_json(args.code), induced.group)
+        if not sweep.reflexive:
+            raise InputError("the base partition must be reflexive to transform a code")
+        matrix = sweep.sweep_dual(ms).krawtchouk(base)
+        perp = dual_code(induced.group, code, ms)
+        guard = _expansion_guard_value(args)
+        if product:
+            counts = product_enumerator(code, [base] * copies)
+            out = product_transform(counts, [matrix] * copies, code.size, guard)
+            direct = product_enumerator(perp, [sweep.dual] * copies)
+            to_json = product_enumerator_to_json
+        else:
+            counts = symmetrized_enumerator(code, base, copies)
+            out = symmetrized_transform(counts, matrix, code.size, guard)
+            direct = symmetrized_enumerator(perp, sweep.dual, copies)
+            to_json = symmetrized_enumerator_to_json
+        if out.counts != direct.counts:
+            raise VerificationFailure("transformed distribution differs from the dual code's")
+        doc["code"] = code_to_json(code, include_elements=False)
+        doc["code_size"] = code.size
+        doc["enumerator"] = to_json(counts)
+        doc["factor_krawtchouk"] = krawtchouk_to_json(matrix)
+        doc["transform"] = to_json(out)
+        doc["verified"] = True
     return doc, 0
 
 
@@ -310,15 +272,7 @@ def _cmd_poset_partition(args) -> tuple[dict, int]:
 def _cmd_poset_krawtchouk(args) -> tuple[dict, int]:
     grp = _group(args)
     p = poset_from_json(_load_json(args.poset))
-    ms = _element_guard(args)
-    prim = poset_partition(p, grp, ms)
-    report = poset_duality_check(p, grp, ms)
-    if not report.transposed_refines_dual:
-        raise InputError(
-            "the transposed order's weight partition does not refine the dual; "
-            "the matrix is not well defined for this poset and carrier"
-        )
-    brute = poset_krawtchouk_bruteforce(p, grp, ms)
+    brute = poset_krawtchouk_bruteforce(p, grp, _element_guard(args))
     doc: dict[str, Any] = {
         "command": "poset-krawtchouk",
         "group": group_to_json(grp),
@@ -328,12 +282,9 @@ def _cmd_poset_krawtchouk(args) -> tuple[dict, int]:
         "closed_form_matches": None,
     }
     shape = is_hierarchical(p)
-    if shape is not None and report.levels_equal_order:
-        qs = []
-        for lv in range(len(shape.levels)):
-            coord = shape.level_of.index(lv)
-            qs.append(grp.orders[coord])
-        closed = hierarchical_krawtchouk(shape.levels, tuple(qs))
+    qs = None if shape is None else level_orders(shape, grp)
+    if qs is not None:
+        closed = hierarchical_krawtchouk(shape.levels, qs)
         doc["closed_form"] = [list(row) for row in closed]
         doc["closed_form_matches"] = closed == brute
         if closed != brute:
@@ -502,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report whether dualization commutes with the construction")
     p.add_argument("--code", default=None,
                    help="optional code JSON on the induced carrier; runs the transform")
-    p.set_defaults(handler=_cmd_product)
+    p.set_defaults(handler=_cmd_induced)
 
     p = sub.add_parser("symmetrize",
                        help="symmetrized partition on n copies of a carrier")
@@ -512,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report whether dualization commutes with the construction")
     p.add_argument("--code", default=None,
                    help="optional code JSON on the induced carrier; runs the transform")
-    p.set_defaults(handler=_cmd_symmetrize)
+    p.set_defaults(handler=_cmd_induced)
 
     p = sub.add_parser("poset-partition", help="weight-fiber partition of a poset order")
     common(p, poset=True)

@@ -3,9 +3,12 @@
 The dual of a partition groups characters by the exact vector of their block
 sums: two characters fall in the same dual block precisely when every block
 of the original partition sums to the same cyclotomic integer under both.
-Reflexivity tests, generalized Krawtchouk matrices, the refinement lattice,
-and dualization twisted through an explicit isomorphism all build on that
-signature sweep.
+One signature sweep of a partition gives a ``DualSweep``: the dual together
+with the block sums of one character per dual block. Reflexivity tests,
+generalized Krawtchouk matrices of the partition with any character partition
+that refines the dual, and dualization twisted through an explicit
+isomorphism all read that one sweep. A character partition is checked
+against the dual in full on every carrier; nothing is sampled.
 
 Block data is canonical: each block is sorted, blocks are ordered by their
 least member, elements are reduced residue tuples. Partitions on the same
@@ -134,45 +137,14 @@ def signature(part: Partition, chi: Element) -> Signature:
     return tuple(CycInt(e, c) for c in row)
 
 
-def dual_partition(part: Partition, max_size: int = ELEMENT_GUARD) -> Partition:
-    """Partition of the character carrier by equality of block-sum vectors."""
-    rows = _signature_rows(part, max_size=max_size)
-    buckets: dict[tuple, list[Element]] = {}
-    for chi, sig in rows.items():
-        buckets.setdefault(sig, []).append(chi)
-    return Partition.from_blocks(part.group, buckets.values())
-
-
-def bidual(part: Partition, max_size: int = ELEMENT_GUARD) -> Partition:
-    """Dual of the dual, read back on the original carrier.
-
-    The pairing is symmetric, so no pullback bookkeeping is needed: the
-    second dual lands on the same residue-tuple carrier.
-    """
-    return dual_partition(dual_partition(part, max_size), max_size)
-
-
-def is_reflexive(part: Partition, max_size: int = ELEMENT_GUARD) -> bool:
-    """True when the bidual equals the partition itself.
-
-    Equivalent, and implemented as, the block-count test: the partition is
-    reflexive exactly when its dual has the same number of blocks.
-    """
-    return dual_partition(part, max_size).num_blocks == part.num_blocks
-
-
-# ---------------------------------------------------------------------------
-# Krawtchouk matrices
-
-
 @dataclass(frozen=True)
 class KrawtchoukMatrix:
     """Block-sum matrix of a primal/character partition pair.
 
     Rows follow the character-side blocks, columns the primal blocks; the
     entry at (l, m) is the sum of <chi, g> over g in primal block m, for any
-    chi in character block l (constancy over the block is verified at
-    construction).
+    chi in character block l (``krawtchouk`` checks, for every character, that
+    the character partition refines the dual, so the sum is the same for all).
     """
 
     entries: tuple[tuple[CycInt, ...], ...]
@@ -197,55 +169,100 @@ class KrawtchoukMatrix:
         return [[x.approx_complex() for x in row] for row in self.entries]
 
 
-def krawtchouk(
-    part: Partition,
-    char_part: Partition,
-    verify_limit: int = 256,
-    max_size: int = ELEMENT_GUARD,
-) -> KrawtchoukMatrix:
+@dataclass(frozen=True)
+class DualSweep:
+    """One signature sweep of a partition: its dual and one row per dual block.
+
+    ``_rows[l]`` holds the block sums of the characters in the l-th dual block,
+    which are the same for all of them by the definition of the dual.
+    """
+
+    part: Partition
+    dual: Partition
+    _rows: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
+
+    @property
+    def reflexive(self) -> bool:
+        """The partition equals its bidual exactly when its dual has as many blocks."""
+        return self.dual.num_blocks == self.part.num_blocks
+
+    def sweep_dual(self, max_size: int = ELEMENT_GUARD) -> "DualSweep":
+        """The sweep of the dual; this sweep itself when P* = P, since then P** = P* = P."""
+        return self if self.dual == self.part else dual_sweep(self.dual, max_size)
+
+    def krawtchouk(self, char_part: Partition) -> KrawtchoukMatrix:
+        """Krawtchouk matrix of the partition and a character partition.
+
+        ``char_part`` must refine the dual, so that the block sums are
+        constant on each of its blocks. That is checked in full; on failure
+        the message names two characters of one character block that lie in
+        different dual blocks, and the first primal block whose sums differ.
+        """
+        grp = self.part.group
+        if not refines(char_part, self.dual):
+            raise VerificationFailure(self._split_message(char_part))
+        e = grp.exponent
+        reps = (self._rows[self.dual.block_of[grp.rank(b[0])]] for b in char_part.blocks)
+        entries = tuple(tuple(CycInt(e, c) for c in row) for row in reps)
+        return KrawtchoukMatrix(entries, char_part.blocks, self.part.blocks)
+
+    def _split_message(self, char_part: Partition) -> str:
+        rank, dual_of = self.part.group.rank, self.dual.block_of
+        i, a, b = next((i, blk[0], chi) for i, blk in enumerate(char_part.blocks)
+                       for chi in blk[1:] if dual_of[rank(chi)] != dual_of[rank(blk[0])])
+        row_a, row_b = self._rows[dual_of[rank(a)]], self._rows[dual_of[rank(b)]]
+        m = next(j for j, (x, y) in enumerate(zip(row_a, row_b)) if x != y)
+        return (f"character block {i} holds {a} and {b}, whose sums first differ on "
+                f"primal block {m}; the character partition does not refine the dual")
+
+
+def dual_sweep(part: Partition, max_size: int = ELEMENT_GUARD) -> DualSweep:
+    """Sweep every character once; keep the dual and one row per dual block."""
+    rows = _signature_rows(part, max_size=max_size)
+    buckets: dict[tuple, list[Element]] = {}
+    for chi, row in rows.items():
+        buckets.setdefault(row, []).append(chi)
+    dual = Partition.from_blocks(part.group, buckets.values())
+    return DualSweep(part, dual, tuple(rows[block[0]] for block in dual.blocks))
+
+
+def dual_partition(part: Partition, max_size: int = ELEMENT_GUARD) -> Partition:
+    """Partition of the character carrier by equality of block-sum vectors."""
+    return dual_sweep(part, max_size).dual
+
+
+def bidual(part: Partition, max_size: int = ELEMENT_GUARD) -> Partition:
+    """Dual of the dual, read back on the original carrier.
+
+    The pairing is symmetric, so no pullback bookkeeping is needed: the
+    second dual lands on the same residue-tuple carrier. A self-dual
+    partition is swept once.
+    """
+    return dual_sweep(part, max_size).sweep_dual(max_size).dual
+
+
+def is_reflexive(part: Partition, max_size: int = ELEMENT_GUARD) -> bool:
+    """True when the bidual equals the partition itself.
+
+    Equivalent, and implemented as, the block-count test: the partition is
+    reflexive exactly when its dual has the same number of blocks.
+    """
+    return dual_sweep(part, max_size).reflexive
+
+
+# ---------------------------------------------------------------------------
+# Krawtchouk matrices
+
+
+def krawtchouk(part: Partition, char_part: Partition,
+               max_size: int = ELEMENT_GUARD) -> KrawtchoukMatrix:
     """Krawtchouk matrix of a partition and a compatible character partition.
 
     ``char_part`` must refine the dual of ``part`` so that block sums are
-    constant on each of its blocks. Constancy is verified outright: for every
-    character when the carrier has at most ``verify_limit`` elements, else for
-    three sampled representatives per block.
+    constant on each of its blocks. One sweep of ``part`` checks that for
+    every character, on every carrier; see ``DualSweep.krawtchouk``.
     """
-    if part.group != char_part.group:
-        raise InputError("both partitions must live on the same carrier")
-    grp = part.group
-    e = grp.exponent
-    if grp.size <= verify_limit:
-        rows = _signature_rows(part, max_size=max_size)
-        reps = []
-        for block in char_part.blocks:
-            first = rows[block[0]]
-            for chi in block[1:]:
-                if rows[chi] != first:
-                    raise VerificationFailure(
-                        "block sums are not constant on a character block; "
-                        "the character partition does not refine the dual"
-                    )
-            reps.append(first)
-    else:
-        rng = random.Random(0)
-        sample_of: list[tuple[Element, ...]] = []
-        for block in char_part.blocks:
-            picks = {block[0]}
-            picks.update(rng.sample(block, min(3, len(block))))
-            sample_of.append(tuple(sorted(picks)))
-        wanted = sorted({c for picks in sample_of for c in picks})
-        rows = _signature_rows(part, wanted, max_size=max_size)
-        reps = []
-        for picks in sample_of:
-            first = rows[picks[0]]
-            for chi in picks[1:]:
-                if rows[chi] != first:
-                    raise VerificationFailure(
-                        "block sums differ between sampled representatives"
-                    )
-            reps.append(first)
-    entries = tuple(tuple(CycInt(e, c) for c in rep) for rep in reps)
-    return KrawtchoukMatrix(entries, char_part.blocks, part.blocks)
+    return dual_sweep(part, max_size).krawtchouk(char_part)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +377,11 @@ def kk_product_check(part: Partition, max_size: int = ELEMENT_GUARD) -> tuple[tu
     grp = part.group
     size = grp.size
     e = grp.exponent
-    dual = dual_partition(part, max_size)
-    ddual = dual_partition(dual, max_size)
-    k = krawtchouk(part, dual, max_size=max_size)
-    k2 = krawtchouk(dual, ddual, max_size=max_size)
+    first = dual_sweep(part, max_size)
+    second = first.sweep_dual(max_size)
+    dual, ddual = first.dual, second.dual
+    k = first.krawtchouk(dual)
+    k2 = second.krawtchouk(ddual)
     out: list[tuple[bool, ...]] = []
     for r, ddual_block in enumerate(ddual.blocks):
         neg_block = {grp.neg(g) for g in ddual_block}
@@ -404,12 +422,17 @@ def random_partition(
 
 def random_reflexive_partition(group: GroupSpec, rng: random.Random,
                                max_size: int = ELEMENT_GUARD) -> Partition:
-    """A random reflexive partition, obtained by closing a random one under bidual."""
-    for _ in range(64):
-        cand = bidual(random_partition(group, rng, max_size=max_size), max_size)
-        if is_reflexive(cand, max_size):
-            return cand
-    return Partition.singletons(group, max_size)
+    """A random reflexive partition: a random one, replaced by its bidual until fixed.
+
+    Every bidual refines its input (``check_dual_order_properties`` checks
+    this), so each pass that changes the partition raises its block count.
+    The count cannot pass the carrier size, so the iteration stops, and it
+    stops only at a partition equal to its own bidual, which is reflexive.
+    """
+    part = random_partition(group, rng, max_size=max_size)
+    while (nxt := bidual(part, max_size)) != part:
+        part = nxt
+    return part
 
 
 def all_partitions(group: GroupSpec, max_size: int = 12) -> Iterator[Partition]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError
+from .errors import InputError, VerificationFailure
 from .group import ELEMENT_GUARD, Element, GroupSpec
 from .partition import Partition, dual_partition, krawtchouk, refines
 
@@ -32,6 +32,7 @@ __all__ = [
     "dual_poset",
     "HierarchicalShape",
     "is_hierarchical",
+    "level_orders",
     "classical_krawtchouk",
     "LevelIndex",
     "hierarchical_krawtchouk",
@@ -217,6 +218,13 @@ def is_hierarchical(p: Poset) -> HierarchicalShape | None:
     return HierarchicalShape(tuple(sizes), tuple(level_of))
 
 
+def level_orders(shape: HierarchicalShape, group: GroupSpec) -> tuple[int, ...] | None:
+    """The common coordinate order of each level, or None when a level mixes orders."""
+    per_level = [{group.orders[i] for i, at in enumerate(shape.level_of) if at == lv}
+                 for lv in range(len(shape.levels))]
+    return tuple(min(o) for o in per_level) if all(len(o) == 1 for o in per_level) else None
+
+
 def classical_krawtchouk(n: int, q: int, m: int, x: int) -> int:
     """Value of the degree-m classical Krawtchouk polynomial at integer x.
 
@@ -353,11 +361,18 @@ def poset_krawtchouk_bruteforce(
     poset partition) by direct character sums and permutes rows and columns
     from canonical block order into weight order 0..n. Only meaningful when
     the dual-poset partition refines the dual (hierarchical equal-order case);
-    otherwise krawtchouk itself rejects the pair.
+    krawtchouk checks that for every character, and a failure is raised here
+    as an InputError that names the split characters.
     """
     prim = poset_partition(p, group, max_size)
     dual_side = poset_partition(dual_poset(p), group, max_size)
-    km = krawtchouk(prim, dual_side, max_size=max_size)
+    try:
+        km = krawtchouk(prim, dual_side, max_size=max_size)
+    except VerificationFailure as exc:
+        raise InputError(
+            "the transposed order's weight partition does not refine the dual; "
+            f"the matrix is not well defined for this poset and carrier ({exc})"
+        ) from exc
     ints = km.integer_entries()
     dp = dual_poset(p)
     row_order = sorted(
@@ -399,16 +414,10 @@ def poset_duality_check(p: Poset, group: GroupSpec,
     dualized = dual_partition(prim, max_size)
     transposed = poset_partition(dual_poset(p), group, max_size)
     shape = is_hierarchical(p)
-    levels_equal: bool | None = None
-    if shape is not None:
-        levels_equal = all(
-            len({group.orders[i] for i in range(p.n) if shape.level_of[i] == lv}) == 1
-            for lv in range(len(shape.levels))
-        )
     return PosetDualityReport(
         equal=dualized == transposed,
         dual_refines_transposed=refines(dualized, transposed),
         transposed_refines_dual=refines(transposed, dualized),
         shape=shape,
-        levels_equal_order=levels_equal,
+        levels_equal_order=None if shape is None else level_orders(shape, group) is not None,
     )

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+import dualpart.partition
 from dualpart.cli import main
 from dualpart.serialization import group_from_json, partition_from_json, poset_from_json
 
@@ -203,3 +206,73 @@ def test_file_and_stdin_payloads(tmp_path, capsys, monkeypatch):
     code, doc = run(capsys, "dual", "--group", "-", "--partition", Z6_PARTITION)
     assert code == 0
     assert doc["group"]["orders"] == [6]
+
+
+def _blocks_json(blocks):
+    return json.dumps({"blocks": [[list(g) for g in b] for b in blocks]})
+
+
+def test_krawtchouk_rejects_char_partition_on_large_carrier(capsys):
+    """(2,)^9 Hamming with one weight-1 character moved into the weight-2 block."""
+    weight = {}
+    for x in range(2 ** 9):
+        g = tuple((x >> (8 - i)) & 1 for i in range(9))
+        weight.setdefault(sum(g), []).append(g)
+    moved = (1,) + (0,) * 8
+    char_blocks = {w: list(b) for w, b in weight.items()}
+    char_blocks[1].remove(moved)
+    char_blocks[2].append(moved)
+    code = main([
+        "krawtchouk", "--group", json.dumps({"orders": [2] * 9}),
+        "--partition", _blocks_json(weight.values()),
+        "--char-partition", _blocks_json(char_blocks.values()),
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"holds {(0,) * 7 + (1, 1)} and {moved}" in captured.err
+    assert "primal block 1" in captured.err
+
+
+LEE8 = '{"blocks":[[[0]],[[1],[7]],[[2],[6]],[[3],[5]],[[4]]]}'
+Z6_DUAL = '{"blocks":[[[0]],[[1],[2],[4],[5]],[[3]]]}'
+HAMMING2 = '{"blocks":[[[0]],[[1]]]}'
+
+
+SWEEP_CASES = {
+    "dual": ["dual", "--group", '{"orders":[6]}', "--partition", Z6_PARTITION],
+    "bidual-self-dual": ["bidual", "--group", '{"orders":[8]}', "--partition", LEE8],
+    "reflexive-self-dual": ["reflexive", "--group", '{"orders":[8]}', "--partition", LEE8],
+    "krawtchouk": ["krawtchouk", "--group", '{"orders":[6]}', "--partition", Z6_PARTITION],
+    "krawtchouk-char-partition": [
+        "krawtchouk", "--group", '{"orders":[6]}', "--partition", Z6_PARTITION,
+        "--char-partition", Z6_DUAL],
+    "macwilliams": ["macwilliams", "--group", '{"orders":[6]}', "--partition", Z6_DUAL,
+                    "--code", '{"generators":[[3]]}'],
+    "poset-krawtchouk": ["poset-krawtchouk", "--group", '{"orders":[2,2,2]}',
+                         "--poset", '{"n":3,"cover":[[1,2],[2,3]]}'],
+}
+for _cmd in ("product", "symmetrize"):
+    # a self-dual base, and a reflexive base whose dual differs from it
+    SWEEP_CASES[f"{_cmd}-self-dual"] = [
+        _cmd, "--group", '{"orders":[2]}', "--partition", HAMMING2, "--copies", "3",
+        "--check", "--code", '{"generators":[[1,1,1]]}']
+    SWEEP_CASES[f"{_cmd}-reflexive"] = [
+        _cmd, "--group", '{"orders":[6]}', "--partition", Z6_PARTITION, "--copies", "2",
+        "--check", "--code", '{"generators":[[3,3]]}']
+
+
+@pytest.mark.parametrize("argv", SWEEP_CASES.values(), ids=list(SWEEP_CASES))
+def test_one_sweep_per_partition(argv, capsys, monkeypatch):
+    swept = []
+    real = dualpart.partition._signature_rows
+
+    def recording(part, *args, **kwargs):
+        swept.append(part)
+        return real(part, *args, **kwargs)
+
+    monkeypatch.setattr(dualpart.partition, "_signature_rows", recording)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert swept
+    assert len(swept) == len(set(swept)), "a partition was swept twice"

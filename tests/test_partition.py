@@ -95,6 +95,22 @@ def test_krawtchouk_rejects_nonconstant_character_blocks():
         krawtchouk(p, coarse)
 
 
+def test_krawtchouk_checks_every_character_on_large_carriers():
+    """On (2,)^9, one weight-1 character moved into the weight-2 character block."""
+    g = GroupSpec((2,) * 9)
+    hamming = Partition.from_weight(g, sum)
+    moved = (1,) + (0,) * 8
+    char_part = Partition.from_weight(g, lambda x: 2 if x == moved else sum(x))
+    with pytest.raises(VerificationFailure) as info:
+        krawtchouk(hamming, char_part)
+    # character block 2 (weight 2) starts with (0,...,0,1,1); the two rows
+    # first differ on primal block 1, where K_1(1) = 7 and K_1(2) = 5
+    assert str(info.value).startswith(
+        f"character block 2 holds {(0,) * 7 + (1, 1)} and {moved}, "
+        "whose sums first differ on primal block 1;"
+    )
+
+
 def test_krawtchouk_cross_carrier_rejected():
     p = part6([0], [1, 2, 3, 4, 5])
     q = Partition.one_block(GroupSpec((2, 3)))
@@ -209,11 +225,17 @@ def test_random_partition_properties():
 
 def test_random_reflexive_partition():
     rng = random.Random(1)
-    for orders in [(6,), (8,), (2, 2, 2), (12,)]:
+    for orders in [(6,), (8,), (2, 2, 2), (12,), (4, 4), (2, 6)]:
         g = GroupSpec(orders)
         for _ in range(10):
             p = random_reflexive_partition(g, rng)
             assert is_reflexive(p)
+            assert bidual(p) == p
+    # one bidual is not always enough: this one is not reflexive
+    g12 = GroupSpec((12,))
+    p = Partition.from_blocks(g12, [[(x,) for x in (0, 1, 5, 7, 8, 10, 11)],
+                                    [(x,) for x in (2, 3, 4, 6, 9)]])
+    assert not is_reflexive(bidual(p))
 
 
 def test_one_block_and_singletons():
