@@ -25,13 +25,11 @@ from .group import (
     poisson_check,
 )
 from .partition import (
-    DualSweep,
     KrawtchoukMatrix,
     Partition,
     all_partitions,
     bidual,
     dual_partition,
-    dual_sweep,
     dual_under_iso,
     is_reflexive,
     join,
@@ -95,10 +93,10 @@ __all__ = [
     "GuardExceeded", "InputError", "VerificationFailure",
     "Code", "Element", "GroupIso", "GroupSpec", "all_subgroups", "dual_code", "elements",
     "fourier_transform", "generate", "pairing", "pairing_exponent", "poisson_check",
-    "DualSweep", "KrawtchoukMatrix", "Partition", "all_partitions", "bidual",
-    "dual_partition", "dual_sweep", "dual_under_iso", "is_reflexive", "join",
-    "kk_product_check", "krawtchouk", "meet", "mismatch_witness", "negate",
-    "random_partition", "random_reflexive_partition", "refines", "signature",
+    "KrawtchoukMatrix", "Partition", "all_partitions", "bidual", "dual_partition",
+    "dual_under_iso", "is_reflexive", "join", "kk_product_check", "krawtchouk", "meet",
+    "mismatch_witness", "negate", "random_partition", "random_reflexive_partition",
+    "refines", "signature",
     "check_product_duality", "check_symmetrized_duality", "composition_vector",
     "flatten_element", "power_group", "product_group", "product_partition",
     "split_element", "symmetrized_partition",

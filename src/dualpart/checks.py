@@ -39,7 +39,6 @@ from .induced import (
 from .partition import (
     Partition,
     dual_partition,
-    dual_sweep,
     is_reflexive,
     join,
     kk_product_check,
@@ -477,9 +476,8 @@ def check_macwilliams(
         duals = {code.elements: dual_code(grp, code) for code in subs}
         for _ in range(partitions_per_group):
             char_part = random_partition(grp, rng)
-            sweep = dual_sweep(char_part)
-            prim = sweep.dual
-            matrix = sweep.krawtchouk(prim)
+            prim = dual_partition(char_part)
+            matrix = krawtchouk(char_part, prim)
             for code in subs:
                 counts = linear_enumerator(code, prim)
                 out = macwilliams_transform(counts, matrix, code.size)
@@ -565,12 +563,11 @@ def check_transform_oracle(cases: Sequence[tuple[Partition, int]] | None = None)
     failures: list[str] = []
     ran = 0
     for base, copies in (cases if cases is not None else _transform_oracle_cases()):
-        sweep = dual_sweep(base)
-        if not sweep.reflexive:
+        if not is_reflexive(base):
             failures.append(f"base at {base.group.orders} is not reflexive")
             continue
-        dual_base = sweep.dual
-        matrix = sweep.sweep_dual().krawtchouk(base)
+        dual_base = dual_partition(base)
+        matrix = krawtchouk(dual_base, base)
         big = power_group(base.group, copies)
         for code in all_subgroups(big):
             perp = dual_code(big, code)

@@ -34,7 +34,7 @@ from .induced import (
     product_partition,
     symmetrized_partition,
 )
-from .partition import dual_sweep
+from .partition import dual_partition, krawtchouk
 from .poset import (
     hierarchical_krawtchouk,
     is_hierarchical,
@@ -106,14 +106,16 @@ def _expansion_guard_value(args: argparse.Namespace) -> int:
 def _cmd_dual(args) -> tuple[dict, int]:
     grp = _group(args)
     part = partition_from_json(_load_json(args.partition), grp)
-    sweep = dual_sweep(part, _element_guard(args))
+    ms = _element_guard(args)
+    dual = dual_partition(part, ms)
+    matrix = krawtchouk(part, dual, max_size=ms)
     return {
         "command": "dual",
         "group": group_to_json(grp),
         "partition": partition_to_json(part),
-        "dual": partition_to_json(sweep.dual),
-        "reflexive": sweep.reflexive,
-        "krawtchouk": krawtchouk_to_json(sweep.krawtchouk(sweep.dual)),
+        "dual": partition_to_json(dual),
+        "reflexive": dual.num_blocks == part.num_blocks,
+        "krawtchouk": krawtchouk_to_json(matrix),
     }, 0
 
 
@@ -121,13 +123,13 @@ def _cmd_bidual(args) -> tuple[dict, int]:
     grp = _group(args)
     part = partition_from_json(_load_json(args.partition), grp)
     ms = _element_guard(args)
-    sweep = dual_sweep(part, ms)
-    dd = sweep.sweep_dual(ms).dual
+    dual = dual_partition(part, ms)
+    dd = dual_partition(dual, ms)
     return {
         "command": "bidual",
         "group": group_to_json(grp),
         "partition": partition_to_json(part),
-        "dual": partition_to_json(sweep.dual),
+        "dual": partition_to_json(dual),
         "bidual": partition_to_json(dd),
         "reflexive": dd == part,
     }, 0
@@ -137,30 +139,34 @@ def _cmd_reflexive(args) -> tuple[dict, int]:
     grp = _group(args)
     part = partition_from_json(_load_json(args.partition), grp)
     ms = _element_guard(args)
-    sweep = dual_sweep(part, ms)
+    dual = dual_partition(part, ms)
+    dd = dual_partition(dual, ms)
     return {
         "command": "reflexive",
         "group": group_to_json(grp),
         "partition": partition_to_json(part),
-        "reflexive": sweep.reflexive,
+        "reflexive": dual.num_blocks == part.num_blocks,
         "partition_blocks": part.num_blocks,
-        "dual_blocks": sweep.dual.num_blocks,
-        "bidual": partition_to_json(sweep.sweep_dual(ms).dual),
+        "dual_blocks": dual.num_blocks,
+        "bidual": partition_to_json(dd),
     }, 0
 
 
 def _cmd_krawtchouk(args) -> tuple[dict, int]:
     grp = _group(args)
     part = partition_from_json(_load_json(args.partition), grp)
-    given = args.char_partition and partition_from_json(_load_json(args.char_partition), grp)
-    sweep = dual_sweep(part, _element_guard(args))
-    char_part = given or sweep.dual
+    ms = _element_guard(args)
+    if args.char_partition:
+        char_part = partition_from_json(_load_json(args.char_partition), grp)
+    else:
+        char_part = dual_partition(part, ms)
+    matrix = krawtchouk(part, char_part, max_size=ms)
     return {
         "command": "krawtchouk",
         "group": group_to_json(grp),
         "partition": partition_to_json(part),
         "char_partition": partition_to_json(char_part),
-        "krawtchouk": krawtchouk_to_json(sweep.krawtchouk(char_part)),
+        "krawtchouk": krawtchouk_to_json(matrix),
     }, 0
 
 
@@ -169,9 +175,8 @@ def _cmd_macwilliams(args) -> tuple[dict, int]:
     char_part = partition_from_json(_load_json(args.partition), grp)
     code = code_from_json(_load_json(args.code), grp)
     ms = _element_guard(args)
-    sweep = dual_sweep(char_part, ms)
-    prim = sweep.dual
-    matrix = sweep.krawtchouk(prim)
+    prim = dual_partition(char_part, ms)
+    matrix = krawtchouk(char_part, prim, max_size=ms)
     counts = linear_enumerator(code, prim)
     out = macwilliams_transform(counts, matrix, code.size)
     perp = dual_code(grp, code, ms)
@@ -213,32 +218,32 @@ def _cmd_induced(args) -> tuple[dict, int]:
         "group": group_to_json(induced.group),
         "partition": partition_to_json(induced),
     }
-    sweep = dual_sweep(base, ms) if args.check or args.code else None
     if args.check:
         if product:
-            witness = check_product_duality([base] * copies, ms, [sweep.dual] * copies)
+            witness = check_product_duality([base] * copies, ms)
         else:
-            witness = check_symmetrized_duality(base, copies, ms, sweep.dual)
+            witness = check_symmetrized_duality(base, copies, ms)
         doc["duality"] = {
             "commutes": witness is None,
             "witness": None if witness is None else [element_to_json(x) for x in witness],
         }
     if args.code:
         code = code_from_json(_load_json(args.code), induced.group)
-        if not sweep.reflexive:
+        dual_base = dual_partition(base, ms)
+        if dual_base.num_blocks != base.num_blocks:
             raise InputError("the base partition must be reflexive to transform a code")
-        matrix = sweep.sweep_dual(ms).krawtchouk(base)
+        matrix = krawtchouk(dual_base, base, max_size=ms)
         perp = dual_code(induced.group, code, ms)
         guard = _expansion_guard_value(args)
         if product:
             counts = product_enumerator(code, [base] * copies)
             out = product_transform(counts, [matrix] * copies, code.size, guard)
-            direct = product_enumerator(perp, [sweep.dual] * copies)
+            direct = product_enumerator(perp, [dual_base] * copies)
             to_json = product_enumerator_to_json
         else:
             counts = symmetrized_enumerator(code, base, copies)
             out = symmetrized_transform(counts, matrix, code.size, guard)
-            direct = symmetrized_enumerator(perp, sweep.dual, copies)
+            direct = symmetrized_enumerator(perp, dual_base, copies)
             to_json = symmetrized_enumerator_to_json
         if out.counts != direct.counts:
             raise VerificationFailure("transformed distribution differs from the dual code's")

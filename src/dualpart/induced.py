@@ -88,29 +88,21 @@ def symmetrized_partition(base: Partition, copies: int,
 
 
 def check_product_duality(parts: Sequence[Partition],
-                          max_size: int = ELEMENT_GUARD,
-                          duals: Sequence[Partition] | None = None):
+                          max_size: int = ELEMENT_GUARD):
     """Witness that dualization commutes with the product construction.
 
     Returns None when the dual of the product equals the product of the duals,
     else a pair of characters that one side separates and the other does not.
-    Expected to be None whenever each factor has {0} as a block. ``duals``
-    are the factors' duals, when the caller already holds them.
+    Expected to be None whenever each factor has {0} as a block.
     """
     left = dual_partition(product_partition(parts, max_size), max_size)
-    if duals is None:
-        duals = [dual_partition(p, max_size) for p in parts]
-    return mismatch_witness(left, product_partition(duals, max_size))
+    right = product_partition([dual_partition(p, max_size) for p in parts], max_size)
+    return mismatch_witness(left, right)
 
 
 def check_symmetrized_duality(base: Partition, copies: int,
-                              max_size: int = ELEMENT_GUARD,
-                              dual: Partition | None = None):
-    """Witness that dualization commutes with symmetrization; None when it does.
-
-    ``dual`` is the base's dual, when the caller already holds it.
-    """
+                              max_size: int = ELEMENT_GUARD):
+    """Witness that dualization commutes with symmetrization; None when it does."""
     left = dual_partition(symmetrized_partition(base, copies, max_size), max_size)
-    if dual is None:
-        dual = dual_partition(base, max_size)
-    return mismatch_witness(left, symmetrized_partition(dual, copies, max_size))
+    right = symmetrized_partition(dual_partition(base, max_size), copies, max_size)
+    return mismatch_witness(left, right)

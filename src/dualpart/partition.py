@@ -4,11 +4,11 @@ The dual of a partition groups characters by the exact vector of their block
 sums: two characters fall in the same dual block precisely when every block
 of the original partition sums to the same cyclotomic integer under both.
 One signature sweep of a partition gives a ``DualSweep``: the dual together
-with the block sums of one character per dual block. Reflexivity tests,
-generalized Krawtchouk matrices of the partition with any character partition
-that refines the dual, and dualization twisted through an explicit
-isomorphism all read that one sweep. A character partition is checked
-against the dual in full on every carrier; nothing is sampled.
+with the block sums of one character per dual block. The sweep is kept on
+the partition object, so its dual, reflexivity test, bidual, and generalized
+Krawtchouk matrices with any character partition that refines the dual all
+read that one sweep. A character partition is checked against the dual in
+full on every carrier; nothing is sampled.
 
 Block data is canonical: each block is sorted, blocks are ordered by their
 least member, elements are reduced residue tuples. Partitions on the same
@@ -18,7 +18,7 @@ carrier therefore compare by plain equality.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cyclotomic import CycInt, euler_phi, integer, zeta_coeff_table
@@ -39,6 +39,8 @@ class Partition:
     blocks: tuple[Block, ...]
     block_of: tuple[int, ...] = field(compare=False, repr=False)
     # block_of is derived: block index per element rank, for O(1) lookup
+    _sweep: "DualSweep | None" = field(default=None, init=False, compare=False, repr=False)
+    # set once by dual_sweep, and dropped with the partition
 
     @classmethod
     def from_blocks(cls, group: GroupSpec, blocks: Iterable[Iterable[Element]]) -> "Partition":
@@ -177,53 +179,32 @@ class DualSweep:
     which are the same for all of them by the definition of the dual.
     """
 
-    part: Partition
     dual: Partition
     _rows: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
 
-    @property
-    def reflexive(self) -> bool:
-        """The partition equals its bidual exactly when its dual has as many blocks."""
-        return self.dual.num_blocks == self.part.num_blocks
-
-    def sweep_dual(self, max_size: int = ELEMENT_GUARD) -> "DualSweep":
-        """The sweep of the dual; this sweep itself when P* = P, since then P** = P* = P."""
-        return self if self.dual == self.part else dual_sweep(self.dual, max_size)
-
-    def krawtchouk(self, char_part: Partition) -> KrawtchoukMatrix:
-        """Krawtchouk matrix of the partition and a character partition.
-
-        ``char_part`` must refine the dual, so that the block sums are
-        constant on each of its blocks. That is checked in full; on failure
-        the message names two characters of one character block that lie in
-        different dual blocks, and the first primal block whose sums differ.
-        """
-        grp = self.part.group
-        if not refines(char_part, self.dual):
-            raise VerificationFailure(self._split_message(char_part))
-        e = grp.exponent
-        reps = (self._rows[self.dual.block_of[grp.rank(b[0])]] for b in char_part.blocks)
-        entries = tuple(tuple(CycInt(e, c) for c in row) for row in reps)
-        return KrawtchoukMatrix(entries, char_part.blocks, self.part.blocks)
-
-    def _split_message(self, char_part: Partition) -> str:
-        rank, dual_of = self.part.group.rank, self.dual.block_of
-        i, a, b = next((i, blk[0], chi) for i, blk in enumerate(char_part.blocks)
-                       for chi in blk[1:] if dual_of[rank(chi)] != dual_of[rank(blk[0])])
-        row_a, row_b = self._rows[dual_of[rank(a)]], self._rows[dual_of[rank(b)]]
-        m = next(j for j, (x, y) in enumerate(zip(row_a, row_b)) if x != y)
-        return (f"character block {i} holds {a} and {b}, whose sums first differ on "
-                f"primal block {m}; the character partition does not refine the dual")
-
 
 def dual_sweep(part: Partition, max_size: int = ELEMENT_GUARD) -> DualSweep:
-    """Sweep every character once; keep the dual and one row per dual block."""
-    rows = _signature_rows(part, max_size=max_size)
-    buckets: dict[tuple, list[Element]] = {}
-    for chi, row in rows.items():
-        buckets.setdefault(row, []).append(chi)
-    dual = Partition.from_blocks(part.group, buckets.values())
-    return DualSweep(part, dual, tuple(rows[block[0]] for block in dual.blocks))
+    """The partition's one signature sweep, made on first use and kept on it.
+
+    Every character is swept once; later calls on the same object read the
+    result back, so ``dual_partition`` and ``krawtchouk`` of one partition
+    share it. When P* = P, then P** = P*, so the dual is given this same
+    sweep and the bidual costs none. The dual's own dual is then a fresh
+    copy: no partition refers back to itself, so a kept sweep is freed with
+    its partition by reference counting alone.
+    """
+    elements(part.group, max_size)  # the guard holds for a kept sweep too
+    if part._sweep is None:
+        rows = _signature_rows(part, max_size=max_size)
+        buckets: dict[tuple, list[Element]] = {}
+        for chi, row in rows.items():
+            buckets.setdefault(row, []).append(chi)
+        dual = Partition.from_blocks(part.group, buckets.values())
+        reps = tuple(rows[block[0]] for block in dual.blocks)
+        if dual == part:
+            object.__setattr__(dual, "_sweep", DualSweep(replace(dual), reps))
+        object.__setattr__(part, "_sweep", DualSweep(dual, reps))
+    return part._sweep
 
 
 def dual_partition(part: Partition, max_size: int = ELEMENT_GUARD) -> Partition:
@@ -238,7 +219,7 @@ def bidual(part: Partition, max_size: int = ELEMENT_GUARD) -> Partition:
     second dual lands on the same residue-tuple carrier. A self-dual
     partition is swept once.
     """
-    return dual_sweep(part, max_size).sweep_dual(max_size).dual
+    return dual_partition(dual_partition(part, max_size), max_size)
 
 
 def is_reflexive(part: Partition, max_size: int = ELEMENT_GUARD) -> bool:
@@ -247,7 +228,7 @@ def is_reflexive(part: Partition, max_size: int = ELEMENT_GUARD) -> bool:
     Equivalent, and implemented as, the block-count test: the partition is
     reflexive exactly when its dual has the same number of blocks.
     """
-    return dual_sweep(part, max_size).reflexive
+    return dual_partition(part, max_size).num_blocks == part.num_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +240,29 @@ def krawtchouk(part: Partition, char_part: Partition,
     """Krawtchouk matrix of a partition and a compatible character partition.
 
     ``char_part`` must refine the dual of ``part`` so that block sums are
-    constant on each of its blocks. One sweep of ``part`` checks that for
-    every character, on every carrier; see ``DualSweep.krawtchouk``.
+    constant on each of its blocks. The partition's one sweep checks that
+    for every character, on every carrier. On failure the message names two
+    characters of one character block that lie in different dual blocks,
+    and the first primal block whose sums differ.
     """
-    return dual_sweep(part, max_size).krawtchouk(char_part)
+    sweep = dual_sweep(part, max_size)
+    grp = part.group
+    if not refines(char_part, sweep.dual):
+        raise VerificationFailure(_split_message(sweep, char_part))
+    e = grp.exponent
+    reps = (sweep._rows[sweep.dual.block_of[grp.rank(b[0])]] for b in char_part.blocks)
+    entries = tuple(tuple(CycInt(e, c) for c in row) for row in reps)
+    return KrawtchoukMatrix(entries, char_part.blocks, part.blocks)
+
+
+def _split_message(sweep: DualSweep, char_part: Partition) -> str:
+    rank, dual_of = char_part.group.rank, sweep.dual.block_of
+    i, a, b = next((i, blk[0], chi) for i, blk in enumerate(char_part.blocks)
+                   for chi in blk[1:] if dual_of[rank(chi)] != dual_of[rank(blk[0])])
+    row_a, row_b = sweep._rows[dual_of[rank(a)]], sweep._rows[dual_of[rank(b)]]
+    m = next(j for j, (x, y) in enumerate(zip(row_a, row_b)) if x != y)
+    return (f"character block {i} holds {a} and {b}, whose sums first differ on "
+            f"primal block {m}; the character partition does not refine the dual")
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +377,10 @@ def kk_product_check(part: Partition, max_size: int = ELEMENT_GUARD) -> tuple[tu
     grp = part.group
     size = grp.size
     e = grp.exponent
-    first = dual_sweep(part, max_size)
-    second = first.sweep_dual(max_size)
-    dual, ddual = first.dual, second.dual
-    k = first.krawtchouk(dual)
-    k2 = second.krawtchouk(ddual)
+    dual = dual_partition(part, max_size)
+    ddual = dual_partition(dual, max_size)
+    k = krawtchouk(part, dual, max_size=max_size)
+    k2 = krawtchouk(dual, ddual, max_size=max_size)
     out: list[tuple[bool, ...]] = []
     for r, ddual_block in enumerate(ddual.blocks):
         neg_block = {grp.neg(g) for g in ddual_block}

@@ -1,10 +1,13 @@
+import gc
 import random
+import weakref
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 import pytest
 
-from dualpart.errors import InputError, VerificationFailure
+import dualpart.partition
+from dualpart.errors import GuardExceeded, InputError, VerificationFailure
 from dualpart.group import GroupIso, GroupSpec
 from dualpart.partition import (
     Partition,
@@ -109,6 +112,39 @@ def test_krawtchouk_checks_every_character_on_large_carriers():
         f"character block 2 holds {(0,) * 7 + (1, 1)} and {moved}, "
         "whose sums first differ on primal block 1;"
     )
+
+
+def test_partition_keeps_its_sweep(monkeypatch):
+    """Dual, bidual and matrices of one partition object share one sweep."""
+    swept = []
+    real = dualpart.partition._signature_rows
+
+    def recording(part, *args, **kwargs):
+        swept.append(part)
+        return real(part, *args, **kwargs)
+
+    monkeypatch.setattr(dualpart.partition, "_signature_rows", recording)
+    lee = Partition.from_weight(GroupSpec((8,)), lambda x: min(x[0], 8 - x[0]))
+    dual = dual_partition(lee)
+    assert dual == lee and bidual(lee) == lee and is_reflexive(lee)
+    krawtchouk(lee, dual)
+    kk_product_check(lee)
+    assert swept == [lee]
+    with pytest.raises(GuardExceeded):
+        dual_partition(lee, max_size=4)
+
+
+def test_kept_sweep_forms_no_reference_cycle():
+    """A self-dual partition and its kept sweeps are freed by reference counting."""
+    lee = Partition.from_weight(GroupSpec((8,)), lambda x: min(x[0], 8 - x[0]))
+    kk_product_check(lee)
+    ref = weakref.ref(lee)
+    gc.disable()
+    try:
+        del lee
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_krawtchouk_cross_carrier_rejected():
