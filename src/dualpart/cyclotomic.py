@@ -5,13 +5,21 @@ cyclotomic polynomial, with arbitrary-precision integer coefficients in the
 power basis 1, z, ..., z^(phi(E)-1). Sums of roots of unity therefore compare
 by plain tuple equality; no floating point enters any computation. Values are
 immutable, and the polynomial cache fills on demand.
+
+The module also holds what exact evaluation modulo a prime needs: sparse
+canonical rows of the root powers, their largest coefficient c_E, a prime
+p = 1 (mod E) with a root of exact order E, and generators of the units
+mod E.
 """
 
 from __future__ import annotations
 
 import cmath
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
+from math import gcd, isqrt
 
 from .errors import InputError
 
@@ -208,13 +216,107 @@ def zeta_pow(order: int, k: int) -> CycInt:
     return CycInt(order, (0,) * k + (1,))
 
 
-@lru_cache(maxsize=None)
-def zeta_coeff_table(order: int) -> tuple[CycPoly, ...]:
-    """Canonical coefficient vectors of all powers of the primitive root.
+ZETA_TABLE_CACHE = 8
+"""Most root orders whose power tables are kept at once."""
 
-    Because reduction modulo the cyclotomic polynomial is Z-linear, block sums
-    of roots of unity can be accumulated componentwise on these vectors and
-    stay canonical without any further reduction. The partition sweeps lean on
-    this.
+
+@lru_cache(maxsize=ZETA_TABLE_CACHE)
+def zeta_coeff_table(order: int) -> tuple[tuple[array, array], ...]:
+    """Sparse canonical coefficient rows of all powers of the primitive root.
+
+    Row k is a pair of arrays (indices, coefficients): the nonzero power-basis
+    coefficients of z^k. Reduction modulo the cyclotomic polynomial is
+    Z-linear, so an exact sum of roots of unity is the sum of their rows and
+    is canonical without further reduction. A row of a power of 2 has one
+    nonzero entry and a row of a power of 3 at most two, against phi(order)
+    dense entries. The rows follow x^k = x * x^(k-1), with the top term
+    replaced by the lower terms of the cyclotomic polynomial, on sparse maps.
+
+    >>> [tuple(map(list, row)) for row in zeta_coeff_table(6)]
+    [([0], [1]), ([1], [1]), ([0, 1], [-1, 1]), ([0], [-1]), ([1], [-1]), ([0, 1], [1, -1])]
     """
-    return tuple(zeta_pow(order, k).coeffs for k in range(order))
+    phi = euler_phi(order)
+    low = [(i, c) for i, c in enumerate(cyclotomic_polynomial(order)[:phi]) if c]
+    rows = [(array("q", [k]), array("q", [1])) for k in range(phi)]
+    cur = {phi - 1: 1}
+    for _ in range(phi, order):
+        top = cur.pop(phi - 1, 0)
+        cur = {i + 1: c for i, c in cur.items()}
+        if top:
+            for i, c in low:
+                value = cur.get(i, 0) - top * c
+                if value:
+                    cur[i] = value
+                else:
+                    cur.pop(i, None)
+        keys = sorted(cur)
+        rows.append((array("q", keys), array("q", map(cur.__getitem__, keys))))
+    return tuple(rows)
+
+
+def coefficient_bound(order: int) -> int:
+    """c_E: the largest absolute coefficient of any power z^k in canonical form.
+
+    It is 1 when the order is a prime power and grows with the number of odd
+    prime factors, so it is computed, never assumed.
+
+    >>> [coefficient_bound(e) for e in (8, 9, 105, 1155)]
+    [1, 1, 2, 9]
+    """
+    return max(max(map(abs, coeffs)) for _, coeffs in zeta_coeff_table(order))
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def split_prime(order: int, bound: int) -> tuple[int, int]:
+    """The least prime p above ``bound`` with p = 1 mod order, and a root mod p.
+
+    The root w has multiplicative order exactly ``order``. Since p = 1 mod
+    order, the cyclotomic polynomial splits into distinct linear factors
+    mod p, so Z[z]/pZ[z] is isomorphic to F_p^phi(order) through the maps
+    z -> w^j, one for each unit j (Pollard, "The fast Fourier transform in a
+    finite field", Math. Comp. 25, 1971).
+
+    >>> split_prime(8, 16)
+    (17, 9)
+    """
+    p = bound // order * order + 1
+    if p <= bound:
+        p += order
+    while p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        p += order
+    factors = _prime_factors(order)
+    for x in count(1):  # F_p^* is cyclic, so some x gives a root of exact order
+        w = pow(x, (p - 1) // order, p)
+        if all(pow(w, order // q, p) != 1 for q in factors):
+            return p, w
+
+
+def unit_generators(order: int) -> tuple[int, ...]:
+    """A generating set of the unit group mod ``order``, greedily from the least unit.
+
+    >>> unit_generators(8), unit_generators(2)
+    ((3, 5), ())
+    """
+    gens: list[int] = []
+    sub = {1 % order}
+    for j in range(2, order):
+        if gcd(j, order) == 1 and j not in sub:
+            gens.append(j)
+            grown, x = set(sub), j
+            while x not in sub:  # add the cosets j^t * sub until they close
+                grown.update(x * h % order for h in sub)
+                x = x * j % order
+            sub = grown
+    return tuple(gens)

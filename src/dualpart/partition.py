@@ -3,12 +3,23 @@
 The dual of a partition groups characters by the exact vector of their block
 sums: two characters fall in the same dual block precisely when every block
 of the original partition sums to the same cyclotomic integer under both.
-One signature sweep of a partition gives a ``DualSweep``: the dual together
-with the block sums of one character per dual block. The sweep is kept on
-the partition object, so its dual, reflexivity test, bidual, and generalized
-Krawtchouk matrices with any character partition that refines the dual all
-read that one sweep. A character partition is checked against the dual in
-full on every carrier; nothing is sampled.
+
+The signature sweep finds these classes without building a single exact
+sum. It evaluates every block sum in F_p, for a prime p = 1 (mod E) above
+2 * |G| * c_E (E the exponent, c_E the largest coefficient of a canonical
+root power), then refines the labels under the Galois action chi -> j * chi
+for a generating set of the units j mod E until they stop splitting. Since
+Z[z]/pZ[z] is F_p^phi(E) through the maps z -> w^j, and the coefficient
+bound keeps every difference of two sums below p, the final classes are
+exactly the classes of equal exact sums (the full argument is in
+``_signature_rows``). Cost: |G|^2 scalar additions, plus a Galois pass of
+|G| label lookups per generator, plus exact ``CycInt`` rows only where a
+matrix needs them, one per character block, from sparse root-power rows.
+
+The dual is kept on the partition object, so its reflexivity test, bidual,
+and generalized Krawtchouk matrices with any character partition that
+refines the dual all read one sweep. A character partition is checked
+against the dual in full on every carrier; nothing is sampled.
 
 Block data is canonical: each block is sorted, blocks are ordered by their
 least member, elements are reduced residue tuples. Partitions on the same
@@ -17,11 +28,18 @@ carrier therefore compare by plain equality.
 
 from __future__ import annotations
 
+import math
 import random
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import accumulate, chain
+from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cyclotomic import CycInt, euler_phi, integer, zeta_coeff_table
+from .cyclotomic import (CycInt, coefficient_bound, euler_phi, integer, split_prime,
+                         unit_generators, zeta_coeff_table)
 from .errors import GuardExceeded, InputError, VerificationFailure
 from .group import ELEMENT_GUARD, Element, GroupIso, GroupSpec, elements
 
@@ -39,8 +57,8 @@ class Partition:
     blocks: tuple[Block, ...]
     block_of: tuple[int, ...] = field(compare=False, repr=False)
     # block_of is derived: block index per element rank, for O(1) lookup
-    _sweep: "DualSweep | None" = field(default=None, init=False, compare=False, repr=False)
-    # set once by dual_sweep, and dropped with the partition
+    _dual: "Partition | None" = field(default=None, init=False, compare=False, repr=False)
+    # set once by dual_partition, and dropped with the partition
 
     @classmethod
     def from_blocks(cls, group: GroupSpec, blocks: Iterable[Iterable[Element]]) -> "Partition":
@@ -94,49 +112,147 @@ class Partition:
 # the signature sweep
 
 
-def _signature_rows(
-    part: Partition, chis: Sequence[Element] | None = None,
-    max_size: int = ELEMENT_GUARD,
-) -> dict[Element, tuple[tuple[int, ...], ...]]:
-    """Raw block-sum coefficient vectors, one row per requested character.
-
-    Componentwise accumulation of canonical root-power vectors stays canonical
-    because reduction modulo the cyclotomic polynomial is Z-linear, so the rows
-    are directly hashable and comparable.
-    """
-    grp = part.group
-    e = grp.exponent
-    ztab = zeta_coeff_table(e)
-    phi = euler_phi(e)
-    orders = grp.orders
-    weights = [e // n for n in orders]
-    targets = elements(grp, max_size) if chis is None else [grp.validate(c) for c in chis]
-    out: dict[Element, tuple[tuple[int, ...], ...]] = {}
-    for chi in targets:
-        contrib = [
-            tuple((weights[i] * chi[i] * v) % e for v in range(orders[i]))
-            for i in range(len(orders))
-        ]
-        sig: list[tuple[int, ...]] = []
-        for members in part.blocks:
-            acc = [0] * phi
-            for g in members:
-                s = 0
-                for i, gi in enumerate(g):
-                    s += contrib[i][gi]
-                row = ztab[s % e]
-                for j in range(phi):
-                    acc[j] += row[j]
-            sig.append(tuple(acc))
-        out[chi] = tuple(sig)
+def _outer(a: list[int], b: list[int]) -> list[int]:
+    """[x + y for x in a for y in b], looping in Python over the shorter list only."""
+    if len(a) <= len(b):
+        return list(chain.from_iterable(map(x.__add__, b) for x in a))
+    n = len(b)
+    out = [0] * (len(a) * n)
+    for j, y in enumerate(b):
+        out[j::n] = map(y.__add__, a)
     return out
 
 
+def _column(e: int, n: int, c: int) -> list[int]:
+    """Pairing exponents of the residue c with 0, ..., n - 1 in a factor of order n."""
+    step = e // n * c
+    return [x % e for x in range(0, step * n, step)] if step else [0] * n
+
+
+def _pairing_exponents(grp: GroupSpec, chi: Element) -> list[int]:
+    """Exponents of <chi, g> for every element g, in rank order.
+
+    Entry r is congruent mod E to the exponent at the element of rank r and
+    lies below len(orders) * E: each factor adds its own reduced term.
+    """
+    e = grp.exponent
+    return reduce(_outer, (_column(e, n, c) for n, c in zip(grp.orders, chi)), [0])
+
+
+def _exponent_rows(e: int, orders: tuple[int, ...]) -> Iterator[list[int]]:
+    """``_pairing_exponents`` of every character in rank order, on factors ``orders``.
+
+    The factors split in two halves, and each row is the outer sum of one
+    row of each half: |G| additions, with a Python loop over the smaller
+    half only. The smaller half's rows are kept in a list; the larger half's
+    are made as they are needed.
+    """
+    if len(orders) < 2:
+        n = orders[0] if orders else 1
+        yield from (_column(e, n, c) for c in range(n))
+        return
+    left, right = orders[:len(orders) // 2], orders[len(orders) // 2:]
+    if math.prod(right) <= math.prod(left):
+        rights = list(_exponent_rows(e, right))
+        for a in _exponent_rows(e, left):
+            yield from (_outer(a, b) for b in rights)
+    else:
+        for a in list(_exponent_rows(e, left)):
+            yield from (_outer(a, b) for b in _exponent_rows(e, right))
+
+
+def _unit_action(grp: GroupSpec, j: int) -> list[int]:
+    """Rank of the character j * chi, for every character chi in rank order."""
+    cols, stride = [], grp.size
+    for n in grp.orders:
+        stride //= n
+        cols.append([j * v % n * stride for v in range(n)])
+    return reduce(_outer, cols, [0])
+
+
+def _signature_rows(
+    part: Partition, chis: Sequence[Element] | None = None,
+    max_size: int = ELEMENT_GUARD,
+) -> dict[Element, int]:
+    """Class ids of the characters: equal exactly when their block sums are equal.
+
+    Write S(chi, B) for the sum of <chi, g> over a block B, an element of
+    Z[z] with z a primitive E-th root of unity, E the exponent. The sweep
+    never builds S exactly. It takes the least prime p = 1 (mod E) above
+    2 * |G| * c_E, where c_E is the largest coefficient of a canonical root
+    power (``coefficient_bound``), and a root w of exact order E mod p. The
+    map z -> w^j sends S(chi, B) to s(j * chi, B), the same block sum
+    evaluated in F_p at the character j * chi. Each character first gets the
+    class of its vector (s(chi, B))_B; the labels are then refined by the
+    classes of j * chi for a generating set of the units j mod E until the
+    class count stops rising.
+
+    Exactness. Mod p the cyclotomic polynomial splits into distinct linear
+    factors, so Z[z]/pZ[z] is F_p^phi(E) through the maps z -> w^j, j a unit.
+    The canonical coefficients of S(chi, B) are at most |G| * c_E in size, so
+    those of a difference of two sums are below p, and such a difference is
+    zero exactly when every map z -> w^j sends it to zero. The fixed point of
+    the refinement is stable under each generator, hence under every unit
+    (each unit is a product of generators), and it refines the first labels.
+    So two characters in one final class have s(j * chi, B) = s(j * chi', B)
+    for every unit j and block B, and their exact sums are equal. Conversely
+    equal exact sums stay equal under every map, so they never split.
+
+    Cost: about |G| scalar additions per character for the first labels
+    (its pairing exponents are one outer sum of two half-carrier rows, and
+    its block sums are prefix sums of one gathered list), then |G| label
+    lookups per generator in each refinement pass. The refinement needs the labels
+    of every character, so the whole character group is always swept and
+    ``chis`` only selects the rows returned.
+    """
+    grp = part.group
+    chars = elements(grp, max_size)
+    e = grp.exponent
+    p, w = split_prime(e, 2 * grp.size * coefficient_bound(e))
+    powers = [pow(w, x % e, p) for x in range(e * max(1, len(grp.orders)))]
+    # the elements block by block; the trailing 0 keeps every gather a tuple
+    # on a one-element carrier, and lands after the last cut
+    gather = itemgetter(*(grp.rank(g) for block in part.blocks for g in block), 0)
+    cuts = itemgetter(*accumulate(map(len, part.blocks), initial=0))
+    typecode = "I" if p < 1 << 32 else "Q"
+    classes: dict[bytes, int] = {}
+    labels = []
+    for exps in _exponent_rows(e, grp.orders):
+        values = itemgetter(*gather(exps))(powers)
+        ends = cuts(list(accumulate(values, initial=0)))
+        key = array(typecode, map(p.__rmod__, map(sub, ends[1:], ends))).tobytes()
+        labels.append(classes.setdefault(key, len(classes)))
+    perms = [_unit_action(grp, j) for j in unit_generators(e)]
+    count = len(classes)
+    while perms:
+        ids: dict[tuple[int, ...], int] = {}
+        images = [map(labels.__getitem__, perm) for perm in perms]
+        labels = [ids.setdefault(key, len(ids)) for key in zip(labels, *images)]
+        if len(ids) == count:
+            break
+        count = len(ids)
+    if chis is None:
+        return dict(zip(chars, labels))
+    return {chi: labels[grp.rank(chi)] for chi in map(grp.validate, chis)}
+
+
 def signature(part: Partition, chi: Element) -> Signature:
-    """Vector of block sums of the character chi, one exact value per block."""
-    row = _signature_rows(part, [chi])[part.group.validate(chi)]
-    e = part.group.exponent
-    return tuple(CycInt(e, c) for c in row)
+    """Vector of block sums of the character chi, one exact value per block.
+
+    Each (block, root power) pair met on the carrier adds its count times
+    the sparse canonical row of that power (``zeta_coeff_table``).
+    """
+    grp = part.group
+    e = grp.exponent
+    table = zeta_coeff_table(e)
+    acc = [[0] * euler_phi(e) for _ in part.blocks]
+    pairs = Counter(zip(part.block_of, _pairing_exponents(grp, grp.validate(chi))))
+    for (b, k), n in pairs.items():
+        indices, coeffs = table[k % e]
+        row = acc[b]
+        for i, c in zip(indices, coeffs):
+            row[i] += n * c
+    return tuple(CycInt(e, tuple(row)) for row in acc)
 
 
 @dataclass(frozen=True)
@@ -171,45 +287,26 @@ class KrawtchoukMatrix:
         return [[x.approx_complex() for x in row] for row in self.entries]
 
 
-@dataclass(frozen=True)
-class DualSweep:
-    """One signature sweep of a partition: its dual and one row per dual block.
-
-    ``_rows[l]`` holds the block sums of the characters in the l-th dual block,
-    which are the same for all of them by the definition of the dual.
-    """
-
-    dual: Partition
-    _rows: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
-
-
-def dual_sweep(part: Partition, max_size: int = ELEMENT_GUARD) -> DualSweep:
-    """The partition's one signature sweep, made on first use and kept on it.
-
-    Every character is swept once; later calls on the same object read the
-    result back, so ``dual_partition`` and ``krawtchouk`` of one partition
-    share it. When P* = P, then P** = P*, so the dual is given this same
-    sweep and the bidual costs none. The dual's own dual is then a fresh
-    copy: no partition refers back to itself, so a kept sweep is freed with
-    its partition by reference counting alone.
-    """
-    elements(part.group, max_size)  # the guard holds for a kept sweep too
-    if part._sweep is None:
-        rows = _signature_rows(part, max_size=max_size)
-        buckets: dict[tuple, list[Element]] = {}
-        for chi, row in rows.items():
-            buckets.setdefault(row, []).append(chi)
-        dual = Partition.from_blocks(part.group, buckets.values())
-        reps = tuple(rows[block[0]] for block in dual.blocks)
-        if dual == part:
-            object.__setattr__(dual, "_sweep", DualSweep(replace(dual), reps))
-        object.__setattr__(part, "_sweep", DualSweep(dual, reps))
-    return part._sweep
-
-
 def dual_partition(part: Partition, max_size: int = ELEMENT_GUARD) -> Partition:
-    """Partition of the character carrier by equality of block-sum vectors."""
-    return dual_sweep(part, max_size).dual
+    """Partition of the character carrier by equality of block-sum vectors.
+
+    One signature sweep makes it on first use, and it is kept on the
+    partition object, so the dual, bidual, reflexivity test and Krawtchouk
+    matrices of one object share that sweep. When P* = P, then P** = P*, so
+    the dual is given a fresh copy of itself as its own dual and the bidual
+    costs no sweep. No partition refers back to itself, so a kept dual is
+    freed with its partition by reference counting alone.
+    """
+    elements(part.group, max_size)  # the guard holds for a kept dual too
+    if part._dual is None:
+        buckets: dict[int, list[Element]] = {}
+        for chi, label in _signature_rows(part, max_size=max_size).items():
+            buckets.setdefault(label, []).append(chi)
+        dual = Partition.from_blocks(part.group, buckets.values())
+        if dual == part:
+            object.__setattr__(dual, "_dual", replace(dual))
+        object.__setattr__(part, "_dual", dual)
+    return part._dual
 
 
 def bidual(part: Partition, max_size: int = ELEMENT_GUARD) -> Partition:
@@ -241,26 +338,24 @@ def krawtchouk(part: Partition, char_part: Partition,
 
     ``char_part`` must refine the dual of ``part`` so that block sums are
     constant on each of its blocks. The partition's one sweep checks that
-    for every character, on every carrier. On failure the message names two
-    characters of one character block that lie in different dual blocks,
-    and the first primal block whose sums differ.
+    for every character, on every carrier; then one exact row is built per
+    character block. On failure the message names two characters of one
+    character block that lie in different dual blocks, and the first primal
+    block whose sums differ.
     """
-    sweep = dual_sweep(part, max_size)
-    grp = part.group
-    if not refines(char_part, sweep.dual):
-        raise VerificationFailure(_split_message(sweep, char_part))
-    e = grp.exponent
-    reps = (sweep._rows[sweep.dual.block_of[grp.rank(b[0])]] for b in char_part.blocks)
-    entries = tuple(tuple(CycInt(e, c) for c in row) for row in reps)
+    dual = dual_partition(part, max_size)
+    if not refines(char_part, dual):
+        raise VerificationFailure(_split_message(part, dual, char_part))
+    entries = tuple(signature(part, block[0]) for block in char_part.blocks)
     return KrawtchoukMatrix(entries, char_part.blocks, part.blocks)
 
 
-def _split_message(sweep: DualSweep, char_part: Partition) -> str:
-    rank, dual_of = char_part.group.rank, sweep.dual.block_of
+def _split_message(part: Partition, dual: Partition, char_part: Partition) -> str:
+    rank, dual_of = char_part.group.rank, dual.block_of
     i, a, b = next((i, blk[0], chi) for i, blk in enumerate(char_part.blocks)
                    for chi in blk[1:] if dual_of[rank(chi)] != dual_of[rank(blk[0])])
-    row_a, row_b = sweep._rows[dual_of[rank(a)]], sweep._rows[dual_of[rank(b)]]
-    m = next(j for j, (x, y) in enumerate(zip(row_a, row_b)) if x != y)
+    m = next(j for j, (x, y) in enumerate(zip(signature(part, a), signature(part, b)))
+             if x != y)
     return (f"character block {i} holds {a} and {b}, whose sums first differ on "
             f"primal block {m}; the character partition does not refine the dual")
 

@@ -6,12 +6,14 @@ import pytest
 
 import dualpart.cyclotomic as cyc
 from dualpart.cyclotomic import (
+    ZETA_TABLE_CACHE,
     CycInt,
     cyclotomic_polynomial,
     euler_phi,
     integer,
     one,
     zero,
+    zeta_coeff_table,
     zeta_pow,
 )
 from dualpart.errors import InputError
@@ -122,3 +124,10 @@ def test_conjugation_is_a_ring_map(pair):
 def test_power_arithmetic(e, i, j):
     assert zeta_pow(e, i) * zeta_pow(e, j) == zeta_pow(e, i + j)
     assert zeta_pow(e, i).conjugate() == zeta_pow(e, -i)
+
+
+def test_zeta_table_cache_is_bounded():
+    assert zeta_coeff_table.cache_info().maxsize == ZETA_TABLE_CACHE
+    for e in range(2, 2 + 3 * ZETA_TABLE_CACHE):
+        zeta_coeff_table(e)
+        assert zeta_coeff_table.cache_info().currsize <= ZETA_TABLE_CACHE

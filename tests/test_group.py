@@ -2,9 +2,11 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 import pytest
 
+import dualpart.group
 from dualpart.cyclotomic import integer, zero, zeta_pow
 from dualpart.errors import GuardExceeded, InputError
 from dualpart.group import (
+    ELEMENTS_CACHE,
     Code,
     GroupIso,
     GroupSpec,
@@ -162,3 +164,22 @@ def test_iso_validation():
     not_additive = {(0,): (0,), (1,): (1,), (2,): (3,), (3,): (2,)}
     with pytest.raises(InputError):
         GroupIso.from_mapping(GroupSpec((4,)), not_additive)
+
+
+def test_iso_additivity_is_checked_on_large_carriers():
+    """On (512,), x -> 3x with the images of 1 and 3 swapped is a bijection, not additive."""
+    g = GroupSpec((512,))
+    images = {x: (3 * x[0] % 512,) for x in elements(g)}
+    images[(1,)], images[(3,)] = images[(3,)], images[(1,)]
+    with pytest.raises(InputError):
+        GroupIso.from_mapping(g, images)
+    triple = GroupIso.from_mapping(g, lambda x: (3 * x[0] % 512,))
+    assert triple((171,)) == (1,)
+
+
+def test_elements_cache_is_bounded():
+    cached = dualpart.group._elements
+    assert cached.cache_info().maxsize == ELEMENTS_CACHE
+    for n in range(2, 2 + 3 * ELEMENTS_CACHE):
+        elements(GroupSpec((n,)))
+        assert cached.cache_info().currsize <= ELEMENTS_CACHE
