@@ -28,14 +28,13 @@ carrier therefore compare by plain equality.
 
 from __future__ import annotations
 
-import math
 import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from itertools import accumulate, chain
-from operator import itemgetter, sub
+from functools import partial, reduce
+from itertools import accumulate, repeat
+from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cyclotomic import (CycInt, coefficient_bound, euler_phi, integer, split_prime,
@@ -113,13 +112,11 @@ class Partition:
 
 
 def _outer(a: list[int], b: list[int]) -> list[int]:
-    """[x + y for x in a for y in b], looping in Python over the shorter list only."""
-    if len(a) <= len(b):
-        return list(chain.from_iterable(map(x.__add__, b) for x in a))
+    """[x + y for x in a for y in b], with a Python loop over b only."""
     n = len(b)
     out = [0] * (len(a) * n)
     for j, y in enumerate(b):
-        out[j::n] = map(y.__add__, a)
+        out[j::n] = map(add, a, repeat(y))
     return out
 
 
@@ -132,33 +129,14 @@ def _column(e: int, n: int, c: int) -> list[int]:
 def _pairing_exponents(grp: GroupSpec, chi: Element) -> list[int]:
     """Exponents of <chi, g> for every element g, in rank order.
 
-    Entry r is congruent mod E to the exponent at the element of rank r and
-    lies below len(orders) * E: each factor adds its own reduced term.
+    The factors are added one at a time: |G| additions, with a Python loop
+    over the order of each factor after the first. Entry r is congruent
+    mod E to the exponent at the element of rank r and lies below
+    len(orders) * E: each factor adds its own reduced term.
     """
     e = grp.exponent
-    return reduce(_outer, (_column(e, n, c) for n, c in zip(grp.orders, chi)), [0])
-
-
-def _exponent_rows(e: int, orders: tuple[int, ...]) -> Iterator[list[int]]:
-    """``_pairing_exponents`` of every character in rank order, on factors ``orders``.
-
-    The factors split in two halves, and each row is the outer sum of one
-    row of each half: |G| additions, with a Python loop over the smaller
-    half only. The smaller half's rows are kept in a list; the larger half's
-    are made as they are needed.
-    """
-    if len(orders) < 2:
-        n = orders[0] if orders else 1
-        yield from (_column(e, n, c) for c in range(n))
-        return
-    left, right = orders[:len(orders) // 2], orders[len(orders) // 2:]
-    if math.prod(right) <= math.prod(left):
-        rights = list(_exponent_rows(e, right))
-        for a in _exponent_rows(e, left):
-            yield from (_outer(a, b) for b in rights)
-    else:
-        for a in list(_exponent_rows(e, left)):
-            yield from (_outer(a, b) for b in _exponent_rows(e, right))
+    cols = [_column(e, n, c) for n, c in zip(grp.orders, chi)]
+    return reduce(_outer, cols[1:], cols[0]) if cols else [0]
 
 
 def _unit_action(grp: GroupSpec, j: int) -> list[int]:
@@ -199,9 +177,9 @@ def _signature_rows(
     equal exact sums stay equal under every map, so they never split.
 
     Cost: about |G| scalar additions per character for the first labels
-    (its pairing exponents are one outer sum of two half-carrier rows, and
-    its block sums are prefix sums of one gathered list), then |G| label
-    lookups per generator in each refinement pass. The refinement needs the labels
+    (its pairing exponents are added factor by factor, and its block sums
+    are prefix sums of one gathered list), then |G| label lookups per
+    generator in each refinement pass. The refinement needs the labels
     of every character, so the whole character group is always swept and
     ``chis`` only selects the rows returned.
     """
@@ -217,7 +195,7 @@ def _signature_rows(
     typecode = "I" if p < 1 << 32 else "Q"
     classes: dict[bytes, int] = {}
     labels = []
-    for exps in _exponent_rows(e, grp.orders):
+    for exps in map(partial(_pairing_exponents, grp), chars):
         values = itemgetter(*gather(exps))(powers)
         ends = cuts(list(accumulate(values, initial=0)))
         key = array(typecode, map(p.__rmod__, map(sub, ends[1:], ends))).tobytes()

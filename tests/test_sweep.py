@@ -173,24 +173,30 @@ def test_unit_generators_generate():
 
 
 def test_worst_legal_input_fits_in_two_gib():
-    """(4096,) with a seeded random 8-block partition, in a capped child process."""
+    """(4096,) at the element guard, in a child process capped at 2 GiB.
+
+    Sweep memory grows with classes times blocks, so the many-block random
+    partition (2309 blocks) is the heavy case; a seeded 8-block partition
+    covers the few-block end.
+    """
     src = Path(__file__).resolve().parents[1] / "src"
     child = textwrap.dedent(f"""
         import random, resource, sys
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
         sys.path.insert(0, {str(src)!r})
         from dualpart.group import GroupSpec, elements
-        from dualpart.partition import Partition, dual_partition
+        from dualpart.partition import Partition, dual_partition, random_partition
         g = GroupSpec((4096,))
         rng = random.Random(0)
         urns = {{}}
         for x in elements(g):
             urns.setdefault(rng.randrange(8), []).append(x)
-        part = Partition.from_blocks(g, urns.values())
-        assert part.num_blocks == 8
-        print(dual_partition(part).num_blocks)
+        few = Partition.from_blocks(g, urns.values())
+        many = random_partition(g, random.Random(0))
+        for part in (few, many):
+            print(part.num_blocks, dual_partition(part).num_blocks)
     """)
     done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["4096"]
+    assert done.stdout.split() == ["8", "4096", "2309", "4096"]
