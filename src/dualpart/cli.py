@@ -18,7 +18,6 @@ from typing import Any
 
 from .checks import SUITES, run_suite
 from .enumerator import (
-    EXPANSION_GUARD,
     linear_enumerator,
     macwilliams_transform,
     product_enumerator,
@@ -57,7 +56,6 @@ from .serialization import (
     poset_from_json,
     poset_to_json,
     product_enumerator_to_json,
-    symmetrized_enumerator_to_json,
 )
 
 
@@ -95,8 +93,17 @@ def _subgroup_guard(args: argparse.Namespace) -> int:
     return args.max_group if args.max_group else SUBGROUP_GUARD
 
 
-def _expansion_guard_value(args: argparse.Namespace) -> int:
-    return args.max_expansion if getattr(args, "max_expansion", None) else EXPANSION_GUARD
+def _poset(args: argparse.Namespace, grp):
+    # building the order costs about n^3, so a poset that cannot fit the
+    # carrier is rejected before it is built
+    obj = _load_json(args.poset)
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if isinstance(n, int) and n != len(grp.orders):
+        raise InputError(
+            f"carrier must have one cyclic factor per coordinate: "
+            f"{len(grp.orders)} factors, poset n = {n}"
+        )
+    return poset_from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -234,31 +241,28 @@ def _cmd_induced(args) -> tuple[dict, int]:
             raise InputError("the base partition must be reflexive to transform a code")
         matrix = krawtchouk(dual_base, base, max_size=ms)
         perp = dual_code(induced.group, code, ms)
-        guard = _expansion_guard_value(args)
         if product:
             counts = product_enumerator(code, [base] * copies)
-            out = product_transform(counts, [matrix] * copies, code.size, guard)
+            out = product_transform(counts, [matrix] * copies, code.size, ms)
             direct = product_enumerator(perp, [dual_base] * copies)
-            to_json = product_enumerator_to_json
         else:
             counts = symmetrized_enumerator(code, base, copies)
-            out = symmetrized_transform(counts, matrix, code.size, guard)
+            out = symmetrized_transform(counts, matrix, code.size, ms)
             direct = symmetrized_enumerator(perp, dual_base, copies)
-            to_json = symmetrized_enumerator_to_json
         if out.counts != direct.counts:
             raise VerificationFailure("transformed distribution differs from the dual code's")
         doc["code"] = code_to_json(code, include_elements=False)
         doc["code_size"] = code.size
-        doc["enumerator"] = to_json(counts)
+        doc["enumerator"] = product_enumerator_to_json(counts)
         doc["factor_krawtchouk"] = krawtchouk_to_json(matrix)
-        doc["transform"] = to_json(out)
+        doc["transform"] = product_enumerator_to_json(out)
         doc["verified"] = True
     return doc, 0
 
 
 def _cmd_poset_partition(args) -> tuple[dict, int]:
     grp = _group(args)
-    p = poset_from_json(_load_json(args.poset))
+    p = _poset(args, grp)
     ms = _element_guard(args)
     part = poset_partition(p, grp, ms)
     by_weight: dict[int, list] = {}
@@ -276,7 +280,7 @@ def _cmd_poset_partition(args) -> tuple[dict, int]:
 
 def _cmd_poset_krawtchouk(args) -> tuple[dict, int]:
     grp = _group(args)
-    p = poset_from_json(_load_json(args.poset))
+    p = _poset(args, grp)
     brute = poset_krawtchouk_bruteforce(p, grp, _element_guard(args))
     doc: dict[str, Any] = {
         "command": "poset-krawtchouk",
@@ -299,7 +303,7 @@ def _cmd_poset_krawtchouk(args) -> tuple[dict, int]:
 
 def _cmd_poset_check(args) -> tuple[dict, int]:
     grp = _group(args)
-    p = poset_from_json(_load_json(args.poset))
+    p = _poset(args, grp)
     ms = _element_guard(args)
     report = poset_duality_check(p, grp, ms)
     return {
@@ -320,7 +324,7 @@ def _cmd_subgroups(args) -> tuple[dict, int]:
     subs = all_subgroups(grp, _subgroup_guard(args))
     rows = []
     for code in subs:
-        perp = dual_code(grp, code)
+        perp = dual_code(grp, code, _element_guard(args))
         row = code_to_json(code, include_elements=args.include_elements)
         row["size"] = code.size
         row["dual_generators"] = [element_to_json(g) for g in perp.generators]
@@ -408,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, group=True, partition=False, poset=False, expansion=False):
+    def common(p, group=True, partition=False, poset=False):
         if group:
             p.add_argument("--group", required=True,
                            help="carrier JSON, e.g. '{\"orders\":[6]}'")
@@ -418,9 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
         if poset:
             p.add_argument("--poset", required=True,
                            help="poset JSON: {\"n\":2, \"cover\":[[1,2]]} (1-based)")
-        if expansion:
-            p.add_argument("--max-expansion", type=int, default=None,
-                           help="override the monomial-expansion guard")
         p.add_argument("--max-group", type=int, default=None,
                        help="override the element/subgroup enumeration guards")
         p.add_argument("--pretty", action="store_true",
@@ -452,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_macwilliams)
 
     p = sub.add_parser("product", help="product partition on n copies of a carrier")
-    common(p, partition=True, expansion=True)
+    common(p, partition=True)
     p.add_argument("--copies", type=int, required=True)
     p.add_argument("--check", action="store_true",
                    help="report whether dualization commutes with the construction")
@@ -462,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("symmetrize",
                        help="symmetrized partition on n copies of a carrier")
-    common(p, partition=True, expansion=True)
+    common(p, partition=True)
     p.add_argument("--copies", type=int, required=True)
     p.add_argument("--check", action="store_true",
                    help="report whether dualization commutes with the construction")

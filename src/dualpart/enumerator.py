@@ -8,6 +8,22 @@ distribution from the primal one, dividing by the code size and insisting on
 exact integer results; a non-integer or irrational entry raises, since it can
 only come from a wrong pairing of partitions.
 
+All three transforms run one exact step, ``_contract_at``: it replaces
+coordinate i of every sparse key by each column l of a factor matrix K,
+multiplies by K[key[i]][l], and sums equal keys. Linear: one step on the
+keys (m,). Product: one step per coordinate. The product theorem makes the
+matrix the Kronecker product of the factor matrices, so the dual count at l
+is sum_m A(m) prod_i K_i[m_i][l_i] / |C|, which distributivity regroups one
+factor at a time; the state never exceeds prod_i max(rows_i, cols_i) keys,
+the size the guard bounds. Symmetrized: a composition s expands to its
+sorted representative key m. By the symmetrization theorem,
+K_sym[s][t] = sum of prod_i K[m_i][l_i] over all l with comp(l) = t, for
+any m with comp(m) = s. Step i reads only key[i] and the final grouping
+only the composition of the contracted prefix, never its order, so sorting
+the prefix after each step and merging keys that now match is exact. The
+state stays within (input keys) x C(copies + cols - 1, cols - 1), polynomial
+in copies; the guard bounds the binomial, the output key space.
+
 Orientation conventions, fixed once:
 
 - linear: with Q a partition of the character carrier and P its dual on the
@@ -22,15 +38,17 @@ Orientation conventions, fixed once:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from math import comb, prod
+from typing import Iterable, Iterator, Sequence
 
-from .cyclotomic import CycInt, zero
+from .cyclotomic import CycInt
 from .errors import GuardExceeded, InputError, VerificationFailure
-from .group import Code
+from .group import ELEMENT_GUARD, Code
 from .induced import composition_vector, product_group, split_element
 from .partition import KrawtchoukMatrix, Partition
 
-EXPANSION_GUARD = 24
+# counts start as ints and become CycInt values after the first contraction
+Distribution = dict[tuple[int, ...], CycInt | int]
 
 
 @dataclass(frozen=True)
@@ -87,6 +105,30 @@ def _exact_count(value: CycInt, divisor: int) -> int:
     return q
 
 
+def _accumulate(terms: Iterable[tuple[tuple[int, ...], CycInt]]) -> Distribution:
+    out: Distribution = {}
+    for k, v in terms:
+        out[k] = out[k] + v if k in out else v
+    return out
+
+
+def _contract_at(
+    dist: Distribution, i: int, matrix: KrawtchoukMatrix
+) -> Iterator[tuple[tuple[int, ...], CycInt]]:
+    """Terms of ``dist`` with key[i] = m replaced by each column l, times K[m][l]."""
+    for key, coef in dist.items():
+        head, tail = key[:i], key[i + 1 :]
+        for l, entry in enumerate(matrix.entries[key[i]]):
+            if not entry.is_zero:
+                yield head + (l,) + tail, coef * entry
+
+
+def _finish(dist: Distribution, code_size: int) -> dict[tuple[int, ...], int]:
+    """Exact division by the code size, keys sorted, zero counts dropped."""
+    counts = {k: _exact_count(dist[k], code_size) for k in sorted(dist)}
+    return {k: c for k, c in counts.items() if c}
+
+
 def macwilliams_transform(
     enum: LinearEnumerator, matrix: KrawtchoukMatrix, code_size: int
 ) -> LinearEnumerator:
@@ -102,15 +144,9 @@ def macwilliams_transform(
         )
     if code_size <= 0:
         raise InputError("code size must be positive")
-    order = matrix.entries[0][0].order
-    out = []
-    for l in range(cols):
-        acc = zero(order)
-        for m, a in enumerate(enum.counts):
-            if a:
-                acc = acc + a * matrix.entries[m][l]
-        out.append(_exact_count(acc, code_size))
-    return LinearEnumerator(tuple(out))
+    dist = {(m,): a for m, a in enumerate(enum.counts) if a}
+    counts = _finish(_accumulate(_contract_at(dist, 0, matrix)), code_size)
+    return LinearEnumerator(tuple(counts.get((l,), 0) for l in range(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -130,21 +166,13 @@ def product_enumerator(code: Code, parts: Sequence[Partition]) -> ProductEnumera
     return ProductEnumerator(counts)
 
 
-def _expansion_guard(copies: int, widest: int, max_expansion: int) -> None:
-    if copies * widest > max_expansion:
-        raise GuardExceeded(
-            f"transform expansion {copies} x {widest} exceeds the guard "
-            f"of {max_expansion}"
-        )
-
-
 def product_transform(
     enum: ProductEnumerator,
     matrices: Sequence[KrawtchoukMatrix],
     code_size: int,
-    max_expansion: int = EXPANSION_GUARD,
+    max_size: int = ELEMENT_GUARD,
 ) -> ProductEnumerator:
-    """Dual joint distribution from factorwise Krawtchouk expansion.
+    """Dual joint distribution, contracting one coordinate at a time.
 
     Each matrix must be krawtchouk(dual(P_i), P_i) for the i-th factor, so
     that row m expands the primal indeterminate for block m over the dual
@@ -154,33 +182,17 @@ def product_transform(
         raise InputError("code size must be positive")
     if not matrices:
         raise InputError("need one matrix per coordinate")
-    widest = max(max(k.shape) for k in matrices)
-    _expansion_guard(len(matrices), widest, max_expansion)
-    order = matrices[0].entries[0][0].order
-    out: dict[tuple[int, ...], CycInt] = {}
-    for key, cnt in enum.counts.items():
-        if len(key) != len(matrices):
-            raise InputError("enumerator key length does not match the matrices")
-        partial: dict[tuple[int, ...], CycInt] = {(): CycInt(order, (cnt,))}
-        for i, m in enumerate(key):
-            row = matrices[i].entries[m]
-            nxt: dict[tuple[int, ...], CycInt] = {}
-            for prefix, coef in partial.items():
-                for l, entry in enumerate(row):
-                    if entry.is_zero:
-                        continue
-                    nk = prefix + (l,)
-                    term = coef * entry
-                    nxt[nk] = nxt[nk] + term if nk in nxt else term
-            partial = nxt
-        for nk, coef in partial.items():
-            out[nk] = out[nk] + coef if nk in out else coef
-    counts = {}
-    for nk in sorted(out):
-        c = _exact_count(out[nk], code_size)
-        if c:
-            counts[nk] = c
-    return ProductEnumerator(counts)
+    if any(len(key) != len(matrices) for key in enum.counts):
+        raise InputError("enumerator key length does not match the matrices")
+    size = prod(max(k.shape) for k in matrices)
+    if size > max_size:
+        raise GuardExceeded(
+            f"product transform has {size} keys, above the guard of {max_size}"
+        )
+    dist: Distribution = dict(enum.counts)
+    for i, matrix in enumerate(matrices):
+        dist = _accumulate(_contract_at(dist, i, matrix))
+    return ProductEnumerator(_finish(dist, code_size))
 
 
 # ---------------------------------------------------------------------------
@@ -199,55 +211,39 @@ def symmetrized_enumerator(code: Code, base: Partition, copies: int) -> Symmetri
     return SymmetrizedEnumerator(counts)
 
 
-def _sparse_mul(
-    a: dict[tuple[int, ...], CycInt], b: dict[tuple[int, ...], CycInt]
-) -> dict[tuple[int, ...], CycInt]:
-    out: dict[tuple[int, ...], CycInt] = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            term = va * vb
-            out[k] = out[k] + term if k in out else term
-    return out
-
-
 def symmetrized_transform(
     enum: SymmetrizedEnumerator,
     matrix: KrawtchoukMatrix,
     code_size: int,
-    max_expansion: int = EXPANSION_GUARD,
+    max_size: int = ELEMENT_GUARD,
 ) -> SymmetrizedEnumerator:
-    """Dual composition distribution via powers of the row linear forms.
+    """Dual composition distribution, contracting sorted representative keys.
 
-    ``matrix`` must be krawtchouk(dual(P), P) of a reflexive base partition;
-    a composition key (s_0, ..., s_{M-1}) expands as the product over m of the
-    s_m-th power of row m read as a linear form in the dual indeterminates.
+    ``matrix`` must be krawtchouk(dual(P), P) of a reflexive base partition.
+    Every composition must sum to the same positive number of copies.
     """
     if code_size <= 0:
         raise InputError("code size must be positive")
     rows, cols = matrix.shape
-    order = matrix.entries[0][0].order
-    out: dict[tuple[int, ...], CycInt] = {}
-    for key, cnt in enum.counts.items():
-        if len(key) != rows:
-            raise InputError("composition length does not match the matrix rows")
-        _expansion_guard(sum(key), max(rows, cols), max_expansion)
-        poly: dict[tuple[int, ...], CycInt] = {(0,) * cols: CycInt(order, (cnt,))}
-        for m, power in enumerate(key):
-            if power == 0:
-                continue
-            linear = {}
-            for l, entry in enumerate(matrix.entries[m]):
-                if not entry.is_zero:
-                    unit = tuple(1 if i == l else 0 for i in range(cols))
-                    linear[unit] = entry
-            for _ in range(power):
-                poly = _sparse_mul(poly, linear)
-        for k, coef in poly.items():
-            out[k] = out[k] + coef if k in out else coef
-    counts = {}
-    for k in sorted(out):
-        c = _exact_count(out[k], code_size)
-        if c:
-            counts[k] = c
-    return SymmetrizedEnumerator(counts)
+    if any(len(key) != rows for key in enum.counts):
+        raise InputError("composition length does not match the matrix rows")
+    totals = {sum(key) for key in enum.counts}
+    if len(totals) != 1 or 0 in totals:
+        raise InputError("compositions must all sum to the same positive number of copies")
+    (copies,) = totals
+    size = comb(copies + cols - 1, cols - 1)
+    if size > max_size:
+        raise GuardExceeded(
+            f"symmetrized transform has {size} keys, above the guard of {max_size}"
+        )
+    dist: Distribution = {
+        tuple(m for m, s in enumerate(key) for _ in range(s)): c
+        for key, c in enum.counts.items()
+    }
+    for i in range(copies):
+        dist = _accumulate(
+            (tuple(sorted(k[: i + 1])) + k[i + 1 :], v)
+            for k, v in _contract_at(dist, i, matrix)
+        )
+    comps = {tuple(key.count(l) for l in range(cols)): v for key, v in dist.items()}
+    return SymmetrizedEnumerator(_finish(comps, code_size))

@@ -149,9 +149,6 @@ def linear_enumerator_to_json(e: LinearEnumerator) -> list[int]:
     return list(e.counts)
 
 
-def product_enumerator_to_json(e: ProductEnumerator) -> list[dict]:
-    return [{"key": list(k), "count": e.counts[k]} for k in sorted(e.counts)]
-
-
-def symmetrized_enumerator_to_json(e: SymmetrizedEnumerator) -> list[dict]:
+def product_enumerator_to_json(e: ProductEnumerator | SymmetrizedEnumerator) -> list[dict]:
+    """Sorted key/count records; symmetrized enumerators use the same form."""
     return [{"key": list(k), "count": e.counts[k]} for k in sorted(e.counts)]

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import dualpart.cli
 import dualpart.partition
+import dualpart.poset
 from dualpart.cli import main
 from dualpart.serialization import group_from_json, partition_from_json, poset_from_json
 
@@ -191,6 +193,41 @@ def test_guard_override(capsys):
                     "--max-group", "100")
     assert code == 0
     assert doc["count"] == 9
+
+
+def test_subgroups_passes_the_group_guard_to_dual_code(capsys, monkeypatch):
+    seen = []
+    real = dualpart.cli.dual_code
+
+    def recording(group, code, max_size=None):
+        seen.append(max_size)
+        return real(group, code, max_size)
+
+    monkeypatch.setattr(dualpart.cli, "dual_code", recording)
+    code, doc = run(capsys, "subgroups", "--group", '{"orders":[2,2]}', "--max-group", "100")
+    assert code == 0
+    assert seen == [100] * doc["count"]
+
+
+@pytest.mark.parametrize("cmd", ["poset-partition", "poset-krawtchouk", "poset-check"])
+def test_poset_factor_count_checked_before_the_order_is_built(cmd, capsys, monkeypatch):
+    def refuse(cls, n, covers):
+        raise AssertionError("the order was built")
+
+    monkeypatch.setattr(dualpart.poset.Poset, "from_covers", classmethod(refuse))
+    chain = json.dumps({"n": 400, "cover": [[i, i + 1] for i in range(1, 400)]})
+    code = main([cmd, "--group", '{"orders":[2]}', "--poset", chain])
+    assert code == 1
+    assert "one cyclic factor per coordinate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["product", "symmetrize"])
+def test_induced_transform_of_a_thirteen_block_base(cmd, capsys):
+    singletons = json.dumps({"blocks": [[[x]] for x in range(13)]})
+    code, doc = run(capsys, cmd, "--group", '{"orders":[13]}', "--partition", singletons,
+                    "--copies", "2", "--code", '{"generators":[[1,2]]}')
+    assert code == 0
+    assert doc["verified"] is True
 
 
 def test_file_and_stdin_payloads(tmp_path, capsys, monkeypatch):

@@ -5,10 +5,13 @@ partition Q and its dual P has one row per P block and one column per Q
 block; a code counted under P transforms to its dual counted under Q.
 """
 
+from math import comb
+
 import pytest
 
 from dualpart.enumerator import (
     LinearEnumerator,
+    SymmetrizedEnumerator,
     linear_enumerator,
     macwilliams_transform,
     product_enumerator,
@@ -98,12 +101,20 @@ def test_row_count_mismatch_rejected():
         macwilliams_transform(LinearEnumerator((1, 1)), k, 2)
 
 
-def test_oracle_sweep_all_subgroups_z3_squared():
-    g = GroupSpec((3,))
-    base = part(g, [0], [1, 2])
+SQUARE_BASES = {
+    "hamming-3": (GroupSpec((3,)), [[0], [1, 2]]),
+    # singleton blocks put zeta_3^k and i^k into the factor matrix
+    "singletons-3": (GroupSpec((3,)), [[0], [1], [2]]),
+    "singletons-4": (GroupSpec((4,)), [[0], [1], [2], [3]]),
+}
+
+
+@pytest.mark.parametrize("g, blocks", SQUARE_BASES.values(), ids=list(SQUARE_BASES))
+def test_oracle_sweep_all_subgroups_of_the_square(g, blocks):
+    base = part(g, *blocks)
     dual_base = dual_partition(base)
     k = krawtchouk(dual_base, base)
-    big = GroupSpec((3, 3))
+    big = GroupSpec(g.orders * 2)
     for c in all_subgroups(big):
         perp = dual_code(big, c)
         out = product_transform(product_enumerator(c, [base] * 2), [k] * 2, c.size)
@@ -120,7 +131,21 @@ def test_expansion_guard():
     big = GroupSpec((2,) * copies)
     c = generate(big, [tuple([1] * copies)])
     counts = product_enumerator(c, [p] * copies)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded):  # 2^30 output keys > 4096
         product_transform(counts, [k] * copies, c.size)
-    with pytest.raises(GuardExceeded):
-        symmetrized_transform(symmetrized_enumerator(c, p, copies), k, c.size)
+    # the symmetrized key space is 65 compositions, so 64 copies pass the guard
+    copies = 64
+    big = GroupSpec((2,) * copies)
+    c = generate(big, [tuple([1] * copies)])
+    sym = symmetrized_transform(symmetrized_enumerator(c, p, copies), k, c.size)
+    assert sym.counts == {(copies - w, w): comb(copies, w) for w in range(0, copies + 1, 2)}
+
+
+def test_symmetrized_rejects_bad_copy_counts():
+    g = GroupSpec((2,))
+    p = part(g, [0], [1])
+    k = krawtchouk(dual_partition(p), p)
+    with pytest.raises(InputError):
+        symmetrized_transform(SymmetrizedEnumerator({(2, 0): 1, (0, 3): 1}), k, 2)
+    with pytest.raises(InputError):
+        symmetrized_transform(SymmetrizedEnumerator({(0, 0): 1}), k, 1)
