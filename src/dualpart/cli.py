@@ -26,7 +26,7 @@ from .enumerator import (
     symmetrized_transform,
 )
 from .errors import GuardExceeded, InputError, VerificationFailure
-from .group import ELEMENT_GUARD, SUBGROUP_GUARD, all_subgroups, dual_code
+from .group import ELEMENT_GUARD, SUBGROUP_GUARD, all_subgroups, dual_code, elements
 from .induced import (
     check_product_duality,
     check_symmetrized_duality,
@@ -95,7 +95,7 @@ def _subgroup_guard(args: argparse.Namespace) -> int:
 
 def _poset(args: argparse.Namespace, grp):
     # building the order costs about n^3, so a poset that cannot fit the
-    # carrier is rejected before it is built
+    # carrier, or a carrier above the element guard, is rejected before it is built
     obj = _load_json(args.poset)
     n = obj.get("n") if isinstance(obj, dict) else None
     if isinstance(n, int) and n != len(grp.orders):
@@ -103,6 +103,7 @@ def _poset(args: argparse.Namespace, grp):
             f"carrier must have one cyclic factor per coordinate: "
             f"{len(grp.orders)} factors, poset n = {n}"
         )
+    elements(grp, _element_guard(args))
     return poset_from_json(obj)
 
 

@@ -182,9 +182,13 @@ class CycInt:
         return CycInt(new_order, tuple(raw))
 
     def approx_complex(self) -> complex:
-        """Floating approximation, for display only; never used in comparisons."""
+        """Floating approximation, for display only; never used in comparisons.
+
+        Zero coefficients are skipped. Their terms are +-0, so the sum can
+        differ only in the sign of a zero component, and compares equal.
+        """
         z = cmath.exp(2j * cmath.pi / self.order)
-        return sum((c * z**i for i, c in enumerate(self.coeffs)), complex(0))
+        return sum((c * z**i for i, c in enumerate(self.coeffs) if c), complex(0))
 
     @property
     def is_zero(self) -> bool:

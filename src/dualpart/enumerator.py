@@ -24,6 +24,14 @@ the prefix after each step and merging keys that now match is exact. The
 state stays within (input keys) x C(copies + cols - 1, cols - 1), polynomial
 in copies; the guard bounds the binomial, the output key space.
 
+Integer path: when every entry of a factor matrix is rational, the step
+multiplies by the entries as plain ints, with no ``CycInt`` built. That is
+exact: a rational ``CycInt`` is the canonical residue with only a constant
+coefficient, so it equals that integer, the integers embed in Z[z] as a
+subring, and Python's integer sums and products are exact. Counts stay ints
+until a step with an irrational matrix, which keeps the ``CycInt`` path and
+turns them into ``CycInt`` values; ``_exact_count`` reads both.
+
 Orientation conventions, fixed once:
 
 - linear: with Q a partition of the character carrier and P its dual on the
@@ -47,7 +55,7 @@ from .group import ELEMENT_GUARD, Code
 from .induced import composition_vector, product_group, split_element
 from .partition import KrawtchoukMatrix, Partition
 
-# counts start as ints and become CycInt values after the first contraction
+# counts start as ints; a contraction by an irrational matrix makes them CycInts
 Distribution = dict[tuple[int, ...], CycInt | int]
 
 
@@ -93,8 +101,8 @@ def linear_enumerator(code: Code, part: Partition) -> LinearEnumerator:
     return LinearEnumerator(tuple(counts))
 
 
-def _exact_count(value: CycInt, divisor: int) -> int:
-    n = value.as_rational_integer()
+def _exact_count(value: CycInt | int, divisor: int) -> int:
+    n = value if isinstance(value, int) else value.as_rational_integer()
     if n is None:
         raise VerificationFailure("transform produced an irrational value")
     q, r = divmod(n, divisor)
@@ -105,22 +113,30 @@ def _exact_count(value: CycInt, divisor: int) -> int:
     return q
 
 
-def _accumulate(terms: Iterable[tuple[tuple[int, ...], CycInt]]) -> Distribution:
+def _accumulate(terms: Iterable[tuple[tuple[int, ...], CycInt | int]]) -> Distribution:
     out: Distribution = {}
     for k, v in terms:
         out[k] = out[k] + v if k in out else v
     return out
 
 
+def _sparse_rows(matrix: KrawtchoukMatrix) -> list[list[tuple[int, CycInt | int]]]:
+    """Nonzero (column, entry) pairs of each row; plain ints if every entry is rational."""
+    ints = [[x.as_rational_integer() for x in row] for row in matrix.entries]
+    if any(None in row for row in ints):
+        return [[(l, x) for l, x in enumerate(row) if not x.is_zero] for row in matrix.entries]
+    return [[(l, x) for l, x in enumerate(row) if x] for row in ints]
+
+
 def _contract_at(
     dist: Distribution, i: int, matrix: KrawtchoukMatrix
-) -> Iterator[tuple[tuple[int, ...], CycInt]]:
+) -> Iterator[tuple[tuple[int, ...], CycInt | int]]:
     """Terms of ``dist`` with key[i] = m replaced by each column l, times K[m][l]."""
+    rows = _sparse_rows(matrix)
     for key, coef in dist.items():
         head, tail = key[:i], key[i + 1 :]
-        for l, entry in enumerate(matrix.entries[key[i]]):
-            if not entry.is_zero:
-                yield head + (l,) + tail, coef * entry
+        for l, entry in rows[key[i]]:
+            yield head + (l,) + tail, coef * entry
 
 
 def _finish(dist: Distribution, code_size: int) -> dict[tuple[int, ...], int]:
@@ -158,10 +174,11 @@ def product_enumerator(code: Code, parts: Sequence[Partition]) -> ProductEnumera
     factors = [p.group for p in parts]
     if code.group != product_group(factors):
         raise InputError("code carrier must be the product of the factor carriers")
+    lookups = [(p.block_of, p.group.rank) for p in parts]
     counts: dict[tuple[int, ...], int] = {}
     for word in code.elements:
         coords = split_element(factors, word)
-        key = tuple(p.block_index_of(c) for p, c in zip(parts, coords))
+        key = tuple(block_of[rank(c)] for (block_of, rank), c in zip(lookups, coords))
         counts[key] = counts.get(key, 0) + 1
     return ProductEnumerator(counts)
 

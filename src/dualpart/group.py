@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from operator import mul
 from typing import Callable, Iterable, Mapping
 
 from .cyclotomic import CycInt, zero, zeta_pow
@@ -188,14 +189,17 @@ def dual_code(group: GroupSpec, code: Code, max_size: int = ELEMENT_GUARD) -> Co
     """Annihilator of the code under the pairing, on the same carrier.
 
     Bilinearity lets the membership test run against the generators only.
+    The pairing exponent of a with h is the dot product of a with the weight
+    vector ((E // n_i) * h_i)_i, reduced mod E; one vector per generator is
+    built once. The members are carrier elements in sorted order already.
     """
-    gens = code.generators
-    members = [
-        a
-        for a in elements(group, max_size)
-        if all(pairing_exponent(group, a, h) == 0 for h in gens)
-    ]
-    return Code.from_elements(group, members, validate=False)
+    if code.group != group:
+        raise InputError("the code must lie on the given carrier")
+    e = group.exponent
+    weights = [[e // n * c for n, c in zip(group.orders, h)] for h in code.generators]
+    members = tuple(a for a in elements(group, max_size)
+                    if not any(sum(map(mul, w, a)) % e for w in weights))
+    return Code(group, _greedy_generators(group, members), members)
 
 
 def all_subgroups(group: GroupSpec, max_size: int = SUBGROUP_GUARD) -> tuple[Code, ...]:

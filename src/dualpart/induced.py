@@ -57,17 +57,17 @@ def product_partition(parts: Sequence[Partition],
         raise GuardExceeded(
             f"product carrier has {big.size} elements, above the guard of {max_size}"
         )
-    blocks = []
-    for combo in itertools.product(*(p.blocks for p in parts)):
-        blocks.append([flatten_element(tup) for tup in itertools.product(*combo)])
-    return Partition.from_blocks(big, blocks)
+    # the product carrier's rank order is the product of the factors' rank orders
+    labels = itertools.product(*(p.block_of for p in parts))
+    return Partition.from_labels(big, labels)
 
 
 def composition_vector(base: Partition, coords: Sequence[Element]) -> tuple[int, ...]:
     """How many coordinates fall in each block of the base partition."""
     counts = [0] * base.num_blocks
+    block_of, rank = base.block_of, base.group.rank
     for c in coords:
-        counts[base.block_index_of(c)] += 1
+        counts[block_of[rank(c)]] += 1
     return tuple(counts)
 
 
@@ -79,12 +79,10 @@ def symmetrized_partition(base: Partition, copies: int,
         raise GuardExceeded(
             f"power carrier has {big.size} elements, above the guard of {max_size}"
         )
-    factors = [base.group] * copies
-
-    def key(flat: Element) -> tuple[int, ...]:
-        return composition_vector(base, split_element(factors, flat))
-
-    return Partition.from_weight(big, key, max_size)
+    # a word's sorted coordinate blocks determine its composition vector and
+    # back; the power carrier's rank order is the product of the base's
+    words = itertools.product(base.block_of, repeat=copies)
+    return Partition.from_labels(big, map(tuple, map(sorted, words)))
 
 
 def check_product_duality(parts: Sequence[Partition],

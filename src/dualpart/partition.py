@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from itertools import accumulate, repeat
 from operator import add, itemgetter, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .cyclotomic import (CycInt, coefficient_bound, euler_phi, integer, split_prime,
                          unit_generators, zeta_coeff_table)
@@ -83,21 +83,41 @@ class Partition:
         return cls(group, tuple(norm), tuple(block_of))
 
     @classmethod
-    def from_weight(cls, group: GroupSpec, weight: Callable[[Element], object],
+    def from_labels(cls, group: GroupSpec, labels: Iterable[Hashable]) -> "Partition":
+        """The fibers of one label per element, the labels given in rank order.
+
+        The result is canonical without a sort: elements are appended in rank
+        order, which is lexicographic order, so each block's members come out
+        sorted, and a block is opened at its first and least member, so blocks
+        come out ordered by their least members. The elements are the
+        carrier's own tuples, so only the length of the label list is checked.
+        That is why only label lists the library builds itself (weights, sweep
+        classes, factor block indices) come this way; blocks from user input
+        go through ``from_blocks``, which validates them. The caller guards
+        the carrier size.
+        """
+        ids: dict[Hashable, int] = {}
+        block_of = tuple(ids.setdefault(label, len(ids)) for label in labels)
+        if len(block_of) != group.size:
+            raise InputError(f"{len(block_of)} labels for {group.size} elements")
+        blocks: list[list[Element]] = [[] for _ in ids]
+        for g, i in zip(elements(group, group.size), block_of):
+            blocks[i].append(g)
+        return cls(group, tuple(map(tuple, blocks)), block_of)
+
+    @classmethod
+    def from_weight(cls, group: GroupSpec, weight: Callable[[Element], Hashable],
                     max_size: int = ELEMENT_GUARD) -> "Partition":
         """Partition into the fibers of a weight-like labelling function."""
-        fibers: dict[object, list[Element]] = {}
-        for g in elements(group, max_size):
-            fibers.setdefault(weight(g), []).append(g)
-        return cls.from_blocks(group, fibers.values())
+        return cls.from_labels(group, map(weight, elements(group, max_size)))
 
     @classmethod
     def singletons(cls, group: GroupSpec, max_size: int = ELEMENT_GUARD) -> "Partition":
-        return cls.from_blocks(group, ([g] for g in elements(group, max_size)))
+        return cls.from_labels(group, range(len(elements(group, max_size))))
 
     @classmethod
     def one_block(cls, group: GroupSpec, max_size: int = ELEMENT_GUARD) -> "Partition":
-        return cls.from_blocks(group, [elements(group, max_size)])
+        return cls.from_labels(group, repeat(0, len(elements(group, max_size))))
 
     @property
     def num_blocks(self) -> int:
@@ -277,10 +297,8 @@ def dual_partition(part: Partition, max_size: int = ELEMENT_GUARD) -> Partition:
     """
     elements(part.group, max_size)  # the guard holds for a kept dual too
     if part._dual is None:
-        buckets: dict[int, list[Element]] = {}
-        for chi, label in _signature_rows(part, max_size=max_size).items():
-            buckets.setdefault(label, []).append(chi)
-        dual = Partition.from_blocks(part.group, buckets.values())
+        rows = _signature_rows(part, max_size=max_size)  # in rank order
+        dual = Partition.from_labels(part.group, rows.values())
         if dual == part:
             object.__setattr__(dual, "_dual", replace(dual))
         object.__setattr__(part, "_dual", dual)
@@ -357,12 +375,7 @@ def meet(a: Partition, b: Partition) -> Partition:
     """Coarsest common refinement: blockwise intersections."""
     if a.group != b.group:
         raise InputError("partitions on different carriers have no meet")
-    grp = a.group
-    fibers: dict[tuple[int, int], list[Element]] = {}
-    for g in elements(grp):
-        key = (a.block_of[grp.rank(g)], b.block_of[grp.rank(g)])
-        fibers.setdefault(key, []).append(g)
-    return Partition.from_blocks(grp, fibers.values())
+    return Partition.from_labels(a.group, zip(a.block_of, b.block_of))
 
 
 def join(a: Partition, b: Partition) -> Partition:
@@ -388,10 +401,7 @@ def join(a: Partition, b: Partition) -> Partition:
             first = grp.rank(block[0])
             for g in block[1:]:
                 union(first, grp.rank(g))
-    groups: dict[int, list[Element]] = {}
-    for g in elements(grp):
-        groups.setdefault(find(grp.rank(g)), []).append(g)
-    return Partition.from_blocks(grp, groups.values())
+    return Partition.from_labels(grp, map(find, range(grp.size)))
 
 
 def negate(part: Partition) -> Partition:
@@ -429,8 +439,9 @@ def dual_under_iso(part: Partition, iso: GroupIso) -> Partition:
     if iso.group != part.group:
         raise InputError("isomorphism must act on the partition's carrier")
     dual = dual_partition(part)
-    inv = iso.inverse()
-    return Partition.from_blocks(part.group, ([inv(ch) for ch in b] for b in dual.blocks))
+    # g joins the dual block of its image; the images are in the rank order of g
+    rank = part.group.rank
+    return Partition.from_labels(part.group, (dual.block_of[rank(x)] for x in iso.images))
 
 
 # ---------------------------------------------------------------------------
@@ -476,20 +487,15 @@ def random_partition(
     group: GroupSpec, rng: random.Random, zero_block: bool = False,
     max_size: int = ELEMENT_GUARD,
 ) -> Partition:
-    """A uniform-ish random partition: random urn assignment, empties dropped."""
-    els = list(elements(group, max_size))
-    zero = group.zero
-    if zero_block:
-        els.remove(zero)
-    blocks: dict[int, list[Element]] = {}
-    if els:
-        k = rng.randint(1, len(els))
-        for g in els:
-            blocks.setdefault(rng.randrange(k), []).append(g)
-    out = list(blocks.values())
-    if zero_block:
-        out.append([zero])
-    return Partition.from_blocks(group, out)
+    """A uniform-ish random partition: random urn assignment, empties dropped.
+
+    With ``zero_block`` the zero element, the first in rank order, gets an
+    urn of its own.
+    """
+    n = len(elements(group, max_size)) - int(zero_block)
+    k = rng.randint(1, n) if n else 0
+    urns = [rng.randrange(k) for _ in range(n)]
+    return Partition.from_labels(group, [-1] * int(zero_block) + urns)
 
 
 def random_reflexive_partition(group: GroupSpec, rng: random.Random,

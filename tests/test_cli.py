@@ -221,6 +221,18 @@ def test_poset_factor_count_checked_before_the_order_is_built(cmd, capsys, monke
     assert "one cyclic factor per coordinate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["poset-partition", "poset-check", "poset-krawtchouk"])
+def test_poset_carrier_guard_checked_before_the_order_is_built(cmd, capsys, monkeypatch):
+    def refuse(cls, n, covers):
+        raise AssertionError("the order was built")
+
+    monkeypatch.setattr(dualpart.poset.Poset, "from_covers", classmethod(refuse))
+    chain = json.dumps({"n": 400, "cover": [[i, i + 1] for i in range(1, 400)]})
+    code = main([cmd, "--group", json.dumps({"orders": [2] * 400}), "--poset", chain])
+    assert code == 2
+    assert f"carrier has {2 ** 400} elements, above the guard of 4096" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cmd", ["product", "symmetrize"])
 def test_induced_transform_of_a_thirteen_block_base(cmd, capsys):
     singletons = json.dumps({"blocks": [[[x]] for x in range(13)]})

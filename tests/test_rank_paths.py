@@ -1,0 +1,316 @@
+"""Rank- and integer-based constructions against the element-wise code they replaced.
+
+Each oracle below is the earlier implementation, copied here: partitions
+built from validated blocks (fibers, meet, join, random urns, the dual pulled
+back through an isomorphism), induced partitions from explicit block products
+and composition-vector weights, the dual code from ``pairing_exponent``, the
+transform step on ``CycInt`` entries only, and the floating approximation
+summed over every coefficient.
+"""
+
+import cmath
+import itertools
+import math
+import random
+
+import pytest
+
+from dualpart.cyclotomic import CycInt
+from dualpart.enumerator import (
+    _accumulate,
+    _contract_at,
+    product_enumerator,
+    product_transform,
+)
+from dualpart.errors import InputError
+from dualpart.group import (
+    Code,
+    GroupIso,
+    GroupSpec,
+    all_subgroups,
+    dual_code,
+    elements,
+    generate,
+    pairing_exponent,
+)
+from dualpart.induced import (
+    composition_vector,
+    flatten_element,
+    power_group,
+    product_group,
+    product_partition,
+    split_element,
+    symmetrized_partition,
+)
+from dualpart.partition import (
+    Partition,
+    dual_partition,
+    dual_under_iso,
+    join,
+    krawtchouk,
+    meet,
+    random_partition,
+    random_reflexive_partition,
+)
+from dualpart.serialization import _approx_pair
+from test_sweep import SMALL_CARRIERS
+
+
+def fibers(group, labels):
+    out = {}
+    for g, label in zip(elements(group), labels):
+        out.setdefault(label, []).append(g)
+    return list(out.values())
+
+
+@pytest.mark.parametrize("orders", SMALL_CARRIERS)
+def test_from_labels_equals_from_blocks(orders):
+    g = GroupSpec(orders)
+    rng = random.Random(repr(orders))
+    for k in (1, 2, 5, g.size):
+        labels = [rng.randrange(k) for _ in range(g.size)]
+        part = Partition.from_labels(g, labels)
+        want = Partition.from_blocks(g, fibers(g, labels))
+        assert part == want
+        assert part.block_of == want.block_of
+
+
+def test_from_labels_rejects_a_wrong_length():
+    g = GroupSpec((2, 3))
+    for labels in ([0] * 5, [0] * 7, []):
+        with pytest.raises(InputError, match="labels for 6 elements"):
+            Partition.from_labels(g, labels)
+
+
+def old_meet(a, b):
+    grp = a.group
+    fib = {}
+    for g in elements(grp):
+        fib.setdefault((a.block_index_of(g), b.block_index_of(g)), []).append(g)
+    return Partition.from_blocks(grp, fib.values())
+
+
+def old_join(a, b):
+    grp = a.group
+    blocks = [set(blk) for blk in a.blocks]
+    for blk in b.blocks:
+        touched = [s for s in blocks if s & set(blk)]
+        merged = set(blk).union(*touched)
+        blocks = [s for s in blocks if not s & set(blk)] + [merged]
+    return Partition.from_blocks(grp, blocks)
+
+
+@pytest.mark.parametrize("orders", [(6,), (2, 4), (3, 3), (2, 2, 2), (12,)])
+def test_meet_and_join_match_the_blockwise_constructions(orders):
+    g = GroupSpec(orders)
+    rng = random.Random(7)
+    for _ in range(20):
+        a, b = random_partition(g, rng), random_partition(g, rng)
+        assert meet(a, b) == old_meet(a, b)
+        assert join(a, b) == old_join(a, b)
+
+
+def old_random_partition(group, rng, zero_block=False):
+    els = list(elements(group))
+    if zero_block:
+        els.remove(group.zero)
+    blocks = {}
+    if els:
+        k = rng.randint(1, len(els))
+        for g in els:
+            blocks.setdefault(rng.randrange(k), []).append(g)
+    out = list(blocks.values()) + ([[group.zero]] if zero_block else [])
+    return Partition.from_blocks(group, out)
+
+
+@pytest.mark.parametrize("orders", [(), (2,), (6,), (2, 4), (3, 3), (105,)])
+def test_random_partition_draws_as_before(orders):
+    g = GroupSpec(orders)
+    for zero_block in (False, True):
+        for seed in range(4):
+            new = random_partition(g, random.Random(seed), zero_block=zero_block)
+            assert new == old_random_partition(g, random.Random(seed), zero_block)
+
+
+def test_dual_under_iso_matches_the_pulled_back_blocks():
+    g = GroupSpec((4, 4))
+    iso = GroupIso.from_mapping(g, lambda x: ((x[0] + 2 * x[1]) % 4, (3 * x[1]) % 4))
+    inv = iso.inverse()
+    rng = random.Random(19)
+    for _ in range(10):
+        part = random_partition(g, rng)
+        old = Partition.from_blocks(g, ([inv(ch) for ch in b] for b in dual_partition(part).blocks))
+        assert dual_under_iso(part, iso) == old
+
+
+# ---------------------------------------------------------------------------
+# induced partitions
+
+
+def old_product_partition(parts):
+    big = product_group([p.group for p in parts])
+    blocks = []
+    for combo in itertools.product(*(p.blocks for p in parts)):
+        blocks.append([flatten_element(tup) for tup in itertools.product(*combo)])
+    return Partition.from_blocks(big, blocks)
+
+
+def old_symmetrized_partition(base, copies):
+    big = power_group(base.group, copies)
+    factors = [base.group] * copies
+    fib = {}
+    for flat in elements(big):
+        key = composition_vector(base, split_element(factors, flat))
+        fib.setdefault(key, []).append(flat)
+    return Partition.from_blocks(big, fib.values())
+
+
+BASES = [(2,), (3,), (4,), (2, 2), (6,), (2, 3)]
+
+
+@pytest.mark.parametrize("orders", BASES)
+def test_product_partition_matches_block_products(orders):
+    rng = random.Random(11)
+    g = GroupSpec(orders)
+    for copies in (1, 2, 3):
+        parts = [random_partition(g, rng) for _ in range(copies)]
+        new, old = product_partition(parts), old_product_partition(parts)
+        assert new == old and new.block_of == old.block_of
+    mixed = [random_partition(GroupSpec((2,)), rng), random_partition(g, rng)]
+    assert product_partition(mixed) == old_product_partition(mixed)
+
+
+@pytest.mark.parametrize("orders", BASES)
+def test_symmetrized_partition_matches_composition_fibers(orders):
+    rng = random.Random(13)
+    g = GroupSpec(orders)
+    for copies in (1, 2, 3):
+        base = random_partition(g, rng)
+        new, old = symmetrized_partition(base, copies), old_symmetrized_partition(base, copies)
+        assert new == old and new.block_of == old.block_of
+
+
+# ---------------------------------------------------------------------------
+# dual codes
+
+
+def old_dual_code(group, code):
+    members = [a for a in elements(group)
+               if all(pairing_exponent(group, a, h) == 0 for h in code.generators)]
+    return Code.from_elements(group, members, validate=False)
+
+
+# every carrier up to 64 elements once up to the order of its factors, and
+# in every factor order up to 16 elements; the (2,)^6 case alone takes seconds
+DUAL_CODE_CARRIERS = sorted({o if math.prod(o) <= 16 else tuple(sorted(o))
+                             for o in SMALL_CARRIERS if o})
+
+
+@pytest.mark.parametrize("orders", DUAL_CODE_CARRIERS)
+def test_dual_code_matches_the_pairing_definition(orders):
+    g = GroupSpec(orders)
+    for code in all_subgroups(g):
+        assert dual_code(g, code) == old_dual_code(g, code)
+
+
+def test_dual_code_of_given_generators():
+    g = GroupSpec((4, 6))
+    code = generate(g, [(2, 3), (1, 2), (2, 3)])
+    assert dual_code(g, code) == old_dual_code(g, code)
+
+
+def test_dual_code_rejects_a_code_on_another_carrier():
+    with pytest.raises(InputError):
+        dual_code(GroupSpec((6,)), generate(GroupSpec((2, 3)), [(1, 1)]))
+
+
+# ---------------------------------------------------------------------------
+# the integer transform step
+
+
+def old_contract_at(dist, i, matrix):
+    for key, coef in dist.items():
+        head, tail = key[:i], key[i + 1:]
+        for l, entry in enumerate(matrix.entries[key[i]]):
+            if not entry.is_zero:
+                yield head + (l,) + tail, coef * entry
+
+
+def factor_matrix(base):
+    return krawtchouk(dual_partition(base), base)
+
+
+def rational_factor_matrices():
+    rng = random.Random(3)
+    out = []
+    for orders in [(2,), (3,), (4,), (5,), (6,), (8,), (2, 2), (2, 4), (3, 3)]:
+        g = GroupSpec(orders)
+        for _ in range(6):
+            m = factor_matrix(random_reflexive_partition(g, rng))
+            if all(x.as_rational_integer() is not None for row in m.entries for x in row):
+                out.append(m)
+    return out
+
+
+def singletons_matrix(n):
+    return factor_matrix(Partition.singletons(GroupSpec((n,))))
+
+
+def test_integer_step_equals_the_cycint_step():
+    rng = random.Random(5)
+    matrices = rational_factor_matrices()
+    assert len(matrices) > 20
+    for m in matrices:
+        rows, _ = m.shape
+        for width, i in ((1, 0), (3, 0), (3, 2)):
+            dist = {tuple(rng.randrange(rows) for _ in range(width)): rng.randrange(1, 9)
+                    for _ in range(6)}
+            new = _accumulate(_contract_at(dist, i, m))
+            old = _accumulate(old_contract_at(dist, i, m))
+            assert all(type(v) is int for v in new.values())
+            assert set(new) == set(old)
+            assert all(CycInt(m.entries[0][0].order, (new[k],)) == old[k] for k in new)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_irrational_matrices_keep_the_cycint_step(n):
+    m = singletons_matrix(n)
+    dist = {(r,): 1 for r in range(n)}
+    new = _accumulate(_contract_at(dist, 0, m))
+    assert all(isinstance(v, CycInt) for v in new.values())
+    assert new == _accumulate(old_contract_at(dist, 0, m))
+
+
+def test_mixed_matrices_transform_to_the_dual_code():
+    g3 = GroupSpec((3,))
+    hamming = Partition.from_weight(g3, lambda x: x != (0,))
+    singles = Partition.singletons(g3)
+    big = GroupSpec((3, 3, 3))
+    parts = [hamming, singles, hamming]
+    for code in all_subgroups(big):
+        counts = product_enumerator(code, parts)
+        out = product_transform(counts, [factor_matrix(p) for p in parts], code.size)
+        direct = product_enumerator(dual_code(big, code),
+                                    [dual_partition(p) for p in parts])
+        assert out.counts == direct.counts
+
+
+# ---------------------------------------------------------------------------
+# floating approximations
+
+
+def old_approx(x):
+    z = cmath.exp(2j * cmath.pi / x.order)
+    return sum((c * z**i for i, c in enumerate(x.coeffs)), complex(0))
+
+
+@pytest.mark.parametrize("orders", [(8,), (12,), (105,), (3, 3)])
+def test_approx_skipping_zeros_serializes_the_same(orders):
+    g = GroupSpec(orders)
+    rng = random.Random(17)
+    parts = [Partition.singletons(g), random_partition(g, rng),
+             random_partition(g, rng, zero_block=True)]
+    for part in parts:
+        for row in krawtchouk(part, dual_partition(part)).entries:
+            for x in row:
+                assert _approx_pair(x.approx_complex()) == _approx_pair(old_approx(x))
