@@ -22,7 +22,6 @@ from .group import (
     generate,
     pairing,
     pairing_exponent,
-    poisson_check,
 )
 from .partition import (
     KrawtchoukMatrix,
@@ -92,7 +91,7 @@ __all__ = [
     "CycInt", "cyclotomic_polynomial", "euler_phi", "integer", "one", "zero", "zeta_pow",
     "GuardExceeded", "InputError", "VerificationFailure",
     "Code", "Element", "GroupIso", "GroupSpec", "all_subgroups", "dual_code", "elements",
-    "fourier_transform", "generate", "pairing", "pairing_exponent", "poisson_check",
+    "fourier_transform", "generate", "pairing", "pairing_exponent",
     "KrawtchoukMatrix", "Partition", "all_partitions", "bidual", "dual_partition",
     "dual_under_iso", "is_reflexive", "join", "kk_product_check", "krawtchouk", "meet",
     "mismatch_witness", "negate", "random_partition", "random_reflexive_partition",

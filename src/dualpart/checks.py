@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .cyclotomic import CycInt, integer, one, zero, zeta_pow
+from .cyclotomic import CycInt, euler_phi, integer, one, zero, zeta_pow
 from .enumerator import (
     linear_enumerator,
     macwilliams_transform,
@@ -37,6 +37,7 @@ from .induced import (
     symmetrized_partition,
 )
 from .partition import (
+    KrawtchoukMatrix,
     Partition,
     dual_partition,
     is_reflexive,
@@ -81,6 +82,12 @@ SWEEP_GROUPS: tuple[GroupSpec, ...] = tuple(
 )
 
 
+# carriers of the code-duality and distribution-transform checks
+CODE_GROUPS: tuple[GroupSpec, ...] = (
+    GroupSpec((12,)), GroupSpec((2, 4)), GroupSpec((3, 3)), GroupSpec((2, 2, 2)),
+)
+
+
 def all_carriers(max_size: int) -> list[GroupSpec]:
     """Every carrier (ordered factor list, factors >= 2) of at most max_size elements."""
     out: list[GroupSpec] = [GroupSpec(())]
@@ -106,8 +113,6 @@ def _result(name: str, failures: list[str], ran: int) -> CheckResult:
 
 
 def _random_cycint(rng: random.Random, order: int) -> CycInt:
-    from .cyclotomic import euler_phi
-
     return CycInt(order, tuple(rng.randint(-4, 4) for _ in range(euler_phi(order))))
 
 
@@ -200,8 +205,6 @@ def check_bilinearity(max_size: int = 16) -> CheckResult:
     failures: list[str] = []
     ran = 0
     for grp in all_carriers(max_size):
-        if grp.size > max_size:
-            continue
         els = elements(grp)
         for chi in els:
             for g in els:
@@ -218,10 +221,7 @@ def check_bilinearity(max_size: int = 16) -> CheckResult:
     return _result("pairing bilinearity and symmetry", failures, ran)
 
 
-def check_code_duality(groups: Sequence[GroupSpec] | None = None) -> CheckResult:
-    groups = list(groups) if groups is not None else [
-        GroupSpec((12,)), GroupSpec((2, 4)), GroupSpec((3, 3)), GroupSpec((2, 2, 2)),
-    ]
+def check_code_duality(groups: Sequence[GroupSpec] = CODE_GROUPS) -> CheckResult:
     failures: list[str] = []
     ran = 0
     for grp in groups:
@@ -303,18 +303,18 @@ def check_epsilon_singleton(n_samples: int = 120, seed: int = 4) -> CheckResult:
                    failures, n_samples + len(SWEEP_GROUPS))
 
 
+def _order_properties_hold(part: Partition) -> bool:
+    """|P*| >= |P|, P** refines P, and P is reflexive exactly when |P*| = |P|."""
+    dual = dual_partition(part)
+    dd = dual_partition(dual)
+    return (dual.num_blocks >= part.num_blocks and refines(dd, part)
+            and (dual.num_blocks == part.num_blocks) == (dd == part))
+
+
 def check_dual_order_properties(n_samples: int = 150, seed: int = 5) -> CheckResult:
     """Block-count inequality, bidual refinement, and the reflexivity criterion."""
-    failures: list[str] = []
-    for part in _sweep_partitions(n_samples, seed):
-        dual = dual_partition(part)
-        dd = dual_partition(dual)
-        if dual.num_blocks < part.num_blocks:
-            failures.append(f"block count dropped at {part.group.orders}")
-        if not refines(dd, part):
-            failures.append(f"bidual not finer at {part.group.orders}")
-        if (dual.num_blocks == part.num_blocks) != (dd == part):
-            failures.append(f"criterion mismatch at {part.group.orders}")
+    failures = [f"{part.group.orders}, blocks {part.blocks}"
+                for part in _sweep_partitions(n_samples, seed) if not _order_properties_hold(part)]
     return _result("dual block-count and reflexivity criterion", failures, n_samples)
 
 
@@ -324,14 +324,7 @@ def check_dual_order_properties_exhaustive(max_n: int = 5) -> CheckResult:
     for n in range(2, max_n + 1):
         grp = GroupSpec((n,))
         for part in all_partitions(grp):
-            dual = dual_partition(part)
-            dd = dual_partition(dual)
-            ok = (
-                dual.num_blocks >= part.num_blocks
-                and refines(dd, part)
-                and (dual.num_blocks == part.num_blocks) == (dd == part)
-            )
-            if not ok:
+            if not _order_properties_hold(part):
                 failures.append(f"cyclic order {n}, blocks {part.blocks}")
             ran += 1
     return _result("exhaustive reflexivity criterion on small cyclic carriers",
@@ -442,16 +435,9 @@ def check_kk_pattern(n_samples: int = 60, seed: int = 9) -> CheckResult:
         if not all(all(row) for row in verdicts):
             failures.append(f"pattern failed at {grp.orders}")
             continue
-        if is_reflexive(part):
-            # containment pairing must be a permutation: negated blocks are blocks
-            block_set = {b: m for m, b in enumerate(part.blocks)}
-            seen = set()
-            for b in part.blocks:
-                negb = tuple(sorted(grp.neg(g) for g in b))
-                if negb not in block_set or block_set[negb] in seen:
-                    failures.append(f"negation pairing not a permutation at {grp.orders}")
-                    break
-                seen.add(block_set[negb])
+        # the containment pairing is a permutation when negated blocks are blocks
+        if is_reflexive(part) and negate(part) != part:
+            failures.append(f"negation pairing not a permutation at {grp.orders}")
     return _result("double Krawtchouk product structure", failures, n_samples)
 
 
@@ -460,14 +446,11 @@ def check_kk_pattern(n_samples: int = 60, seed: int = 9) -> CheckResult:
 
 
 def check_macwilliams(
-    groups: Sequence[GroupSpec] | None = None,
+    groups: Sequence[GroupSpec] = CODE_GROUPS,
     partitions_per_group: int = 12,
     seed: int = 10,
 ) -> CheckResult:
     """Transform equals brute-forced dual distribution for every subgroup."""
-    groups = list(groups) if groups is not None else [
-        GroupSpec((12,)), GroupSpec((2, 4)), GroupSpec((3, 3)), GroupSpec((2, 2, 2)),
-    ]
     rng = random.Random(seed)
     failures: list[str] = []
     ran = 0
@@ -500,33 +483,36 @@ def check_macwilliams(
 _INDUCED_BASES = (GroupSpec((2,)), GroupSpec((3,)), GroupSpec((4,)), GroupSpec((2, 2)))
 
 
-def check_product_duality_sweep(n_samples: int = 80, seed: int = 11,
-                                max_copies: int = 3) -> CheckResult:
-    """Dualization commutes with products of zero-block partitions."""
+def _induced_duality_sweep(name: str, n_samples: int, seed: int, max_copies: int,
+                           witness: Callable[[GroupSpec, random.Random, int], object]
+                           ) -> CheckResult:
+    """Draw a witness of non-commuting for each base and copy count in turn."""
     rng = random.Random(seed)
     failures: list[str] = []
     for i in range(n_samples):
         base = _INDUCED_BASES[i % len(_INDUCED_BASES)]
         copies = 2 + (i // len(_INDUCED_BASES)) % (max_copies - 1)
-        parts = [random_partition(base, rng, zero_block=True) for _ in range(copies)]
-        witness = check_product_duality(parts)
-        if witness is not None:
-            failures.append(f"witness {witness} at {base.orders}^{copies}")
-    return _result("product duality with zero blocks", failures, n_samples)
+        found = witness(base, rng, copies)
+        if found is not None:
+            failures.append(f"witness {found} at {base.orders}^{copies}")
+    return _result(name, failures, n_samples)
+
+
+def check_product_duality_sweep(n_samples: int = 80, seed: int = 11,
+                                max_copies: int = 3) -> CheckResult:
+    """Dualization commutes with products of zero-block partitions."""
+    return _induced_duality_sweep(
+        "product duality with zero blocks", n_samples, seed, max_copies,
+        lambda base, rng, copies: check_product_duality(
+            [random_partition(base, rng, zero_block=True) for _ in range(copies)]))
 
 
 def check_symmetrized_duality_sweep(n_samples: int = 80, seed: int = 12,
                                     max_copies: int = 3) -> CheckResult:
-    rng = random.Random(seed)
-    failures: list[str] = []
-    for i in range(n_samples):
-        base = _INDUCED_BASES[i % len(_INDUCED_BASES)]
-        copies = 2 + (i // len(_INDUCED_BASES)) % (max_copies - 1)
-        part = random_partition(base, rng, zero_block=True)
-        witness = check_symmetrized_duality(part, copies)
-        if witness is not None:
-            failures.append(f"witness {witness} at {base.orders}^{copies}")
-    return _result("symmetrized duality with zero blocks", failures, n_samples)
+    return _induced_duality_sweep(
+        "symmetrized duality with zero blocks", n_samples, seed, max_copies,
+        lambda base, rng, copies: check_symmetrized_duality(
+            random_partition(base, rng, zero_block=True), copies))
 
 
 def check_single_block_strictness() -> CheckResult:
@@ -558,6 +544,19 @@ def _transform_oracle_cases() -> list[tuple[Partition, int]]:
     return [(hamming2, 3), (hamming3, 2), (lee4, 2)]
 
 
+def _product_transform_cases(base: Partition, matrix: KrawtchoukMatrix, copies: int):
+    """(code, dual code, product transform matches) for each subgroup of the power carrier;
+    ``matrix`` is krawtchouk(dual of base, base)."""
+    dual_base = dual_partition(base)
+    big = power_group(base.group, copies)
+    for code in all_subgroups(big):
+        perp = dual_code(big, code)
+        prod = product_transform(
+            product_enumerator(code, [base] * copies), [matrix] * copies, code.size
+        )
+        yield code, perp, prod.counts == product_enumerator(perp, [dual_base] * copies).counts
+
+
 def check_transform_oracle(cases: Sequence[tuple[Partition, int]] | None = None) -> CheckResult:
     """Product and symmetrized transforms vs dual-code distributions, all subgroups."""
     failures: list[str] = []
@@ -568,14 +567,8 @@ def check_transform_oracle(cases: Sequence[tuple[Partition, int]] | None = None)
             continue
         dual_base = dual_partition(base)
         matrix = krawtchouk(dual_base, base)
-        big = power_group(base.group, copies)
-        for code in all_subgroups(big):
-            perp = dual_code(big, code)
-            prod = product_transform(
-                product_enumerator(code, [base] * copies), [matrix] * copies, code.size
-            )
-            prod_direct = product_enumerator(perp, [dual_base] * copies)
-            if prod.counts != prod_direct.counts:
+        for code, perp, prod_ok in _product_transform_cases(base, matrix, copies):
+            if not prod_ok:
                 failures.append(f"product transform at {base.group.orders}^{copies}")
             sym = symmetrized_transform(
                 symmetrized_enumerator(code, base, copies), matrix, code.size
@@ -589,23 +582,11 @@ def check_transform_oracle(cases: Sequence[tuple[Partition, int]] | None = None)
 
 def check_matrix_code_identity() -> CheckResult:
     """Chain-weight product transform for codes of 2x2 binary matrices, rows as coordinates."""
-    row_group = GroupSpec((2, 2))
-    row_part = poset_partition(chain(2), row_group)
-    dual_row = dual_partition(row_part)
-    matrix = krawtchouk(dual_row, row_part)
-    big = power_group(row_group, 2)
-    failures: list[str] = []
-    ran = 0
-    for code in all_subgroups(big):
-        perp = dual_code(big, code)
-        out = product_transform(
-            product_enumerator(code, [row_part] * 2), [matrix] * 2, code.size
-        )
-        direct = product_enumerator(perp, [dual_row] * 2)
-        if out.counts != direct.counts:
-            failures.append(f"|C|={code.size}")
-        ran += 1
-    return _result("matrix-code chain-weight identity", failures, ran)
+    row_part = poset_partition(chain(2), GroupSpec((2, 2)))
+    matrix = krawtchouk(dual_partition(row_part), row_part)
+    cases = list(_product_transform_cases(row_part, matrix, 2))
+    failures = [f"|C|={code.size}" for code, _, ok in cases if not ok]
+    return _result("matrix-code chain-weight identity", failures, len(cases))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .enumerator import (
     symmetrized_enumerator,
     symmetrized_transform,
 )
-from .errors import GuardExceeded, InputError, VerificationFailure
+from .errors import GuardExceeded, InputError, VerificationFailure, count_text
 from .group import ELEMENT_GUARD, SUBGROUP_GUARD, all_subgroups, dual_code, elements
 from .induced import (
     check_product_duality,
@@ -77,7 +77,7 @@ def _load_json(text: str) -> Any:
             raise InputError(f"cannot read {text[1:]}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int past Python's 4300-digit conversion limit
         raise InputError(f"invalid JSON: {exc}") from exc
 
 
@@ -85,12 +85,14 @@ def _group(args: argparse.Namespace):
     return group_from_json(_load_json(args.group))
 
 
+def _partition_args(args: argparse.Namespace):
+    """The carrier, the --partition on it, and the element guard."""
+    grp = _group(args)
+    return grp, partition_from_json(_load_json(args.partition), grp), _element_guard(args)
+
+
 def _element_guard(args: argparse.Namespace) -> int:
     return args.max_group if args.max_group else ELEMENT_GUARD
-
-
-def _subgroup_guard(args: argparse.Namespace) -> int:
-    return args.max_group if args.max_group else SUBGROUP_GUARD
 
 
 def _poset(args: argparse.Namespace, grp):
@@ -112,9 +114,7 @@ def _poset(args: argparse.Namespace, grp):
 
 
 def _cmd_dual(args) -> tuple[dict, int]:
-    grp = _group(args)
-    part = partition_from_json(_load_json(args.partition), grp)
-    ms = _element_guard(args)
+    grp, part, ms = _partition_args(args)
     dual = dual_partition(part, ms)
     matrix = krawtchouk(part, dual, max_size=ms)
     return {
@@ -128,9 +128,7 @@ def _cmd_dual(args) -> tuple[dict, int]:
 
 
 def _cmd_bidual(args) -> tuple[dict, int]:
-    grp = _group(args)
-    part = partition_from_json(_load_json(args.partition), grp)
-    ms = _element_guard(args)
+    grp, part, ms = _partition_args(args)
     dual = dual_partition(part, ms)
     dd = dual_partition(dual, ms)
     return {
@@ -144,9 +142,7 @@ def _cmd_bidual(args) -> tuple[dict, int]:
 
 
 def _cmd_reflexive(args) -> tuple[dict, int]:
-    grp = _group(args)
-    part = partition_from_json(_load_json(args.partition), grp)
-    ms = _element_guard(args)
+    grp, part, ms = _partition_args(args)
     dual = dual_partition(part, ms)
     dd = dual_partition(dual, ms)
     return {
@@ -161,9 +157,7 @@ def _cmd_reflexive(args) -> tuple[dict, int]:
 
 
 def _cmd_krawtchouk(args) -> tuple[dict, int]:
-    grp = _group(args)
-    part = partition_from_json(_load_json(args.partition), grp)
-    ms = _element_guard(args)
+    grp, part, ms = _partition_args(args)
     if args.char_partition:
         char_part = partition_from_json(_load_json(args.char_partition), grp)
     else:
@@ -179,10 +173,8 @@ def _cmd_krawtchouk(args) -> tuple[dict, int]:
 
 
 def _cmd_macwilliams(args) -> tuple[dict, int]:
-    grp = _group(args)
-    char_part = partition_from_json(_load_json(args.partition), grp)
+    grp, char_part, ms = _partition_args(args)
     code = code_from_json(_load_json(args.code), grp)
-    ms = _element_guard(args)
     prim = dual_partition(char_part, ms)
     matrix = krawtchouk(char_part, prim, max_size=ms)
     counts = linear_enumerator(code, prim)
@@ -205,14 +197,26 @@ def _cmd_macwilliams(args) -> tuple[dict, int]:
     }, 0
 
 
+def _copies_guard(grp, copies: int, ms: int) -> None:
+    """Reject a power carrier above the guard before any per-copy list is built;
+    the multiply loop stops once past the guard, so a huge --copies is cheap."""
+    size = 1
+    for done in range(1, min(copies, ms) + 1):
+        size *= grp.size
+        if size > ms:
+            raise GuardExceeded(f"{done} copies of the carrier have {count_text(size)} "
+                                f"elements, above the guard of {ms}")
+    if copies > ms:  # only a one-element carrier gets here; its powers never grow
+        raise GuardExceeded(f"{copies} copies, above the guard of {ms}")
+
+
 def _cmd_induced(args) -> tuple[dict, int]:
     """product and symmetrize: the induced partition, its duality check, a code transform."""
-    grp = _group(args)
-    base = partition_from_json(_load_json(args.partition), grp)
+    grp, base, ms = _partition_args(args)
     copies = args.copies
     if copies < 1:
         raise InputError("--copies must be at least 1")
-    ms = _element_guard(args)
+    _copies_guard(grp, copies, ms)
     product = args.cmd == "product"
     if product:
         induced = product_partition([base] * copies, ms)
@@ -322,7 +326,7 @@ def _cmd_poset_check(args) -> tuple[dict, int]:
 
 def _cmd_subgroups(args) -> tuple[dict, int]:
     grp = _group(args)
-    subs = all_subgroups(grp, _subgroup_guard(args))
+    subs = all_subgroups(grp, args.max_group or SUBGROUP_GUARD)
     rows = []
     for code in subs:
         perp = dual_code(grp, code, _element_guard(args))
@@ -453,24 +457,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="code JSON: {\"generators\":[[3]]}")
     p.set_defaults(handler=_cmd_macwilliams)
 
-    p = sub.add_parser("product", help="product partition on n copies of a carrier")
-    common(p, partition=True)
-    p.add_argument("--copies", type=int, required=True)
-    p.add_argument("--check", action="store_true",
-                   help="report whether dualization commutes with the construction")
-    p.add_argument("--code", default=None,
-                   help="optional code JSON on the induced carrier; runs the transform")
-    p.set_defaults(handler=_cmd_induced)
-
-    p = sub.add_parser("symmetrize",
-                       help="symmetrized partition on n copies of a carrier")
-    common(p, partition=True)
-    p.add_argument("--copies", type=int, required=True)
-    p.add_argument("--check", action="store_true",
-                   help="report whether dualization commutes with the construction")
-    p.add_argument("--code", default=None,
-                   help="optional code JSON on the induced carrier; runs the transform")
-    p.set_defaults(handler=_cmd_induced)
+    for name, kind in (("product", "product"), ("symmetrize", "symmetrized")):
+        p = sub.add_parser(name, help=f"{kind} partition on n copies of a carrier")
+        common(p, partition=True)
+        p.add_argument("--copies", type=int, required=True)
+        p.add_argument("--check", action="store_true",
+                       help="report whether dualization commutes with the construction")
+        p.add_argument("--code", default=None,
+                       help="optional code JSON on the induced carrier; runs the transform")
+        p.set_defaults(handler=_cmd_induced)
 
     p = sub.add_parser("poset-partition", help="weight-fiber partition of a poset order")
     common(p, poset=True)

@@ -27,24 +27,11 @@ CycPoly = tuple[int, ...]
 """Dense integer polynomial, coefficients ascending by degree."""
 
 
-def _poly_mod(dividend: list[int], divisor: CycPoly) -> list[int]:
-    # divisor must be monic; plain long division over the integers
-    r = list(dividend)
-    dlen = len(divisor)
-    for i in range(len(r) - 1, dlen - 2, -1):
-        c = r[i]
-        if c:
-            off = i - dlen + 1
-            for j in range(dlen):
-                r[off + j] -= c * divisor[j]
-    return r[: dlen - 1]
-
-
-def _poly_div_exact(num: CycPoly, den: CycPoly) -> CycPoly:
-    # den must be monic and divide num exactly
+def _poly_divmod(num: CycPoly, den: CycPoly) -> tuple[CycPoly, CycPoly]:
+    """Quotient and the len(den) - 1 remainder coefficients of long division by a monic den."""
     r = list(num)
     dlen = len(den)
-    q = [0] * (len(num) - dlen + 1)
+    q = [0] * (len(r) - dlen + 1)
     for i in range(len(r) - 1, dlen - 2, -1):
         c = r[i]
         if c:
@@ -52,9 +39,7 @@ def _poly_div_exact(num: CycPoly, den: CycPoly) -> CycPoly:
             q[off] = c
             for j in range(dlen):
                 r[off + j] -= c * den[j]
-    if any(r):
-        raise ArithmeticError("polynomial division was not exact")
-    return tuple(q)
+    return tuple(q), tuple(r[: dlen - 1])
 
 
 @lru_cache(maxsize=None)
@@ -76,7 +61,9 @@ def cyclotomic_polynomial(order: int) -> CycPoly:
     poly: CycPoly = tuple([-1] + [0] * (order - 1) + [1])
     for d in range(1, order):
         if order % d == 0:
-            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("polynomial division was not exact")
     return poly
 
 
@@ -109,7 +96,7 @@ class CycInt:
         phi = euler_phi(self.order)
         coeffs = self.coeffs
         if len(coeffs) > phi:
-            coeffs = tuple(_poly_mod(list(coeffs), cyclotomic_polynomial(self.order)))
+            coeffs = _poly_divmod(coeffs, cyclotomic_polynomial(self.order))[1]
         if len(coeffs) < phi:
             coeffs = tuple(coeffs) + (0,) * (phi - len(coeffs))
         object.__setattr__(self, "coeffs", tuple(coeffs))

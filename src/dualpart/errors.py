@@ -19,3 +19,9 @@ class VerificationFailure(RuntimeError):
     Typical causes: a character partition that is not constant on block sums,
     or a MacWilliams transform producing a non-integer count.
     """
+
+
+def count_text(n: int) -> str:
+    """n in decimal up to 1024 bits, else a power-of-two lower bound (Python prints
+    no int past 4300 digits)."""
+    return str(n) if n.bit_length() <= 1024 else f"at least 2^{n.bit_length() - 1}"

@@ -18,12 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import mul
 from typing import Callable, Iterable, Mapping
 
 from .cyclotomic import CycInt, zero, zeta_pow
-from .errors import GuardExceeded, InputError
+from .errors import GuardExceeded, InputError, count_text
 
 Element = tuple[int, ...]
 
@@ -97,7 +97,7 @@ def elements(group: GroupSpec, max_size: int = ELEMENT_GUARD) -> tuple[Element, 
     """All elements in lexicographic order, guarded by carrier size."""
     if group.size > max_size:
         raise GuardExceeded(
-            f"carrier has {group.size} elements, above the guard of {max_size}"
+            f"carrier has {count_text(group.size)} elements, above the guard of {max_size}"
         )
     return _elements(group)
 
@@ -142,19 +142,23 @@ class Code:
         return len(self.elements)
 
     @classmethod
-    def from_elements(
-        cls, group: GroupSpec, members: Iterable[Element], validate: bool = True
-    ) -> "Code":
+    def from_elements(cls, group: GroupSpec, members: Iterable[Element]) -> "Code":
+        """The code with exactly these members; fails unless they form a subgroup.
+
+        Closure is tested against the greedy generators only, which is exact:
+        members that hold 0 and are closed under adding each generator contain
+        the span of the generators, and that span contains every member, since
+        each member is a generator or already in the span when it is met.
+        """
         elems = tuple(sorted({group.validate(g) for g in members}))
         if not elems or group.zero not in elems:
             raise InputError("a code must contain the zero element")
-        if validate:
-            eset = set(elems)
-            for a in elems:
-                for b in elems:
-                    if group.add(a, b) not in eset:
-                        raise InputError(f"not closed under addition: {a} + {b}")
         gens = _greedy_generators(group, elems)
+        eset = set(elems)
+        for g in gens:
+            for a in elems:
+                if group.add(a, g) not in eset:
+                    raise InputError(f"not closed under addition: {a} + {g}")
         return cls(group, gens, elems)
 
 
@@ -169,20 +173,10 @@ def _greedy_generators(group: GroupSpec, elems: tuple[Element, ...]) -> tuple[El
 
 
 def generate(group: GroupSpec, gens: Iterable[Element]) -> Code:
-    """Additive closure of the given generators."""
+    """Additive closure of the given generators, which the code keeps as given."""
     gen_list = [group.validate(g) for g in gens]
-    acc: set[Element] = {group.zero}
-    frontier = [group.zero]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in gen_list:
-                c = group.add(a, b)
-                if c not in acc:
-                    acc.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return Code(group, tuple(gen_list), tuple(sorted(acc)))
+    span = reduce(partial(_close, group), gen_list, {group.zero})
+    return Code(group, tuple(gen_list), tuple(sorted(span)))
 
 
 def dual_code(group: GroupSpec, code: Code, max_size: int = ELEMENT_GUARD) -> Code:
@@ -207,7 +201,7 @@ def all_subgroups(group: GroupSpec, max_size: int = SUBGROUP_GUARD) -> tuple[Cod
     if group.size > max_size:
         raise GuardExceeded(
             f"subgroup enumeration guarded at carrier size {max_size}, "
-            f"got {group.size}"
+            f"got {count_text(group.size)}"
         )
     els = elements(group)
     trivial = (group.zero,)
@@ -224,7 +218,7 @@ def all_subgroups(group: GroupSpec, max_size: int = SUBGROUP_GUARD) -> tuple[Cod
                 seen.add(bigger)
                 queue.append(bigger)
     ordered = sorted(seen, key=lambda t: (len(t), t))
-    return tuple(Code.from_elements(group, t, validate=False) for t in ordered)
+    return tuple(Code(group, _greedy_generators(group, t), t) for t in ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +240,6 @@ def fourier_transform(
             acc = acc + zeta_pow(e, pairing_exponent(group, chi, g)) * f[g]
         out[chi] = acc
     return out
-
-
-def poisson_check(
-    group: GroupSpec,
-    code: Code,
-    f: Mapping[Element, CycInt | int],
-    max_size: int = ELEMENT_GUARD,
-) -> bool:
-    """Summation identity relating f over a code to its transform over the dual."""
-    e = group.exponent
-    transformed = fourier_transform(group, f, max_size)
-    perp = dual_code(group, code, max_size)
-    lhs = reduce(lambda a, chi: a + transformed[chi], perp.elements, zero(e))
-    rhs = reduce(lambda a, h: a + f[h], code.elements, zero(e)) * perp.size
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .errors import GuardExceeded, InputError
+from .errors import GuardExceeded, InputError, count_text
 from .group import ELEMENT_GUARD, Element, GroupSpec
 from .partition import Partition, dual_partition, mismatch_witness
 
@@ -55,7 +55,8 @@ def product_partition(parts: Sequence[Partition],
     big = product_group([p.group for p in parts])
     if big.size > max_size:
         raise GuardExceeded(
-            f"product carrier has {big.size} elements, above the guard of {max_size}"
+            f"product carrier has {count_text(big.size)} elements, "
+            f"above the guard of {max_size}"
         )
     # the product carrier's rank order is the product of the factors' rank orders
     labels = itertools.product(*(p.block_of for p in parts))
@@ -77,7 +78,8 @@ def symmetrized_partition(base: Partition, copies: int,
     big = power_group(base.group, copies)
     if big.size > max_size:
         raise GuardExceeded(
-            f"power carrier has {big.size} elements, above the guard of {max_size}"
+            f"power carrier has {count_text(big.size)} elements, "
+            f"above the guard of {max_size}"
         )
     # a word's sorted coordinate blocks determine its composition vector and
     # back; the power carrier's rank order is the product of the base's

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from itertools import accumulate, repeat
 from operator import add, itemgetter, sub
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .cyclotomic import (CycInt, coefficient_bound, euler_phi, integer, split_prime,
                          unit_generators, zeta_coeff_table)
@@ -168,10 +168,7 @@ def _unit_action(grp: GroupSpec, j: int) -> list[int]:
     return reduce(_outer, cols, [0])
 
 
-def _signature_rows(
-    part: Partition, chis: Sequence[Element] | None = None,
-    max_size: int = ELEMENT_GUARD,
-) -> dict[Element, int]:
+def _signature_rows(part: Partition, max_size: int = ELEMENT_GUARD) -> dict[Element, int]:
     """Class ids of the characters: equal exactly when their block sums are equal.
 
     Write S(chi, B) for the sum of <chi, g> over a block B, an element of
@@ -200,8 +197,7 @@ def _signature_rows(
     (its pairing exponents are added factor by factor, and its block sums
     are prefix sums of one gathered list), then |G| label lookups per
     generator in each refinement pass. The refinement needs the labels
-    of every character, so the whole character group is always swept and
-    ``chis`` only selects the rows returned.
+    of every character, so the whole character group is always swept.
     """
     grp = part.group
     chars = elements(grp, max_size)
@@ -229,9 +225,7 @@ def _signature_rows(
         if len(ids) == count:
             break
         count = len(ids)
-    if chis is None:
-        return dict(zip(chars, labels))
-    return {chi: labels[grp.rank(chi)] for chi in map(grp.validate, chis)}
+    return dict(zip(chars, labels))
 
 
 def signature(part: Partition, chi: Element) -> Signature:
@@ -280,9 +274,6 @@ class KrawtchoukMatrix:
                 raise VerificationFailure("matrix has an irrational entry")
             out.append(tuple(vals))  # type: ignore[arg-type]
         return tuple(out)
-
-    def approx(self) -> list[list[complex]]:
-        return [[x.approx_complex() for x in row] for row in self.entries]
 
 
 def dual_partition(part: Partition, max_size: int = ELEMENT_GUARD) -> Partition:
@@ -361,14 +352,11 @@ def _split_message(part: Partition, dual: Partition, char_part: Partition) -> st
 
 
 def refines(finer: Partition, coarser: Partition) -> bool:
-    """True when every block of the first partition sits inside a block of the second."""
+    """True when every block of the first partition sits inside a block of the second,
+    that is, when their meet has as many blocks as the first."""
     if finer.group != coarser.group:
         raise InputError("partitions on different carriers are not comparable")
-    for block in finer.blocks:
-        target = coarser.block_of[coarser.group.rank(block[0])]
-        if any(coarser.block_of[coarser.group.rank(g)] != target for g in block[1:]):
-            return False
-    return True
+    return len(set(zip(finer.block_of, coarser.block_of))) == finer.num_blocks
 
 
 def meet(a: Partition, b: Partition) -> Partition:
@@ -416,12 +404,10 @@ def mismatch_witness(a: Partition, b: Partition) -> tuple[Element, Element] | No
         raise InputError("partitions on different carriers cannot be compared")
     if a == b:
         return None
-    grp = a.group
-    for g in elements(grp):
-        in_a = set(a.blocks[a.block_of[grp.rank(g)]])
-        in_b = set(b.blocks[b.block_of[grp.rank(g)]])
-        if in_a != in_b:
-            return (g, min(in_a.symmetric_difference(in_b)))
+    # blocks are canonical tuples, so they are equal exactly when their sets are
+    for g, i, j in zip(elements(a.group, a.group.size), a.block_of, b.block_of):
+        if a.blocks[i] != b.blocks[j]:
+            return (g, min(set(a.blocks[i]).symmetric_difference(b.blocks[j])))
     raise AssertionError("unequal partitions must disagree somewhere")
 
 

@@ -12,6 +12,7 @@ speaks 1-based cover relations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -20,27 +21,12 @@ from .errors import InputError, VerificationFailure
 from .group import ELEMENT_GUARD, Element, GroupSpec
 from .partition import Partition, dual_partition, krawtchouk, refines
 
-__all__ = [
-    "Poset",
-    "chain",
-    "antichain",
-    "hierarchical_poset",
-    "all_posets",
-    "ideal",
-    "poset_weight",
-    "poset_partition",
-    "dual_poset",
-    "HierarchicalShape",
-    "is_hierarchical",
-    "level_orders",
-    "classical_krawtchouk",
-    "LevelIndex",
-    "hierarchical_krawtchouk",
-    "rt_krawtchouk",
-    "poset_krawtchouk_bruteforce",
-    "PosetDualityReport",
-    "poset_duality_check",
-]
+
+def _transitive(lt: Sequence[Sequence[bool]]) -> bool:
+    """True when i < j and j < k always give i < k, on a square less-than matrix."""
+    n = len(lt)
+    return all(lt[i][k] for i in range(n) for j in range(n) if lt[i][j]
+               for k in range(n) if lt[j][k])
 
 
 @dataclass(frozen=True)
@@ -56,16 +42,12 @@ class Poset:
         lt = tuple(tuple(bool(x) for x in row) for row in self.lt)
         if len(lt) != self.n or any(len(row) != self.n for row in lt):
             raise InputError("less-than matrix must be n x n")
-        for i in range(self.n):
-            if lt[i][i]:
-                raise InputError("strict order cannot be reflexive")
-            for j in range(self.n):
-                if lt[i][j] and lt[j][i]:
-                    raise InputError("order relation is not antisymmetric")
-                if lt[i][j]:
-                    for k in range(self.n):
-                        if lt[j][k] and not lt[i][k]:
-                            raise InputError("order relation is not transitive")
+        if any(lt[i][i] for i in range(self.n)):
+            raise InputError("strict order cannot be reflexive")
+        if any(lt[i][j] and lt[j][i] for i in range(self.n) for j in range(i)):
+            raise InputError("order relation is not antisymmetric")
+        if not _transitive(lt):
+            raise InputError("order relation is not transitive")
         object.__setattr__(self, "lt", lt)
 
     @classmethod
@@ -76,16 +58,10 @@ class Poset:
             if not (0 <= a < n and 0 <= b < n):
                 raise InputError(f"cover ({a}, {b}) out of range for n={n}")
             below[b].add(a)
-        changed = True
-        while changed:
-            changed = False
+        for k in range(n):  # Warshall: after step k, paths through 0..k are closed
             for b in range(n):
-                extra = set()
-                for a in below[b]:
-                    extra |= below[a]
-                if not extra <= below[b]:
-                    below[b] |= extra
-                    changed = True
+                if k in below[b]:
+                    below[b] |= below[k]
         for i in range(n):
             if i in below[i]:
                 raise InputError("cover relations contain a cycle")
@@ -126,8 +102,6 @@ def hierarchical_poset(levels: Sequence[int]) -> Poset:
 
 def all_posets(n: int) -> Iterator[Poset]:
     """Every labeled poset on n coordinates (three states per unordered pair)."""
-    import itertools
-
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for states in itertools.product((0, 1, 2), repeat=len(pairs)):
         lt = [[False] * n for _ in range(n)]
@@ -136,20 +110,8 @@ def all_posets(n: int) -> Iterator[Poset]:
                 lt[i][j] = True
             elif s == 2:
                 lt[j][i] = True
-        ok = True
-        for a in range(n):
-            for b in range(n):
-                if lt[a][b]:
-                    for c in range(n):
-                        if lt[b][c] and not lt[a][c]:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            yield Poset(n, tuple(tuple(row) for row in lt))
+        if _transitive(lt):
+            yield Poset(n, tuple(map(tuple, lt)))
 
 
 def dual_poset(p: Poset) -> Poset:

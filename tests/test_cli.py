@@ -1,6 +1,11 @@
 """End-to-end runs of every subcommand through main()."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,3 +330,66 @@ def test_one_sweep_per_partition(argv, capsys, monkeypatch):
     capsys.readouterr()
     assert swept
     assert len(swept) == len(set(swept)), "a partition was swept twice"
+
+
+# Huge but well-formed inputs. Each case runs in a child under a 1 GiB
+# address-space limit, so a regression ends in a MemoryError instead of
+# taking the machine's memory. The child prints how long main() took.
+_TIMED_MAIN = (
+    "import sys, time\n"
+    "from dualpart.cli import main\n"
+    "start = time.perf_counter()\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.write(repr(time.perf_counter() - start))\n"
+    "sys.exit(code)\n"
+)
+
+
+def _run_limited(argv):
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", _TIMED_MAIN, *argv], env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=60)
+
+
+TWENTY_THOUSAND_FACTORS = json.dumps({"orders": [2] * 20000})
+HUGE_INPUTS = {
+    "five-thousand-digit-order": (
+        ["dual", "--group", '{"orders":[1' + "0" * 5000 + "]}", "--partition", HAMMING2],
+        1, "error: invalid JSON"),
+    "subgroups-of-twenty-thousand-factors": (
+        ["subgroups", "--group", TWENTY_THOUSAND_FACTORS],
+        2, "got at least 2^20000"),
+}
+for _cmd in ("product", "symmetrize"):
+    for _copies in ("1000000", "200000000"):
+        HUGE_INPUTS[f"{_cmd}-{_copies}-copies"] = (
+            [_cmd, "--group", '{"orders":[2]}', "--partition", HAMMING2, "--copies", _copies],
+            2, "13 copies of the carrier have 8192 elements, above the guard of 4096")
+HUGE_INPUTS["symmetrize-one-element-carrier"] = (
+    ["symmetrize", "--group", '{"orders":[]}', "--partition", '{"blocks":[[[]]]}',
+     "--copies", "200000000"],
+    2, "200000000 copies, above the guard of 4096")
+
+
+@pytest.mark.parametrize("argv,exit_code,message", HUGE_INPUTS.values(), ids=list(HUGE_INPUTS))
+def test_huge_inputs_fail_with_one_line_and_no_traceback(argv, exit_code, message):
+    proc = _run_limited(argv)
+    assert proc.returncode == exit_code, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and message in proc.stderr
+    assert float(proc.stdout) < 1.0
+
+
+def test_copies_guard_allows_the_largest_power_under_the_guard(capsys):
+    code, doc = run(capsys, "product", "--group", '{"orders":[2]}', "--partition", HAMMING2,
+                    "--copies", "12")
+    assert code == 0 and doc["group"]["orders"] == [2] * 12
+    code = main(["product", "--group", '{"orders":[2]}', "--partition", HAMMING2,
+                 "--copies", "12", "--max-group", "2048"])
+    assert code == 2
+    assert "12 copies of the carrier have 4096 elements" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 import doctest
+import importlib
+import pkgutil
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 import pytest
 
-import dualpart.cyclotomic as cyc
+import dualpart
 from dualpart.cyclotomic import (
     ZETA_TABLE_CACHE,
     CycInt,
@@ -19,9 +21,17 @@ from dualpart.cyclotomic import (
 from dualpart.errors import InputError
 
 
-def test_doctests():
-    failures, _ = doctest.testmod(cyc)
+MODULES = sorted(m.name for m in pkgutil.iter_modules(dualpart.__path__, "dualpart."))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_doctests(name):
+    failures, _ = doctest.testmod(importlib.import_module(name))
     assert failures == 0
+
+
+def test_doctests_cover_the_modules_that_hold_them():
+    assert {"dualpart.cyclotomic", "dualpart.poset"} <= set(MODULES)
 
 
 def test_polynomial_examples():

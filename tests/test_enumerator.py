@@ -75,7 +75,7 @@ def test_transform_whole_group_and_trivial_code():
     q = part(Z6, [0], [1, 2, 4, 5], [3])
     p = dual_partition(q)
     k = krawtchouk(q, p)
-    whole = Code.from_elements(Z6, list(elements(Z6)), validate=False)
+    whole = Code.from_elements(Z6, list(elements(Z6)))
     b = macwilliams_transform(linear_enumerator(whole, p), k, whole.size)
     assert b.counts == (1, 0, 0)
     trivial = generate(Z6, [])

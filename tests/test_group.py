@@ -1,5 +1,3 @@
-import hypothesis.strategies as st
-from hypothesis import given, settings
 import pytest
 
 import dualpart.group
@@ -17,7 +15,6 @@ from dualpart.group import (
     generate,
     pairing,
     pairing_exponent,
-    poisson_check,
 )
 
 Z6 = GroupSpec((6,))
@@ -135,18 +132,6 @@ def test_fourier_transform_of_point_mass():
     fhat = fourier_transform(g, f)
     for chi in elements(g):
         assert fhat[chi] == pairing(g, chi, (1,))
-
-
-@given(st.sampled_from([(4,), (6,), (2, 3), (2, 2), (8,)]), st.integers(0, 10 ** 6))
-@settings(max_examples=40, deadline=None)
-def test_poisson_summation(orders, seed):
-    import random
-
-    g = GroupSpec(orders)
-    rng = random.Random(seed)
-    f = {x: integer(g.exponent, rng.randint(-5, 5)) for x in elements(g)}
-    for c in all_subgroups(g):
-        assert poisson_check(g, c, f)
 
 
 def test_iso_validation():

@@ -5,7 +5,11 @@ built from validated blocks (fibers, meet, join, random urns, the dual pulled
 back through an isomorphism), induced partitions from explicit block products
 and composition-vector weights, the dual code from ``pairing_exponent``, the
 transform step on ``CycInt`` entries only, and the floating approximation
-summed over every coefficient.
+summed over every coefficient. The second half holds the duplicates that one
+implementation each replaced: the breadth-first closure of ``generate``, the
+pair-loop closure test of ``Code.from_elements``, ``refines`` and
+``mismatch_witness`` on element sets, the two long divisions, and the
+fixed-point transitive closure of ``Poset.from_covers``.
 """
 
 import cmath
@@ -15,7 +19,7 @@ import random
 
 import pytest
 
-from dualpart.cyclotomic import CycInt
+from dualpart.cyclotomic import CycInt, _poly_divmod
 from dualpart.enumerator import (
     _accumulate,
     _contract_at,
@@ -49,9 +53,12 @@ from dualpart.partition import (
     join,
     krawtchouk,
     meet,
+    mismatch_witness,
     random_partition,
     random_reflexive_partition,
+    refines,
 )
+from dualpart.poset import Poset
 from dualpart.serialization import _approx_pair
 from test_sweep import SMALL_CARRIERS
 
@@ -197,7 +204,7 @@ def test_symmetrized_partition_matches_composition_fibers(orders):
 def old_dual_code(group, code):
     members = [a for a in elements(group)
                if all(pairing_exponent(group, a, h) == 0 for h in code.generators)]
-    return Code.from_elements(group, members, validate=False)
+    return Code.from_elements(group, members)
 
 
 # every carrier up to 64 elements once up to the order of its factors, and
@@ -314,3 +321,173 @@ def test_approx_skipping_zeros_serializes_the_same(orders):
         for row in krawtchouk(part, dual_partition(part)).entries:
             for x in row:
                 assert _approx_pair(x.approx_complex()) == _approx_pair(old_approx(x))
+
+
+# ---------------------------------------------------------------------------
+# one closure: generate as a fold of _close, closure tested on generators
+
+
+def old_generate(group, gens):
+    gen_list = [group.validate(g) for g in gens]
+    acc = {group.zero}
+    frontier = [group.zero]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in gen_list:
+                c = group.add(a, b)
+                if c not in acc:
+                    acc.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return Code(group, tuple(gen_list), tuple(sorted(acc)))
+
+
+@pytest.mark.parametrize("orders", SMALL_CARRIERS)
+def test_generate_equals_the_breadth_first_closure(orders):
+    g = GroupSpec(orders)
+    els = elements(g)
+    rng = random.Random(repr(orders))
+    for count in (0, 1, 1, 2, 2, 3, 4):
+        gens = [rng.choice(els) for _ in range(count)]
+        assert generate(g, gens) == old_generate(g, gens)
+
+
+def old_is_closed(group, members):
+    elems = set(members)
+    if group.zero not in elems:
+        return False
+    return all(group.add(a, b) in elems for a in elems for b in elems)
+
+
+@pytest.mark.parametrize("orders", [(6,), (2, 4), (2, 2, 2)])
+def test_closure_verdict_matches_the_pair_loop_on_every_member_set(orders):
+    g = GroupSpec(orders)
+    els = elements(g)
+    accepted = 0
+    for k in range(len(els) + 1):
+        for members in itertools.combinations(els, k):
+            try:
+                code = Code.from_elements(g, members)
+            except InputError:
+                assert not old_is_closed(g, members), members
+                continue
+            assert old_is_closed(g, members), members
+            assert code.elements == members
+            accepted += 1
+    assert accepted == len(all_subgroups(g))
+
+
+def old_refines(finer, coarser):
+    for block in finer.blocks:
+        target = coarser.block_index_of(block[0])
+        if any(coarser.block_index_of(g) != target for g in block[1:]):
+            return False
+    return True
+
+
+def old_mismatch_witness(a, b):
+    if a == b:
+        return None
+    for g in elements(a.group):
+        in_a = set(a.blocks[a.block_index_of(g)])
+        in_b = set(b.blocks[b.block_index_of(g)])
+        if in_a != in_b:
+            return (g, min(in_a.symmetric_difference(in_b)))
+    raise AssertionError("unequal partitions must disagree somewhere")
+
+
+@pytest.mark.parametrize("orders", [(), (2,), (6,), (2, 4), (3, 3), (2, 2, 2), (16,)])
+def test_refines_and_witness_match_the_element_set_versions(orders):
+    g = GroupSpec(orders)
+    rng = random.Random(23)
+    for _ in range(30):
+        a, b = random_partition(g, rng), random_partition(g, rng)
+        # random pairs rarely refine each other; their meet and join always do
+        for x, y in ((a, b), (b, a), (meet(a, b), a), (a, join(a, b)), (a, a),
+                     (Partition.singletons(g), a), (a, Partition.one_block(g))):
+            assert refines(x, y) == old_refines(x, y)
+            assert mismatch_witness(x, y) == old_mismatch_witness(x, y)
+
+
+def old_poly_mod(dividend, divisor):
+    r = list(dividend)
+    dlen = len(divisor)
+    for i in range(len(r) - 1, dlen - 2, -1):
+        c = r[i]
+        if c:
+            off = i - dlen + 1
+            for j in range(dlen):
+                r[off + j] -= c * divisor[j]
+    return r[: dlen - 1]
+
+
+def old_poly_div_exact(num, den):
+    r = list(num)
+    dlen = len(den)
+    q = [0] * (len(num) - dlen + 1)
+    for i in range(len(r) - 1, dlen - 2, -1):
+        c = r[i]
+        if c:
+            off = i - dlen + 1
+            q[off] = c
+            for j in range(dlen):
+                r[off + j] -= c * den[j]
+    if any(r):
+        raise ArithmeticError("polynomial division was not exact")
+    return tuple(q)
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def test_divmod_matches_the_two_long_divisions():
+    rng = random.Random(29)
+    for _ in range(400):
+        den = tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 6))) + (1,)
+        num = tuple(rng.randint(-9, 9) for _ in range(rng.randint(len(den), 14)))
+        q, r = _poly_divmod(num, den)
+        assert list(r) == old_poly_mod(num, den)
+        try:
+            assert q == old_poly_div_exact(num, den) and not any(r)
+        except ArithmeticError:
+            assert any(r)
+        exact = poly_mul(tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 8))), den)
+        q, r = _poly_divmod(exact, den)
+        assert q == old_poly_div_exact(exact, den) and not any(r)
+
+
+def old_closure_below(n, covers):
+    below = [set() for _ in range(n)]
+    for a, b in covers:
+        below[b].add(a)
+    changed = True
+    while changed:
+        changed = False
+        for b in range(n):
+            extra = set()
+            for a in below[b]:
+                extra |= below[a]
+            if not extra <= below[b]:
+                below[b] |= extra
+                changed = True
+    if any(i in below[i] for i in range(n)):
+        return None
+    return tuple(tuple(i in below[j] for j in range(n)) for i in range(n))
+
+
+def test_from_covers_matches_the_fixed_point_closure():
+    rng = random.Random(31)
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        covers = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 10))]
+        try:
+            lt = Poset.from_covers(n, covers).lt
+        except InputError:
+            lt = None
+        assert lt == old_closure_below(n, covers), (n, covers)
