@@ -56,6 +56,7 @@ from .serialization import (
     poset_from_json,
     poset_to_json,
     product_enumerator_to_json,
+    write_json,
 )
 
 
@@ -508,7 +509,7 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
-    json.dump(doc, sys.stdout, indent=2)
+    write_json(doc, sys.stdout)
     sys.stdout.write("\n")
     if args.pretty:
         _pretty(doc, sys.stderr)

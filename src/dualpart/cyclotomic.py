@@ -26,6 +26,15 @@ from .errors import InputError
 CycPoly = tuple[int, ...]
 """Dense integer polynomial, coefficients ascending by degree."""
 
+ORDER_CACHE = 256
+"""Most root orders whose cyclotomic polynomial and totient are kept at once.
+
+Computing one order touches only its divisors, at most 60 for orders up to
+5040, so a miss never evicts what the same computation needs again."""
+
+ZETA_TABLE_CACHE = 8
+"""Most root orders whose power tables are kept at once."""
+
 
 def _poly_divmod(num: CycPoly, den: CycPoly) -> tuple[CycPoly, CycPoly]:
     """Quotient and the len(den) - 1 remainder coefficients of long division by a monic den."""
@@ -42,7 +51,7 @@ def _poly_divmod(num: CycPoly, den: CycPoly) -> tuple[CycPoly, CycPoly]:
     return tuple(q), tuple(r[: dlen - 1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ORDER_CACHE)
 def cyclotomic_polynomial(order: int) -> CycPoly:
     """Monic cyclotomic polynomial of the given root order.
 
@@ -67,7 +76,7 @@ def cyclotomic_polynomial(order: int) -> CycPoly:
     return poly
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ORDER_CACHE)
 def euler_phi(order: int) -> int:
     """Euler totient, read off as the degree of the cyclotomic polynomial."""
     return len(cyclotomic_polynomial(order)) - 1
@@ -174,8 +183,8 @@ class CycInt:
         Zero coefficients are skipped. Their terms are +-0, so the sum can
         differ only in the sign of a zero component, and compares equal.
         """
-        z = cmath.exp(2j * cmath.pi / self.order)
-        return sum((c * z**i for i, c in enumerate(self.coeffs) if c), complex(0))
+        powers = _float_root_powers(self.order)
+        return sum((c * powers[i] for i, c in enumerate(self.coeffs) if c), complex(0))
 
     @property
     def is_zero(self) -> bool:
@@ -205,10 +214,6 @@ def zeta_pow(order: int, k: int) -> CycInt:
     """
     k %= order
     return CycInt(order, (0,) * k + (1,))
-
-
-ZETA_TABLE_CACHE = 8
-"""Most root orders whose power tables are kept at once."""
 
 
 @lru_cache(maxsize=ZETA_TABLE_CACHE)
@@ -243,6 +248,13 @@ def zeta_coeff_table(order: int) -> tuple[tuple[array, array], ...]:
         keys = sorted(cur)
         rows.append((array("q", keys), array("q", map(cur.__getitem__, keys))))
     return tuple(rows)
+
+
+@lru_cache(maxsize=ZETA_TABLE_CACHE)
+def _float_root_powers(order: int) -> tuple[complex, ...]:
+    """z**i for i < phi(order), z = exp(2 pi i / order): the display terms of approx_complex."""
+    z = cmath.exp(2j * cmath.pi / order)
+    return tuple(z**i for i in range(euler_phi(order)))
 
 
 def coefficient_bound(order: int) -> int:

@@ -31,6 +31,13 @@ ELEMENT_GUARD = 4096
 SUBGROUP_GUARD = 64
 
 
+def _brief(values: tuple[int, ...], shown: int = 4) -> str:
+    """A tuple as Python prints it, cut to its first entries when it is longer."""
+    if len(values) <= shown:
+        return str(values)
+    return f"({', '.join(map(str, values[:shown]))}, ... {len(values)} entries)"
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A finite abelian group given by the orders of its cyclic factors."""
@@ -58,9 +65,12 @@ class GroupSpec:
     def validate(self, g: Iterable[int]) -> Element:
         t = tuple(int(x) for x in g)
         if len(t) != len(self.orders):
-            raise InputError(f"element {t} has wrong length for orders {self.orders}")
-        if any(not 0 <= x < n for x, n in zip(t, self.orders)):
-            raise InputError(f"element {t} out of range for orders {self.orders}")
+            raise InputError(f"element {_brief(t)} has {len(t)} coordinates, but the carrier "
+                             f"has {len(self.orders)} factors, orders {_brief(self.orders)}")
+        for i, (x, n) in enumerate(zip(t, self.orders)):
+            if not 0 <= x < n:
+                raise InputError(f"element {_brief(t)} out of range for orders "
+                                 f"{_brief(self.orders)}: coordinate {i} is {x}, order {n}")
         return t
 
     def add(self, a: Element, b: Element) -> Element:

@@ -1,4 +1,4 @@
-"""JSON encoding and decoding for every value the CLI speaks.
+"""JSON encoding and decoding for every value the CLI speaks, and the writer of its stdout.
 
 Formats, all deterministic:
 
@@ -14,11 +14,20 @@ Formats, all deterministic:
 
 Coefficients serialize as decimal strings so arbitrarily large exact values
 survive readers that parse JSON numbers as doubles.
+
+``write_json`` prints a document with exactly the bytes of
+``json.dump(doc, stream, indent=2)``, building the text with joins over
+whole lists instead of the pure-Python encoder that ``indent`` selects.
+Input is still parsed with ``json.loads``.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import chain, islice, repeat
+from json import JSONEncoder, dumps
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
+from typing import Any, TextIO
 
 from .cyclotomic import CycInt
 from .enumerator import LinearEnumerator, ProductEnumerator, SymmetrizedEnumerator
@@ -152,3 +161,174 @@ def linear_enumerator_to_json(e: LinearEnumerator) -> list[int]:
 def product_enumerator_to_json(e: ProductEnumerator | SymmetrizedEnumerator) -> list[dict]:
     """Sorted key/count records; symmetrized enumerators use the same form."""
     return [{"key": list(k), "count": e.counts[k]} for k in sorted(e.counts)]
+
+
+# ---------------------------------------------------------------------------
+# the stdout writer
+
+
+def write_json(doc: Any, stream: TextIO) -> None:
+    """Write ``doc`` to ``stream`` as ``json.dump(doc, stream, indent=2)`` would.
+
+    The bytes are the same because every layout rule of ``json.encoder`` is
+    kept:
+
+    - separators ``(",", ": ")``: each item of a nonempty list or dict sits
+      on its own line, indented two spaces per level, and the closing
+      bracket goes back to the parent's indent;
+    - empty containers print as ``[]`` and ``{}``; tuples print as lists;
+    - strings are escaped by ``json.encoder.encode_basestring_ascii``
+      (``ensure_ascii``);
+    - exact ints and floats print by ``int.__repr__`` and ``float.__repr__``;
+      every other value that is no container (``None``, bools, NaN and the
+      infinities under ``allow_nan``, subclasses of str, int and float)
+      prints as ``json.JSONEncoder().encode`` prints it, which also raises
+      ``TypeError`` for a type JSON lacks;
+    - dict keys keep their order; float, bool, ``None`` and int keys are
+      coerced to the text of their value in quotes, and any other key raises
+      ``TypeError``;
+    - a circular reference raises ``ValueError``.
+
+    The text is built one depth at a time, not one node at a time. The
+    values at one depth are split by type: exact ints and finite floats are
+    formatted as they are, strings are escaped in one ``map``, and the
+    children of all lists (or the values of all dicts with one key order)
+    are encoded together, one depth down. Their texts are joined into runs
+    of the sizes of their parents, by one ``%`` template per run length.
+    The runs are produced lazily. Dicts are written an entry at a time down
+    to the first list, and that list a batch of items at a time, so the
+    text held at once stays near ``_BATCH_TEXT`` characters, or one item's
+    text if that is longer.
+    """
+    _Writer(doc, stream).write(doc, 0)
+
+
+_BATCH_TEXT = 1 << 20
+"""Characters of list items that one batch of a written list aims at."""
+
+_scalar_text = JSONEncoder().encode
+"""The JSON text of a value that is no container; it is the same at every indent."""
+
+
+def _key_text(key: Any) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, (int, float)) or key is None:
+        return f'"{_scalar_text(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+class _Writer:
+    """Writes one document. A "text" below is a ``str``, or an exact int or
+    finite float, whose ``str`` is its JSON text; formatting those late, in a
+    template, saves a string each."""
+
+    def __init__(self, doc: Any, stream: TextIO) -> None:
+        self.doc, self.stream = doc, stream
+        self.path: set[int] = set()  # ids of the containers being written, as json.dump marks them
+        # ids of the containers met below the value being written; None
+        # once the document is known to have no cycle
+        self.seen: set[int] | None = set()
+
+    def write(self, value: Any, level: int) -> None:
+        """Write ``value`` at indent ``level``, a dict entry or a batch of list items at a time."""
+        if not (isinstance(value, (dict, list, tuple)) and value):
+            self.stream.write(str(next(iter(self.fresh_texts([value], level)))))
+            return
+        if id(value) in self.path:
+            raise ValueError("Circular reference detected")
+        self.path.add(id(value))
+        inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level
+        if isinstance(value, dict):
+            opener = "{" + inner
+            for key, item in value.items():
+                self.stream.write(f"{opener}{_key_text(key)}: ")
+                self.write(item, level + 1)
+                opener = "," + inner
+            self.stream.write(close + "}")
+        else:
+            self.stream.write("[" + inner)
+            sep, start, step = "," + inner, 0, 1
+            # batches grow fourfold while short, then shrink to _BATCH_TEXT by the last one's items
+            while start < len(value):
+                if start:
+                    self.stream.write(sep)
+                text = sep.join(map(str, self.fresh_texts(value[start:start + step], level + 1)))
+                self.stream.write(text)
+                start += step
+                fits = len(text) < _BATCH_TEXT
+                step = 4 * step if fits else max(1, step * _BATCH_TEXT // len(text))
+            self.stream.write(close + "]")
+        self.path.discard(id(value))
+
+    def fresh_texts(self, items, level: int):
+        """``texts`` for a new descent, which looks for cycles on its own."""
+        if self.seen is not None:
+            self.seen = set()
+        return self.texts(items, level)
+
+    def enter(self, containers) -> None:
+        """Look for a cycle before descending into ``containers``.
+
+        A container met again at a greater depth is shared, which is legal,
+        or its own descendant. The C encoder of ``json.dumps`` tells which
+        (it raises ``ValueError`` on a cycle), and the check then stops.
+        """
+        if self.seen is None:
+            return
+        ids = set(map(id, containers))
+        if self.seen.isdisjoint(ids):
+            self.seen |= ids
+        else:
+            dumps(self.doc)
+            self.seen = None
+
+    def texts(self, items, level: int):
+        """Texts of ``items``, each printed at indent ``level``, in order."""
+        kinds = set(map(type, items))
+        if len(kinds) != 1:  # encode each type together, then restore the order
+            texts = {kind: iter(self.texts([x for x in items if type(x) is kind], level))
+                     for kind in kinds}
+            return map(next, map(texts.__getitem__, map(type, items)))
+        kind = kinds.pop()
+        if kind is int or kind is float and all(map(isfinite, items)):
+            return items
+        if kind is str:
+            return map(_quote, items)
+        if issubclass(kind, (list, tuple)):
+            self.enter(items)
+            sizes = list(map(len, items))
+            return _grouped(self.texts(list(chain.from_iterable(items)), level + 1), sizes, level)
+        if issubclass(kind, dict):
+            self.enter(items)
+            return self._dict_texts(items, level)
+        return map(_scalar_text, items)
+
+    def _dict_texts(self, dicts, level: int):
+        shapes = set(map(tuple, dicts))
+        keys = next(iter(shapes))
+        # str keys only, so that equal keys of different types (1, 1.0, True)
+        # never share one shape
+        if len(shapes) > 1 or len(dicts) > 1 and not all(type(k) is str for k in keys):
+            return [next(self._dict_texts([d], level)) for d in dicts]
+        if not keys:
+            return iter(["{}"] * len(dicts))
+        columns = [self.texts(column, level + 1) for column in zip(*map(dict.values, dicts))]
+        inner = "\n" + "  " * (level + 1)
+        template = ("{" + inner
+                    + ("," + inner).join(_key_text(k).replace("%", "%%") + ": %s" for k in keys)
+                    + "\n" + "  " * level + "}")
+        return map(template.__mod__, zip(*columns))
+
+
+def _grouped(texts, sizes: list[int], level: int):
+    """Join consecutive runs of ``texts`` into lists of the given sizes at indent ``level``."""
+    inner = "\n" + "  " * (level + 1)
+    head, sep, tail = "[" + inner, "," + inner, "\n" + "  " * level + "]"
+    width = sizes[0]
+    if width and sizes.count(width) == len(sizes):
+        template = head + sep.join(["%s"] * width) + tail
+        return map(template.__mod__, zip(*[iter(texts)] * width))
+    runs = map(sep.join, map(islice, repeat(map(str, texts)), sizes))
+    # a run is empty only for an empty list: no item's text is empty
+    return (f"{head}{run}{tail}" if run else "[]" for run in runs)

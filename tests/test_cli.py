@@ -370,6 +370,9 @@ for _cmd in ("product", "symmetrize"):
         HUGE_INPUTS[f"{_cmd}-{_copies}-copies"] = (
             [_cmd, "--group", '{"orders":[2]}', "--partition", HAMMING2, "--copies", _copies],
             2, "13 copies of the carrier have 8192 elements, above the guard of 4096")
+HUGE_INPUTS["dual-on-twenty-thousand-factors"] = (
+    ["dual", "--group", TWENTY_THOUSAND_FACTORS, "--partition", HAMMING2],
+    1, "element (0,) has 1 coordinates, but the carrier has 20000 factors")
 HUGE_INPUTS["symmetrize-one-element-carrier"] = (
     ["symmetrize", "--group", '{"orders":[]}', "--partition", '{"blocks":[[[]]]}',
      "--copies", "200000000"],
@@ -382,6 +385,7 @@ def test_huge_inputs_fail_with_one_line_and_no_traceback(argv, exit_code, messag
     assert proc.returncode == exit_code, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and message in proc.stderr
+    assert len(proc.stderr.encode()) < 300
     assert float(proc.stdout) < 1.0
 
 
@@ -393,3 +397,40 @@ def test_copies_guard_allows_the_largest_power_under_the_guard(capsys):
                  "--copies", "12", "--max-group", "2048"])
     assert code == 2
     assert "12 copies of the carrier have 4096 elements" in capsys.readouterr().err
+
+
+# One small run of every subcommand. Its stdout must be laid out exactly as
+# json.dumps(indent=2) lays out the same document.
+Z5_SINGLETONS = '{"blocks":[[[0]],[[1]],[[2]],[[3]],[[4]]]}'
+CHAIN3 = '{"n":3,"cover":[[1,2],[2,3]]}'
+LAYOUT_CASES = {
+    "dual": ["dual", "--group", '{"orders":[5]}', "--partition", Z5_SINGLETONS],
+    "bidual": ["bidual", "--group", '{"orders":[6]}', "--partition", Z6_PARTITION],
+    "reflexive": ["reflexive", "--group", '{"orders":[6]}', "--partition", Z6_PARTITION],
+    "krawtchouk": ["krawtchouk", "--group", '{"orders":[2,3]}', "--partition",
+                   '{"blocks":[[[0,0]],[[0,1],[0,2]],[[1,0]],[[1,1],[1,2]]]}'],
+    "macwilliams": ["macwilliams", "--group", '{"orders":[6]}', "--partition", Z6_PARTITION,
+                    "--code", '{"generators":[[3]]}'],
+    "product": ["product", "--group", '{"orders":[3]}', "--partition",
+                '{"blocks":[[[0]],[[1]],[[2]]]}', "--copies", "2", "--check",
+                "--code", '{"generators":[[1,2]]}'],
+    "symmetrize": ["symmetrize", "--group", '{"orders":[2]}', "--partition", HAMMING2,
+                   "--copies", "3", "--check", "--code", '{"generators":[[1,1,1]]}'],
+    "poset-partition": ["poset-partition", "--group", '{"orders":[2,2,2]}', "--poset", CHAIN3],
+    "poset-krawtchouk": ["poset-krawtchouk", "--group", '{"orders":[2,2,2]}', "--poset", CHAIN3],
+    "poset-check": ["poset-check", "--group", '{"orders":[2,2,2]}', "--poset", CHAIN3],
+    "subgroups": ["subgroups", "--group", '{"orders":[2,4]}', "--include-elements"],
+    "check": ["check", "--suite", "cyclotomic"],
+}
+
+
+def test_layout_cases_cover_every_subcommand():
+    commands = dualpart.cli.build_parser()._subparsers._group_actions[0].choices
+    assert set(LAYOUT_CASES) == set(commands)
+
+
+@pytest.mark.parametrize("argv", LAYOUT_CASES.values(), ids=list(LAYOUT_CASES))
+def test_stdout_is_laid_out_as_json_dump_indent_2(argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -1,6 +1,8 @@
+import cmath
 import doctest
 import importlib
 import pkgutil
+import random
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ import pytest
 
 import dualpart
 from dualpart.cyclotomic import (
+    ORDER_CACHE,
     ZETA_TABLE_CACHE,
     CycInt,
     cyclotomic_polynomial,
@@ -141,3 +144,29 @@ def test_zeta_table_cache_is_bounded():
     for e in range(2, 2 + 3 * ZETA_TABLE_CACHE):
         zeta_coeff_table(e)
         assert zeta_coeff_table.cache_info().currsize <= ZETA_TABLE_CACHE
+
+
+def test_order_caches_are_bounded():
+    assert cyclotomic_polynomial.cache_info().maxsize == ORDER_CACHE
+    assert euler_phi.cache_info().maxsize == ORDER_CACHE
+    for e in range(1, ORDER_CACHE + 40):
+        euler_phi(e)
+    assert cyclotomic_polynomial.cache_info().currsize <= ORDER_CACHE
+    assert euler_phi.cache_info().currsize <= ORDER_CACHE
+    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def _direct_approx(x: CycInt) -> complex:
+    z = cmath.exp(2j * cmath.pi / x.order)
+    return sum((c * z**i for i, c in enumerate(x.coeffs) if c), complex(0))
+
+
+def test_approx_complex_is_bit_identical_to_the_direct_sum():
+    rng = random.Random(1304)
+    for order in range(1, 65):
+        for _ in range(10):
+            coeffs = tuple(rng.randint(-10**9, 10**9) if rng.random() < 0.6 else 0
+                           for _ in range(euler_phi(order)))
+            x = CycInt(order, coeffs)
+            got, want = x.approx_complex(), _direct_approx(x)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())

@@ -1,7 +1,13 @@
+import enum
+import io
 import json
+import math
 
+import hypothesis.strategies as st
+from hypothesis import given, settings
 import pytest
 
+import dualpart.serialization
 from dualpart.cyclotomic import integer, zeta_pow
 from dualpart.errors import InputError
 from dualpart.group import GroupSpec, generate
@@ -19,6 +25,7 @@ from dualpart.serialization import (
     partition_to_json,
     poset_from_json,
     poset_to_json,
+    write_json,
 )
 
 
@@ -91,3 +98,139 @@ def test_krawtchouk_json_shape():
     doc2 = krawtchouk_to_json(k2)
     cell = doc2["entries"][1][1]
     assert isinstance(cell, dict) and cycint_from_json(cell) == zeta_pow(6, 1)
+
+
+# ---------------------------------------------------------------------------
+# the stdout writer, against json.dumps(indent=2) as the oracle
+
+
+def written(doc) -> str:
+    out = io.StringIO()
+    write_json(doc, out)
+    return out.getvalue()
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Name(str):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+SHARED = [1, [2]]
+WRITER_CASES = {
+    "empty-list": [],
+    "empty-dict": {},
+    "empty-list-in-list": [[]],
+    "empty-list-beside-one": [[1], []],
+    "empties-at-every-depth": [[], [[]], [[[]]], {}, [{}], {"a": {}, "b": []}, [[], {}]],
+    "empty-lists-at-one-depth": [[[], []], [[], []]],
+    "int-and-bool": [1, True],
+    "int-and-float": [1, 2.0],
+    "bools": [True, False, True],
+    "none": [None, None],
+    "floats": [-0.0, 0.0, 1e300, 1e-300, 0.1],
+    "non-finite-floats": [math.nan, math.inf, -math.inf, 1.5],
+    "non-finite-scalars": {"a": math.nan, "b": math.inf, "c": -math.inf, "d": -0.0},
+    "dict-keys": {1: "int", 2.5: "float", True: "true", False: "false", None: "null",
+                  math.nan: "nan", "s": "str"},
+    "equal-keys-of-other-types": [{1: "a"}, {True: "b"}, {1.0: "c"}],
+    "keys-with-percent": [{"100%": 1, "%s": 2}, {"100%": 3, "%s": 4}],
+    "records": [{"key": [0, 1], "count": 1}, {"key": [1, 1], "count": 3}],
+    "records-of-two-shapes": [{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 3}],
+    "non-ascii-and-control": ["é", "日本", "\x00\x1f\n\t\"\\", "\U0001f600", "\u2028"],
+    "non-ascii-key": {"clé\n": ["ü"]},
+    "tuples": (1, (2, 3), [4, (5,)], ()),
+    "int-subclass": [Level.LOW, Level.LOW, 2],
+    "str-subclass": [Name("a"), "b", {Name("k"): Name("v")}],
+    "float-subclass": [Ratio(0.5), Ratio(math.inf)],
+    "huge-int": [10**100, -(10**50)],
+    "matrix-entries": [[1, {"order": 6, "coeffs": ["1", "-2"]}],
+                       [{"order": 6, "coeffs": ["0", "1"]}, -3]],
+    "blocks": [[[0, 0]], [[0, 1], [1, 0]], [[1, 1]]],
+    "ragged": [[1, 2, 3], [4], [5, 6]],
+    "mixed-depths": [[1, [2]], [[3], 4], "x", None],
+    "shared-at-two-depths": [SHARED, [SHARED], {"x": SHARED}],
+    "scalar-int": 5,
+    "scalar-str": "x",
+    "scalar-none": None,
+    "scalar-false": False,
+    "scalar-nan": math.nan,
+}
+
+
+@pytest.mark.parametrize("doc", WRITER_CASES.values(), ids=list(WRITER_CASES))
+def test_writer_matches_json_dump(doc):
+    assert written(doc) == json.dumps(doc, indent=2)
+
+
+def test_writer_matches_json_dump_on_deep_nesting():
+    doc: list = [1]
+    for _ in range(900):
+        doc = [doc]
+    assert written(doc) == json.dumps(doc, indent=2)
+
+
+def test_writer_batches_long_lists(monkeypatch):
+    monkeypatch.setattr(dualpart.serialization, "_BATCH_TEXT", 40)
+    shared = [1, 2]
+    rows = [[0], list(range(30)), [], *([[7, 8]] * 20), list(range(50)), shared, [shared]]
+    doc = {"rows": rows, "nested": {"deep": [rows, rows]}, "tail": [None] * 100}
+    assert written(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [object(), [1, {2, 3}], {"a": [b"x"]}, [1j], {"k": Level}],
+                         ids=["object", "set", "bytes", "complex", "class"])
+def test_writer_rejects_unsupported_values(doc):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        written(doc)
+
+
+def test_writer_rejects_unsupported_keys():
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
+        written({"a": {(1, 2): 3}})
+
+
+def test_writer_rejects_circular_references():
+    looped: list = []
+    looped.append(looped)
+    doubled: list = [1]
+    doubled.extend([doubled, doubled])
+    through_dict: dict = {"a": []}
+    through_dict["a"].append([through_dict])
+    dict_in_dict: dict = {"a": {}}
+    dict_in_dict["a"]["b"] = dict_in_dict
+    for doc in (looped, doubled, through_dict, [through_dict], dict_in_dict):
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            written(doc)
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-3, 3)
+                 | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8))
+_json_keys = st.text(max_size=6) | st.integers(-3, 3) | st.booleans() | st.none() | st.floats()
+# lists of equal-length rows and records of one key order take the template joins
+_rectangles = st.integers(0, 4).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-5, 5), min_size=k, max_size=k), max_size=5))
+_records = st.lists(st.fixed_dictionaries({"key": st.lists(st.integers(0, 3), max_size=3),
+                                           "count": st.integers(0, 9)}), max_size=4)
+
+
+def _json_containers(children):
+    return (st.lists(children, max_size=5)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(_json_keys, children, max_size=4))
+
+
+json_trees = st.recursive(_json_scalars | _rectangles | _records, _json_containers,
+                          max_leaves=40)
+
+
+@given(json_trees)
+@settings(max_examples=400, deadline=None)
+def test_writer_matches_json_dump_on_random_trees(doc):
+    assert written(doc) == json.dumps(doc, indent=2)
