@@ -33,7 +33,7 @@ from .induced import (
     product_partition,
     symmetrized_partition,
 )
-from .partition import dual_partition, krawtchouk
+from .partition import MATRIX_GUARD, dual_partition, krawtchouk
 from .poset import (
     hierarchical_krawtchouk,
     is_hierarchical,
@@ -117,7 +117,7 @@ def _poset(args: argparse.Namespace, grp):
 def _cmd_dual(args) -> tuple[dict, int]:
     grp, part, ms = _partition_args(args)
     dual = dual_partition(part, ms)
-    matrix = krawtchouk(part, dual, max_size=ms)
+    matrix = krawtchouk(part, dual, max_size=ms, max_entries=args.max_matrix)
     return {
         "command": "dual",
         "group": group_to_json(grp),
@@ -163,7 +163,7 @@ def _cmd_krawtchouk(args) -> tuple[dict, int]:
         char_part = partition_from_json(_load_json(args.char_partition), grp)
     else:
         char_part = dual_partition(part, ms)
-    matrix = krawtchouk(part, char_part, max_size=ms)
+    matrix = krawtchouk(part, char_part, max_size=ms, max_entries=args.max_matrix)
     return {
         "command": "krawtchouk",
         "group": group_to_json(grp),
@@ -177,7 +177,7 @@ def _cmd_macwilliams(args) -> tuple[dict, int]:
     grp, char_part, ms = _partition_args(args)
     code = code_from_json(_load_json(args.code), grp)
     prim = dual_partition(char_part, ms)
-    matrix = krawtchouk(char_part, prim, max_size=ms)
+    matrix = krawtchouk(char_part, prim, max_size=ms, max_entries=args.max_matrix)
     counts = linear_enumerator(code, prim)
     out = macwilliams_transform(counts, matrix, code.size)
     perp = dual_code(grp, code, ms)
@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, group=True, partition=False, poset=False):
+    def common(p, group=True, partition=False, poset=False, matrix=False):
         if group:
             p.add_argument("--group", required=True,
                            help="carrier JSON, e.g. '{\"orders\":[6]}'")
@@ -430,11 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
                            help="poset JSON: {\"n\":2, \"cover\":[[1,2]]} (1-based)")
         p.add_argument("--max-group", type=int, default=None,
                        help="override the element/subgroup enumeration guards")
+        if matrix:
+            p.add_argument("--max-matrix", type=int, default=MATRIX_GUARD,
+                           help="override the guard on Krawtchouk matrix coefficients "
+                                "(rows x columns x phi(E))")
         p.add_argument("--pretty", action="store_true",
                        help="also print aligned tables on stderr")
 
     p = sub.add_parser("dual", help="dual partition, Krawtchouk matrix, reflexivity")
-    common(p, partition=True)
+    common(p, partition=True, matrix=True)
     p.set_defaults(handler=_cmd_dual)
 
     p = sub.add_parser("bidual", help="dual applied twice")
@@ -446,14 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_reflexive)
 
     p = sub.add_parser("krawtchouk", help="block-sum matrix of a partition pair")
-    common(p, partition=True)
+    common(p, partition=True, matrix=True)
     p.add_argument("--char-partition", default=None,
                    help="character-side partition JSON (default: the dual)")
     p.set_defaults(handler=_cmd_krawtchouk)
 
     p = sub.add_parser("macwilliams",
                        help="distribution transform of a code, verified against its dual")
-    common(p, partition=True)
+    common(p, partition=True, matrix=True)
     p.add_argument("--code", required=True,
                    help="code JSON: {\"generators\":[[3]]}")
     p.set_defaults(handler=_cmd_macwilliams)

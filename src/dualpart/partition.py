@@ -12,9 +12,19 @@ for a generating set of the units j mod E until they stop splitting. Since
 Z[z]/pZ[z] is F_p^phi(E) through the maps z -> w^j, and the coefficient
 bound keeps every difference of two sums below p, the final classes are
 exactly the classes of equal exact sums (the full argument is in
-``_signature_rows``). Cost: |G|^2 scalar additions, plus a Galois pass of
-|G| label lookups per generator, plus exact ``CycInt`` rows only where a
-matrix needs them, one per character block, from sparse root-power rows.
+``_signature_rows``).
+
+The first F_p labels come from whichever of two paths is cheaper. The dense
+sweep costs |G| scalar operations per character. The transform path takes
+each block's F_p Fourier transform one factor axis at a time, each cyclic
+factor split into radix-q passes over its prime factors (mixed-radix
+Cooley-Tukey), so it costs (blocks - 1) * T per character, T the sum of
+q + 1 over the passes; the largest block is implied by the others. A
+partition into singletons has the singletons as its dual and is not swept.
+Then comes a Galois pass of |G| label lookups per generator, and exact
+``CycInt`` rows only where a matrix needs them, one per character block,
+from sparse root-power rows, after a guard on the matrix's coefficient
+count (``MATRIX_GUARD``).
 
 The dual is kept on the partition object, so its reflexivity test, bidual,
 and generalized Krawtchouk matrices with any character partition that
@@ -34,13 +44,16 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from itertools import accumulate, repeat
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .cyclotomic import (CycInt, coefficient_bound, euler_phi, integer, split_prime,
                          unit_generators, zeta_coeff_table)
 from .errors import GuardExceeded, InputError, VerificationFailure
 from .group import ELEMENT_GUARD, Element, GroupIso, GroupSpec, elements
+
+MATRIX_GUARD = 5_000_000
+"""Most exact coefficients a Krawtchouk matrix may hold: rows x columns x phi(E)."""
 
 Signature = tuple[CycInt, ...]
 """Per-character vector of block sums; one entry per block of the partition."""
@@ -132,11 +145,15 @@ class Partition:
 
 
 def _outer(a: list[int], b: list[int]) -> list[int]:
-    """[x + y for x in a for y in b], with a Python loop over b only."""
+    """[x + y for x in a for y in b], with a Python loop over the shorter operand."""
     n = len(b)
     out = [0] * (len(a) * n)
-    for j, y in enumerate(b):
-        out[j::n] = map(add, a, repeat(y))
+    if len(a) < n:
+        for i, x in enumerate(a):
+            out[i * n:(i + 1) * n] = map(add, b, repeat(x))
+    else:
+        for j, y in enumerate(b):
+            out[j::n] = map(add, a, repeat(y))
     return out
 
 
@@ -150,7 +167,7 @@ def _pairing_exponents(grp: GroupSpec, chi: Element) -> list[int]:
     """Exponents of <chi, g> for every element g, in rank order.
 
     The factors are added one at a time: |G| additions, with a Python loop
-    over the order of each factor after the first. Entry r is congruent
+    over the shorter of the two operands of each step. Entry r is congruent
     mod E to the exponent at the element of rank r and lies below
     len(orders) * E: each factor adds its own reduced term.
     """
@@ -166,6 +183,166 @@ def _unit_action(grp: GroupSpec, j: int) -> list[int]:
         stride //= n
         cols.append([j * v % n * stride for v in range(n)])
     return reduce(_outer, cols, [0])
+
+
+def _radices(n: int) -> list[int]:
+    """The prime factors of n with multiplicity, ascending."""
+    out, q = [], 2
+    while q * q <= n:
+        while n % q == 0:
+            out.append(q)
+            n //= q
+        q += 1
+    return out + [n] * (n > 1)
+
+
+def _transform_cost(grp: GroupSpec) -> int:
+    """Sum of q + 1 over the radix-q passes of the per-axis transform: its
+    scalar operations per element, butterfly and twiddle."""
+    return sum(q + 1 for n in grp.orders for q in _radices(n))
+
+
+Pass = tuple[int, list[int], list[list[int] | None], bool]
+"""One radix-q pass: q, the q-th roots w_q^k, a twiddle vector per output
+digit (None where it is all ones), and whether the pass reduces mod p."""
+
+
+def _transform_plan(grp: GroupSpec, w: int, p: int) -> tuple[list[Pass], list[int]]:
+    """The passes of the per-axis F_p transform, and where it leaves each character.
+
+    The transform takes a vector in rank order to its sums
+    f^(chi) = sum over g of f(g) * w^<chi, g>, with w of exact order E mod p.
+    Each factor Z/n is split into radix-q passes over the prime factors of n
+    (decimation in frequency, Cooley and Tukey, Math. Comp. 19, 1965). Write
+    L = q * m for the length still to transform on the axis and t = a + m * b
+    for its coordinate, b the top digit. Then with u = w^(E/L)
+
+        X[d + q * c] = sum over a of u^(q * a * c) * u^(a * d)
+                       * sum over b of u^(m * b * d) * x[a + m * b],
+
+    so a pass sums the q rows b with the q-th roots u^(m * b * d), multiplies
+    by the twiddle u^(a * d), and leaves q transforms of length m. The axis
+    being transformed is always outermost, so the rows are contiguous slices.
+    Each output digit d is written with stride q, which makes it the last
+    digit. After every pass of every axis the axes are back in their order,
+    each with its frequency digits reversed; the second list maps a
+    character's rank to that position. Twiddles depend only on (L, q), so
+    axes of one order share them.
+    """
+    size, e = grp.size, grp.exponent
+    plan: list[Pass] = []
+    twiddles: dict[tuple[int, int], list[list[int] | None]] = {}
+    cols, stride = [], size
+    for n in grp.orders:
+        stride //= n
+        radices = _radices(n)
+        length = n
+        for q in radices:
+            m = length // q
+            if (length, q) not in twiddles:
+                chunk = size // length  # entries per value of a in a row
+                roots = [pow(w, e // length * k, p) for k in range(length)]
+                twiddles[length, q] = [None] + [
+                    [x for a in range(m) for x in repeat(roots[a * d], chunk)]
+                    for d in range(1, q)] if m > 1 else [None] * q
+            tw = twiddles[length, q]
+            plan.append((q, [pow(w, e // q * k, p) for k in range(q)], tw,
+                         q > 2 or m > 1))
+            length = m
+        # frequency k = d1 + q1 * (d2 + q2 * ...) sits at d1 * (q2 * ...) + d2 * ... + dr
+        place = [0]
+        for q in reversed(radices):
+            place = [d * len(place) + x for x in place for d in range(q)]
+        cols.append([x * stride for x in place])
+    return plan, reduce(_outer, cols, [0])
+
+
+def _fp_transform(x: list[int], plan: list[Pass], p: int) -> list[int]:
+    """The F_p transform of x by ``_transform_plan``'s passes, reduced mod p.
+
+    A pass without a multiplication only adds and subtracts, so it skips the
+    reduction; the values stay exact integers and are reduced later.
+    """
+    for q, roots, tw, reduce_mod in plan:
+        size = len(x) // q
+        rows = [x[b * size:(b + 1) * size] for b in range(q)]
+        out = [0] * len(x)
+        for d in range(q):
+            acc: Iterable[int] = rows[0]
+            for b in range(1, q):
+                c = roots[b * d % q]
+                if c == 1:
+                    acc = map(add, acc, rows[b])
+                elif c == p - 1:
+                    acc = map(sub, acc, rows[b])
+                else:
+                    acc = map(add, acc, map(c.__mul__, rows[b]))
+            if tw[d] is not None:
+                acc = map(mul, acc, tw[d])
+            out[d::q] = map(p.__rmod__, acc) if reduce_mod else acc
+        x = out
+    return list(map(p.__rmod__, x))
+
+
+def _transform_labels(part: Partition, p: int, w: int) -> tuple[list[int], int]:
+    """First labels from per-axis transforms of the blocks, and their class count.
+
+    The character 0 starts alone; every block but the largest then refines
+    the labels by the key (label, s(chi, B)), which is label * p + s since
+    s < p. A label is the position of its key's first holder, so a key map
+    lives for one block only. The loop stops once all characters are apart.
+    """
+    grp = part.group
+    size = grp.size
+    plan, place = _transform_plan(grp, w, p)
+    labels, count = [0] + [1] * (size - 1), 2
+    largest = max(range(part.num_blocks), key=lambda b: len(part.blocks[b]))
+    for b in range(part.num_blocks):
+        if count == size:
+            break
+        if b == largest:
+            continue
+        values = _fp_transform(list(map(b.__eq__, part.block_of)), plan, p)
+        ids: dict[int, int] = {}
+        labels = list(map(ids.setdefault, map(add, map(p.__mul__, labels), values),
+                          range(size)))
+        count = len(ids)
+    return [labels[i] for i in place], count
+
+
+def _dense_labels(part: Partition, p: int, w: int) -> tuple[list[int], int]:
+    """First labels from each character's F_p vector of block sums, and their class count."""
+    grp = part.group
+    e = grp.exponent
+    powers = [pow(w, x % e, p) for x in range(e * max(1, len(grp.orders)))]
+    # the elements block by block; the trailing 0 keeps every gather a tuple
+    # on a one-element carrier, and lands after the last cut
+    gather = itemgetter(*(grp.rank(g) for block in part.blocks for g in block), 0)
+    cuts = itemgetter(*accumulate(map(len, part.blocks), initial=0))
+    typecode = "I" if p < 1 << 32 else "Q"
+    classes: dict[bytes, int] = {}
+    labels = []
+    for exps in map(partial(_pairing_exponents, grp), elements(grp, grp.size)):
+        values = itemgetter(*gather(exps))(powers)
+        ends = cuts(list(accumulate(values, initial=0)))
+        key = array(typecode, map(p.__rmod__, map(sub, ends[1:], ends))).tobytes()
+        labels.append(classes.setdefault(key, len(classes)))
+    return labels, len(classes)
+
+
+def _galois_refine(grp: GroupSpec, labels: list[int], count: int) -> list[int]:
+    """Refine labels by the labels of j * chi, for the unit generators j mod E,
+    until the class count stops rising or every character is alone."""
+    perms = [_unit_action(grp, j) for j in unit_generators(grp.exponent)] \
+        if count < grp.size else []
+    while perms:
+        ids: dict[tuple[int, ...], int] = {}
+        images = [map(labels.__getitem__, perm) for perm in perms]
+        labels = [ids.setdefault(key, len(ids)) for key in zip(labels, *images)]
+        if len(ids) in (count, grp.size):
+            break
+        count = len(ids)
+    return labels
 
 
 def _signature_rows(part: Partition, max_size: int = ELEMENT_GUARD) -> dict[Element, int]:
@@ -191,41 +368,46 @@ def _signature_rows(part: Partition, max_size: int = ELEMENT_GUARD) -> dict[Elem
     (each unit is a product of generators), and it refines the first labels.
     So two characters in one final class have s(j * chi, B) = s(j * chi', B)
     for every unit j and block B, and their exact sums are equal. Conversely
-    equal exact sums stay equal under every map, so they never split.
+    equal exact sums stay equal under every map, so they never split. A
+    class of one character cannot split again, so both the first labels and
+    the refinement stop once all |G| characters are apart.
 
-    Cost: about |G| scalar additions per character for the first labels
-    (its pairing exponents are added factor by factor, and its block sums
-    are prefix sums of one gathered list), then |G| label lookups per
-    generator in each refinement pass. The refinement needs the labels
-    of every character, so the whole character group is always swept.
+    Two paths give the first labels.
+
+    - Dense (``_dense_labels``): each character's pairing exponents are added
+      factor by factor, and its block sums are prefix sums of one gathered
+      list, about |G| scalar operations per character.
+    - Transform (``_transform_labels``): for a block B, chi -> s(chi, B) is
+      the F_p transform of B's indicator, taken one factor axis at a time by
+      radix-q passes (``_transform_plan``). These are the same F_p sums added
+      in another order, so they are equal as elements of F_p. The largest
+      block is skipped: the sums over all blocks add up to |G| * [chi = 0],
+      so its sum is that minus the others', and the character 0 starts in a
+      class of its own. Labels by (chi = 0, the other sums) are the labels by
+      the whole vector: the two differ only if chi = 0 and chi' != 0 agreed
+      on every sum, but their totals |G| and 0 differ mod p > |G|.
+
+    Cost estimate, in scalar operations per character: |G| for the dense
+    path, (blocks - 1) * T for the transform, where T is the sum of q + 1
+    over the radix-q passes (``_transform_cost``). The transform is taken when
+    its estimate is the smaller. A partition into singletons has the
+    singletons as its dual, since characters separate points, and is not
+    swept. Both paths use O(|G|) memory whatever the block count, besides
+    the transform's twiddles, at most |G| per pass. The refinement then costs |G| label lookups
+    per generator and pass. It needs the labels of every character, so the
+    whole character group is always swept.
     """
     grp = part.group
     chars = elements(grp, max_size)
+    if part.num_blocks == grp.size:
+        return dict(zip(chars, range(grp.size)))
     e = grp.exponent
     p, w = split_prime(e, 2 * grp.size * coefficient_bound(e))
-    powers = [pow(w, x % e, p) for x in range(e * max(1, len(grp.orders)))]
-    # the elements block by block; the trailing 0 keeps every gather a tuple
-    # on a one-element carrier, and lands after the last cut
-    gather = itemgetter(*(grp.rank(g) for block in part.blocks for g in block), 0)
-    cuts = itemgetter(*accumulate(map(len, part.blocks), initial=0))
-    typecode = "I" if p < 1 << 32 else "Q"
-    classes: dict[bytes, int] = {}
-    labels = []
-    for exps in map(partial(_pairing_exponents, grp), chars):
-        values = itemgetter(*gather(exps))(powers)
-        ends = cuts(list(accumulate(values, initial=0)))
-        key = array(typecode, map(p.__rmod__, map(sub, ends[1:], ends))).tobytes()
-        labels.append(classes.setdefault(key, len(classes)))
-    perms = [_unit_action(grp, j) for j in unit_generators(e)]
-    count = len(classes)
-    while perms:
-        ids: dict[tuple[int, ...], int] = {}
-        images = [map(labels.__getitem__, perm) for perm in perms]
-        labels = [ids.setdefault(key, len(ids)) for key in zip(labels, *images)]
-        if len(ids) == count:
-            break
-        count = len(ids)
-    return dict(zip(chars, labels))
+    if (part.num_blocks - 1) * _transform_cost(grp) < grp.size:
+        labels, count = _transform_labels(part, p, w)
+    else:
+        labels, count = _dense_labels(part, p, w)
+    return dict(zip(chars, _galois_refine(grp, labels, count)))
 
 
 def signature(part: Partition, chi: Element) -> Signature:
@@ -319,8 +501,8 @@ def is_reflexive(part: Partition, max_size: int = ELEMENT_GUARD) -> bool:
 # Krawtchouk matrices
 
 
-def krawtchouk(part: Partition, char_part: Partition,
-               max_size: int = ELEMENT_GUARD) -> KrawtchoukMatrix:
+def krawtchouk(part: Partition, char_part: Partition, max_size: int = ELEMENT_GUARD,
+               max_entries: int = MATRIX_GUARD) -> KrawtchoukMatrix:
     """Krawtchouk matrix of a partition and a compatible character partition.
 
     ``char_part`` must refine the dual of ``part`` so that block sums are
@@ -328,9 +510,17 @@ def krawtchouk(part: Partition, char_part: Partition,
     for every character, on every carrier; then one exact row is built per
     character block. On failure the message names two characters of one
     character block that lie in different dual blocks, and the first primal
-    block whose sums differ.
+    block whose sums differ. Before any row is built, the matrix's
+    coefficient count, rows x columns x phi(E), is checked against
+    ``max_entries``.
     """
     dual = dual_partition(part, max_size)
+    rows, cols, phi = char_part.num_blocks, part.num_blocks, euler_phi(part.group.exponent)
+    if rows * cols * phi > max_entries:
+        raise GuardExceeded(
+            f"the Krawtchouk matrix needs {rows} x {cols} entries of {phi} coefficients, "
+            f"{rows * cols * phi} in all, above the matrix guard of {max_entries} "
+            f"(--max-matrix)")
     if not refines(char_part, dual):
         raise VerificationFailure(_split_message(part, dual, char_part))
     entries = tuple(signature(part, block[0]) for block in char_part.blocks)

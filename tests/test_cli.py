@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -13,7 +14,12 @@ import dualpart.cli
 import dualpart.partition
 import dualpart.poset
 from dualpart.cli import main
-from dualpart.serialization import group_from_json, partition_from_json, poset_from_json
+from dualpart.errors import GuardExceeded
+from dualpart.group import GroupSpec
+from dualpart.partition import (MATRIX_GUARD, Partition, dual_partition, krawtchouk,
+                                random_partition)
+from dualpart.serialization import (group_from_json, partition_from_json, partition_to_json,
+                                    poset_from_json)
 
 Z6_PARTITION = '{"blocks":[[[0]],[[1],[3],[5]],[[2],[4]]]}'
 
@@ -345,9 +351,9 @@ _TIMED_MAIN = (
 )
 
 
-def _run_limited(argv):
+def _run_limited(argv, gib=1):
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (gib << 30, gib << 30))
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -387,6 +393,52 @@ def test_huge_inputs_fail_with_one_line_and_no_traceback(argv, exit_code, messag
     assert proc.stderr.count("\n") == 1 and message in proc.stderr
     assert len(proc.stderr.encode()) < 300
     assert float(proc.stdout) < 1.0
+
+
+@pytest.mark.parametrize("order", [512, 1024])
+def test_matrix_guard_stops_a_huge_krawtchouk_matrix(order, tmp_path):
+    """Random partitions of (512,) and (1024,) ask for 3.6e7 and 3.0e8 exact
+    coefficients; under 2 GiB they must exit 2 quickly, not end in MemoryError."""
+    part = random_partition(GroupSpec((order,)), random.Random(0))
+    payload = tmp_path / "partition.json"
+    payload.write_text(json.dumps(partition_to_json(part)))
+    proc = _run_limited(["krawtchouk", "--group", json.dumps({"orders": [order]}),
+                         "--partition", f"@{payload}"], gib=2)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    rows, cols, phi = order, part.num_blocks, order // 2
+    assert f"{rows} x {cols} entries of {phi} coefficients, {rows * cols * phi} in all" \
+        in proc.stderr
+    assert "--max-matrix" in proc.stderr
+    assert float(proc.stdout) < 1.0
+
+
+@pytest.mark.parametrize("cmd", ["dual", "krawtchouk", "macwilliams"])
+def test_max_matrix_overrides_the_matrix_guard(cmd, capsys):
+    # 3 x 3 entries of phi(6) = 2 coefficients
+    argv = [cmd, "--group", '{"orders":[6]}', "--partition", Z6_PARTITION]
+    if cmd == "macwilliams":
+        argv += ["--code", '{"generators":[[3]]}']
+    assert main(argv + ["--max-matrix", "17"]) == 2
+    err = capsys.readouterr().err
+    assert "3 x 3 entries of 2 coefficients, 18 in all, above the matrix guard of 17" in err
+    assert main(argv + ["--max-matrix", "18"]) == 0
+
+
+def test_matrix_guard_is_checked_before_any_row_is_built(monkeypatch):
+    def refuse(part, chi):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(dualpart.partition, "signature", refuse)
+    part = Partition.singletons(GroupSpec((8,)))
+    with pytest.raises(GuardExceeded, match="8 x 8 entries of 4 coefficients, 256 in all"):
+        krawtchouk(part, dual_partition(part), max_entries=255)
+
+
+def test_matrix_guard_admits_the_256_element_random_matrix():
+    part = random_partition(GroupSpec((256,)), random.Random(0))
+    rows, cols = dual_partition(part).num_blocks, part.num_blocks
+    assert 4_000_000 < rows * cols * 128 <= MATRIX_GUARD
 
 
 def test_copies_guard_allows_the_largest_power_under_the_guard(capsys):

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under scripts/."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,13 +9,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name):
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name)],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -31,3 +32,12 @@ def test_poset_refinement_sweep_counts_the_labeled_posets():
     for n, count in ((1, 1), (2, 3), (3, 19), (4, 219)):
         for q in (2, 3):
             assert f"n={n} q={q}: {count} labeled posets;" in out
+
+
+def test_sweep_cases_script_reports_each_case():
+    doc = json.loads(run_script("sweep_cases.py", "--case", "(256,) lee",
+                                "--case", "(64,64) hamming", "--timeout", "60"))
+    assert doc["limit_gib"] == 2.0
+    assert [(c["name"], c["status"], c["blocks"], c["dual_blocks"]) for c in doc["cases"]] == [
+        ("(256,) lee", "ok", 129, 129), ("(64,64) hamming", "ok", 3, 3)]
+    assert all(c["seconds"] > 0 and c["peak_rss_mb"] > 0 for c in doc["cases"])

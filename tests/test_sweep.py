@@ -3,7 +3,9 @@
 ``dense_signature_rows`` is that sweep, kept here as the oracle: it adds the
 dense canonical coefficient vector of every root power it meets, so its rows
 are the exact block sums. The library's sweep never builds them; it works in
-F_p with a Galois refinement, and builds exact rows only for matrices.
+F_p with a Galois refinement, and builds exact rows only for matrices. Its
+first labels come from one of two paths, the dense F_p sweep or per-axis
+F_p transforms; ``naive_transform`` is the O(|G|^2) oracle of the latter.
 """
 
 import math
@@ -11,11 +13,15 @@ import random
 import subprocess
 import sys
 import textwrap
+from functools import lru_cache
+from operator import add
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import dualpart.partition
 from dualpart.cyclotomic import (
     CycInt,
     coefficient_bound,
@@ -27,6 +33,9 @@ from dualpart.cyclotomic import (
 from dualpart.group import GroupSpec, elements, pairing_exponent
 from dualpart.partition import (
     Partition,
+    _fp_transform,
+    _outer,
+    _transform_plan,
     dual_partition,
     krawtchouk,
     random_partition,
@@ -34,20 +43,27 @@ from dualpart.partition import (
 )
 
 
+@lru_cache(maxsize=1)
+def exponent_table(grp):
+    """pairing_exponent(chi, g) for every character and element, by rank."""
+    els = elements(grp)
+    return [[pairing_exponent(grp, chi, g) for g in els] for chi in els]
+
+
 def dense_signature_rows(part):
     """Exact block-sum coefficient vectors of every character, densely."""
     grp = part.group
     e = grp.exponent
     ztab = [zeta_pow(e, k).coeffs for k in range(e)]
+    blocks = [[grp.rank(g) for g in members] for members in part.blocks]
     out = {}
-    for chi in elements(grp):
+    for chi, exps in zip(elements(grp), exponent_table(grp)):
         sig = []
-        for members in part.blocks:
-            acc = [0] * len(ztab[0])
-            for g in members:
-                for j, c in enumerate(ztab[pairing_exponent(grp, chi, g)]):
-                    acc[j] += c
-            sig.append(tuple(acc))
+        for members in blocks:
+            acc = (0,) * len(ztab[0])
+            for r in members:
+                acc = tuple(map(add, acc, ztab[exps[r]]))
+            sig.append(acc)
         out[chi] = tuple(sig)
     return out
 
@@ -99,6 +115,99 @@ def test_sweep_matches_dense_oracle(orders, kind, seed, data):
 def test_sweep_matches_dense_oracle_where_c_e_is_2(orders, kind, seed):
     part = make_partition(orders, kind, seed)
     check_against_oracle(part, (seed % orders[0],))
+
+
+def naive_transform(grp, x, p, w):
+    """sum over g of x(g) * w^<chi, g> mod p, for every chi in rank order."""
+    e = grp.exponent
+    powers = [pow(w, k, p) for k in range(e)]
+    els = elements(grp)
+    return [sum(v * powers[pairing_exponent(grp, chi, g)] for v, g in zip(x, els)) % p
+            for chi in els]
+
+
+def fast_transform(grp, x, p, w):
+    plan, place = _transform_plan(grp, w, p)
+    values = _fp_transform(list(x), plan, p)
+    return [values[i] for i in place]
+
+
+TRANSFORM_CARRIERS = [(8,), (9,), (12,), (30,), (60,), (64,), (210,), (2, 4, 8), (12, 12, 4)]
+
+
+def test_transform_matches_the_naive_dft():
+    for orders in TRANSFORM_CARRIERS:
+        grp = GroupSpec(orders)
+        e = grp.exponent
+        p, w = split_prime(e, 2 * grp.size * coefficient_bound(e))
+        rng = random.Random(sum(orders))
+        for x in ([rng.randrange(p) for _ in range(grp.size)],
+                  [rng.randrange(2) for _ in range(grp.size)],
+                  [1] + [0] * (grp.size - 1)):
+            assert fast_transform(grp, x, p, w) == naive_transform(grp, x, p, w), orders
+
+
+def test_outer_loops_over_either_operand():
+    for a, b in [([0], [5]), ([1, 2], list(range(10))), (list(range(10)), [3, 4]),
+                 ([7, 8, 9], [0, 1, 2])]:
+        assert _outer(a, b) == [x + y for x in a for y in b]
+
+
+def hamming(grp):
+    return Partition.from_weight(grp, lambda g: sum(1 for x in g if x))
+
+
+def lee(grp):
+    return Partition.from_weight(
+        grp, lambda g: sum(min(x, n - x) for x, n in zip(g, grp.orders)))
+
+
+SHAPED = {
+    "hamming": hamming,
+    "lee": lee,
+    "random": lambda grp: random_partition(grp, random.Random(grp.size)),
+    "zero-block": lambda grp: random_partition(grp, random.Random(grp.size), zero_block=True),
+    "singletons": Partition.singletons,
+    "one-block": Partition.one_block,
+}
+PATHS = {"transform": 0, "dense": 10 ** 9}  # per-pass costs that force each path
+
+
+def dense_classes(part):
+    """The dual by the dense oracle: characters grouped by exact block sums."""
+    buckets = {}
+    for chi, row in dense_signature_rows(part).items():
+        buckets.setdefault(row, []).append(chi)
+    return Partition.from_blocks(part.group, buckets.values())
+
+
+def test_both_paths_match_the_dense_oracle_on_every_small_carrier():
+    for orders in SMALL_CARRIERS:
+        grp = GroupSpec(orders)
+        for kind, make in SHAPED.items():
+            part = make(grp)
+            want = dense_classes(part)
+            for path, cost in PATHS.items():
+                with mock.patch.object(dualpart.partition, "_transform_cost",
+                                       lambda grp: cost):
+                    rows = dualpart.partition._signature_rows(part)
+                got = Partition.from_labels(grp, rows.values())
+                assert got == want, (orders, kind, path)
+
+
+def test_cost_rule_picks_the_path():
+    picked = []
+    for name in ("_transform_labels", "_dense_labels"):
+        real = getattr(dualpart.partition, name)
+        wrap = (lambda real, name: lambda *a: picked.append(name) or real(*a))(real, name)
+        mock.patch.object(dualpart.partition, name, wrap).start()
+    try:
+        dual_partition(hamming(GroupSpec((2,) * 12)))
+        dual_partition(lee(GroupSpec((256,))))
+        dual_partition(Partition.singletons(GroupSpec((4, 4))))
+    finally:
+        mock.patch.stopall()
+    assert picked == ["_transform_labels", "_dense_labels"]
 
 
 def test_every_small_carrier_is_drawn_from():
@@ -177,7 +286,8 @@ def test_worst_legal_input_fits_in_two_gib():
 
     Sweep memory grows with classes times blocks, so the many-block random
     partition (2309 blocks) is the heavy case; a seeded 8-block partition
-    covers the few-block end.
+    covers the few-block end. The Hamming partitions of (2, 2048) and
+    (64, 64) take the transform path with its largest factors.
     """
     src = Path(__file__).resolve().parents[1] / "src"
     child = textwrap.dedent(f"""
@@ -193,10 +303,12 @@ def test_worst_legal_input_fits_in_two_gib():
             urns.setdefault(rng.randrange(8), []).append(x)
         few = Partition.from_blocks(g, urns.values())
         many = random_partition(g, random.Random(0))
-        for part in (few, many):
+        weight = lambda x: sum(1 for c in x if c)
+        hamming = [Partition.from_weight(GroupSpec(o), weight) for o in ((2, 2048), (64, 64))]
+        for part in (few, many, *hamming):
             print(part.num_blocks, dual_partition(part).num_blocks)
     """)
     done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["8", "4096", "2309", "4096"]
+    assert done.stdout.split() == ["8", "4096", "2309", "4096", "3", "4", "3", "3"]
