@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Any
 
 from .checks import SUITES, run_suite
@@ -413,7 +414,9 @@ def _pretty(doc: dict, out) -> None:
 # parser
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by later ones."""
     parser = _Parser(prog="dualpart", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="cmd", required=True)

@@ -19,7 +19,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import InputError
 
@@ -269,17 +269,15 @@ def coefficient_bound(order: int) -> int:
     return max(max(map(abs, coeffs)) for _, coeffs in zeta_coeff_table(order))
 
 
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _radices(n: int) -> list[int]:
+    """The prime factors of n with multiplicity, ascending."""
+    out, q = [], 2
+    while q * q <= n:
+        while n % q == 0:
+            out.append(q)
+            n //= q
+        q += 1
+    return out + [n] * (n > 1)
 
 
 def split_prime(order: int, bound: int) -> tuple[int, int]:
@@ -297,9 +295,9 @@ def split_prime(order: int, bound: int) -> tuple[int, int]:
     p = bound // order * order + 1
     if p <= bound:
         p += order
-    while p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    while _radices(p) != [p]:
         p += order
-    factors = _prime_factors(order)
+    factors = set(_radices(order))
     for x in count(1):  # F_p^* is cyclic, so some x gives a root of exact order
         w = pow(x, (p - 1) // order, p)
         if all(pow(w, order // q, p) != 1 for q in factors):

@@ -9,6 +9,10 @@ This is one concrete identification of the group with its characters; biduals
 do not depend on it, single duals may, and twisted identifications are
 expressed with GroupIso.
 
+This module owns the pairing: ``pairing_exponent`` gives one exponent, and
+``_pairing_exponents`` one character's row over the carrier, which
+``dual_code``, ``fourier_transform`` and ``partition`` read.
+
 The factor list is kept verbatim: carriers with the same abstract group but
 different factorizations (say orders (6,) and (2, 3)) are distinct here.
 """
@@ -19,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from operator import mul
+from operator import add
 from typing import Callable, Iterable, Mapping
 
 from .cyclotomic import CycInt, zero, zeta_pow
@@ -125,6 +129,38 @@ def pairing(group: GroupSpec, chi: Element, g: Element) -> CycInt:
     return zeta_pow(group.exponent, pairing_exponent(group, chi, g))
 
 
+def _outer(a: list[int], b: list[int]) -> list[int]:
+    """[x + y for x in a for y in b], with a Python loop over the shorter operand."""
+    n = len(b)
+    out = [0] * (len(a) * n)
+    if len(a) < n:
+        for i, x in enumerate(a):
+            out[i * n:(i + 1) * n] = map(add, b, itertools.repeat(x))
+    else:
+        for j, y in enumerate(b):
+            out[j::n] = map(add, a, itertools.repeat(y))
+    return out
+
+
+def _column(e: int, n: int, c: int) -> list[int]:
+    """Pairing exponents of the residue c with 0, ..., n - 1 in a factor of order n."""
+    step = e // n * c
+    return [x % e for x in range(0, step * n, step)] if step else [0] * n
+
+
+def _pairing_exponents(grp: GroupSpec, chi: Element) -> list[int]:
+    """Exponents of <chi, g> for every element g, in rank order.
+
+    The factors are added one at a time: |G| additions, with a Python loop
+    over the shorter of the two operands of each step. Entry r is congruent
+    mod E to the exponent at the element of rank r and lies below
+    len(orders) * E: each factor adds its own reduced term.
+    """
+    e = grp.exponent
+    cols = [_column(e, n, c) for n, c in zip(grp.orders, chi)]
+    return reduce(_outer, cols[1:], cols[0]) if cols else [0]
+
+
 # ---------------------------------------------------------------------------
 # additive codes (subgroups of the carrier)
 
@@ -192,17 +228,19 @@ def generate(group: GroupSpec, gens: Iterable[Element]) -> Code:
 def dual_code(group: GroupSpec, code: Code, max_size: int = ELEMENT_GUARD) -> Code:
     """Annihilator of the code under the pairing, on the same carrier.
 
-    Bilinearity lets the membership test run against the generators only.
-    The pairing exponent of a with h is the dot product of a with the weight
-    vector ((E // n_i) * h_i)_i, reduced mod E; one vector per generator is
-    built once. The members are carrier elements in sorted order already.
+    Bilinearity lets the membership test run against the generators only:
+    the ranks kept are those at which every generator's pairing row is 0
+    mod E. Ranks stay ascending, so the members are in sorted order already.
     """
     if code.group != group:
         raise InputError("the code must lie on the given carrier")
     e = group.exponent
-    weights = [[e // n * c for n, c in zip(group.orders, h)] for h in code.generators]
-    members = tuple(a for a in elements(group, max_size)
-                    if not any(sum(map(mul, w, a)) % e for w in weights))
+    els = elements(group, max_size)
+    ranks: Iterable[int] = range(group.size)
+    for h in code.generators:
+        row = _pairing_exponents(group, h)
+        ranks = [r for r in ranks if not row[r] % e]
+    members = tuple(map(els.__getitem__, ranks))
     return Code(group, _greedy_generators(group, members), members)
 
 
@@ -245,10 +283,8 @@ def fourier_transform(
     els = elements(group, max_size)
     out: dict[Element, CycInt] = {}
     for chi in els:
-        acc = zero(e)
-        for g in els:
-            acc = acc + zeta_pow(e, pairing_exponent(group, chi, g)) * f[g]
-        out[chi] = acc
+        terms = (zeta_pow(e, k) * f[g] for k, g in zip(_pairing_exponents(group, chi), els))
+        out[chi] = sum(terms, zero(e))
     return out
 
 

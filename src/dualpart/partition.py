@@ -33,7 +33,8 @@ against the dual in full on every carrier; nothing is sampled.
 
 Block data is canonical: each block is sorted, blocks are ordered by their
 least member, elements are reduced residue tuples. Partitions on the same
-carrier therefore compare by plain equality.
+carrier therefore compare by plain equality. ``Partition.from_labels`` alone
+orders blocks, and ``group`` owns the pairing whose rows the sweep reads.
 """
 
 from __future__ import annotations
@@ -47,10 +48,11 @@ from itertools import accumulate, repeat
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Hashable, Iterable, Iterator
 
-from .cyclotomic import (CycInt, coefficient_bound, euler_phi, integer, split_prime,
-                         unit_generators, zeta_coeff_table)
+from .cyclotomic import (CycInt, _radices, coefficient_bound, euler_phi, integer,
+                         split_prime, unit_generators, zeta_coeff_table)
 from .errors import GuardExceeded, InputError, VerificationFailure
-from .group import ELEMENT_GUARD, Element, GroupIso, GroupSpec, elements
+from .group import (ELEMENT_GUARD, Element, GroupIso, GroupSpec, _outer,
+                    _pairing_exponents, elements)
 
 MATRIX_GUARD = 5_000_000
 """Most exact coefficients a Krawtchouk matrix may hold: rows x columns x phi(E)."""
@@ -74,26 +76,27 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, group: GroupSpec, blocks: Iterable[Iterable[Element]]) -> "Partition":
-        """Validate and canonicalize explicit blocks (disjoint, covering, nonempty)."""
-        norm: list[Block] = []
-        for b in blocks:
+        """Validate explicit blocks (disjoint, covering, nonempty), then label them.
+
+        Range, emptiness and duplicates are checked block by block, then
+        overlap and cover. Labels sit in a map until the cover check passes.
+        """
+        owner: dict[int, int] = {}
+        total = 0
+        for i, b in enumerate(blocks):
             members = [group.validate(g) for g in b]
             if not members:
                 raise InputError("blocks must be nonempty")
-            if len(set(members)) != len(members):
+            ranks = set(map(group.rank, members))
+            if len(ranks) != len(members):
                 raise InputError("duplicate element inside a block")
-            norm.append(tuple(sorted(members)))
-        norm.sort(key=lambda b: b[0])
-        flat = [g for b in norm for g in b]
-        if len(set(flat)) != len(flat):
+            total += len(ranks)
+            owner.update(dict.fromkeys(ranks, i))
+        if len(owner) != total:
             raise InputError("blocks overlap")
-        if len(flat) != group.size:
+        if len(owner) != group.size:
             raise InputError("blocks do not cover the carrier")
-        block_of = [0] * group.size
-        for i, b in enumerate(norm):
-            for g in b:
-                block_of[group.rank(g)] = i
-        return cls(group, tuple(norm), tuple(block_of))
+        return cls.from_labels(group, map(owner.__getitem__, range(group.size)))
 
     @classmethod
     def from_labels(cls, group: GroupSpec, labels: Iterable[Hashable]) -> "Partition":
@@ -105,9 +108,9 @@ class Partition:
         come out ordered by their least members. The elements are the
         carrier's own tuples, so only the length of the label list is checked.
         That is why only label lists the library builds itself (weights, sweep
-        classes, factor block indices) come this way; blocks from user input
-        go through ``from_blocks``, which validates them. The caller guards
-        the carrier size.
+        classes, factor block indices) come here directly; blocks from user
+        input go through ``from_blocks``, which validates them and then comes
+        here. The caller guards the carrier size.
         """
         ids: dict[Hashable, int] = {}
         block_of = tuple(ids.setdefault(label, len(ids)) for label in labels)
@@ -144,38 +147,6 @@ class Partition:
 # the signature sweep
 
 
-def _outer(a: list[int], b: list[int]) -> list[int]:
-    """[x + y for x in a for y in b], with a Python loop over the shorter operand."""
-    n = len(b)
-    out = [0] * (len(a) * n)
-    if len(a) < n:
-        for i, x in enumerate(a):
-            out[i * n:(i + 1) * n] = map(add, b, repeat(x))
-    else:
-        for j, y in enumerate(b):
-            out[j::n] = map(add, a, repeat(y))
-    return out
-
-
-def _column(e: int, n: int, c: int) -> list[int]:
-    """Pairing exponents of the residue c with 0, ..., n - 1 in a factor of order n."""
-    step = e // n * c
-    return [x % e for x in range(0, step * n, step)] if step else [0] * n
-
-
-def _pairing_exponents(grp: GroupSpec, chi: Element) -> list[int]:
-    """Exponents of <chi, g> for every element g, in rank order.
-
-    The factors are added one at a time: |G| additions, with a Python loop
-    over the shorter of the two operands of each step. Entry r is congruent
-    mod E to the exponent at the element of rank r and lies below
-    len(orders) * E: each factor adds its own reduced term.
-    """
-    e = grp.exponent
-    cols = [_column(e, n, c) for n, c in zip(grp.orders, chi)]
-    return reduce(_outer, cols[1:], cols[0]) if cols else [0]
-
-
 def _unit_action(grp: GroupSpec, j: int) -> list[int]:
     """Rank of the character j * chi, for every character chi in rank order."""
     cols, stride = [], grp.size
@@ -183,17 +154,6 @@ def _unit_action(grp: GroupSpec, j: int) -> list[int]:
         stride //= n
         cols.append([j * v % n * stride for v in range(n)])
     return reduce(_outer, cols, [0])
-
-
-def _radices(n: int) -> list[int]:
-    """The prime factors of n with multiplicity, ascending."""
-    out, q = [], 2
-    while q * q <= n:
-        while n % q == 0:
-            out.append(q)
-            n //= q
-        q += 1
-    return out + [n] * (n > 1)
 
 
 def _transform_cost(grp: GroupSpec) -> int:
@@ -583,9 +543,10 @@ def join(a: Partition, b: Partition) -> Partition:
 
 
 def negate(part: Partition) -> Partition:
-    """Image of the partition under elementwise negation."""
-    grp = part.group
-    return Partition.from_blocks(grp, ([grp.neg(g) for g in b] for b in part.blocks))
+    """Image of the partition under elementwise negation: g joins the block of -g."""
+    grp, block_of = part.group, part.block_of
+    return Partition.from_labels(
+        grp, (block_of[grp.rank(grp.neg(g))] for g in elements(grp, grp.size)))
 
 
 def mismatch_witness(a: Partition, b: Partition) -> tuple[Element, Element] | None:
@@ -695,17 +656,17 @@ def all_partitions(group: GroupSpec, max_size: int = 12) -> Iterator[Partition]:
         raise GuardExceeded(
             f"exhaustive partition enumeration guarded at carrier size {max_size}"
         )
-    els = list(elements(group))
 
-    def rec(items: list[Element]) -> Iterator[list[list[Element]]]:
-        if not items:
+    def rec(first: int) -> Iterator[list[int]]:
+        # labels of the ranks from first on; the element at first opens
+        # block 0 (the others shift up) or joins each block in turn
+        if first == group.size:
             yield []
             return
-        head, rest = items[0], items[1:]
-        for sub in rec(rest):
-            yield [[head]] + sub
-            for i in range(len(sub)):
-                yield sub[:i] + [[head] + sub[i]] + sub[i + 1 :]
+        for sub in rec(first + 1):
+            yield [0] + [x + 1 for x in sub]
+            for i in range(max(sub, default=-1) + 1):
+                yield [i] + sub
 
-    for raw in rec(els):
-        yield Partition.from_blocks(group, raw)
+    for labels in rec(0):
+        yield Partition.from_labels(group, labels)

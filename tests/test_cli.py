@@ -486,3 +486,44 @@ def test_stdout_is_laid_out_as_json_dump_indent_2(argv, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_second_pass_in_one_process_writes_the_same_bytes(capsys):
+    """The parser is built once per process; reusing it changes no output."""
+    passes = []
+    for _ in range(2):
+        outs = []
+        for argv in LAYOUT_CASES.values():
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        passes.append(outs)
+    assert passes[0] == passes[1]
+    assert dualpart.cli.build_parser() is dualpart.cli.build_parser()
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["dual", "--group", '{"orders":[6]}', "--partition", Z6_PARTITION], [
+        "partition          {0} | {1,3,5} | {2,4}",
+        "dual               {0} | {1,2,4,5} | {3}",
+        "krawtchouk:",
+        "  [ 1   3   2 ]",
+        "  [ 1   0  -1 ]",
+        "  [ 1  -3   2 ]",
+        "reflexive          True",
+    ]),
+    (["check", "--suite", "cyclotomic"], [
+        "failed             0",
+        "PASS cyclotomic ring laws (150 case(s) verified)",
+        "PASS conjugation (100 case(s) verified)",
+        "PASS full root sums vanish (23 case(s) verified)",
+        "PASS order lifting is a ring map (80 case(s) verified)",
+    ]),
+], ids=["dual", "check"])
+def test_pretty_adds_tables_on_stderr_only(argv, table, capsys):
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main([*argv, "--pretty"]) == 0
+    pretty = capsys.readouterr()
+    assert pretty.out == plain.out
+    assert plain.err == ""
+    assert pretty.err.splitlines() == table

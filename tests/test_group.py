@@ -13,9 +13,11 @@ from dualpart.group import (
     elements,
     fourier_transform,
     generate,
+    _pairing_exponents,
     pairing,
     pairing_exponent,
 )
+from test_sweep import SMALL_CARRIERS
 
 Z6 = GroupSpec((6,))
 Z2x3 = GroupSpec((2, 3))
@@ -74,6 +76,15 @@ def test_pairing_is_symmetric_and_bilinear():
                 lhs = pairing_exponent(g, chi, g.add(x, y))
                 rhs = (pairing_exponent(g, chi, x) + pairing_exponent(g, chi, y)) % 4
                 assert lhs == rhs
+
+
+@pytest.mark.parametrize("orders", SMALL_CARRIERS)
+def test_pairing_row_matches_pairing_exponent(orders):
+    grp = GroupSpec(orders)
+    e = grp.exponent
+    for chi in elements(grp):
+        want = [pairing_exponent(grp, chi, g) for g in elements(grp)]
+        assert [x % e for x in _pairing_exponents(grp, chi)] == want
 
 
 def test_orthogonality_medium_carriers():

@@ -48,6 +48,23 @@ def test_from_blocks_validation():
         Partition.from_blocks(Z6, blocks6([0, 1, 2, 3, 4, 5], []))  # empty block
 
 
+@pytest.mark.parametrize("groups, message", [
+    # range, empty and duplicate are checked block by block, before overlap
+    (([0, 1], [1, 2], [3, 4, 5, 7]),
+     "element (7,) out of range for orders (6,): coordinate 0 is 7, order 6"),
+    (([0, 1], [1, 2], [3, 3, 4, 5]), "duplicate element inside a block"),
+    (([0, 0], [9]), "duplicate element inside a block"),
+    (([0], [], [9]), "blocks must be nonempty"),
+    # overlap comes before cover
+    (([0, 1], [1, 2]), "blocks overlap"),
+], ids=["range-after-overlap", "duplicate-beside-overlap", "duplicate-before-range",
+        "empty-before-range", "overlap-before-cover"])
+def test_from_blocks_error_precedence(groups, message):
+    with pytest.raises(InputError) as info:
+        Partition.from_blocks(Z6, blocks6(*groups))
+    assert str(info.value) == message
+
+
 def test_canonical_block_order():
     p = part6([3, 1, 5], [4, 2], [0])
     assert p.blocks[0] == ((0,),)
