@@ -31,6 +31,8 @@ CASES = {
     "(4096,) hamming": ((4096,), "hamming"),
     "(2,2048) hamming": ((2, 2048), "hamming"),
     "(256,) lee": ((256,), "lee"),
+    "(4096,) lee": ((4096,), "lee"),
+    "(1021,4) hamming": ((1021, 4), "hamming"),
     "(2,)^10 random": ((2,) * 10, "random"),
     "(1024,) random": ((1024,), "random"),
     "(4096,) random": ((4096,), "random"),

@@ -278,13 +278,26 @@ def fourier_transform(
     f: Mapping[Element, CycInt | int],
     max_size: int = ELEMENT_GUARD,
 ) -> dict[Element, CycInt]:
-    """Character sums chi -> sum_g <chi, g> f(g), exactly."""
+    """Character sums chi -> sum_g <chi, g> f(g), exactly.
+
+    No root power is multiplied out. For each character, the coefficient of
+    z^i in f(g) is added at offset (k + i) mod E of a raw vector of length
+    E, where <chi, g> = z^k; one ``CycInt`` then reduces it modulo the
+    cyclotomic polynomial. That is exact because z^E = 1, that is, the
+    cyclotomic polynomial divides x^E - 1.
+    """
     e = group.exponent
     els = elements(group, max_size)
+    # the nonzero (offset, coefficient) pairs of each value, in rank order;
+    # adding to zero turns an int into a CycInt and checks a CycInt's order
+    terms = [[(i, c) for i, c in enumerate((zero(e) + f[g]).coeffs) if c] for g in els]
     out: dict[Element, CycInt] = {}
     for chi in els:
-        terms = (zeta_pow(e, k) * f[g] for k, g in zip(_pairing_exponents(group, chi), els))
-        out[chi] = sum(terms, zero(e))
+        raw = [0] * e
+        for k, pairs in zip(_pairing_exponents(group, chi), terms):
+            for i, c in pairs:
+                raw[(k + i) % e] += c
+        out[chi] = CycInt(e, tuple(raw))
     return out
 
 

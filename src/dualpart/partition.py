@@ -14,12 +14,14 @@ bound keeps every difference of two sums below p, the final classes are
 exactly the classes of equal exact sums (the full argument is in
 ``_signature_rows``).
 
-The first F_p labels come from whichever of two paths is cheaper. The dense
-sweep costs |G| scalar operations per character. The transform path takes
-each block's F_p Fourier transform one factor axis at a time, each cyclic
-factor split into radix-q passes over its prime factors (mixed-radix
-Cooley-Tukey), so it costs (blocks - 1) * T per character, T the sum of
-q + 1 over the passes; the largest block is implied by the others. A
+The first F_p labels come from one loop over the blocks, each refining the
+labels by its vector of sums over all characters; the largest block is
+implied by the others and skipped, and the loop stops once all characters
+are apart. A block's vector is either its members' pairing rows summed,
+about |B| rows, or its F_p Fourier transform, taken one factor axis at a
+time with each cyclic factor split into radix-q passes over its prime
+factors (mixed-radix Cooley-Tukey). Each block takes the cheaper of the two
+by a cost estimate of the transform in rows (``_transform_cost``). A
 partition into singletons has the singletons as its dual and is not swept.
 Then comes a Galois pass of |G| label lookups per generator, and exact
 ``CycInt`` rows only where a matrix needs them, one per character block,
@@ -40,11 +42,10 @@ orders blocks, and ``group`` owns the pairing whose rows the sweep reads.
 from __future__ import annotations
 
 import random
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
-from itertools import accumulate, repeat
+from functools import reduce
+from itertools import repeat
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Hashable, Iterable, Iterator
 
@@ -157,9 +158,16 @@ def _unit_action(grp: GroupSpec, j: int) -> list[int]:
 
 
 def _transform_cost(grp: GroupSpec) -> int:
-    """Sum of q + 1 over the radix-q passes of the per-axis transform: its
-    scalar operations per element, butterfly and twiddle."""
-    return sum(q + 1 for n in grp.orders for q in _radices(n))
+    """Pairing rows that one block's transform costs, estimated.
+
+    A radix-q pass makes q + 1 scalar operations per element (butterfly and
+    twiddle) and q(q - 1) Python-level steps, one per butterfly row. A row
+    costs about three operations per element (exponent, gather, add), and a
+    step about as much as fifteen element operations.
+    """
+    size = grp.size
+    return sum((q + 1) * size + 15 * q * (q - 1)
+               for n in grp.orders for q in _radices(n)) // (3 * size)
 
 
 Pass = tuple[int, list[int], list[list[int] | None], bool]
@@ -244,52 +252,6 @@ def _fp_transform(x: list[int], plan: list[Pass], p: int) -> list[int]:
     return list(map(p.__rmod__, x))
 
 
-def _transform_labels(part: Partition, p: int, w: int) -> tuple[list[int], int]:
-    """First labels from per-axis transforms of the blocks, and their class count.
-
-    The character 0 starts alone; every block but the largest then refines
-    the labels by the key (label, s(chi, B)), which is label * p + s since
-    s < p. A label is the position of its key's first holder, so a key map
-    lives for one block only. The loop stops once all characters are apart.
-    """
-    grp = part.group
-    size = grp.size
-    plan, place = _transform_plan(grp, w, p)
-    labels, count = [0] + [1] * (size - 1), 2
-    largest = max(range(part.num_blocks), key=lambda b: len(part.blocks[b]))
-    for b in range(part.num_blocks):
-        if count == size:
-            break
-        if b == largest:
-            continue
-        values = _fp_transform(list(map(b.__eq__, part.block_of)), plan, p)
-        ids: dict[int, int] = {}
-        labels = list(map(ids.setdefault, map(add, map(p.__mul__, labels), values),
-                          range(size)))
-        count = len(ids)
-    return [labels[i] for i in place], count
-
-
-def _dense_labels(part: Partition, p: int, w: int) -> tuple[list[int], int]:
-    """First labels from each character's F_p vector of block sums, and their class count."""
-    grp = part.group
-    e = grp.exponent
-    powers = [pow(w, x % e, p) for x in range(e * max(1, len(grp.orders)))]
-    # the elements block by block; the trailing 0 keeps every gather a tuple
-    # on a one-element carrier, and lands after the last cut
-    gather = itemgetter(*(grp.rank(g) for block in part.blocks for g in block), 0)
-    cuts = itemgetter(*accumulate(map(len, part.blocks), initial=0))
-    typecode = "I" if p < 1 << 32 else "Q"
-    classes: dict[bytes, int] = {}
-    labels = []
-    for exps in map(partial(_pairing_exponents, grp), elements(grp, grp.size)):
-        values = itemgetter(*gather(exps))(powers)
-        ends = cuts(list(accumulate(values, initial=0)))
-        key = array(typecode, map(p.__rmod__, map(sub, ends[1:], ends))).tobytes()
-        labels.append(classes.setdefault(key, len(classes)))
-    return labels, len(classes)
-
-
 def _galois_refine(grp: GroupSpec, labels: list[int], count: int) -> list[int]:
     """Refine labels by the labels of j * chi, for the unit generators j mod E,
     until the class count stops rising or every character is alone."""
@@ -332,41 +294,63 @@ def _signature_rows(part: Partition, max_size: int = ELEMENT_GUARD) -> dict[Elem
     class of one character cannot split again, so both the first labels and
     the refinement stop once all |G| characters are apart.
 
-    Two paths give the first labels.
+    First labels. The character 0 starts alone, and every block but the
+    largest refines the labels, in block order, by the key (label, s(chi, B)).
+    The largest block is skipped: the sums over all blocks add up to
+    |G| * [chi = 0], so its sum is that minus the others'. Labels by
+    (chi = 0, the other sums) are the labels by the whole vector: the two
+    differ only if chi = 0 and chi' != 0 agreed on every sum, but their
+    totals |G| and 0 differ mod p > |G|. A label is p times the rank of its
+    key's first holder, so the key is label + s, and a key map lives for one
+    block only. The loop stops once all characters are apart. A block's F_p
+    vector (s(chi, B))_chi, in rank order, comes one of two ways:
 
-    - Dense (``_dense_labels``): each character's pairing exponents are added
-      factor by factor, and its block sums are prefix sums of one gathered
-      list, about |G| scalar operations per character.
-    - Transform (``_transform_labels``): for a block B, chi -> s(chi, B) is
-      the F_p transform of B's indicator, taken one factor axis at a time by
-      radix-q passes (``_transform_plan``). These are the same F_p sums added
-      in another order, so they are equal as elements of F_p. The largest
-      block is skipped: the sums over all blocks add up to |G| * [chi = 0],
-      so its sum is that minus the others', and the character 0 starts in a
-      class of its own. Labels by (chi = 0, the other sums) are the labels by
-      the whole vector: the two differ only if chi = 0 and chi' != 0 agreed
-      on every sum, but their totals |G| and 0 differ mod p > |G|.
+    - Summed rows: by the symmetry of the pairing, <chi, g> over all chi is
+      g's own pairing row (``_pairing_exponents``), so the vector is the sum
+      of the members' rows mapped through the powers of w, about three
+      scalar operations per element and member.
+    - Transform: the vector is the F_p Fourier transform of B's indicator,
+      taken one factor axis at a time by radix-q passes (``_transform_plan``)
+      and gathered into rank order.
 
-    Cost estimate, in scalar operations per character: |G| for the dense
-    path, (blocks - 1) * T for the transform, where T is the sum of q + 1
-    over the radix-q passes (``_transform_cost``). The transform is taken when
-    its estimate is the smaller. A partition into singletons has the
-    singletons as its dual, since characters separate points, and is not
-    swept. Both paths use O(|G|) memory whatever the block count, besides
-    the transform's twiddles, at most |G| per pass. The refinement then costs |G| label lookups
-    per generator and pass. It needs the labels of every character, so the
-    whole character group is always swept.
+    Both add the same F_p terms in another order, so they give equal vectors.
+    A block is summed when it has at most as many members as the transform
+    costs rows (``_transform_cost``), so the cheaper way is taken per block.
+    A partition into singletons has the singletons as its dual, since
+    characters separate points, and is not swept. Memory stays O(|G|)
+    whatever the block count, besides the transform's twiddles, at most |G|
+    per pass. The refinement then costs |G| label lookups per generator and
+    pass. It needs the labels of every character, so the whole character
+    group is always swept.
     """
     grp = part.group
     chars = elements(grp, max_size)
-    if part.num_blocks == grp.size:
-        return dict(zip(chars, range(grp.size)))
+    size = grp.size
+    if part.num_blocks == size:
+        return dict(zip(chars, range(size)))
     e = grp.exponent
-    p, w = split_prime(e, 2 * grp.size * coefficient_bound(e))
-    if (part.num_blocks - 1) * _transform_cost(grp) < grp.size:
-        labels, count = _transform_labels(part, p, w)
-    else:
-        labels, count = _dense_labels(part, p, w)
+    p, w = split_prime(e, 2 * size * coefficient_bound(e))
+    powers = [pow(w, x % e, p) for x in range(e * max(1, len(grp.orders)))]
+    cost = _transform_cost(grp)
+    plan = None
+    labels, count = [0] + [p] * (size - 1), 2
+    largest = max(range(part.num_blocks), key=lambda b: len(part.blocks[b]))
+    for b, block in enumerate(part.blocks):
+        if count == size:
+            break
+        if b == largest:
+            continue
+        if len(block) <= cost:
+            rows = (itemgetter(*_pairing_exponents(grp, g))(powers) for g in block)
+            values = map(p.__rmod__, reduce(lambda acc, row: list(map(add, acc, row)), rows))
+        else:
+            if plan is None:
+                plan, place = _transform_plan(grp, w, p)
+                to_rank = itemgetter(*place)
+            values = to_rank(_fp_transform(list(map(b.__eq__, part.block_of)), plan, p))
+        ids: dict[int, int] = {}
+        labels = list(map(ids.setdefault, map(add, labels, values), range(0, size * p, p)))
+        count = len(ids)
     return dict(zip(chars, _galois_refine(grp, labels, count)))
 
 

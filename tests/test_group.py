@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 import dualpart.group
-from dualpart.cyclotomic import integer, zero, zeta_pow
+from dualpart.cyclotomic import CycInt, euler_phi, integer, zero, zeta_pow
 from dualpart.errors import GuardExceeded, InputError
 from dualpart.group import (
     ELEMENTS_CACHE,
@@ -17,7 +19,7 @@ from dualpart.group import (
     pairing,
     pairing_exponent,
 )
-from test_sweep import SMALL_CARRIERS
+from test_sweep import SMALL_CARRIERS, carriers
 
 Z6 = GroupSpec((6,))
 Z2x3 = GroupSpec((2, 3))
@@ -143,6 +145,33 @@ def test_fourier_transform_of_point_mass():
     fhat = fourier_transform(g, f)
     for chi in elements(g):
         assert fhat[chi] == pairing(g, chi, (1,))
+
+
+def product_fourier_transform(group, f):
+    """The transform by one exact product per (character, element) pair."""
+    e = group.exponent
+    els = elements(group)
+    return {chi: sum((zeta_pow(e, pairing_exponent(group, chi, g)) * f[g] for g in els),
+                     zero(e))
+            for chi in els}
+
+
+def test_fourier_transform_matches_the_product_oracle():
+    rng = random.Random(16)
+    for orders in carriers(16):
+        g = GroupSpec(orders)
+        e = g.exponent
+        ints = {x: rng.randint(-9, 9) for x in elements(g)}
+        cycs = {x: CycInt(e, tuple(rng.randint(-9, 9) for _ in range(euler_phi(e))))
+                for x in elements(g)}
+        for f in (ints, cycs):
+            assert fourier_transform(g, f) == product_fourier_transform(g, f), orders
+
+
+def test_fourier_transform_rejects_a_value_of_another_order():
+    f = {x: zeta_pow(3, 1) for x in elements(Z6)}
+    with pytest.raises(InputError):
+        fourier_transform(Z6, f)
 
 
 def test_iso_validation():

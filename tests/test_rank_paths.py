@@ -9,7 +9,9 @@ summed over every coefficient. The second half holds the duplicates that one
 implementation each replaced: the breadth-first closure of ``generate``, the
 pair-loop closure test of ``Code.from_elements``, ``refines`` and
 ``mismatch_witness`` on element sets, the two long divisions, and the
-fixed-point transitive closure of ``Poset.from_covers``.
+fixed-point transitive closure of ``Poset.from_covers``. Canonical block
+order, which ``from_blocks`` now also takes from ``from_labels``, is checked
+against ``sorted`` over element sets.
 """
 
 import cmath
@@ -80,6 +82,22 @@ def test_from_labels_equals_from_blocks(orders):
         want = Partition.from_blocks(g, fibers(g, labels))
         assert part == want
         assert part.block_of == want.block_of
+
+
+@pytest.mark.parametrize("orders", SMALL_CARRIERS)
+def test_from_labels_orders_blocks_as_sorted_element_sets(orders):
+    """Canonical order from ``sorted`` alone: each block sorted, blocks by least member."""
+    g = GroupSpec(orders)
+    rng = random.Random(repr(orders))
+    for k in (1, 2, 5, g.size):
+        labels = [rng.randrange(k) for _ in range(g.size)]
+        sets = {}
+        for x, label in zip(elements(g), labels):
+            sets.setdefault(label, set()).add(x)
+        want = sorted(sorted(members) for members in sets.values())
+        part = Partition.from_labels(g, labels)
+        assert part.blocks == tuple(map(tuple, want))
+        assert all(part.block_index_of(x) == i for i, b in enumerate(want) for x in b)
 
 
 def test_from_labels_rejects_a_wrong_length():

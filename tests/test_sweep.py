@@ -170,7 +170,7 @@ SHAPED = {
     "singletons": Partition.singletons,
     "one-block": Partition.one_block,
 }
-PATHS = {"transform": 0, "dense": 10 ** 9}  # per-pass costs that force each path
+PATHS = {"transform": 0, "summed": 10 ** 9}  # transform costs that force each way
 
 
 def dense_classes(part):
@@ -182,6 +182,7 @@ def dense_classes(part):
 
 
 def test_both_paths_match_the_dense_oracle_on_every_small_carrier():
+    """Every block transformed, then every block summed, on all 441 carriers."""
     for orders in SMALL_CARRIERS:
         grp = GroupSpec(orders)
         for kind, make in SHAPED.items():
@@ -195,19 +196,41 @@ def test_both_paths_match_the_dense_oracle_on_every_small_carrier():
                 assert got == want, (orders, kind, path)
 
 
-def test_cost_rule_picks_the_path():
-    picked = []
-    for name in ("_transform_labels", "_dense_labels"):
-        real = getattr(dualpart.partition, name)
-        wrap = (lambda real, name: lambda *a: picked.append(name) or real(*a))(real, name)
-        mock.patch.object(dualpart.partition, name, wrap).start()
-    try:
-        dual_partition(hamming(GroupSpec((2,) * 12)))
-        dual_partition(lee(GroupSpec((256,))))
-        dual_partition(Partition.singletons(GroupSpec((4, 4))))
-    finally:
-        mock.patch.stopall()
-    assert picked == ["_transform_labels", "_dense_labels"]
+def block_ways(part):
+    """Sizes of the blocks the sweep transforms, and the pairing rows it sums."""
+    transformed, summed = [], []
+    real_transform = dualpart.partition._fp_transform
+    real_rows = dualpart.partition._pairing_exponents
+
+    def transform(x, plan, p):
+        transformed.append(sum(x))
+        return real_transform(x, plan, p)
+
+    def rows(grp, g):
+        summed.append(g)
+        return real_rows(grp, g)
+
+    with mock.patch.object(dualpart.partition, "_fp_transform", transform), \
+            mock.patch.object(dualpart.partition, "_pairing_exponents", rows):
+        dual_partition(part)
+    return sorted(transformed), len(summed)
+
+
+def test_each_block_takes_the_cheaper_way():
+    # one radix-1021 pass makes about 10^6 Python-level steps, so the
+    # 1023-element block of weight 1 is summed, on either factor order
+    for orders in ((1021, 4), (4, 1021)):
+        assert block_ways(hamming(GroupSpec(orders))) == ([], 1 + 1023)
+    # (2,)^12: the blocks of 66 members and more are transformed, the
+    # largest (924) is skipped, and only small blocks are summed
+    grp = GroupSpec((2,) * 12)
+    transformed, summed = block_ways(hamming(grp))
+    assert transformed[-8:] == [66, 66, 220, 220, 495, 495, 792, 792]
+    assert 1 not in transformed
+    assert sum(transformed) + summed == grp.size - 924
+    # Lee blocks have at most two members, far below a transform's cost
+    assert block_ways(lee(GroupSpec((256,)))) == ([], 256 - 2)
+    assert block_ways(Partition.singletons(GroupSpec((4, 4)))) == ([], 0)
 
 
 def test_every_small_carrier_is_drawn_from():
@@ -284,10 +307,13 @@ def test_unit_generators_generate():
 def test_worst_legal_input_fits_in_two_gib():
     """(4096,) at the element guard, in a child process capped at 2 GiB.
 
-    Sweep memory grows with classes times blocks, so the many-block random
-    partition (2309 blocks) is the heavy case; a seeded 8-block partition
-    covers the few-block end. The Hamming partitions of (2, 2048) and
-    (64, 64) take the transform path with its largest factors.
+    The sweep keeps O(|G|) labels and one block's F_p vector at a time, plus
+    the transform's twiddles. A seeded 8-block partition is transformed
+    block by block, and the many-block random partition (2309 blocks) sums
+    pairing rows until its characters are apart. The Lee partition (2049
+    blocks) is self-dual, so its loop never stops early and runs the longest.
+    The Hamming partitions of (2, 2048) and (64, 64) transform their large
+    blocks with the largest factors.
     """
     src = Path(__file__).resolve().parents[1] / "src"
     child = textwrap.dedent(f"""
@@ -305,10 +331,12 @@ def test_worst_legal_input_fits_in_two_gib():
         many = random_partition(g, random.Random(0))
         weight = lambda x: sum(1 for c in x if c)
         hamming = [Partition.from_weight(GroupSpec(o), weight) for o in ((2, 2048), (64, 64))]
-        for part in (few, many, *hamming):
+        lee = Partition.from_weight(g, lambda x: min(x[0], 4096 - x[0]))
+        for part in (few, many, *hamming, lee):
             print(part.num_blocks, dual_partition(part).num_blocks)
     """)
     done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["8", "4096", "2309", "4096", "3", "4", "3", "3"]
+    assert done.stdout.split() == ["8", "4096", "2309", "4096", "3", "4", "3", "3",
+                                   "2049", "2049"]
