@@ -32,7 +32,6 @@ from .partition import (
     dual_under_iso,
     is_reflexive,
     join,
-    kk_product_check,
     krawtchouk,
     meet,
     mismatch_witness,
@@ -57,6 +56,7 @@ from .enumerator import (
     LinearEnumerator,
     ProductEnumerator,
     SymmetrizedEnumerator,
+    kk_product_check,
     linear_enumerator,
     macwilliams_transform,
     product_enumerator,
@@ -66,7 +66,6 @@ from .enumerator import (
 )
 from .poset import (
     HierarchicalShape,
-    LevelIndex,
     Poset,
     PosetDualityReport,
     all_posets,
@@ -102,7 +101,7 @@ __all__ = [
     "LinearEnumerator", "ProductEnumerator", "SymmetrizedEnumerator",
     "linear_enumerator", "macwilliams_transform", "product_enumerator",
     "product_transform", "symmetrized_enumerator", "symmetrized_transform",
-    "HierarchicalShape", "LevelIndex", "Poset", "PosetDualityReport", "all_posets",
+    "HierarchicalShape", "Poset", "PosetDualityReport", "all_posets",
     "antichain", "chain", "classical_krawtchouk", "dual_poset",
     "hierarchical_krawtchouk", "hierarchical_poset", "is_hierarchical", "level_orders",
     "poset_duality_check", "poset_krawtchouk_bruteforce", "poset_partition",

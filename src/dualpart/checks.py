@@ -14,6 +14,7 @@ from typing import Callable, Iterator, Sequence
 
 from .cyclotomic import CycInt, euler_phi, integer, one, zero, zeta_pow
 from .enumerator import (
+    kk_product_check,
     linear_enumerator,
     macwilliams_transform,
     product_enumerator,
@@ -42,7 +43,6 @@ from .partition import (
     dual_partition,
     is_reflexive,
     join,
-    kk_product_check,
     krawtchouk,
     meet,
     negate,

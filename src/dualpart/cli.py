@@ -6,13 +6,15 @@ single JSON document to stdout. ``--pretty`` adds aligned tables on stderr.
 Output is deterministic: identical invocations produce identical bytes.
 
 Exit codes: 0 success, 1 invalid input, 2 guard exceeded, 3 verification
-failure (a checked identity did not hold exactly).
+failure (a checked identity did not hold exactly), 141 stdout closed by its
+reader before the document was written (128 + SIGPIPE, as shells report it).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from typing import Any
@@ -102,7 +104,7 @@ def _poset(args: argparse.Namespace, grp):
     # carrier, or a carrier above the element guard, is rejected before it is built
     obj = _load_json(args.poset)
     n = obj.get("n") if isinstance(obj, dict) else None
-    if isinstance(n, int) and n != len(grp.orders):
+    if type(n) is int and n != len(grp.orders):
         raise InputError(
             f"carrier must have one cyclic factor per coordinate: "
             f"{len(grp.orders)} factors, poset n = {n}"
@@ -516,8 +518,14 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
-    write_json(doc, sys.stdout)
-    sys.stdout.write("\n")
+    try:
+        write_json(doc, sys.stdout)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send the rest, and the flush at exit, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     if args.pretty:
         _pretty(doc, sys.stderr)
     return code

@@ -32,6 +32,10 @@ subring, and Python's integer sums and products are exact. Counts stay ints
 until a step with an irrational matrix, which keeps the ``CycInt`` path and
 turns them into ``CycInt`` values; ``_exact_count`` reads both.
 
+``kk_product_check`` forms the double-dual product K'K with the same step:
+the nonzero entries K'[r][l] are a distribution on keys (r, l), and one
+contraction at coordinate 1 by K leaves K'K on keys (r, m).
+
 Orientation conventions, fixed once:
 
 - linear: with Q a partition of the character carrier and P its dual on the
@@ -53,7 +57,7 @@ from .cyclotomic import CycInt
 from .errors import GuardExceeded, InputError, VerificationFailure
 from .group import ELEMENT_GUARD, Code
 from .induced import composition_vector, product_group, split_element
-from .partition import KrawtchoukMatrix, Partition
+from .partition import KrawtchoukMatrix, Partition, dual_partition, krawtchouk
 
 # counts start as ints; a contraction by an irrational matrix makes them CycInts
 Distribution = dict[tuple[int, ...], CycInt | int]
@@ -101,8 +105,12 @@ def linear_enumerator(code: Code, part: Partition) -> LinearEnumerator:
     return LinearEnumerator(tuple(counts))
 
 
+def _rational(value: CycInt | int) -> int | None:
+    return value if isinstance(value, int) else value.as_rational_integer()
+
+
 def _exact_count(value: CycInt | int, divisor: int) -> int:
-    n = value if isinstance(value, int) else value.as_rational_integer()
+    n = _rational(value)
     if n is None:
         raise VerificationFailure("transform produced an irrational value")
     q, r = divmod(n, divisor)
@@ -264,3 +272,32 @@ def symmetrized_transform(
         )
     comps = {tuple(key.count(l) for l in range(cols)): v for key, v in dist.items()}
     return SymmetrizedEnumerator(_finish(comps, code_size))
+
+
+# ---------------------------------------------------------------------------
+# structure of the double-dual matrix product
+
+
+def kk_product_check(part: Partition, max_size: int = ELEMENT_GUARD) -> tuple[tuple[bool, ...], ...]:
+    """Verify the product of the two Krawtchouk matrices entry by entry.
+
+    With K the matrix of (partition, dual) and K' the matrix of (dual, bidual),
+    each (r, m) entry of K'K must equal the carrier size when the negated r-th
+    bidual block is contained in the m-th primal block, and zero otherwise.
+    For a reflexive partition this makes K'K the carrier size times a
+    permutation matrix pairing each block with its negation. Returns the
+    boolean matrix of entrywise verdicts.
+    """
+    grp = part.group
+    dual = dual_partition(part, max_size)
+    ddual = dual_partition(dual, max_size)
+    k = krawtchouk(part, dual, max_size=max_size)
+    k2 = krawtchouk(dual, ddual, max_size=max_size)
+    keys = {(r, l): x for r, row in enumerate(_sparse_rows(k2)) for l, x in row}
+    product = _accumulate(_contract_at(keys, 1, k))
+    out: list[tuple[bool, ...]] = []
+    for r, block in enumerate(ddual.blocks):
+        owners = {part.block_of[grp.rank(grp.neg(g))] for g in block}
+        out.append(tuple(_rational(product.get((r, m), 0)) == (grp.size if owners == {m} else 0)
+                         for m in range(part.num_blocks)))
+    return tuple(out)

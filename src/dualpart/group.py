@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from operator import add
@@ -42,6 +43,15 @@ def _brief(values: tuple[int, ...], shown: int = 4) -> str:
     return f"({', '.join(map(str, values[:shown]))}, ... {len(values)} entries)"
 
 
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The values as ints; a float, a string or any other non-integer is an input error."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise InputError(f"{what} must be integers: {exc}") from None
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A finite abelian group given by the orders of its cyclic factors."""
@@ -49,7 +59,7 @@ class GroupSpec:
     orders: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        orders = tuple(int(n) for n in self.orders)
+        orders = _integers(self.orders, "cyclic orders")
         if any(n < 2 for n in orders):
             raise InputError("every cyclic order must be at least 2")
         object.__setattr__(self, "orders", orders)
@@ -67,7 +77,7 @@ class GroupSpec:
         return (0,) * len(self.orders)
 
     def validate(self, g: Iterable[int]) -> Element:
-        t = tuple(int(x) for x in g)
+        t = _integers(g, "element coordinates")
         if len(t) != len(self.orders):
             raise InputError(f"element {_brief(t)} has {len(t)} coordinates, but the carrier "
                              f"has {len(self.orders)} factors, orders {_brief(self.orders)}")

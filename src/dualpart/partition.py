@@ -30,7 +30,8 @@ count (``MATRIX_GUARD``).
 
 The dual is kept on the partition object, so its reflexivity test, bidual,
 and generalized Krawtchouk matrices with any character partition that
-refines the dual all read one sweep. A character partition is checked
+refines the dual all read one sweep, as does ``enumerator.kk_product_check``,
+which multiplies two such matrices. A character partition is checked
 against the dual in full on every carrier; nothing is sampled.
 
 Block data is canonical: each block is sorted, blocks are ordered by their
@@ -49,8 +50,8 @@ from itertools import repeat
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Hashable, Iterable, Iterator
 
-from .cyclotomic import (CycInt, _radices, coefficient_bound, euler_phi, integer,
-                         split_prime, unit_generators, zeta_coeff_table)
+from .cyclotomic import (CycInt, _radices, coefficient_bound, euler_phi, split_prime,
+                         unit_generators, zeta_coeff_table)
 from .errors import GuardExceeded, InputError, VerificationFailure
 from .group import (ELEMENT_GUARD, Element, GroupIso, GroupSpec, _outer,
                     _pairing_exponents, elements)
@@ -563,41 +564,6 @@ def dual_under_iso(part: Partition, iso: GroupIso) -> Partition:
     # g joins the dual block of its image; the images are in the rank order of g
     rank = part.group.rank
     return Partition.from_labels(part.group, (dual.block_of[rank(x)] for x in iso.images))
-
-
-# ---------------------------------------------------------------------------
-# structure of the double-dual matrix product
-
-
-def kk_product_check(part: Partition, max_size: int = ELEMENT_GUARD) -> tuple[tuple[bool, ...], ...]:
-    """Verify the product of the two Krawtchouk matrices entry by entry.
-
-    With K the matrix of (partition, dual) and K' the matrix of (dual, bidual),
-    each (r, m) entry of K'K must equal the carrier size when the negated r-th
-    bidual block is contained in the m-th primal block, and zero otherwise.
-    For a reflexive partition this makes K'K the carrier size times a
-    permutation matrix pairing each block with its negation. Returns the
-    boolean matrix of entrywise verdicts.
-    """
-    grp = part.group
-    size = grp.size
-    e = grp.exponent
-    dual = dual_partition(part, max_size)
-    ddual = dual_partition(dual, max_size)
-    k = krawtchouk(part, dual, max_size=max_size)
-    k2 = krawtchouk(dual, ddual, max_size=max_size)
-    out: list[tuple[bool, ...]] = []
-    for r, ddual_block in enumerate(ddual.blocks):
-        neg_block = {grp.neg(g) for g in ddual_block}
-        row: list[bool] = []
-        for m, prim_block in enumerate(part.blocks):
-            acc = integer(e, 0)
-            for l in range(dual.num_blocks):
-                acc = acc + k2.entries[r][l] * k.entries[l][m]
-            expected = size if neg_block <= set(prim_block) else 0
-            row.append(acc == integer(e, expected))
-        out.append(tuple(row))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

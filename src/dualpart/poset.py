@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError, VerificationFailure
 from .group import ELEMENT_GUARD, Element, GroupSpec
@@ -128,18 +128,22 @@ def ideal(p: Poset, coords: Iterable[int]) -> frozenset[int]:
     )
 
 
-def poset_weight(p: Poset, group: GroupSpec, g: Element) -> int:
-    """Size of the ideal generated by the support of g."""
+def _weight(p: Poset, group: GroupSpec) -> Callable[[Element], int]:
+    """The weight of a valid element of the carrier, after one check of the factor count."""
     if len(group.orders) != p.n:
         raise InputError("carrier must have one cyclic factor per coordinate")
-    g = group.validate(g)
-    return len(ideal(p, (i for i, x in enumerate(g) if x)))
+    return lambda g: len(ideal(p, (i for i, x in enumerate(g) if x)))
+
+
+def poset_weight(p: Poset, group: GroupSpec, g: Element) -> int:
+    """Size of the ideal generated by the support of g."""
+    return _weight(p, group)(group.validate(g))
 
 
 def poset_partition(p: Poset, group: GroupSpec,
                     max_size: int = ELEMENT_GUARD) -> Partition:
     """Partition of the carrier into the n+1 weight fibers."""
-    return Partition.from_weight(group, lambda g: poset_weight(p, group, g), max_size)
+    return Partition.from_weight(group, _weight(p, group), max_size)
 
 
 # ---------------------------------------------------------------------------
@@ -201,55 +205,6 @@ def classical_krawtchouk(n: int, q: int, m: int, x: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class LevelIndex:
-    """Bookkeeping between flat weights and (level, offset) pairs.
-
-    For level sizes (n_1, ..., n_t): a primal weight m >= 1 splits uniquely as
-    the cumulative size below its level plus an offset 1..n_s; a dual weight
-    l >= 1 splits against the levels counted from the top, since transposing
-    the order reverses the level order. Weight 0 maps to (0, 0) on both sides.
-    """
-
-    levels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.levels or any(k < 1 for k in self.levels):
-            raise InputError("levels must be positive")
-
-    @property
-    def n(self) -> int:
-        return sum(self.levels)
-
-    def primal(self, m: int) -> tuple[int, int]:
-        """(s, mu) with m = n_1 + ... + n_{s-1} + mu, 1 <= mu <= n_s; (0,0) at m=0."""
-        if not 0 <= m <= self.n:
-            raise InputError(f"weight {m} out of range")
-        if m == 0:
-            return (0, 0)
-        below = 0
-        for s, size in enumerate(self.levels, start=1):
-            if m <= below + size:
-                return (s, m - below)
-            below += size
-        raise AssertionError("unreachable")
-
-    def dual(self, l: int) -> tuple[int, int]:
-        """(r, lam) with l = n_t + ... + n_{t-r+1} + lam, 1 <= lam <= n_{t-r}."""
-        if not 0 <= l <= self.n:
-            raise InputError(f"weight {l} out of range")
-        if l == 0:
-            return (0, 0)
-        above = 0
-        t = len(self.levels)
-        for r in range(t):
-            size = self.levels[t - r - 1]
-            if l <= above + size:
-                return (r, l - above)
-            above += size
-        raise AssertionError("unreachable")
-
-
 def hierarchical_krawtchouk(
     shape: HierarchicalShape | Sequence[int], q: Sequence[int] | int
 ) -> tuple[tuple[int, ...], ...]:
@@ -262,21 +217,22 @@ def hierarchical_krawtchouk(
     Krawtchouk value exactly on it.
     """
     levels = tuple(shape.levels) if isinstance(shape, HierarchicalShape) else tuple(shape)
-    idx = LevelIndex(levels)
+    if not levels or any(k < 1 for k in levels):
+        raise InputError("levels must be positive")
     t = len(levels)
-    n = idx.n
     qs = tuple(q for _ in levels) if isinstance(q, int) else tuple(q)
     if len(qs) != t or any(x < 2 for x in qs):
         raise InputError("need one order >= 2 per level")
+    # w >= 1 as (level, offset): primal levels from 1 at the bottom, dual from 0 at the top
+    primal = [(0, 0)] + [(s, mu) for s, k in enumerate(levels, 1) for mu in range(1, k + 1)]
+    dual = [(0, 0)] + [(r, lam) for r, k in enumerate(levels[::-1]) for lam in range(1, k + 1)]
     out = []
-    for l in range(n + 1):
-        r, lam = idx.dual(l)
+    for r, lam in dual:
         row = []
-        for m in range(n + 1):
-            if m == 0:
+        for s, mu in primal:
+            if s == 0:
                 row.append(1)
                 continue
-            s, mu = idx.primal(m)
             pre = 1
             for i in range(s - 1):
                 pre *= qs[i] ** levels[i]

@@ -49,7 +49,7 @@ def group_to_json(group: GroupSpec) -> dict:
 def group_from_json(obj: Any) -> GroupSpec:
     _require(isinstance(obj, dict) and "orders" in obj, "group JSON needs an 'orders' list")
     orders = obj["orders"]
-    _require(isinstance(orders, list) and all(isinstance(n, int) for n in orders),
+    _require(isinstance(orders, list) and all(type(n) is int for n in orders),
              "'orders' must be a list of integers")
     return GroupSpec(tuple(orders))
 
@@ -58,10 +58,11 @@ def element_to_json(g: Element) -> list[int]:
     return list(g)
 
 
-def element_from_json(obj: Any, group: GroupSpec) -> Element:
-    _require(isinstance(obj, list) and all(isinstance(x, int) for x in obj),
+def element_from_json(obj: Any) -> Element:
+    """The element's tuple; its range is checked where a carrier takes it."""
+    _require(isinstance(obj, list) and all(type(x) is int for x in obj),
              "an element must be an integer array")
-    return group.validate(tuple(obj))
+    return tuple(obj)
 
 
 def code_to_json(code: Code, include_elements: bool = False) -> dict:
@@ -75,7 +76,7 @@ def code_to_json(code: Code, include_elements: bool = False) -> dict:
 def code_from_json(obj: Any, group: GroupSpec) -> Code:
     _require(isinstance(obj, dict) and "generators" in obj,
              "code JSON needs a 'generators' list")
-    gens = [element_from_json(g, group) for g in obj["generators"]]
+    gens = [element_from_json(g) for g in obj["generators"]]
     return generate(group, gens)
 
 
@@ -89,9 +90,7 @@ def partition_from_json(obj: Any, group: GroupSpec) -> Partition:
     blocks = obj["blocks"]
     _require(isinstance(blocks, list) and all(isinstance(b, list) for b in blocks),
              "'blocks' must be a list of element lists")
-    return Partition.from_blocks(
-        group, [[element_from_json(g, group) for g in b] for b in blocks]
-    )
+    return Partition.from_blocks(group, [[element_from_json(g) for g in b] for b in blocks])
 
 
 def poset_to_json(p: Poset) -> dict:
@@ -101,14 +100,14 @@ def poset_to_json(p: Poset) -> dict:
 def poset_from_json(obj: Any) -> Poset:
     _require(isinstance(obj, dict) and "n" in obj, "poset JSON needs 'n'")
     n = obj["n"]
-    _require(isinstance(n, int) and n >= 1, "'n' must be a positive integer")
+    _require(type(n) is int and n >= 1, "'n' must be a positive integer")
     raw = obj.get("cover", [])
     _require(isinstance(raw, list), "'cover' must be a list of pairs")
     covers = []
     for pair in raw:
         _require(
             isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(x, int) for x in pair),
+            and all(type(x) is int for x in pair),
             "each cover must be a pair of integers",
         )
         _require(1 <= pair[0] <= n and 1 <= pair[1] <= n,
@@ -125,7 +124,7 @@ def cycint_to_json(x: CycInt) -> Any:
 
 
 def cycint_from_json(obj: Any, order: int | None = None) -> CycInt:
-    if isinstance(obj, int):
+    if type(obj) is int:
         _require(order is not None, "a bare integer needs an ambient root order")
         return CycInt(order, (obj,))
     _require(isinstance(obj, dict) and "order" in obj and "coeffs" in obj,

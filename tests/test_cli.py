@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand through main()."""
 
+import itertools
 import json
 import os
 import random
@@ -184,6 +185,68 @@ def test_exit_code_input_error(capsys):
     assert code == 1
 
 
+Z2x3 = '{"orders":[2,3]}'
+Z2x3_BLOCKS = ['[[0,0],[0,1],[0,2]]', '[[1,0],[1,1],[1,2]]']
+
+
+def z2x3_blocks(*blocks):
+    return '{"blocks":[' + ",".join(blocks) + "]}"
+
+
+@pytest.mark.parametrize("partition, message", [
+    (z2x3_blocks(Z2x3_BLOCKS[0], "[[1,0],[1,1],[1,3]]"),
+     "element (1, 3) out of range for orders (2, 3): coordinate 1 is 3, order 3"),
+    (z2x3_blocks(Z2x3_BLOCKS[0], "[[1,0],[1,1],[1]]"),
+     "element (1,) has 1 coordinates, but the carrier has 2 factors, orders (2, 3)"),
+    (z2x3_blocks(Z2x3_BLOCKS[0], "[]", Z2x3_BLOCKS[1]), "blocks must be nonempty"),
+    (z2x3_blocks("[[0,0],[0,1],[0,2],[0,1]]", Z2x3_BLOCKS[1]),
+     "duplicate element inside a block"),
+    (z2x3_blocks(Z2x3_BLOCKS[0], "[[1,0],[1,1],[1,2],[0,1]]"), "blocks overlap"),
+    (z2x3_blocks(Z2x3_BLOCKS[0], "[[1,0],[1,1]]"), "blocks do not cover the carrier"),
+], ids=["range", "length", "empty", "duplicate", "overlap", "cover"])
+def test_single_fault_partitions_keep_their_messages(partition, message, capsys):
+    assert main(["bidual", "--group", Z2x3, "--partition", partition]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+HAMMING4 = '{"blocks":[[[0]],[[1],[2],[3]]]}'
+NON_INTEGERS = {
+    "float-order": (["bidual", "--group", '{"orders":[2.0]}', "--partition", HAMMING4],
+                    "'orders' must be a list of integers"),
+    "string-order": (["bidual", "--group", '{"orders":["4"]}', "--partition", HAMMING4],
+                     "'orders' must be a list of integers"),
+    "bool-order": (["bidual", "--group", '{"orders":[true,4]}', "--partition", HAMMING4],
+                   "'orders' must be a list of integers"),
+    "float-element": (["bidual", "--group", '{"orders":[4]}',
+                       "--partition", '{"blocks":[[[0]],[[1.0],[2],[3]]]}'],
+                      "an element must be an integer array"),
+    "bool-element": (["bidual", "--group", '{"orders":[4]}',
+                      "--partition", '{"blocks":[[[0]],[[true],[2],[3]]]}'],
+                     "an element must be an integer array"),
+    "bool-generator": (["macwilliams", "--group", '{"orders":[4]}', "--partition", HAMMING4,
+                        "--code", '{"generators":[[true]]}'],
+                       "an element must be an integer array"),
+    "string-generator": (["macwilliams", "--group", '{"orders":[4]}', "--partition", HAMMING4,
+                          "--code", '{"generators":[["2"]]}'],
+                         "an element must be an integer array"),
+    "bool-n": (["poset-partition", "--group", '{"orders":[2,2]}', "--poset", '{"n":true}'],
+               "'n' must be a positive integer"),
+    "float-n": (["poset-partition", "--group", '{"orders":[2,2]}', "--poset", '{"n":2.0}'],
+                "'n' must be a positive integer"),
+    "bool-cover": (["poset-partition", "--group", '{"orders":[2,2]}',
+                    "--poset", '{"n":2,"cover":[[true,2]]}'],
+                   "each cover must be a pair of integers"),
+}
+
+
+@pytest.mark.parametrize("argv, message", NON_INTEGERS.values(), ids=list(NON_INTEGERS))
+def test_non_integers_in_integer_slots_exit_1_with_one_line(argv, message, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_exit_code_guard(capsys):
     code = main(["subgroups", "--group", '{"orders":[64,64]}'])
     assert code == 2
@@ -351,14 +414,17 @@ _TIMED_MAIN = (
 )
 
 
+def _cli_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _run_limited(argv, gib=1):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (gib << 30, gib << 30))
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", _TIMED_MAIN, *argv], env=env,
+    return subprocess.run([sys.executable, "-c", _TIMED_MAIN, *argv], env=_cli_env(),
                           preexec_fn=limit, capture_output=True, text=True, timeout=60)
 
 
@@ -527,3 +593,34 @@ def test_pretty_adds_tables_on_stderr_only(argv, table, capsys):
     assert pretty.out == plain.out
     assert plain.err == ""
     assert pretty.err.splitlines() == table
+
+
+def test_check_suite_all_prints_the_golden_bytes():
+    """``check --suite all`` stdout, byte for byte, against the committed copy."""
+    golden = Path(__file__).resolve().parent / "golden" / "check_suite_all.json"
+    proc = subprocess.run([sys.executable, "-m", "dualpart.cli", "check", "--suite", "all"],
+                          env=_cli_env(), capture_output=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == golden.read_bytes()
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "after-one-line"])
+def test_closed_stdout_exits_141_without_a_traceback(read_first, tmp_path):
+    """A reader that closes the pipe early, as ``| head`` does: before reading
+    anything, or after the first line of a document far larger than a pipe holds."""
+    partition = tmp_path / "singletons.json"
+    partition.write_text(json.dumps(
+        {"blocks": [[list(g)] for g in itertools.product(range(2), repeat=6)]}))
+    argv = [sys.executable, "-m", "dualpart.cli", "dual", "--group", json.dumps(
+        {"orders": [2] * 6}), "--partition", f"@{partition}"]
+    read, write = os.pipe()
+    if not read_first:
+        os.close(read)
+    proc = subprocess.Popen(argv, env=_cli_env(), stdout=write, stderr=subprocess.PIPE)
+    os.close(write)
+    if read_first:
+        with os.fdopen(read, "rb") as reader:
+            assert reader.readline() == b"{\n"
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

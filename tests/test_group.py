@@ -19,6 +19,7 @@ from dualpart.group import (
     pairing,
     pairing_exponent,
 )
+from dualpart.partition import Partition
 from test_sweep import SMALL_CARRIERS, carriers
 
 Z6 = GroupSpec((6,))
@@ -45,6 +46,20 @@ def test_invalid_orders():
         GroupSpec((1,))
     with pytest.raises(InputError):
         GroupSpec((0, 3))
+
+
+def test_integer_slots_reject_non_integers():
+    """Orders and coordinates are taken by ``operator.index``: nothing is truncated."""
+    for bad in [(2.9, 3), ("2",), (3, 2.0)]:
+        with pytest.raises(InputError, match="cyclic orders must be integers"):
+            GroupSpec(bad)
+    with pytest.raises(InputError, match="element coordinates must be integers"):
+        Z2x3.validate((1.7, "2"))
+    with pytest.raises(InputError, match="element coordinates must be integers"):
+        Partition.from_blocks(Z2x3, [[(0, 0.0)], [g for g in elements(Z2x3) if g != (0, 0)]])
+    with pytest.raises(InputError, match="element coordinates must be integers"):
+        generate(Z6, [(1.5,)])
+    assert Z2x3.validate(range(2)) == (0, 1)
 
 
 def test_rank_unrank_round_trip():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import pytest
 
 import dualpart.partition
+from dualpart.enumerator import kk_product_check
 from dualpart.errors import GuardExceeded, InputError, VerificationFailure
 from dualpart.group import GroupIso, GroupSpec
 from dualpart.partition import (
@@ -17,7 +18,6 @@ from dualpart.partition import (
     dual_under_iso,
     is_reflexive,
     join,
-    kk_product_check,
     krawtchouk,
     meet,
     mismatch_witness,

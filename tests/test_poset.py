@@ -4,7 +4,6 @@ from dualpart.errors import InputError
 from dualpart.group import GroupSpec
 from dualpart.partition import dual_partition
 from dualpart.poset import (
-    LevelIndex,
     Poset,
     all_posets,
     antichain,
@@ -89,19 +88,6 @@ def test_classical_krawtchouk_row():
     assert classical_krawtchouk(4, 3, 0, 2) == 1
     # column at x = 0 counts words of each weight
     assert [classical_krawtchouk(4, 3, m, 0) for m in range(5)] == [1, 8, 24, 32, 16]
-
-
-def test_level_index():
-    idx = LevelIndex((1, 3))
-    assert idx.n == 4
-    assert idx.primal(1) == (1, 1)
-    assert idx.primal(2) == (2, 1)
-    assert idx.primal(4) == (2, 3)
-    assert idx.dual(0) == (0, 0)
-    # dual splits count levels from the top: r full top levels below l
-    assert idx.dual(1) == (0, 1)
-    assert idx.dual(3) == (0, 3)
-    assert idx.dual(4) == (1, 1)
 
 
 def test_rt_matrix_small():

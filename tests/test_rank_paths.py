@@ -4,7 +4,8 @@ Each oracle below is the earlier implementation, copied here: partitions
 built from validated blocks (fibers, meet, join, random urns, the dual pulled
 back through an isomorphism), induced partitions from explicit block products
 and composition-vector weights, the dual code from ``pairing_exponent``, the
-transform step on ``CycInt`` entries only, and the floating approximation
+transform step on ``CycInt`` entries only, the ``CycInt`` triple loop of the
+double-dual product K'K, and the floating approximation
 summed over every coefficient. The second half holds the duplicates that one
 implementation each replaced: the breadth-first closure of ``generate``, the
 pair-loop closure test of ``Code.from_elements``, ``refines`` and
@@ -21,10 +22,12 @@ import random
 
 import pytest
 
-from dualpart.cyclotomic import CycInt, _poly_divmod
+import dualpart.enumerator
+from dualpart.cyclotomic import CycInt, _poly_divmod, integer
 from dualpart.enumerator import (
     _accumulate,
     _contract_at,
+    kk_product_check,
     product_enumerator,
     product_transform,
 )
@@ -49,6 +52,7 @@ from dualpart.induced import (
     symmetrized_partition,
 )
 from dualpart.partition import (
+    KrawtchoukMatrix,
     Partition,
     dual_partition,
     dual_under_iso,
@@ -62,7 +66,7 @@ from dualpart.partition import (
 )
 from dualpart.poset import Poset
 from dualpart.serialization import _approx_pair
-from test_sweep import SMALL_CARRIERS
+from test_sweep import SMALL_CARRIERS, carriers
 
 
 def fibers(group, labels):
@@ -318,6 +322,79 @@ def test_mixed_matrices_transform_to_the_dual_code():
         direct = product_enumerator(dual_code(big, code),
                                     [dual_partition(p) for p in parts])
         assert out.counts == direct.counts
+
+
+# ---------------------------------------------------------------------------
+# the double-dual product K'K
+
+
+def old_kk_product(part, k, k2):
+    """K'K and its verdicts by the ``CycInt`` triple loop, for the given K and K'."""
+    grp = part.group
+    size = grp.size
+    e = grp.exponent
+    ddual = dual_partition(dual_partition(part))
+    product, verdicts = [], []
+    for r, ddual_block in enumerate(ddual.blocks):
+        neg_block = {grp.neg(g) for g in ddual_block}
+        row, verdict = [], []
+        for m, prim_block in enumerate(part.blocks):
+            acc = integer(e, 0)
+            for l in range(k.shape[0]):
+                acc = acc + k2.entries[r][l] * k.entries[l][m]
+            expected = size if neg_block <= set(prim_block) else 0
+            row.append(acc)
+            verdict.append(acc == integer(e, expected))
+        product.append(row)
+        verdicts.append(tuple(verdict))
+    return product, tuple(verdicts)
+
+
+def kk_by_the_step(part, k, k2, monkeypatch):
+    """kk_product_check's verdicts and its K'K, with K and K' given in place of its own."""
+    monkeypatch.setattr(dualpart.enumerator, "krawtchouk",
+                        lambda p, c, max_size: k if p is part else k2)
+    sums = []
+    monkeypatch.setattr(dualpart.enumerator, "_accumulate",
+                        lambda terms: sums.append(_accumulate(terms)) or sums[-1])
+    verdicts = kk_product_check(part)
+    assert len(sums) == 1
+    e = part.group.exponent
+    product = [[sums[0].get((r, m), 0) for m in range(part.num_blocks)]
+               for r in range(k2.shape[0])]
+    return verdicts, [[CycInt(e, (x,)) if type(x) is int else x for x in row]
+                      for row in product]
+
+
+KK_CARRIERS = carriers(16)
+
+
+@pytest.mark.parametrize("orders", KK_CARRIERS)
+def test_kk_product_matches_the_triple_loop(orders, monkeypatch):
+    """Every entry of K'K and every verdict, on random and reflexive partitions,
+    and again with one entry of K raised by 1, which must make a verdict false."""
+    grp = GroupSpec(orders)
+    rng = random.Random(len(orders) * 100 + grp.size)
+    for part in (random_partition(grp, rng), random_reflexive_partition(grp, rng)):
+        dual = dual_partition(part)
+        k, k2 = krawtchouk(part, dual), krawtchouk(dual, dual_partition(dual))
+        entries = [list(row) for row in k.entries]
+        entries[0][0] = entries[0][0] + 1
+        wrong = KrawtchoukMatrix(tuple(map(tuple, entries)), k.row_blocks, k.col_blocks)
+        for matrix, holds in ((k, True), (wrong, False)):
+            want, want_verdicts = old_kk_product(part, matrix, k2)
+            verdicts, product = kk_by_the_step(part, matrix, k2, monkeypatch)
+            assert product == want
+            assert verdicts == want_verdicts
+            assert all(map(all, verdicts)) is holds
+
+
+def test_kk_carriers_include_irrational_exponents():
+    exponents = {GroupSpec(orders).exponent for orders in KK_CARRIERS}
+    assert {5, 8, 12} <= exponents
+    for n in (5, 8, 12):
+        k = singletons_matrix(n)
+        assert any(x.as_rational_integer() is None for row in k.entries for x in row)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dualpart.cyclotomic import integer, zeta_pow
 from dualpart.errors import InputError
 from dualpart.group import GroupSpec, generate
 from dualpart.partition import Partition, dual_partition, krawtchouk
-from dualpart.poset import Poset
+from dualpart.poset import Poset, poset_partition
 from dualpart.serialization import (
     code_from_json,
     code_to_json,
@@ -54,6 +54,48 @@ def test_code_round_trip():
     assert back.elements == c.elements
     full = code_to_json(c, include_elements=True)
     assert full["size"] == 2
+
+
+def test_json_inputs_check_each_element_range_once(monkeypatch):
+    """A JSON partition or code runs ``GroupSpec.validate`` once per element; a
+    poset partition, whose elements come from the carrier, runs it not at all."""
+    calls = []
+    real = GroupSpec.validate
+    monkeypatch.setattr(GroupSpec, "validate", lambda grp, g: calls.append(g) or real(grp, g))
+    g = GroupSpec((2, 3))
+    blocks = [[[0, 0]], [[0, 1], [0, 2]], [[1, 0], [1, 1], [1, 2]]]
+    partition_from_json({"blocks": blocks}, g)
+    assert calls == [tuple(x) for b in blocks for x in b]
+    calls.clear()
+    code_from_json({"generators": [[1, 0], [0, 1]]}, g)
+    assert calls == [(1, 0), (0, 1)]
+    calls.clear()
+    poset_partition(Poset.from_covers(2, [(0, 1)]), g)
+    assert calls == []
+
+
+@pytest.mark.parametrize("obj", [
+    {"orders": [True, 2]}, {"orders": [2.0]}, {"orders": ["2"]},
+])
+def test_group_json_takes_only_plain_integers(obj):
+    with pytest.raises(InputError, match="'orders' must be a list of integers"):
+        group_from_json(obj)
+
+
+@pytest.mark.parametrize("element", [[True], [1.0], ["1"], [None]])
+def test_element_json_takes_only_plain_integers(element):
+    g = GroupSpec((2,))
+    with pytest.raises(InputError, match="an element must be an integer array"):
+        partition_from_json({"blocks": [[[0]], [element]]}, g)
+    with pytest.raises(InputError, match="an element must be an integer array"):
+        code_from_json({"generators": [element]}, g)
+
+
+def test_poset_json_takes_only_plain_integers():
+    with pytest.raises(InputError, match="'n' must be a positive integer"):
+        poset_from_json({"n": True})
+    with pytest.raises(InputError, match="each cover must be a pair of integers"):
+        poset_from_json({"n": 2, "cover": [[True, 2]]})
 
 
 def test_poset_round_trip_one_based():
