@@ -39,7 +39,6 @@ from .partition import (
     random_partition,
     random_reflexive_partition,
     refines,
-    signature,
 )
 from .induced import (
     check_product_duality,
@@ -94,7 +93,7 @@ __all__ = [
     "KrawtchoukMatrix", "Partition", "all_partitions", "bidual", "dual_partition",
     "dual_under_iso", "is_reflexive", "join", "kk_product_check", "krawtchouk", "meet",
     "mismatch_witness", "negate", "random_partition", "random_reflexive_partition",
-    "refines", "signature",
+    "refines",
     "check_product_duality", "check_symmetrized_duality", "composition_vector",
     "flatten_element", "power_group", "product_group", "product_partition",
     "split_element", "symmetrized_partition",

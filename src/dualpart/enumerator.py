@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import Iterable, Iterator, Sequence
 
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, euler_phi
 from .errors import GuardExceeded, InputError, VerificationFailure
 from .group import ELEMENT_GUARD, Code
 from .induced import composition_vector, product_group, split_element
@@ -129,11 +129,15 @@ def _accumulate(terms: Iterable[tuple[tuple[int, ...], CycInt | int]]) -> Distri
 
 
 def _sparse_rows(matrix: KrawtchoukMatrix) -> list[list[tuple[int, CycInt | int]]]:
-    """Nonzero (column, entry) pairs of each row; plain ints if every entry is rational."""
-    ints = [[x.as_rational_integer() for x in row] for row in matrix.entries]
-    if any(None in row for row in ints):
-        return [[(l, x) for l, x in enumerate(row) if not x.is_zero] for row in matrix.entries]
-    return [[(l, x) for l, x in enumerate(row) if x] for row in ints]
+    """Nonzero (column, entry) pairs of each row; plain ints if every entry is rational,
+    else a ``CycInt`` for each nonzero entry."""
+    try:
+        return [[(l, x) for l, x in enumerate(row) if x] for row in matrix.integer_entries()]
+    except VerificationFailure:
+        pass
+    e, phi = matrix.order, euler_phi(matrix.order)
+    return [[(j // phi, CycInt(e, tuple(row[j:j + phi])))
+             for j in range(0, len(row), phi) if any(row[j:j + phi])] for row in matrix.rows]
 
 
 def _contract_at(

@@ -23,10 +23,10 @@ time with each cyclic factor split into radix-q passes over its prime
 factors (mixed-radix Cooley-Tukey). Each block takes the cheaper of the two
 by a cost estimate of the transform in rows (``_transform_cost``). A
 partition into singletons has the singletons as its dual and is not swept.
-Then comes a Galois pass of |G| label lookups per generator, and exact
-``CycInt`` rows only where a matrix needs them, one per character block,
-from sparse root-power rows, after a guard on the matrix's coefficient
-count (``MATRIX_GUARD``).
+Then comes a Galois pass of |G| label lookups per generator. A matrix,
+after a guard on its coefficient count (``MATRIX_GUARD``), holds one flat
+list of exact canonical coefficients per character block, summed from
+sparse root-power rows, and no ``CycInt`` per entry.
 
 The dual is kept on the partition object, so its reflexivity test, bidual,
 and generalized Krawtchouk matrices with any character partition that
@@ -57,10 +57,11 @@ from .group import (ELEMENT_GUARD, Element, GroupIso, GroupSpec, _outer,
                     _pairing_exponents, elements)
 
 MATRIX_GUARD = 5_000_000
-"""Most exact coefficients a Krawtchouk matrix may hold: rows x columns x phi(E)."""
+"""Most exact coefficients a Krawtchouk matrix may hold: rows x columns x phi(E).
 
-Signature = tuple[CycInt, ...]
-"""Per-character vector of block sums; one entry per block of the partition."""
+A coefficient costs 8 bytes in its row and 17 to 34 at the peak of building
+the JSON document, so a matrix at the guard needs about 40 MB, and 170 MB
+while it is printed."""
 
 Block = tuple[Element, ...]
 
@@ -355,23 +356,41 @@ def _signature_rows(part: Partition, max_size: int = ELEMENT_GUARD) -> dict[Elem
     return dict(zip(chars, _galois_refine(grp, labels, count)))
 
 
-def signature(part: Partition, chi: Element) -> Signature:
-    """Vector of block sums of the character chi, one exact value per block.
+def _packed_rows(part: Partition, chars: list[Element]) -> list[list[int]]:
+    """The exact block sums S(chi, B_m) of each character, packed into one row each.
 
-    Each (block, root power) pair met on the carrier adds its count times
-    the sparse canonical row of that power (``zeta_coeff_table``).
+    Entry m takes flat indices m * phi(E) up to (m + 1) * phi(E). A ``Counter``
+    per character counts the (block, root power) pairs met on the carrier, on
+    int keys block * span + exponent (span bounds ``_pairing_exponents``), and
+    each key adds its count times the sparse canonical row of its power
+    (``zeta_coeff_table``) at its block's offset. Reduction modulo the
+    cyclotomic polynomial is Z-linear, so the sum of canonical rows is the
+    canonical sum, exactly; these are the integer sums that the test oracle
+    ``signature`` wraps in ``CycInt`` values. The power rows are turned into
+    (index, coefficient) lists once when the keys to visit outnumber four
+    times the table's nonzeros, and are read in place otherwise: a few
+    characters on a large table (E = 3003 has 1.3 million nonzeros) would not
+    repay the lists.
     """
     grp = part.group
     e = grp.exponent
+    phi, span = euler_phi(e), e * max(1, len(grp.orders))
     table = zeta_coeff_table(e)
-    acc = [[0] * euler_phi(e) for _ in part.blocks]
-    pairs = Counter(zip(part.block_of, _pairing_exponents(grp, grp.validate(chi))))
-    for (b, k), n in pairs.items():
-        indices, coeffs = table[k % e]
-        row = acc[b]
-        for i, c in zip(indices, coeffs):
-            row[i] += n * c
-    return tuple(CycInt(e, tuple(row)) for row in acc)
+    if len(chars) * grp.size > 4 * sum(map(len, map(itemgetter(0), table))):
+        pairs = [list(zip(*power)) for power in table].__getitem__
+    else:
+        def pairs(k: int) -> Iterator[tuple[int, int]]:
+            return zip(*table[k])
+    offsets = [b * span for b in part.block_of]
+    out = []
+    for chi in chars:
+        row = [0] * (part.num_blocks * phi)
+        for key, n in Counter(map(add, offsets, _pairing_exponents(grp, chi))).items():
+            base = key // span * phi
+            for i, c in pairs(key % e):
+                row[base + i] += n * c
+        out.append(row)
+    return out
 
 
 @dataclass(frozen=True)
@@ -382,25 +401,32 @@ class KrawtchoukMatrix:
     entry at (l, m) is the sum of <chi, g> over g in primal block m, for any
     chi in character block l (``krawtchouk`` checks, for every character, that
     the character partition refines the dual, so the sum is the same for all).
+    Each row is one flat list of canonical coefficients at root order
+    ``order``: entry m is ``row[m * phi:(m + 1) * phi]``, phi = phi(order).
     """
 
-    entries: tuple[tuple[CycInt, ...], ...]
+    order: int
+    rows: tuple[list[int], ...]
     row_blocks: tuple[Block, ...]
     col_blocks: tuple[Block, ...]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.entries), len(self.col_blocks))
+        return (len(self.rows), len(self.col_blocks))
+
+    @property
+    def entries(self) -> tuple[tuple[CycInt, ...], ...]:
+        """The entries as ``CycInt`` values, built anew on every call."""
+        phi = euler_phi(self.order)
+        return tuple(tuple(CycInt(self.order, tuple(row[j:j + phi]))
+                           for j in range(0, len(row), phi)) for row in self.rows)
 
     def integer_entries(self) -> tuple[tuple[int, ...], ...]:
         """All entries as plain integers; fails if any entry is irrational."""
-        out = []
-        for row in self.entries:
-            vals = [x.as_rational_integer() for x in row]
-            if any(v is None for v in vals):
-                raise VerificationFailure("matrix has an irrational entry")
-            out.append(tuple(vals))  # type: ignore[arg-type]
-        return tuple(out)
+        phi = euler_phi(self.order)
+        if any(any(row[k::phi]) for row in self.rows for k in range(1, phi)):
+            raise VerificationFailure("matrix has an irrational entry")
+        return tuple(tuple(row[::phi]) for row in self.rows)
 
 
 def dual_partition(part: Partition, max_size: int = ELEMENT_GUARD) -> Partition:
@@ -468,16 +494,16 @@ def krawtchouk(part: Partition, char_part: Partition, max_size: int = ELEMENT_GU
             f"(--max-matrix)")
     if not refines(char_part, dual):
         raise VerificationFailure(_split_message(part, dual, char_part))
-    entries = tuple(signature(part, block[0]) for block in char_part.blocks)
-    return KrawtchoukMatrix(entries, char_part.blocks, part.blocks)
+    rows = _packed_rows(part, [block[0] for block in char_part.blocks])
+    return KrawtchoukMatrix(part.group.exponent, tuple(rows), char_part.blocks, part.blocks)
 
 
 def _split_message(part: Partition, dual: Partition, char_part: Partition) -> str:
     rank, dual_of = char_part.group.rank, dual.block_of
     i, a, b = next((i, blk[0], chi) for i, blk in enumerate(char_part.blocks)
                    for chi in blk[1:] if dual_of[rank(chi)] != dual_of[rank(blk[0])])
-    m = next(j for j, (x, y) in enumerate(zip(signature(part, a), signature(part, b)))
-             if x != y)
+    x, y = _packed_rows(part, [a, b])
+    m = next(j for j, (u, v) in enumerate(zip(x, y)) if u != v) // euler_phi(part.group.exponent)
     return (f"character block {i} holds {a} and {b}, whose sums first differ on "
             f"primal block {m}; the character partition does not refine the dual")
 

@@ -23,13 +23,15 @@ Input is still parsed with ``json.loads``.
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
+import re
+from itertools import chain, compress, islice, repeat
 from json import JSONEncoder, dumps
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
+from operator import mul
 from typing import Any, TextIO
 
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, _float_root_powers, euler_phi
 from .enumerator import LinearEnumerator, ProductEnumerator, SymmetrizedEnumerator
 from .errors import InputError
 from .group import Code, Element, GroupSpec, generate
@@ -129,11 +131,12 @@ def cycint_from_json(obj: Any, order: int | None = None) -> CycInt:
         return CycInt(order, (obj,))
     _require(isinstance(obj, dict) and "order" in obj and "coeffs" in obj,
              "cyclotomic JSON needs 'order' and 'coeffs'")
-    try:
-        coeffs = tuple(int(c) for c in obj["coeffs"])
-    except (TypeError, ValueError) as exc:
-        raise InputError("coeffs must be decimal strings or integers") from exc
-    return CycInt(int(obj["order"]), coeffs)
+    _require(type(obj["order"]) is int, "'order' must be an integer")
+    coeffs = obj["coeffs"]
+    _require(isinstance(coeffs, list) and all(
+        type(c) is int or isinstance(c, str) and re.fullmatch("-?[0-9]+", c) for c in coeffs),
+        "coeffs must be decimal strings or integers")
+    return CycInt(obj["order"], tuple(map(int, coeffs)))
 
 
 def _approx_pair(z: complex) -> list[float]:
@@ -145,9 +148,30 @@ def _approx_pair(z: complex) -> list[float]:
 
 
 def krawtchouk_to_json(k: KrawtchoukMatrix) -> dict:
+    """The matrix document, read from the packed rows with no ``CycInt`` per entry.
+
+    A rational entry v prints as an int, with the approx [float(v), 0.0] that
+    rounding its ``approx_complex`` gives, one list shared per value. An
+    irrational entry prints its coefficients as decimal strings, one string
+    per value, and sums c * z**i over its nonzero coefficients c in index
+    order from 0j, as ``approx_complex`` does. At phi(E) = 1 the document's
+    entry rows are the matrix's own row lists.
+    """
+    e, phi = k.order, euler_phi(k.order)
+    values = set().union(*k.rows)
+    pairs = {v: [float(v), 0.0] for v in values}
+    if phi == 1:
+        entries, approx = list(k.rows), [list(map(pairs.__getitem__, row)) for row in k.rows]
+    else:
+        strs, powers = {v: str(v) for v in values}, _float_root_powers(e)
+        cells = [[row[j:j + phi] for j in range(0, len(row), phi)] for row in k.rows]
+        entries = [[{"order": e, "coeffs": list(map(strs.__getitem__, c))} if any(c[1:])
+                    else c[0] for c in row] for row in cells]
+        approx = [[_approx_pair(sum(map(mul, compress(c, c), compress(powers, c)), 0j))
+                   if any(c[1:]) else pairs[c[0]] for c in row] for row in cells]
     return {
-        "entries": [[cycint_to_json(x) for x in row] for row in k.entries],
-        "approx": [[_approx_pair(x.approx_complex()) for x in row] for row in k.entries],
+        "entries": entries,
+        "approx": approx,
         "row_blocks": [[element_to_json(g) for g in b] for b in k.row_blocks],
         "col_blocks": [[element_to_json(g) for g in b] for b in k.col_blocks],
     }

@@ -420,12 +420,14 @@ def _cli_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def _run_limited(argv, gib=1):
+def _run_limited(argv, gib=1, stdout=subprocess.PIPE):
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (gib << 30, gib << 30))
+        cap = int(gib * (1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     return subprocess.run([sys.executable, "-c", _TIMED_MAIN, *argv], env=_cli_env(),
-                          preexec_fn=limit, capture_output=True, text=True, timeout=60)
+                          preexec_fn=limit, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=60)
 
 
 TWENTY_THOUSAND_FACTORS = json.dumps({"orders": [2] * 20000})
@@ -492,13 +494,32 @@ def test_max_matrix_overrides_the_matrix_guard(cmd, capsys):
 
 
 def test_matrix_guard_is_checked_before_any_row_is_built(monkeypatch):
-    def refuse(part, chi):
+    def refuse(part, chars):
         raise AssertionError("a row was built")
 
-    monkeypatch.setattr(dualpart.partition, "signature", refuse)
+    monkeypatch.setattr(dualpart.partition, "_packed_rows", refuse)
     part = Partition.singletons(GroupSpec((8,)))
     with pytest.raises(GuardExceeded, match="8 x 8 entries of 4 coefficients, 256 in all"):
         krawtchouk(part, dual_partition(part), max_entries=255)
+
+
+def test_packed_matrix_is_printed_in_half_a_gib(tmp_path):
+    """A 2048 x 1210 matrix of (2,)^11, 2,478,080 coefficients, half the
+    matrix guard, printed to a file under a 512 MiB address-space limit. It
+    peaks near 70 MiB; with a ``CycInt`` per entry the run ran out of memory
+    under this limit (the 4096 x 1220 matrix at the guard peaked at 1.3 GiB)."""
+    part = random_partition(GroupSpec((2,) * 11), random.Random(17))
+    assert part.num_blocks == 1210
+    payload, out = tmp_path / "partition.json", tmp_path / "matrix.json"
+    payload.write_text(json.dumps(partition_to_json(part)))
+    with out.open("w") as stdout:
+        proc = _run_limited(["krawtchouk", "--group", json.dumps({"orders": [2] * 11}),
+                             "--partition", f"@{payload}"], gib=0.5, stdout=stdout)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    with out.open() as text:
+        assert text.read(64).startswith('{\n  "command": "krawtchouk"')
+    assert out.stat().st_size > 150_000_000
+    out.unlink()
 
 
 def test_matrix_guard_admits_the_256_element_random_matrix():

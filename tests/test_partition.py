@@ -25,8 +25,8 @@ from dualpart.partition import (
     random_partition,
     random_reflexive_partition,
     refines,
-    signature,
 )
+from test_sweep import signature
 
 Z6 = GroupSpec((6,))
 

@@ -258,9 +258,10 @@ def test_dual_code_rejects_a_code_on_another_carrier():
 
 
 def old_contract_at(dist, i, matrix):
+    entries = matrix.entries
     for key, coef in dist.items():
         head, tail = key[:i], key[i + 1:]
-        for l, entry in enumerate(matrix.entries[key[i]]):
+        for l, entry in enumerate(entries[key[i]]):
             if not entry.is_zero:
                 yield head + (l,) + tail, coef * entry
 
@@ -334,6 +335,7 @@ def old_kk_product(part, k, k2):
     size = grp.size
     e = grp.exponent
     ddual = dual_partition(dual_partition(part))
+    k_entries, k2_entries = k.entries, k2.entries
     product, verdicts = [], []
     for r, ddual_block in enumerate(ddual.blocks):
         neg_block = {grp.neg(g) for g in ddual_block}
@@ -341,7 +343,7 @@ def old_kk_product(part, k, k2):
         for m, prim_block in enumerate(part.blocks):
             acc = integer(e, 0)
             for l in range(k.shape[0]):
-                acc = acc + k2.entries[r][l] * k.entries[l][m]
+                acc = acc + k2_entries[r][l] * k_entries[l][m]
             expected = size if neg_block <= set(prim_block) else 0
             row.append(acc)
             verdict.append(acc == integer(e, expected))
@@ -378,9 +380,9 @@ def test_kk_product_matches_the_triple_loop(orders, monkeypatch):
     for part in (random_partition(grp, rng), random_reflexive_partition(grp, rng)):
         dual = dual_partition(part)
         k, k2 = krawtchouk(part, dual), krawtchouk(dual, dual_partition(dual))
-        entries = [list(row) for row in k.entries]
-        entries[0][0] = entries[0][0] + 1
-        wrong = KrawtchoukMatrix(tuple(map(tuple, entries)), k.row_blocks, k.col_blocks)
+        rows = [list(row) for row in k.rows]
+        rows[0][0] += 1  # the constant coefficient of entry (0, 0)
+        wrong = KrawtchoukMatrix(k.order, tuple(rows), k.row_blocks, k.col_blocks)
         for matrix, holds in ((k, True), (wrong, False)):
             want, want_verdicts = old_kk_product(part, matrix, k2)
             verdicts, product = kk_by_the_step(part, matrix, k2, monkeypatch)

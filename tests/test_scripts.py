@@ -41,3 +41,12 @@ def test_sweep_cases_script_reports_each_case():
     assert [(c["name"], c["status"], c["blocks"], c["dual_blocks"]) for c in doc["cases"]] == [
         ("(256,) lee", "ok", 129, 129), ("(64,64) hamming", "ok", 3, 3)]
     assert all(c["seconds"] > 0 and c["peak_rss_mb"] > 0 for c in doc["cases"])
+    assert all(c["krawtchouk_seconds"] > 0 and c["krawtchouk_peak_rss_mb"] >= c["peak_rss_mb"]
+               for c in doc["cases"])
+
+
+def test_sweep_cases_script_skips_a_matrix_over_the_guard():
+    doc = json.loads(run_script("sweep_cases.py", "--case", "(4096,) random", "--timeout", "60"))
+    (case,) = doc["cases"]
+    assert case["status"] == "ok" and (case["blocks"], case["dual_blocks"]) == (2309, 4096)
+    assert case["krawtchouk_seconds"] is None and case["krawtchouk_peak_rss_mb"] is None

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import pytest
 
 import dualpart.serialization
-from dualpart.cyclotomic import integer, zeta_pow
+from dualpart.cyclotomic import CycInt, integer, zeta_pow
 from dualpart.errors import InputError
 from dualpart.group import GroupSpec, generate
 from dualpart.partition import Partition, dual_partition, krawtchouk
@@ -124,6 +124,38 @@ def test_cycint_json():
     assert cycint_from_json(5, order=6) == integer(6, 5)
     with pytest.raises(InputError):
         cycint_from_json(5)  # bare integer with no ambient order
+
+
+@pytest.mark.parametrize("doc", [
+    {"order": 6.9, "coeffs": [1, 1]},
+    {"order": True, "coeffs": [1]},
+    {"order": "6", "coeffs": [1, 1]},
+    {"order": 6, "coeffs": [1.5, 1]},
+    {"order": 6, "coeffs": [1, True]},
+    {"order": 6, "coeffs": ["1.0", "1"]},
+    {"order": 6, "coeffs": [" 1", "1"]},
+    {"order": 6, "coeffs": ["1_0", "1"]},
+    {"order": 6, "coeffs": ["+1", "1"]},
+    {"order": 6, "coeffs": ["0x1", "1"]},
+    {"order": 6, "coeffs": [None, "1"]},
+    {"order": 6, "coeffs": "11"},
+], ids=repr)
+def test_cycint_from_json_takes_integers_and_decimal_strings_only(doc):
+    with pytest.raises(InputError):
+        cycint_from_json(doc)
+
+
+def test_cycint_from_json_reads_ints_and_decimal_strings():
+    assert cycint_from_json({"order": 6, "coeffs": ["-12", 7]}) == CycInt(6, (-12, 7))
+    assert cycint_from_json({"order": 8, "coeffs": ["0", "00", "1"]}) == zeta_pow(8, 2)
+
+
+def test_matrix_cells_round_trip():
+    fine = Partition.singletons(GroupSpec((12,)))
+    k = krawtchouk(fine, fine)
+    doc = json.loads(json.dumps(krawtchouk_to_json(k)))
+    assert [[cycint_from_json(x, order=12) for x in row] for row in doc["entries"]] \
+        == [list(row) for row in k.entries]
 
 
 def test_krawtchouk_json_shape():

@@ -6,10 +6,13 @@ are the exact block sums. The library's sweep never builds them; it works in
 F_p with a Galois refinement, and builds exact rows only for matrices. Its
 first labels come from one of two paths, the dense F_p sweep or per-axis
 F_p transforms; ``naive_transform`` is the O(|G|^2) oracle of the latter.
+``signature``, the library's former ``CycInt`` row builder, is the oracle of
+the packed matrix rows (``tests/test_packed_matrix.py``).
 """
 
 import math
 import random
+from collections import Counter
 import subprocess
 import sys
 import textwrap
@@ -25,12 +28,13 @@ import dualpart.partition
 from dualpart.cyclotomic import (
     CycInt,
     coefficient_bound,
+    euler_phi,
     split_prime,
     unit_generators,
     zeta_coeff_table,
     zeta_pow,
 )
-from dualpart.group import GroupSpec, elements, pairing_exponent
+from dualpart.group import GroupSpec, _pairing_exponents, elements, pairing_exponent
 from dualpart.partition import (
     Partition,
     _fp_transform,
@@ -39,7 +43,6 @@ from dualpart.partition import (
     dual_partition,
     krawtchouk,
     random_partition,
-    signature,
 )
 
 
@@ -48,6 +51,26 @@ def exponent_table(grp):
     """pairing_exponent(chi, g) for every character and element, by rank."""
     els = elements(grp)
     return [[pairing_exponent(grp, chi, g) for g in els] for chi in els]
+
+
+def signature(part, chi):
+    """Vector of block sums of the character chi, one exact ``CycInt`` per block.
+
+    This is the library's former row builder, kept as the oracle of the
+    packed rows: each (block, root power) pair met on the carrier adds its
+    count times the sparse canonical row of that power.
+    """
+    grp = part.group
+    e = grp.exponent
+    table = zeta_coeff_table(e)
+    acc = [[0] * euler_phi(e) for _ in part.blocks]
+    pairs = Counter(zip(part.block_of, _pairing_exponents(grp, grp.validate(chi))))
+    for (b, k), n in pairs.items():
+        indices, coeffs = table[k % e]
+        row = acc[b]
+        for i, c in zip(indices, coeffs):
+            row[i] += n * c
+    return tuple(CycInt(e, tuple(row)) for row in acc)
 
 
 def dense_signature_rows(part):
