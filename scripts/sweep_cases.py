@@ -1,21 +1,28 @@
-"""Time ``dual_partition`` and the Krawtchouk matrix on fixed carriers, each case in
-its own capped process.
+"""Time ``dual_partition``, the Krawtchouk matrix and the product transform on fixed
+carriers, each case in its own capped process.
 
     python3 scripts/sweep_cases.py [--src DIR] [--timeout S] [--limit-gib G] [--case NAME ...]
 
-Every case builds its partition, then times one ``dual_partition`` call in
-a fresh ``python3`` child under an address-space limit (``RLIMIT_AS``) and a
-timeout, and then one ``krawtchouk(part, dual)`` with its document written
-by ``write_json`` to ``os.devnull``. One JSON document goes to stdout:
-``{python, limit_gib, timeout_s, cases: [{name, seconds, peak_rss_mb,
-blocks, dual_blocks, krawtchouk_seconds, krawtchouk_peak_rss_mb,
-status}]}``. ``peak_rss_mb`` is read before the matrix is built; the
-``krawtchouk_`` fields are null where the matrix exceeds the matrix guard.
-``status`` is ``ok``, ``oom`` (the child ran out of address space),
-``timeout`` or ``error``; a case that did not finish has null numbers.
-``--src`` picks the source tree to import, so two checkouts can be measured
-with the same script. Carriers above the element guard pass their size as
-``max_size``.
+Every sweep case (``CASES``) builds its partition, then times one
+``dual_partition`` call in a fresh ``python3`` child under an address-space
+limit (``RLIMIT_AS``) and a timeout, and then one ``krawtchouk(part, dual)``
+with its document written by ``write_json`` to ``os.devnull``. Every
+transform case (``TRANSFORM_CASES``) builds a base partition, a code on a
+power of its carrier, the code's dual and the factor matrix, then times what
+``dualpart product --code`` and ``symmetrize --code`` spend in the layer:
+``product_enumerator`` of the code and of its dual, ``product_transform``,
+and ``symmetrized_enumerator`` of both, median of five runs. The child
+checks that the transform equals the dual's enumerator. One JSON document
+goes to stdout: ``{python, limit_gib, timeout_s, cases: [{name, seconds,
+peak_rss_mb, blocks, dual_blocks, krawtchouk_seconds,
+krawtchouk_peak_rss_mb, status}], transform_cases: [{name,
+transform_seconds, code_size, keys, status}]}``. ``peak_rss_mb`` is read
+before the matrix is built; the ``krawtchouk_`` fields are null where the
+matrix exceeds the matrix guard. ``status`` is ``ok``, ``oom`` (the child
+ran out of address space), ``timeout`` or ``error``; a case that did not
+finish has null numbers. ``--src`` picks the source tree to import, so two
+checkouts can be measured with the same script. Carriers above the element
+guard pass their size as ``max_size``.
 """
 
 from __future__ import annotations
@@ -47,6 +54,65 @@ CASES = {
     "(4,)^8 hamming": ((4,) * 8, "hamming"),
     "(2,)^16 hamming": ((2,) * 16, "hamming"),
 }
+
+# base orders, base partition, copies, and the code: that many random generators,
+# each outside the code the earlier ones generate, or the generators themselves
+TRANSFORM_CASES = {
+    "(2,)^12 hamming, 64 words": ((2,), "hamming", 12, 6),
+    "(2,)^11 hamming k2": ((2,), "hamming", 11, 2),
+    "(4,)^6 lee k5": ((4,), "lee", 6, 5),
+    "(4,)^6 singletons": ((4,), "singletons", 6, 2),
+    "(5,)^5 singletons": ((5,), "singletons", 5, 2),
+    "(8,)^4 singletons": ((8,), "singletons", 4, 2),
+    "(12,)^3 singletons, 12 words": ((12,), "singletons", 3, [(1, 1, 1)]),
+    "(32,)^2 random reflexive, 8 words": ((32,), "random", 2, [(4, 12)]),
+    "(64,)^2 singletons": ((64,), "singletons", 2, 1),
+}
+
+TRANSFORM_CHILD = """
+import json, random, resource, statistics, sys, time
+limit = {limit}
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.path.insert(0, {src!r})
+from dualpart.enumerator import product_enumerator, product_transform, symmetrized_enumerator
+from dualpart.group import GroupSpec, dual_code, elements, generate
+from dualpart.induced import power_group
+from dualpart.partition import Partition, dual_partition, krawtchouk, random_reflexive_partition
+orders, kind, copies, gens = {orders!r}, {kind!r}, {copies!r}, {gens!r}
+g = GroupSpec(orders)
+if kind == "hamming":
+    base = Partition.from_weight(g, lambda x: sum(1 for c in x if c))
+elif kind == "lee":
+    base = Partition.from_weight(g, lambda x: sum(min(c, n - c) for c, n in zip(x, orders)))
+elif kind == "singletons":
+    base = Partition.singletons(g)
+else:
+    base = random_reflexive_partition(g, random.Random(0))
+big = power_group(g, copies)
+if isinstance(gens, int):
+    rng, picked = random.Random(0), []
+    while len(picked) < gens:
+        x = rng.choice(elements(big))
+        if x not in generate(big, picked).elements:
+            picked.append(x)
+    gens = picked
+code = generate(big, gens)
+dual_base = dual_partition(base)
+matrix = krawtchouk(dual_base, base)
+perp = dual_code(big, code)
+times = []
+for _ in range(5):
+    start = time.perf_counter()
+    out = product_transform(product_enumerator(code, [base] * copies), [matrix] * copies,
+                            code.size)
+    direct = product_enumerator(perp, [dual_base] * copies)
+    symmetrized_enumerator(code, base, copies)
+    symmetrized_enumerator(perp, dual_base, copies)
+    times.append(time.perf_counter() - start)
+    assert out.counts == direct.counts
+print(json.dumps({{"transform_seconds": round(statistics.median(times), 5),
+                  "code_size": code.size, "keys": len(out.counts)}}))
+"""
 
 CHILD = """
 import json, os, random, resource, sys, time
@@ -86,10 +152,17 @@ print(json.dumps({{"seconds": round(seconds, 4), "peak_rss_mb": round(rss, 1),
 
 
 def run_case(name: str, src: str, limit_gib: float, timeout: float) -> dict:
-    orders, kind = CASES[name]
-    code = CHILD.format(limit=int(limit_gib * (1 << 30)), src=src, orders=orders, kind=kind)
-    row = {"name": name, "seconds": None, "peak_rss_mb": None, "blocks": None,
-           "dual_blocks": None, "krawtchouk_seconds": None, "krawtchouk_peak_rss_mb": None}
+    limit = int(limit_gib * (1 << 30))
+    if name in TRANSFORM_CASES:
+        orders, kind, copies, gens = TRANSFORM_CASES[name]
+        code = TRANSFORM_CHILD.format(limit=limit, src=src, orders=orders, kind=kind,
+                                      copies=copies, gens=gens)
+        row = {"name": name, "transform_seconds": None, "code_size": None, "keys": None}
+    else:
+        orders, kind = CASES[name]
+        code = CHILD.format(limit=limit, src=src, orders=orders, kind=kind)
+        row = {"name": name, "seconds": None, "peak_rss_mb": None, "blocks": None,
+               "dual_blocks": None, "krawtchouk_seconds": None, "krawtchouk_peak_rss_mb": None}
     try:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=timeout)
@@ -105,15 +178,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
     parser.add_argument("--timeout", type=float, default=120.0)
     parser.add_argument("--limit-gib", type=float, default=2.0)
-    parser.add_argument("--case", action="append", choices=sorted(CASES))
+    parser.add_argument("--case", action="append", choices=sorted([*CASES, *TRANSFORM_CASES]))
     args = parser.parse_args(argv)
-    names = args.case or list(CASES)
+    names = args.case or [*CASES, *TRANSFORM_CASES]
+    src = str(Path(args.src).resolve())
     doc = {
         "python": platform.python_version(),
         "limit_gib": args.limit_gib,
         "timeout_s": args.timeout,
-        "cases": [run_case(n, str(Path(args.src).resolve()), args.limit_gib, args.timeout)
-                  for n in names],
+        "cases": [run_case(n, src, args.limit_gib, args.timeout)
+                  for n in names if n in CASES],
+        "transform_cases": [run_case(n, src, args.limit_gib, args.timeout)
+                            for n in names if n in TRANSFORM_CASES],
     }
     json.dump(doc, sys.stdout, indent=2)
     print()

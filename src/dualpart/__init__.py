@@ -43,12 +43,9 @@ from .partition import (
 from .induced import (
     check_product_duality,
     check_symmetrized_duality,
-    composition_vector,
-    flatten_element,
     power_group,
     product_group,
     product_partition,
-    split_element,
     symmetrized_partition,
 )
 from .enumerator import (
@@ -94,9 +91,8 @@ __all__ = [
     "dual_under_iso", "is_reflexive", "join", "kk_product_check", "krawtchouk", "meet",
     "mismatch_witness", "negate", "random_partition", "random_reflexive_partition",
     "refines",
-    "check_product_duality", "check_symmetrized_duality", "composition_vector",
-    "flatten_element", "power_group", "product_group", "product_partition",
-    "split_element", "symmetrized_partition",
+    "check_product_duality", "check_symmetrized_duality", "power_group", "product_group",
+    "product_partition", "symmetrized_partition",
     "LinearEnumerator", "ProductEnumerator", "SymmetrizedEnumerator",
     "linear_enumerator", "macwilliams_transform", "product_enumerator",
     "product_transform", "symmetrized_enumerator", "symmetrized_transform",

@@ -15,7 +15,7 @@ import itertools
 from typing import Sequence
 
 from .errors import GuardExceeded, InputError, count_text
-from .group import ELEMENT_GUARD, Element, GroupSpec
+from .group import ELEMENT_GUARD, GroupSpec
 from .partition import Partition, dual_partition, mismatch_witness
 
 
@@ -28,23 +28,6 @@ def power_group(group: GroupSpec, copies: int) -> GroupSpec:
     if copies < 1:
         raise InputError("need at least one copy")
     return GroupSpec(group.orders * copies)
-
-
-def split_element(groups: Sequence[GroupSpec], flat: Element) -> tuple[Element, ...]:
-    """Cut a product-carrier tuple back into per-factor coordinates."""
-    out = []
-    pos = 0
-    for g in groups:
-        k = len(g.orders)
-        out.append(flat[pos : pos + k])
-        pos += k
-    if pos != len(flat):
-        raise InputError("element length does not match the factor list")
-    return tuple(out)
-
-
-def flatten_element(coords: Sequence[Element]) -> Element:
-    return tuple(x for c in coords for x in c)
 
 
 def product_partition(parts: Sequence[Partition],
@@ -61,15 +44,6 @@ def product_partition(parts: Sequence[Partition],
     # the product carrier's rank order is the product of the factors' rank orders
     labels = itertools.product(*(p.block_of for p in parts))
     return Partition.from_labels(big, labels)
-
-
-def composition_vector(base: Partition, coords: Sequence[Element]) -> tuple[int, ...]:
-    """How many coordinates fall in each block of the base partition."""
-    counts = [0] * base.num_blocks
-    block_of, rank = base.block_of, base.group.rank
-    for c in coords:
-        counts[block_of[rank(c)]] += 1
-    return tuple(counts)
 
 
 def symmetrized_partition(base: Partition, copies: int,

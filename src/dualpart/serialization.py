@@ -34,7 +34,7 @@ from typing import Any, TextIO
 from .cyclotomic import CycInt, _float_root_powers, euler_phi
 from .enumerator import LinearEnumerator, ProductEnumerator, SymmetrizedEnumerator
 from .errors import InputError
-from .group import Code, Element, GroupSpec, generate
+from .group import ELEMENT_GUARD, Code, Element, GroupSpec, generate
 from .partition import KrawtchoukMatrix, Partition
 from .poset import Poset
 
@@ -132,6 +132,8 @@ def cycint_from_json(obj: Any, order: int | None = None) -> CycInt:
     _require(isinstance(obj, dict) and "order" in obj and "coeffs" in obj,
              "cyclotomic JSON needs 'order' and 'coeffs'")
     _require(type(obj["order"]) is int, "'order' must be an integer")
+    # a carrier's exponent is at most its size: refuse before any polynomial is built
+    _require(obj["order"] <= ELEMENT_GUARD, f"root order {obj['order']} is above {ELEMENT_GUARD}")
     coeffs = obj["coeffs"]
     _require(isinstance(coeffs, list) and all(
         type(c) is int or isinstance(c, str) and re.fullmatch("-?[0-9]+", c) for c in coeffs),

@@ -7,12 +7,9 @@ from dualpart.group import GroupSpec, elements
 from dualpart.induced import (
     check_product_duality,
     check_symmetrized_duality,
-    composition_vector,
-    flatten_element,
     power_group,
     product_group,
     product_partition,
-    split_element,
     symmetrized_partition,
 )
 from dualpart.partition import (
@@ -21,6 +18,38 @@ from dualpart.partition import (
     random_partition,
     refines,
 )
+
+
+
+# Element-wise helpers the library no longer needs: the enumerators read a code
+# by coordinate columns. They remain the oracles' way to cut and join words.
+
+
+def split_element(groups, flat):
+    """Cut a product-carrier tuple back into per-factor coordinates."""
+    out = []
+    pos = 0
+    for g in groups:
+        k = len(g.orders)
+        out.append(flat[pos : pos + k])
+        pos += k
+    if pos != len(flat):
+        raise InputError("element length does not match the factor list")
+    return tuple(out)
+
+
+def flatten_element(coords):
+    return tuple(x for c in coords for x in c)
+
+
+def composition_vector(base, coords):
+    """How many coordinates fall in each block of the base partition."""
+    counts = [0] * base.num_blocks
+    block_of, rank = base.block_of, base.group.rank
+    for c in coords:
+        counts[block_of[rank(c)]] += 1
+    return tuple(counts)
+
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))

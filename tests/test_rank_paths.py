@@ -27,6 +27,7 @@ from dualpart.cyclotomic import CycInt, _poly_divmod, integer
 from dualpart.enumerator import (
     _accumulate,
     _contract_at,
+    _sparse_rows,
     kk_product_check,
     product_enumerator,
     product_transform,
@@ -43,12 +44,9 @@ from dualpart.group import (
     pairing_exponent,
 )
 from dualpart.induced import (
-    composition_vector,
-    flatten_element,
     power_group,
     product_group,
     product_partition,
-    split_element,
     symmetrized_partition,
 )
 from dualpart.partition import (
@@ -66,6 +64,7 @@ from dualpart.partition import (
 )
 from dualpart.poset import Poset
 from dualpart.serialization import _approx_pair
+from test_induced import composition_vector, flatten_element, split_element
 from test_sweep import SMALL_CARRIERS, carriers
 
 
@@ -295,7 +294,7 @@ def test_integer_step_equals_the_cycint_step():
         for width, i in ((1, 0), (3, 0), (3, 2)):
             dist = {tuple(rng.randrange(rows) for _ in range(width)): rng.randrange(1, 9)
                     for _ in range(6)}
-            new = _accumulate(_contract_at(dist, i, m))
+            new = _accumulate(_contract_at(dist, i, _sparse_rows(m)))
             old = _accumulate(old_contract_at(dist, i, m))
             assert all(type(v) is int for v in new.values())
             assert set(new) == set(old)
@@ -306,7 +305,7 @@ def test_integer_step_equals_the_cycint_step():
 def test_irrational_matrices_keep_the_cycint_step(n):
     m = singletons_matrix(n)
     dist = {(r,): 1 for r in range(n)}
-    new = _accumulate(_contract_at(dist, 0, m))
+    new = _accumulate(_contract_at(dist, 0, _sparse_rows(m)))
     assert all(isinstance(v, CycInt) for v in new.values())
     assert new == _accumulate(old_contract_at(dist, 0, m))
 

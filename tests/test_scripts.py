@@ -36,13 +36,20 @@ def test_poset_refinement_sweep_counts_the_labeled_posets():
 
 def test_sweep_cases_script_reports_each_case():
     doc = json.loads(run_script("sweep_cases.py", "--case", "(256,) lee",
-                                "--case", "(64,64) hamming", "--timeout", "60"))
+                                "--case", "(12,)^3 singletons, 12 words",
+                                "--case", "(64,64) hamming",
+                                "--case", "(2,)^12 hamming, 64 words", "--timeout", "60"))
     assert doc["limit_gib"] == 2.0
     assert [(c["name"], c["status"], c["blocks"], c["dual_blocks"]) for c in doc["cases"]] == [
         ("(256,) lee", "ok", 129, 129), ("(64,64) hamming", "ok", 3, 3)]
     assert all(c["seconds"] > 0 and c["peak_rss_mb"] > 0 for c in doc["cases"])
     assert all(c["krawtchouk_seconds"] > 0 and c["krawtchouk_peak_rss_mb"] >= c["peak_rss_mb"]
                for c in doc["cases"])
+    # the child checks each transform against the dual code's enumerator
+    assert [(c["name"], c["status"], c["code_size"], c["keys"])
+            for c in doc["transform_cases"]] == [
+        ("(12,)^3 singletons, 12 words", "ok", 12, 144), ("(2,)^12 hamming, 64 words", "ok", 64, 64)]
+    assert all(c["transform_seconds"] > 0 for c in doc["transform_cases"])
 
 
 def test_sweep_cases_script_skips_a_matrix_over_the_guard():

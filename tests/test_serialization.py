@@ -2,6 +2,7 @@ import enum
 import io
 import json
 import math
+import time
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -148,6 +149,16 @@ def test_cycint_from_json_takes_integers_and_decimal_strings_only(doc):
 def test_cycint_from_json_reads_ints_and_decimal_strings():
     assert cycint_from_json({"order": 6, "coeffs": ["-12", 7]}) == CycInt(6, (-12, 7))
     assert cycint_from_json({"order": 8, "coeffs": ["0", "00", "1"]}) == zeta_pow(8, 2)
+
+
+def test_cycint_from_json_refuses_a_root_order_above_the_guard():
+    """No carrier under the element guard has a larger exponent; the order is refused
+    before its cyclotomic polynomial, which took seconds at this order, is built."""
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="root order 30000 is above 4096"):
+        cycint_from_json({"order": 30000, "coeffs": ["1"]})
+    assert time.perf_counter() - start < 0.1
+    assert cycint_from_json({"order": 4096, "coeffs": ["0", "1"]}) == zeta_pow(4096, 1)
 
 
 def test_matrix_cells_round_trip():
