@@ -108,10 +108,8 @@ class SymmetrizedEnumerator:
 def linear_enumerator(code: Code, part: Partition) -> LinearEnumerator:
     if code.group != part.group:
         raise InputError("code and partition must share a carrier")
-    counts = [0] * part.num_blocks
-    for g in code.elements:
-        counts[part.block_of[part.group.rank(g)]] += 1
-    return LinearEnumerator(tuple(counts))
+    counts = Counter(_block_keys(code, [part]))
+    return LinearEnumerator(tuple(counts[(b,)] for b in range(part.num_blocks)))
 
 
 def _rational(value: CycInt | int) -> int | None:

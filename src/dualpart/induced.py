@@ -12,10 +12,11 @@ return a witness pair of characters when it fails.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from typing import Sequence
 
 from .errors import GuardExceeded, InputError, count_text
-from .group import ELEMENT_GUARD, GroupSpec
+from .group import ELEMENT_GUARD, GroupSpec, _outer
 from .partition import Partition, dual_partition, mismatch_witness
 
 
@@ -55,10 +56,11 @@ def symmetrized_partition(base: Partition, copies: int,
             f"power carrier has {count_text(big.size)} elements, "
             f"above the guard of {max_size}"
         )
-    # a word's sorted coordinate blocks determine its composition vector and
-    # back; the power carrier's rank order is the product of the base's
-    words = itertools.product(base.block_of, repeat=copies)
-    return Partition.from_labels(big, map(tuple, map(sorted, words)))
+    # a word's label is the sum of (copies + 1)**b over its coordinate blocks b:
+    # its composition vector written in base copies + 1, exact because no count
+    # exceeds copies; the power carrier's rank order is the product of the base's
+    column = [(copies + 1) ** b for b in base.block_of]
+    return Partition.from_labels(big, reduce(_outer, [column] * (copies - 1), column))
 
 
 def check_product_duality(parts: Sequence[Partition],

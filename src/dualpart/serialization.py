@@ -15,17 +15,17 @@ Formats, all deterministic:
 Coefficients serialize as decimal strings so arbitrarily large exact values
 survive readers that parse JSON numbers as doubles.
 
-``write_json`` prints a document with exactly the bytes of
-``json.dump(doc, stream, indent=2)``, building the text with joins over
-whole lists instead of the pure-Python encoder that ``indent`` selects.
-Input is still parsed with ``json.loads``.
+``write_json`` prints a CLI document (str keys, JSON's scalar and container
+types) with exactly the bytes of ``json.dump(doc, stream, indent=2)``,
+building the text with joins over whole lists instead of the pure-Python
+encoder that ``indent`` selects. Input is still parsed with ``json.loads``.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import chain, compress, islice, repeat
-from json import JSONEncoder, dumps
+from json import JSONEncoder
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from operator import mul
@@ -193,26 +193,24 @@ def product_enumerator_to_json(e: ProductEnumerator | SymmetrizedEnumerator) -> 
 
 
 def write_json(doc: Any, stream: TextIO) -> None:
-    """Write ``doc`` to ``stream`` as ``json.dump(doc, stream, indent=2)`` would.
+    """Write a CLI document to ``stream`` as ``json.dump(doc, stream, indent=2)`` would.
 
-    The bytes are the same because every layout rule of ``json.encoder`` is
-    kept:
+    A CLI document holds dicts with str keys, lists, strs, ints, finite floats,
+    bools and ``None``; every layout rule of ``json.encoder`` is kept for it:
 
     - separators ``(",", ": ")``: each item of a nonempty list or dict sits
       on its own line, indented two spaces per level, and the closing
       bracket goes back to the parent's indent;
     - empty containers print as ``[]`` and ``{}``; tuples print as lists;
-    - strings are escaped by ``json.encoder.encode_basestring_ascii``
-      (``ensure_ascii``);
+    - strings, and dict keys in their order, are escaped by
+      ``json.encoder.encode_basestring_ascii`` (``ensure_ascii``), which
+      raises ``TypeError`` for a key that is no str;
     - exact ints and floats print by ``int.__repr__`` and ``float.__repr__``;
       every other value that is no container (``None``, bools, NaN and the
       infinities under ``allow_nan``, subclasses of str, int and float)
       prints as ``json.JSONEncoder().encode`` prints it, which also raises
       ``TypeError`` for a type JSON lacks;
-    - dict keys keep their order; float, bool, ``None`` and int keys are
-      coerced to the text of their value in quotes, and any other key raises
-      ``TypeError``;
-    - a circular reference raises ``ValueError``.
+    - nothing looks for a container inside itself, which no CLI document holds.
 
     The text is built one depth at a time, not one node at a time. The
     values at one depth are split by type: exact ints and finite floats are
@@ -225,7 +223,7 @@ def write_json(doc: Any, stream: TextIO) -> None:
     text held at once stays near ``_BATCH_TEXT`` characters, or one item's
     text if that is longer.
     """
-    _Writer(doc, stream).write(doc, 0)
+    _write(doc, 0, stream)
 
 
 _BATCH_TEXT = 1 << 20
@@ -235,115 +233,63 @@ _scalar_text = JSONEncoder().encode
 """The JSON text of a value that is no container; it is the same at every indent."""
 
 
-def _key_text(key: Any) -> str:
-    if isinstance(key, str):
-        return _quote(key)
-    if isinstance(key, (int, float)) or key is None:
-        return f'"{_scalar_text(key)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+def _write(value: Any, level: int, stream: TextIO) -> None:
+    """Write ``value`` at indent ``level``, a dict entry or a batch of list items at a time."""
+    if not (isinstance(value, (dict, list, tuple)) and value):
+        stream.write(str(next(iter(_texts([value], level)))))
+        return
+    inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if isinstance(value, dict):
+        opener = "{" + inner
+        for key, item in value.items():
+            stream.write(f"{opener}{_quote(key)}: ")
+            _write(item, level + 1, stream)
+            opener = "," + inner
+        stream.write(close + "}")
+    else:
+        stream.write("[" + inner)
+        sep, start, step = "," + inner, 0, 1
+        # batches grow fourfold while short, then shrink to _BATCH_TEXT by the last one's items
+        while start < len(value):
+            if start:
+                stream.write(sep)
+            text = sep.join(map(str, _texts(value[start:start + step], level + 1)))
+            stream.write(text)
+            start += step
+            fits = len(text) < _BATCH_TEXT
+            step = 4 * step if fits else max(1, step * _BATCH_TEXT // len(text))
+        stream.write(close + "]")
 
 
-class _Writer:
-    """Writes one document. A "text" below is a ``str``, or an exact int or
-    finite float, whose ``str`` is its JSON text; formatting those late, in a
-    template, saves a string each."""
-
-    def __init__(self, doc: Any, stream: TextIO) -> None:
-        self.doc, self.stream = doc, stream
-        self.path: set[int] = set()  # ids of the containers being written, as json.dump marks them
-        # ids of the containers met below the value being written; None
-        # once the document is known to have no cycle
-        self.seen: set[int] | None = set()
-
-    def write(self, value: Any, level: int) -> None:
-        """Write ``value`` at indent ``level``, a dict entry or a batch of list items at a time."""
-        if not (isinstance(value, (dict, list, tuple)) and value):
-            self.stream.write(str(next(iter(self.fresh_texts([value], level)))))
-            return
-        if id(value) in self.path:
-            raise ValueError("Circular reference detected")
-        self.path.add(id(value))
-        inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level
-        if isinstance(value, dict):
-            opener = "{" + inner
-            for key, item in value.items():
-                self.stream.write(f"{opener}{_key_text(key)}: ")
-                self.write(item, level + 1)
-                opener = "," + inner
-            self.stream.write(close + "}")
-        else:
-            self.stream.write("[" + inner)
-            sep, start, step = "," + inner, 0, 1
-            # batches grow fourfold while short, then shrink to _BATCH_TEXT by the last one's items
-            while start < len(value):
-                if start:
-                    self.stream.write(sep)
-                text = sep.join(map(str, self.fresh_texts(value[start:start + step], level + 1)))
-                self.stream.write(text)
-                start += step
-                fits = len(text) < _BATCH_TEXT
-                step = 4 * step if fits else max(1, step * _BATCH_TEXT // len(text))
-            self.stream.write(close + "]")
-        self.path.discard(id(value))
-
-    def fresh_texts(self, items, level: int):
-        """``texts`` for a new descent, which looks for cycles on its own."""
-        if self.seen is not None:
-            self.seen = set()
-        return self.texts(items, level)
-
-    def enter(self, containers) -> None:
-        """Look for a cycle before descending into ``containers``.
-
-        A container met again at a greater depth is shared, which is legal,
-        or its own descendant. The C encoder of ``json.dumps`` tells which
-        (it raises ``ValueError`` on a cycle), and the check then stops.
-        """
-        if self.seen is None:
-            return
-        ids = set(map(id, containers))
-        if self.seen.isdisjoint(ids):
-            self.seen |= ids
-        else:
-            dumps(self.doc)
-            self.seen = None
-
-    def texts(self, items, level: int):
-        """Texts of ``items``, each printed at indent ``level``, in order."""
-        kinds = set(map(type, items))
-        if len(kinds) != 1:  # encode each type together, then restore the order
-            texts = {kind: iter(self.texts([x for x in items if type(x) is kind], level))
-                     for kind in kinds}
-            return map(next, map(texts.__getitem__, map(type, items)))
-        kind = kinds.pop()
-        if kind is int or kind is float and all(map(isfinite, items)):
-            return items
-        if kind is str:
-            return map(_quote, items)
-        if issubclass(kind, (list, tuple)):
-            self.enter(items)
-            sizes = list(map(len, items))
-            return _grouped(self.texts(list(chain.from_iterable(items)), level + 1), sizes, level)
-        if issubclass(kind, dict):
-            self.enter(items)
-            return self._dict_texts(items, level)
-        return map(_scalar_text, items)
-
-    def _dict_texts(self, dicts, level: int):
-        shapes = set(map(tuple, dicts))
-        keys = next(iter(shapes))
-        # str keys only, so that equal keys of different types (1, 1.0, True)
-        # never share one shape
-        if len(shapes) > 1 or len(dicts) > 1 and not all(type(k) is str for k in keys):
-            return [next(self._dict_texts([d], level)) for d in dicts]
-        if not keys:
-            return iter(["{}"] * len(dicts))
-        columns = [self.texts(column, level + 1) for column in zip(*map(dict.values, dicts))]
+def _texts(items, level: int):
+    """Texts of ``items``, each printed at indent ``level``, in order. A text is a
+    ``str``, or an exact int or finite float, whose ``str`` is its JSON text;
+    formatting those late, in a template, saves a string each."""
+    kinds = set(map(type, items))
+    if len(kinds) != 1:  # encode each type together, then restore the order
+        texts = {kind: iter(_texts([x for x in items if type(x) is kind], level))
+                 for kind in kinds}
+        return map(next, map(texts.__getitem__, map(type, items)))
+    kind = kinds.pop()
+    if kind is int or kind is float and all(map(isfinite, items)):
+        return items
+    if kind is str:
+        return map(_quote, items)
+    if issubclass(kind, (list, tuple)):
+        sizes = list(map(len, items))
+        return _grouped(_texts(list(chain.from_iterable(items)), level + 1), sizes, level)
+    if issubclass(kind, dict):
+        if len(set(map(tuple, items))) > 1:  # one template per key order
+            return [next(_texts([d], level)) for d in items]
+        if not items[0]:
+            return iter(["{}"] * len(items))
+        columns = [_texts(column, level + 1) for column in zip(*map(dict.values, items))]
         inner = "\n" + "  " * (level + 1)
         template = ("{" + inner
-                    + ("," + inner).join(_key_text(k).replace("%", "%%") + ": %s" for k in keys)
+                    + ("," + inner).join(_quote(k).replace("%", "%%") + ": %s" for k in items[0])
                     + "\n" + "  " * level + "}")
         return map(template.__mod__, zip(*columns))
+    return map(_scalar_text, items)
 
 
 def _grouped(texts, sizes: list[int], level: int):
