@@ -190,20 +190,20 @@ Z2x3 = '{"orders":[2,3]}'
 Z2x3_BLOCKS = ['[[0,0],[0,1],[0,2]]', '[[1,0],[1,1],[1,2]]']
 
 
-def z2x3_blocks(*blocks):
+def partition_text(*blocks):
     return '{"blocks":[' + ",".join(blocks) + "]}"
 
 
 @pytest.mark.parametrize("partition, message", [
-    (z2x3_blocks(Z2x3_BLOCKS[0], "[[1,0],[1,1],[1,3]]"),
+    (partition_text(Z2x3_BLOCKS[0], "[[1,0],[1,1],[1,3]]"),
      "element (1, 3) out of range for orders (2, 3): coordinate 1 is 3, order 3"),
-    (z2x3_blocks(Z2x3_BLOCKS[0], "[[1,0],[1,1],[1]]"),
+    (partition_text(Z2x3_BLOCKS[0], "[[1,0],[1,1],[1]]"),
      "element (1,) has 1 coordinates, but the carrier has 2 factors, orders (2, 3)"),
-    (z2x3_blocks(Z2x3_BLOCKS[0], "[]", Z2x3_BLOCKS[1]), "blocks must be nonempty"),
-    (z2x3_blocks("[[0,0],[0,1],[0,2],[0,1]]", Z2x3_BLOCKS[1]),
+    (partition_text(Z2x3_BLOCKS[0], "[]", Z2x3_BLOCKS[1]), "blocks must be nonempty"),
+    (partition_text("[[0,0],[0,1],[0,2],[0,1]]", Z2x3_BLOCKS[1]),
      "duplicate element inside a block"),
-    (z2x3_blocks(Z2x3_BLOCKS[0], "[[1,0],[1,1],[1,2],[0,1]]"), "blocks overlap"),
-    (z2x3_blocks(Z2x3_BLOCKS[0], "[[1,0],[1,1]]"), "blocks do not cover the carrier"),
+    (partition_text(Z2x3_BLOCKS[0], "[[1,0],[1,1],[1,2],[0,1]]"), "blocks overlap"),
+    (partition_text(Z2x3_BLOCKS[0], "[[1,0],[1,1]]"), "blocks do not cover the carrier"),
 ], ids=["range", "length", "empty", "duplicate", "overlap", "cover"])
 def test_single_fault_partitions_keep_their_messages(partition, message, capsys):
     assert main(["bidual", "--group", Z2x3, "--partition", partition]) == 1
@@ -626,53 +626,48 @@ def test_check_suite_all_prints_the_golden_bytes():
     assert proc.stdout == golden.read_bytes()
 
 
-def _blocks(*blocks: str) -> str:
-    return '{"blocks":[' + ",".join(blocks) + "]}"
-
-
-HAMMING_2 = _blocks("[[0]]", "[[1]]")
-ONE_BLOCK_3 = _blocks("[[0],[1],[2]]")
+HAMMING_2 = partition_text("[[0]]", "[[1]]")
+ONE_BLOCK_3 = partition_text("[[0],[1],[2]]")
 CHAIN_3 = '{"n":3,"cover":[[1,2],[2,3]]}'
-ZIGZAG_4 = '{"n":4,"cover":[[1,3],[2,3],[2,4]]}'
 GOLDEN_RUNS = {
     "dual-6": ["dual", "--group", '{"orders":[6]}', "--partition", Z6_PARTITION],
     "dual-5-irrational": ["dual", "--group", '{"orders":[5]}',
-                          "--partition", _blocks("[[0]]", "[[1],[4]]", "[[2],[3]]")],
-    "dual-12-irrational": ["dual", "--group", '{"orders":[12]}', "--partition", _blocks(
+                          "--partition", partition_text("[[0]]", "[[1],[4]]", "[[2],[3]]")],
+    "dual-12-irrational": ["dual", "--group", '{"orders":[12]}', "--partition", partition_text(
         "[[0]]", "[[1]]", "[[2],[3],[4]]", "[[5],[6],[7],[8],[9],[10],[11]]")],
     "dual-2x2": ["dual", "--group", '{"orders":[2,2]}',
-                 "--partition", _blocks("[[0,0]]", "[[0,1],[1,0]]", "[[1,1]]")],
+                 "--partition", partition_text("[[0,0]]", "[[0,1],[1,0]]", "[[1,1]]")],
     "bidual-6": ["bidual", "--group", '{"orders":[6]}',
-                 "--partition", _blocks("[[0]]", "[[1],[2]]", "[[3],[4],[5]]")],
-    "bidual-2x3": ["bidual", "--group", Z2x3, "--partition", z2x3_blocks(*Z2x3_BLOCKS)],
+                 "--partition", partition_text("[[0]]", "[[1],[2]]", "[[3],[4],[5]]")],
+    "bidual-2x3": ["bidual", "--group", Z2x3, "--partition", partition_text(*Z2x3_BLOCKS)],
     "reflexive-6": ["reflexive", "--group", '{"orders":[6]}',
-                    "--partition", _blocks("[[0]]", "[[1],[2]]", "[[3],[4],[5]]")],
+                    "--partition", partition_text("[[0]]", "[[1],[2]]", "[[3],[4],[5]]")],
     "reflexive-4-lee": ["reflexive", "--group", '{"orders":[4]}',
-                        "--partition", _blocks("[[0]]", "[[1],[3]]", "[[2]]")],
+                        "--partition", partition_text("[[0]]", "[[1],[3]]", "[[2]]")],
     "krawtchouk-6": ["krawtchouk", "--group", '{"orders":[6]}', "--partition", Z6_PARTITION],
     "krawtchouk-5-char": ["krawtchouk", "--group", '{"orders":[5]}',
-                          "--partition", _blocks("[[0]]", "[[1],[2],[3],[4]]"),
-                          "--char-partition", _blocks("[[0]]", "[[1]]", "[[2],[3],[4]]")],
+                          "--partition", partition_text("[[0]]", "[[1],[2],[3],[4]]"),
+                          "--char-partition", partition_text("[[0]]", "[[1]]", "[[2],[3],[4]]")],
     "macwilliams-6": ["macwilliams", "--group", '{"orders":[6]}',
-                      "--partition", _blocks("[[0]]", "[[1],[2],[4],[5]]", "[[3]]"),
+                      "--partition", partition_text("[[0]]", "[[1],[2],[4],[5]]", "[[3]]"),
                       "--code", '{"generators":[[3]]}'],
     "macwilliams-2x2x2": ["macwilliams", "--group", '{"orders":[2,2,2]}', "--partition",
-                          _blocks("[[0,0,0]]", "[[0,0,1],[0,1,0],[1,0,0]]",
-                                  "[[0,1,1],[1,0,1],[1,1,0]]", "[[1,1,1]]"),
+                          partition_text("[[0,0,0]]", "[[0,0,1],[0,1,0],[1,0,0]]",
+                                         "[[0,1,1],[1,0,1],[1,1,0]]", "[[1,1,1]]"),
                           "--code", '{"generators":[[1,1,0],[0,1,1]]}'],
     "product-2-code": ["product", "--group", '{"orders":[2]}', "--partition", HAMMING_2,
                        "--copies", "3", "--check", "--code", '{"generators":[[1,1,1]]}'],
     "product-3-witness": ["product", "--group", '{"orders":[3]}', "--partition", ONE_BLOCK_3,
                           "--copies", "2", "--check"],
     "product-4-lee-code": ["product", "--group", '{"orders":[4]}',
-                           "--partition", _blocks("[[0]]", "[[1],[3]]", "[[2]]"),
+                           "--partition", partition_text("[[0]]", "[[1],[3]]", "[[2]]"),
                            "--copies", "2", "--code", '{"generators":[[1,2]]}'],
     "symmetrize-2-code": ["symmetrize", "--group", '{"orders":[2]}', "--partition", HAMMING_2,
                           "--copies", "3", "--check", "--code", '{"generators":[[1,1,1]]}'],
     "symmetrize-3-witness": ["symmetrize", "--group", '{"orders":[3]}',
                              "--partition", ONE_BLOCK_3, "--copies", "2", "--check"],
     "symmetrize-3-code": ["symmetrize", "--group", '{"orders":[3]}',
-                          "--partition", _blocks("[[0]]", "[[1],[2]]"), "--copies", "3",
+                          "--partition", partition_text("[[0]]", "[[1],[2]]"), "--copies", "3",
                           "--code", '{"generators":[[1,2,0],[0,1,1]]}'],
     "poset-partition-chain": ["poset-partition", "--group", '{"orders":[2,2,2]}',
                               "--poset", CHAIN_3],
@@ -682,17 +677,12 @@ GOLDEN_RUNS = {
                                    "--poset", '{"n":2,"cover":[]}'],
     "poset-check-chain": ["poset-check", "--group", '{"orders":[2,2,2]}', "--poset", CHAIN_3],
     "poset-check-zigzag": ["poset-check", "--group", '{"orders":[2,2,2,2]}',
-                           "--poset", ZIGZAG_4],
+                           "--poset", '{"n":4,"cover":[[1,3],[2,3],[2,4]]}'],
     "subgroups-2x2-elements": ["subgroups", "--group", '{"orders":[2,2]}',
                                "--include-elements"],
     "subgroups-12": ["subgroups", "--group", '{"orders":[12]}'],
     "check-cyclotomic": ["check", "--suite", "cyclotomic"],
 }
-
-
-def _stdout_sha256(argv: list[str], capsys) -> str:
-    assert main(argv) == 0
-    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_RUNS))
@@ -703,7 +693,8 @@ def test_cli_stdout_matches_the_golden_digests(name, capsys):
     golden = json.loads((Path(__file__).resolve().parent / "golden" / "cli_stdout.json")
                         .read_text())
     assert list(golden) == list(GOLDEN_RUNS)
-    assert _stdout_sha256(GOLDEN_RUNS[name], capsys) == golden[name]
+    assert main(GOLDEN_RUNS[name]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == golden[name]
 
 
 @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "after-one-line"])
