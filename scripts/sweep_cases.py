@@ -1,5 +1,5 @@
-"""Time ``dual_partition``, the Krawtchouk matrix and the product transform on fixed
-carriers, each case in its own capped process.
+"""Time ``dual_partition``, the Krawtchouk matrix, the product transform and the
+subgroup enumeration on fixed carriers, each case in its own capped process.
 
     python3 scripts/sweep_cases.py [--src DIR] [--timeout S] [--limit-gib G] [--case NAME ...]
 
@@ -12,11 +12,13 @@ power of its carrier, the code's dual and the factor matrix, then times what
 ``dualpart product --code`` and ``symmetrize --code`` spend in the layer:
 ``product_enumerator`` of the code and of its dual, ``product_transform``,
 and ``symmetrized_enumerator`` of both, median of five runs. The child
-checks that the transform equals the dual's enumerator. One JSON document
-goes to stdout: ``{python, limit_gib, timeout_s, cases: [{name, seconds,
-peak_rss_mb, blocks, dual_blocks, krawtchouk_seconds,
-krawtchouk_peak_rss_mb, status}], transform_cases: [{name,
-transform_seconds, code_size, keys, status}]}``. ``peak_rss_mb`` is read
+checks that the transform equals the dual's enumerator. Every subgroup case
+(``SUBGROUP_CASES``) times ``all_subgroups`` of its carrier, median of three
+runs, and counts the subgroups. One JSON document goes to stdout:
+``{python, limit_gib, timeout_s, cases: [{name, seconds, peak_rss_mb,
+blocks, dual_blocks, krawtchouk_seconds, krawtchouk_peak_rss_mb, status}],
+transform_cases: [{name, transform_seconds, code_size, keys, status}],
+subgroup_cases: [{name, subgroup_seconds, subgroups, status}]}``. ``peak_rss_mb`` is read
 before the matrix is built; the ``krawtchouk_`` fields are null where the
 matrix exceeds the matrix guard. ``status`` is ``ok``, ``oom`` (the child
 ran out of address space), ``timeout`` or ``error``; a case that did not
@@ -68,6 +70,30 @@ TRANSFORM_CASES = {
     "(32,)^2 random reflexive, 8 words": ((32,), "random", 2, [(4, 12)]),
     "(64,)^2 singletons": ((64,), "singletons", 2, 1),
 }
+
+# carriers at the subgroup guard, 64 elements, and one below it
+SUBGROUP_CASES = {
+    "(2,)^5 subgroups": (2,) * 5,
+    "(2,)^6 subgroups": (2,) * 6,
+    "(4,2,2,2,2) subgroups": (4, 2, 2, 2, 2),
+    "(2,2,4,4) subgroups": (2, 2, 4, 4),
+}
+
+SUBGROUP_CHILD = """
+import json, resource, statistics, sys, time
+limit = {limit}
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.path.insert(0, {src!r})
+from dualpart.group import GroupSpec, all_subgroups
+g = GroupSpec({orders!r})
+times = []
+for _ in range(3):
+    start = time.perf_counter()
+    subs = all_subgroups(g)
+    times.append(time.perf_counter() - start)
+print(json.dumps({{"subgroup_seconds": round(statistics.median(times), 4),
+                  "subgroups": len(subs)}}))
+"""
 
 TRANSFORM_CHILD = """
 import json, random, resource, statistics, sys, time
@@ -158,6 +184,9 @@ def run_case(name: str, src: str, limit_gib: float, timeout: float) -> dict:
         code = TRANSFORM_CHILD.format(limit=limit, src=src, orders=orders, kind=kind,
                                       copies=copies, gens=gens)
         row = {"name": name, "transform_seconds": None, "code_size": None, "keys": None}
+    elif name in SUBGROUP_CASES:
+        code = SUBGROUP_CHILD.format(limit=limit, src=src, orders=SUBGROUP_CASES[name])
+        row = {"name": name, "subgroup_seconds": None, "subgroups": None}
     else:
         orders, kind = CASES[name]
         code = CHILD.format(limit=limit, src=src, orders=orders, kind=kind)
@@ -178,9 +207,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
     parser.add_argument("--timeout", type=float, default=120.0)
     parser.add_argument("--limit-gib", type=float, default=2.0)
-    parser.add_argument("--case", action="append", choices=sorted([*CASES, *TRANSFORM_CASES]))
+    parser.add_argument("--case", action="append",
+                        choices=sorted([*CASES, *TRANSFORM_CASES, *SUBGROUP_CASES]))
     args = parser.parse_args(argv)
-    names = args.case or [*CASES, *TRANSFORM_CASES]
+    names = args.case or [*CASES, *TRANSFORM_CASES, *SUBGROUP_CASES]
     src = str(Path(args.src).resolve())
     doc = {
         "python": platform.python_version(),
@@ -190,6 +220,8 @@ def main(argv: list[str] | None = None) -> int:
                   for n in names if n in CASES],
         "transform_cases": [run_case(n, src, args.limit_gib, args.timeout)
                             for n in names if n in TRANSFORM_CASES],
+        "subgroup_cases": [run_case(n, src, args.limit_gib, args.timeout)
+                           for n in names if n in SUBGROUP_CASES],
     }
     json.dump(doc, sys.stdout, indent=2)
     print()

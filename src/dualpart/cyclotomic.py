@@ -20,8 +20,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 from math import gcd
+from typing import Callable, Iterable, TypeVar
 
 from .errors import InputError
+
+T = TypeVar("T")
 
 CycPoly = tuple[int, ...]
 """Dense integer polynomial, coefficients ascending by degree."""
@@ -304,20 +307,32 @@ def split_prime(order: int, bound: int) -> tuple[int, int]:
             return p, w
 
 
+def _close(op: Callable[[T, T], T], base: set[T], x: T) -> set[T]:
+    """The span of a subgroup ``base`` and x under op: the cosets x^t * base up to x^t in base."""
+    out = set(base)
+    cur = x
+    while cur not in base:
+        out.update(op(h, cur) for h in base)
+        cur = op(cur, x)
+    return out
+
+
+def _greedy_generators(op: Callable[[T, T], T], identity: T, elems: Iterable[T]) -> tuple[T, ...]:
+    """The elems, in their order, that lie outside the span of those kept before."""
+    gens: list[T] = []
+    span = {identity}
+    for g in elems:
+        if g not in span:
+            gens.append(g)
+            span = _close(op, span, g)
+    return tuple(gens)
+
+
 def unit_generators(order: int) -> tuple[int, ...]:
     """A generating set of the unit group mod ``order``, greedily from the least unit.
 
     >>> unit_generators(8), unit_generators(2)
     ((3, 5), ())
     """
-    gens: list[int] = []
-    sub = {1 % order}
-    for j in range(2, order):
-        if gcd(j, order) == 1 and j not in sub:
-            gens.append(j)
-            grown, x = set(sub), j
-            while x not in sub:  # add the cosets j^t * sub until they close
-                grown.update(x * h % order for h in sub)
-                x = x * j % order
-            sub = grown
-    return tuple(gens)
+    units = (j for j in range(2, order) if gcd(j, order) == 1)
+    return _greedy_generators(lambda a, b: a * b % order, 1 % order, units)

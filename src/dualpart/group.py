@@ -27,7 +27,7 @@ from functools import lru_cache, partial, reduce
 from operator import add
 from typing import Callable, Iterable, Mapping
 
-from .cyclotomic import CycInt, zero, zeta_pow
+from .cyclotomic import CycInt, _close, _greedy_generators, zero, zeta_pow
 from .errors import GuardExceeded, InputError, count_text
 
 Element = tuple[int, ...]
@@ -175,16 +175,6 @@ def _pairing_exponents(grp: GroupSpec, chi: Element) -> list[int]:
 # additive codes (subgroups of the carrier)
 
 
-def _close(group: GroupSpec, base: set[Element], x: Element) -> set[Element]:
-    # base must already be a subgroup; returns the subgroup generated with x
-    out = set(base)
-    cur = x
-    while cur not in base:
-        out.update(group.add(h, cur) for h in base)
-        cur = group.add(cur, x)
-    return out
-
-
 @dataclass(frozen=True)
 class Code:
     """An additive code: a subgroup of the carrier, with its full element list."""
@@ -209,7 +199,7 @@ class Code:
         elems = tuple(sorted({group.validate(g) for g in members}))
         if not elems or group.zero not in elems:
             raise InputError("a code must contain the zero element")
-        gens = _greedy_generators(group, elems)
+        gens = _greedy_generators(group.add, group.zero, elems)
         eset = set(elems)
         for g in gens:
             for a in elems:
@@ -218,20 +208,10 @@ class Code:
         return cls(group, gens, elems)
 
 
-def _greedy_generators(group: GroupSpec, elems: tuple[Element, ...]) -> tuple[Element, ...]:
-    gens: list[Element] = []
-    span: set[Element] = {group.zero}
-    for g in elems:
-        if g not in span:
-            gens.append(g)
-            span = _close(group, span, g)
-    return tuple(gens)
-
-
 def generate(group: GroupSpec, gens: Iterable[Element]) -> Code:
     """Additive closure of the given generators, which the code keeps as given."""
     gen_list = [group.validate(g) for g in gens]
-    span = reduce(partial(_close, group), gen_list, {group.zero})
+    span = reduce(partial(_close, group.add), gen_list, {group.zero})
     return Code(group, tuple(gen_list), tuple(sorted(span)))
 
 
@@ -251,32 +231,34 @@ def dual_code(group: GroupSpec, code: Code, max_size: int = ELEMENT_GUARD) -> Co
         row = _pairing_exponents(group, h)
         ranks = [r for r in ranks if not row[r] % e]
     members = tuple(map(els.__getitem__, ranks))
-    return Code(group, _greedy_generators(group, members), members)
+    return Code(group, _greedy_generators(group.add, group.zero, members), members)
 
 
 def all_subgroups(group: GroupSpec, max_size: int = SUBGROUP_GUARD) -> tuple[Code, ...]:
-    """Every subgroup of the carrier, each exactly once, smallest first."""
+    """Every subgroup of the carrier, each exactly once, smallest first.
+
+    Grown from {0} by canonical augmentation (McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998). A subgroup S with greedy generators
+    g_1 < ... < g_j (each least outside the span of those before) spawns
+    T = <S, x> for each x > g_j outside S with x = min(T - S). Then T - S lies
+    above each g_i, so T's greedy generators are g_1, ..., g_j, x, and its only
+    parent is the span of all but the last: each subgroup comes once, with them.
+    """
     if group.size > max_size:
         raise GuardExceeded(
             f"subgroup enumeration guarded at carrier size {max_size}, "
             f"got {count_text(group.size)}"
         )
     els = elements(group)
-    trivial = (group.zero,)
-    seen: set[tuple[Element, ...]] = {trivial}
-    queue: list[tuple[Element, ...]] = [trivial]
-    while queue:
-        sub = queue.pop()
-        base = set(sub)
-        for x in els:
-            if x in base:
-                continue
-            bigger = tuple(sorted(_close(group, base, x)))
-            if bigger not in seen:
-                seen.add(bigger)
-                queue.append(bigger)
-    ordered = sorted(seen, key=lambda t: (len(t), t))
-    return tuple(Code(group, _greedy_generators(group, t), t) for t in ordered)
+    found: list[tuple[tuple[Element, ...], set[Element]]] = [((), {group.zero})]
+    for gens, sub in found:
+        for x in els[group.rank(gens[-1]) + 1 if gens else 1:]:
+            if x not in sub:
+                bigger = _close(group.add, sub, x)
+                if min(bigger - sub) == x:
+                    found.append((gens + (x,), bigger))
+    codes = (Code(group, gens, tuple(sorted(sub))) for gens, sub in found)
+    return tuple(sorted(codes, key=lambda c: (c.size, c.elements)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ return a witness pair of characters when it fails.
 
 from __future__ import annotations
 
-import itertools
+import math
 from functools import reduce
 from typing import Sequence
 
@@ -42,9 +42,11 @@ def product_partition(parts: Sequence[Partition],
             f"product carrier has {count_text(big.size)} elements, "
             f"above the guard of {max_size}"
         )
-    # the product carrier's rank order is the product of the factors' rank orders
-    labels = itertools.product(*(p.block_of for p in parts))
-    return Partition.from_labels(big, labels)
+    # a word's label is its factor block indices as one mixed-radix number, the first
+    # factor's most significant; the carrier's rank order is the product of the factors'
+    weights = [math.prod(p.num_blocks for p in parts[i + 1:]) for i in range(len(parts))]
+    columns = [[b * w for b in p.block_of] for p, w in zip(parts, weights)]
+    return Partition.from_labels(big, reduce(_outer, columns[1:], columns[0]))
 
 
 def symmetrized_partition(base: Partition, copies: int,

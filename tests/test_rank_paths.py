@@ -8,7 +8,9 @@ transform step on ``CycInt`` entries only, the ``CycInt`` triple loop of the
 double-dual product K'K, and the floating approximation
 summed over every coefficient. The second half holds the duplicates that one
 implementation each replaced: the breadth-first closure of ``generate``, the
-pair-loop closure test of ``Code.from_elements``, ``refines`` and
+pair-loop closure test of ``Code.from_elements``, the closure search of
+``all_subgroups`` with its second greedy pass, the coset loop of
+``unit_generators``, ``refines`` and
 ``mismatch_witness`` on element sets, the two long divisions, and the
 fixed-point transitive closure of ``Poset.from_covers``. Canonical block
 order, which ``from_blocks`` now also takes from ``from_labels``, is checked
@@ -19,11 +21,12 @@ import cmath
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
 import dualpart.enumerator
-from dualpart.cyclotomic import CycInt, _poly_divmod, integer
+from dualpart.cyclotomic import CycInt, _poly_divmod, integer, unit_generators
 from dualpart.enumerator import (
     _accumulate,
     _contract_at,
@@ -229,7 +232,7 @@ def old_dual_code(group, code):
 
 
 # every carrier up to 64 elements once up to the order of its factors, and
-# in every factor order up to 16 elements; the (2,)^6 case alone takes seconds
+# in every factor order up to 16 elements; the (2,)^6 case alone takes about 4 s
 DUAL_CODE_CARRIERS = sorted({o if math.prod(o) <= 16 else tuple(sorted(o))
                              for o in SMALL_CARRIERS if o})
 
@@ -420,7 +423,8 @@ def test_approx_skipping_zeros_serializes_the_same(orders):
 
 
 # ---------------------------------------------------------------------------
-# one closure: generate as a fold of _close, closure tested on generators
+# one closure: generate as a fold of _close, closure tested on generators,
+# subgroups by canonical augmentation, and the unit generators
 
 
 def old_generate(group, gens):
@@ -472,6 +476,85 @@ def test_closure_verdict_matches_the_pair_loop_on_every_member_set(orders):
             assert code.elements == members
             accepted += 1
     assert accepted == len(all_subgroups(g))
+
+
+def old_close(group, base, x):
+    out = set(base)
+    cur = x
+    while cur not in base:
+        out.update(group.add(h, cur) for h in base)
+        cur = group.add(cur, x)
+    return out
+
+
+def old_greedy_generators(group, elems):
+    gens, span = [], {group.zero}
+    for g in elems:
+        if g not in span:
+            gens.append(g)
+            span = old_close(group, span, g)
+    return tuple(gens)
+
+
+def old_all_subgroups(group):
+    """Close every outside element of every subgroup met, dropping repeats by a seen set."""
+    els = elements(group)
+    trivial = (group.zero,)
+    seen = {trivial}
+    queue = [trivial]
+    while queue:
+        base = set(queue.pop())
+        for x in els:
+            if x not in base:
+                bigger = tuple(sorted(old_close(group, base, x)))
+                if bigger not in seen:
+                    seen.add(bigger)
+                    queue.append(bigger)
+    ordered = sorted(seen, key=lambda t: (len(t), t))
+    return tuple(Code(group, old_greedy_generators(group, t), t) for t in ordered)
+
+
+@pytest.mark.parametrize("orders", carriers(32))
+def test_all_subgroups_equals_the_closure_search(orders):
+    g = GroupSpec(orders)
+    assert all_subgroups(g) == old_all_subgroups(g)
+
+
+def gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def test_subgroups_of_the_binary_space_of_dimension_six():
+    """[6 choose k]_2 subspaces of each dimension k, 2825 in all, each once."""
+    g = GroupSpec((2,) * 6)
+    subs = all_subgroups(g)
+    assert len({c.elements for c in subs}) == len(subs) == 2825
+    sizes = Counter(c.size for c in subs)
+    assert sizes == {2 ** k: gaussian_binomial(6, k, 2) for k in range(7)}
+    assert all(c.generators == old_greedy_generators(g, c.elements) for c in subs)
+
+
+def old_unit_generators(order):
+    gens = []
+    sub = {1 % order}
+    for j in range(2, order):
+        if math.gcd(j, order) == 1 and j not in sub:
+            gens.append(j)
+            grown, x = set(sub), j
+            while x not in sub:  # add the cosets j^t * sub until they close
+                grown.update(x * h % order for h in sub)
+                x = x * j % order
+            sub = grown
+    return tuple(gens)
+
+
+def test_unit_generators_equal_the_coset_loop():
+    for order in range(1, 1025):
+        assert unit_generators(order) == old_unit_generators(order), order
 
 
 def old_refines(finer, coarser):

@@ -38,7 +38,8 @@ def test_sweep_cases_script_reports_each_case():
     doc = json.loads(run_script("sweep_cases.py", "--case", "(256,) lee",
                                 "--case", "(12,)^3 singletons, 12 words",
                                 "--case", "(64,64) hamming",
-                                "--case", "(2,)^12 hamming, 64 words", "--timeout", "60"))
+                                "--case", "(2,)^12 hamming, 64 words",
+                                "--case", "(2,)^5 subgroups", "--timeout", "60"))
     assert doc["limit_gib"] == 2.0
     assert [(c["name"], c["status"], c["blocks"], c["dual_blocks"]) for c in doc["cases"]] == [
         ("(256,) lee", "ok", 129, 129), ("(64,64) hamming", "ok", 3, 3)]
@@ -50,6 +51,10 @@ def test_sweep_cases_script_reports_each_case():
             for c in doc["transform_cases"]] == [
         ("(12,)^3 singletons, 12 words", "ok", 12, 144), ("(2,)^12 hamming, 64 words", "ok", 64, 64)]
     assert all(c["transform_seconds"] > 0 for c in doc["transform_cases"])
+    # sum over k of [5 choose k]_2 subspaces of (Z/2)^5
+    (sub,) = doc["subgroup_cases"]
+    assert (sub["name"], sub["status"], sub["subgroups"]) == ("(2,)^5 subgroups", "ok", 374)
+    assert sub["subgroup_seconds"] > 0
 
 
 def test_sweep_cases_script_skips_a_matrix_over_the_guard():
