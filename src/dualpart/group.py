@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from operator import add
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .cyclotomic import CycInt, _close, _greedy_generators, zero, zeta_pow
 from .errors import GuardExceeded, InputError, count_text
@@ -237,12 +237,13 @@ def dual_code(group: GroupSpec, code: Code, max_size: int = ELEMENT_GUARD) -> Co
 def all_subgroups(group: GroupSpec, max_size: int = SUBGROUP_GUARD) -> tuple[Code, ...]:
     """Every subgroup of the carrier, each exactly once, smallest first.
 
-    Grown from {0} by canonical augmentation (McKay, "Isomorph-free exhaustive
-    generation", J. Algorithms 26, 1998). A subgroup S with greedy generators
-    g_1 < ... < g_j (each least outside the span of those before) spawns
-    T = <S, x> for each x > g_j outside S with x = min(T - S). Then T - S lies
-    above each g_i, so T's greedy generators are g_1, ..., g_j, x, and its only
-    parent is the span of all but the last: each subgroup comes once, with them.
+    Grown depth first from {0} by canonical augmentation (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998). A subgroup S with greedy
+    generators g_1 < ... < g_j (each least outside the span of those before)
+    spawns T = <S, x> for each x > g_j outside S with x = min(T - S). Then
+    T - S lies above each g_i, so T's greedy generators are g_1, ..., g_j, x,
+    and its only parent is the span of all but the last: each subgroup comes
+    once, with them.
     """
     if group.size > max_size:
         raise GuardExceeded(
@@ -250,15 +251,14 @@ def all_subgroups(group: GroupSpec, max_size: int = SUBGROUP_GUARD) -> tuple[Cod
             f"got {count_text(group.size)}"
         )
     els = elements(group)
-    found: list[tuple[tuple[Element, ...], set[Element]]] = [((), {group.zero})]
-    for gens, sub in found:
+    def grow(gens: tuple[Element, ...], sub: set[Element]) -> Iterator[Code]:
+        yield Code(group, gens, tuple(sorted(sub)))
         for x in els[group.rank(gens[-1]) + 1 if gens else 1:]:
             if x not in sub:
                 bigger = _close(group.add, sub, x)
                 if min(bigger - sub) == x:
-                    found.append((gens + (x,), bigger))
-    codes = (Code(group, gens, tuple(sorted(sub))) for gens, sub in found)
-    return tuple(sorted(codes, key=lambda c: (c.size, c.elements)))
+                    yield from grow(gens + (x,), bigger)
+    return tuple(sorted(grow((), {group.zero}), key=lambda c: (c.size, c.elements)))
 
 
 # ---------------------------------------------------------------------------
