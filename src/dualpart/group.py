@@ -243,7 +243,7 @@ def all_subgroups(group: GroupSpec, max_size: int = SUBGROUP_GUARD) -> tuple[Cod
     spawns T = <S, x> for each x > g_j outside S with x = min(T - S). Then
     T - S lies above each g_i, so T's greedy generators are g_1, ..., g_j, x,
     and its only parent is the span of all but the last: each subgroup comes
-    once, with them.
+    once, with its generators.
     """
     if group.size > max_size:
         raise GuardExceeded(
