@@ -1,5 +1,6 @@
-"""Time ``dual_partition``, the Krawtchouk matrix, the product transform and the
-subgroup enumeration on fixed carriers, each case in its own capped process.
+"""Time ``dual_partition``, the Krawtchouk matrix, the product transform, the
+subgroup enumeration and the printing of induced partitions on fixed carriers,
+each case in its own capped process.
 
     python3 scripts/sweep_cases.py [--src DIR] [--timeout S] [--limit-gib G] [--case NAME ...]
 
@@ -14,11 +15,17 @@ power of its carrier, the code's dual and the factor matrix, then times what
 and ``symmetrized_enumerator`` of both, median of five runs. The child
 checks that the transform equals the dual's enumerator. Every subgroup case
 (``SUBGROUP_CASES``) times ``all_subgroups`` of its carrier, median of three
-runs, and counts the subgroups. One JSON document goes to stdout:
+runs, and counts the subgroups. Every print case (``PRINT_CASES``) builds
+the document of ``dualpart product`` or ``symmetrize`` with the CLI's own
+handler and times ``write_json`` of it to ``os.devnull``, median of five
+runs; it reports the document's size and the sha256 of its text, so runs
+over two source trees can be checked to print the same bytes. One JSON
+document goes to stdout:
 ``{python, limit_gib, timeout_s, cases: [{name, seconds, peak_rss_mb,
 blocks, dual_blocks, krawtchouk_seconds, krawtchouk_peak_rss_mb, status}],
 transform_cases: [{name, transform_seconds, code_size, keys, status}],
-subgroup_cases: [{name, subgroup_seconds, subgroups, status}]}``. ``peak_rss_mb`` is read
+subgroup_cases: [{name, subgroup_seconds, subgroups, status}],
+print_cases: [{name, print_seconds, bytes, sha256, status}]}``. ``peak_rss_mb`` is read
 before the matrix is built; the ``krawtchouk_`` fields are null where the
 matrix exceeds the matrix guard. ``status`` is ``ok``, ``oom`` (the child
 ran out of address space), ``timeout`` or ``error``; a case that did not
@@ -78,6 +85,35 @@ SUBGROUP_CASES = {
     "(4,2,2,2,2) subgroups": (4, 2, 2, 2, 2),
     "(2,2,4,4) subgroups": (2, 2, 4, 4),
 }
+
+# command, base orders, base blocks and copies of an induced-partition document
+PRINT_CASES = {
+    "(4,)^6 lee product": ("product", [4], [[[0]], [[1], [3]], [[2]]], 6),
+    "(4,)^6 lee symmetrize": ("symmetrize", [4], [[[0]], [[1], [3]], [[2]]], 6),
+    "(2,)^11 hamming product": ("product", [2], [[[0]], [[1]]], 11),
+}
+
+PRINT_CHILD = """
+import hashlib, io, json, os, resource, statistics, sys, time
+limit = {limit}
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.path.insert(0, {src!r})
+from dualpart.cli import build_parser
+from dualpart.serialization import write_json
+args = build_parser().parse_args({argv!r})
+doc, _ = args.handler(args)
+times = []
+with open(os.devnull, "w") as sink:
+    for _ in range(5):
+        start = time.perf_counter()
+        write_json(doc, sink)
+        times.append(time.perf_counter() - start)
+text = io.StringIO()
+write_json(doc, text)
+print(json.dumps({{"print_seconds": round(statistics.median(times), 5),
+                  "bytes": len(text.getvalue()),
+                  "sha256": hashlib.sha256(text.getvalue().encode()).hexdigest()}}))
+"""
 
 SUBGROUP_CHILD = """
 import json, resource, statistics, sys, time
@@ -184,6 +220,12 @@ def run_case(name: str, src: str, limit_gib: float, timeout: float) -> dict:
         code = TRANSFORM_CHILD.format(limit=limit, src=src, orders=orders, kind=kind,
                                       copies=copies, gens=gens)
         row = {"name": name, "transform_seconds": None, "code_size": None, "keys": None}
+    elif name in PRINT_CASES:
+        cmd, orders, blocks, copies = PRINT_CASES[name]
+        argv = [cmd, "--group", json.dumps({"orders": orders}),
+                "--partition", json.dumps({"blocks": blocks}), "--copies", str(copies)]
+        code = PRINT_CHILD.format(limit=limit, src=src, argv=argv)
+        row = {"name": name, "print_seconds": None, "bytes": None, "sha256": None}
     elif name in SUBGROUP_CASES:
         code = SUBGROUP_CHILD.format(limit=limit, src=src, orders=SUBGROUP_CASES[name])
         row = {"name": name, "subgroup_seconds": None, "subgroups": None}
@@ -208,9 +250,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--timeout", type=float, default=120.0)
     parser.add_argument("--limit-gib", type=float, default=2.0)
     parser.add_argument("--case", action="append",
-                        choices=sorted([*CASES, *TRANSFORM_CASES, *SUBGROUP_CASES]))
+                        choices=sorted([*CASES, *TRANSFORM_CASES, *SUBGROUP_CASES,
+                                        *PRINT_CASES]))
     args = parser.parse_args(argv)
-    names = args.case or [*CASES, *TRANSFORM_CASES, *SUBGROUP_CASES]
+    names = args.case or [*CASES, *TRANSFORM_CASES, *SUBGROUP_CASES, *PRINT_CASES]
     src = str(Path(args.src).resolve())
     doc = {
         "python": platform.python_version(),
@@ -222,6 +265,8 @@ def main(argv: list[str] | None = None) -> int:
                             for n in names if n in TRANSFORM_CASES],
         "subgroup_cases": [run_case(n, src, args.limit_gib, args.timeout)
                            for n in names if n in SUBGROUP_CASES],
+        "print_cases": [run_case(n, src, args.limit_gib, args.timeout)
+                        for n in names if n in PRINT_CASES],
     }
     json.dump(doc, sys.stdout, indent=2)
     print()

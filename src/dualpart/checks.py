@@ -45,6 +45,7 @@ from .partition import (
     join,
     krawtchouk,
     meet,
+    mismatch_witness,
     negate,
     random_partition,
     random_reflexive_partition,
@@ -519,13 +520,13 @@ def check_single_block_strictness() -> CheckResult:
         for copies in (2, 3):
             left = dual_partition(product_partition([whole] * copies))
             right = product_partition([dual_partition(whole)] * copies)
-            if check_product_duality([whole] * copies) is None:
+            if mismatch_witness(left, right) is None:
                 failures.append(f"product unexpectedly commuted at {base.orders}")
             if not (refines(right, left) and right != left):
                 failures.append(f"product refinement not strict at {base.orders}")
             sleft = dual_partition(symmetrized_partition(whole, copies))
             sright = symmetrized_partition(dual_partition(whole), copies)
-            if check_symmetrized_duality(whole, copies) is None:
+            if mismatch_witness(sleft, sright) is None:
                 failures.append(f"symmetrized unexpectedly commuted at {base.orders}")
             if not (refines(sright, sleft) and sright != sleft):
                 failures.append(f"symmetrized refinement not strict at {base.orders}")

@@ -36,7 +36,7 @@ from .induced import (
     product_partition,
     symmetrized_partition,
 )
-from .partition import MATRIX_GUARD, dual_partition, krawtchouk
+from .partition import MATRIX_GUARD, Partition, dual_partition, krawtchouk
 from .poset import (
     hierarchical_krawtchouk,
     is_hierarchical,
@@ -55,7 +55,6 @@ from .serialization import (
     krawtchouk_to_json,
     linear_enumerator_to_json,
     partition_from_json,
-    partition_to_json,
     poset_from_json,
     poset_to_json,
     product_enumerator_to_json,
@@ -114,7 +113,8 @@ def _poset(args: argparse.Namespace, grp):
 
 
 # ---------------------------------------------------------------------------
-# handlers; each returns (document, exit_code)
+# handlers; each returns (document, exit_code), with partitions as Partition
+# values, which write_json prints in partition_to_json's form
 
 
 def _cmd_dual(args) -> tuple[dict, int]:
@@ -124,8 +124,8 @@ def _cmd_dual(args) -> tuple[dict, int]:
     return {
         "command": "dual",
         "group": group_to_json(grp),
-        "partition": partition_to_json(part),
-        "dual": partition_to_json(dual),
+        "partition": part,
+        "dual": dual,
         "reflexive": dual.num_blocks == part.num_blocks,
         "krawtchouk": krawtchouk_to_json(matrix),
     }, 0
@@ -138,9 +138,9 @@ def _cmd_bidual(args) -> tuple[dict, int]:
     return {
         "command": "bidual",
         "group": group_to_json(grp),
-        "partition": partition_to_json(part),
-        "dual": partition_to_json(dual),
-        "bidual": partition_to_json(dd),
+        "partition": part,
+        "dual": dual,
+        "bidual": dd,
         "reflexive": dd == part,
     }, 0
 
@@ -152,11 +152,11 @@ def _cmd_reflexive(args) -> tuple[dict, int]:
     return {
         "command": "reflexive",
         "group": group_to_json(grp),
-        "partition": partition_to_json(part),
+        "partition": part,
         "reflexive": dual.num_blocks == part.num_blocks,
         "partition_blocks": part.num_blocks,
         "dual_blocks": dual.num_blocks,
-        "bidual": partition_to_json(dd),
+        "bidual": dd,
     }, 0
 
 
@@ -170,8 +170,8 @@ def _cmd_krawtchouk(args) -> tuple[dict, int]:
     return {
         "command": "krawtchouk",
         "group": group_to_json(grp),
-        "partition": partition_to_json(part),
-        "char_partition": partition_to_json(char_part),
+        "partition": part,
+        "char_partition": char_part,
         "krawtchouk": krawtchouk_to_json(matrix),
     }, 0
 
@@ -190,8 +190,8 @@ def _cmd_macwilliams(args) -> tuple[dict, int]:
     return {
         "command": "macwilliams",
         "group": group_to_json(grp),
-        "char_partition": partition_to_json(char_part),
-        "primal_partition": partition_to_json(prim),
+        "char_partition": char_part,
+        "primal_partition": prim,
         "code": code_to_json(code, include_elements=True),
         "a": linear_enumerator_to_json(counts),
         "krawtchouk": krawtchouk_to_json(matrix),
@@ -229,10 +229,10 @@ def _cmd_induced(args) -> tuple[dict, int]:
     doc = {
         "command": args.cmd,
         "base_group": group_to_json(grp),
-        "base_partition": partition_to_json(base),
+        "base_partition": base,
         "copies": copies,
         "group": group_to_json(induced.group),
-        "partition": partition_to_json(induced),
+        "partition": induced,
     }
     if args.check:
         if product:
@@ -282,7 +282,7 @@ def _cmd_poset_partition(args) -> tuple[dict, int]:
         "command": "poset-partition",
         "group": group_to_json(grp),
         "poset": poset_to_json(p),
-        "partition": partition_to_json(part),
+        "partition": part,
         "by_weight": [by_weight[w] for w in sorted(by_weight)],
     }, 0
 
@@ -370,10 +370,8 @@ def _fmt_element(g: tuple) -> str:
     return "(" + ",".join(str(x) for x in g) + ")"
 
 
-def _fmt_blocks(blocks: list) -> str:
-    return " | ".join(
-        "{" + ",".join(_fmt_element(tuple(g)) for g in b) + "}" for b in blocks
-    )
+def _fmt_blocks(blocks: tuple) -> str:
+    return " | ".join("{" + ",".join(map(_fmt_element, b)) + "}" for b in blocks)
 
 
 def _fmt_matrix(rows: list) -> list[str]:
@@ -389,8 +387,8 @@ def _fmt_matrix(rows: list) -> list[str]:
 def _pretty(doc: dict, out) -> None:
     for key in ("partition", "base_partition", "dual", "bidual", "char_partition",
                 "primal_partition"):
-        if key in doc and isinstance(doc[key], dict):
-            print(f"{key:<18} {_fmt_blocks(doc[key]['blocks'])}", file=out)
+        if isinstance(doc.get(key), Partition):
+            print(f"{key:<18} {_fmt_blocks(doc[key].blocks)}", file=out)
     for key in ("krawtchouk", "factor_krawtchouk"):
         if key in doc and isinstance(doc[key], dict):
             print(f"{key}:", file=out)

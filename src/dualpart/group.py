@@ -24,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from operator import add
+from operator import add, mod
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .cyclotomic import CycInt, _close, _greedy_generators, zero, zeta_pow
@@ -88,7 +88,7 @@ class GroupSpec:
         return t
 
     def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
+        return tuple(map(mod, map(add, a, b), self.orders))
 
     def neg(self, a: Element) -> Element:
         return tuple((-x) % n for x, n in zip(a, self.orders))
@@ -139,13 +139,17 @@ def pairing(group: GroupSpec, chi: Element, g: Element) -> CycInt:
     return zeta_pow(group.exponent, pairing_exponent(group, chi, g))
 
 
-def _outer(a: list[int], b: list[int]) -> list[int]:
-    """[x + y for x in a for y in b], with a Python loop over the shorter operand."""
+def _outer(a: list, b: list) -> list:
+    """[x + y for x in a for y in b], with a Python loop over the shorter operand.
+
+    Each sum keeps x on the left, so lists of strings give the concatenations
+    in rank order too.
+    """
     n = len(b)
     out = [0] * (len(a) * n)
     if len(a) < n:
         for i, x in enumerate(a):
-            out[i * n:(i + 1) * n] = map(add, b, itertools.repeat(x))
+            out[i * n:(i + 1) * n] = map(add, itertools.repeat(x), b)
     else:
         for j, y in enumerate(b):
             out[j::n] = map(add, a, itertools.repeat(y))

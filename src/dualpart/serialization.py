@@ -16,14 +16,20 @@ Coefficients serialize as decimal strings so arbitrarily large exact values
 survive readers that parse JSON numbers as doubles.
 
 ``write_json`` prints a CLI document (str keys, JSON's scalar and container
-types) with exactly the bytes of ``json.dump(doc, stream, indent=2)``,
-building the text with joins over whole lists instead of the pure-Python
-encoder that ``indent`` selects. Input is still parsed with ``json.loads``.
+types, and ``Partition`` values) with exactly the bytes of
+``json.dump(doc, stream, indent=2)``, a partition standing for its
+``partition_to_json`` dict. It builds the text with joins over whole lists
+instead of the pure-Python encoder that ``indent`` selects, and a
+partition's text from its labels: each carrier element's text is composed
+once from per-coordinate digit strings, and each block joins its members'
+texts. Input is still parsed with ``json.loads``.
 """
 
 from __future__ import annotations
 
+import io
 import re
+from functools import reduce
 from itertools import chain, compress, islice, repeat
 from json import JSONEncoder
 from json.encoder import encode_basestring_ascii as _quote
@@ -34,7 +40,7 @@ from typing import Any, TextIO
 from .cyclotomic import CycInt, _float_root_powers, euler_phi
 from .enumerator import LinearEnumerator, ProductEnumerator, SymmetrizedEnumerator
 from .errors import InputError
-from .group import ELEMENT_GUARD, Code, Element, GroupSpec, generate
+from .group import ELEMENT_GUARD, Code, Element, GroupSpec, _outer, generate
 from .partition import KrawtchoukMatrix, Partition
 from .poset import Poset
 
@@ -196,7 +202,7 @@ def write_json(doc: Any, stream: TextIO) -> None:
     """Write a CLI document to ``stream`` as ``json.dump(doc, stream, indent=2)`` would.
 
     A CLI document holds dicts with str keys, lists, strs, ints, finite floats,
-    bools and ``None``; every layout rule of ``json.encoder`` is kept for it:
+    bools, ``None`` and partitions; every layout rule of ``json.encoder`` is kept for it:
 
     - separators ``(",", ": ")``: each item of a nonempty list or dict sits
       on its own line, indented two spaces per level, and the closing
@@ -210,7 +216,8 @@ def write_json(doc: Any, stream: TextIO) -> None:
       infinities under ``allow_nan``, subclasses of str, int and float)
       prints as ``json.JSONEncoder().encode`` prints it, which also raises
       ``TypeError`` for a type JSON lacks;
-    - nothing looks for a container inside itself, which no CLI document holds.
+    - nothing looks for a container inside itself, which no CLI document holds;
+    - a ``Partition`` prints as its ``partition_to_json`` dict would.
 
     The text is built one depth at a time, not one node at a time. The
     values at one depth are split by type: exact ints and finite floats are
@@ -222,6 +229,14 @@ def write_json(doc: Any, stream: TextIO) -> None:
     to the first list, and that list a batch of items at a time, so the
     text held at once stays near ``_BATCH_TEXT`` characters, or one item's
     text if that is longer.
+
+    A partition is printed from its labels (``_block_members``): the texts of
+    all carrier elements are composed once, in rank order, each goes to the
+    block ``block_of`` names, and the blocks are written a batch at a time,
+    like the items of a list. That holds for a partition that is the document
+    or a dict's value down to the first list, which is where the CLI puts
+    them. A partition inside a list is one item of a batch, so its text is
+    built whole, by the same steps.
     """
     _write(doc, 0, stream)
 
@@ -235,11 +250,14 @@ _scalar_text = JSONEncoder().encode
 
 def _write(value: Any, level: int, stream: TextIO) -> None:
     """Write ``value`` at indent ``level``, a dict entry or a batch of list items at a time."""
-    if not (isinstance(value, (dict, list, tuple)) and value):
-        stream.write(str(next(iter(_texts([value], level)))))
-        return
     inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level
-    if isinstance(value, dict):
+    if isinstance(value, Partition):
+        stream.write("{" + inner + '"blocks": ')
+        _write_items(_block_members(value, level + 3), level + 1, stream, _block_texts)
+        stream.write(close + "}")
+    elif not (isinstance(value, (dict, list, tuple)) and value):
+        stream.write(str(next(iter(_texts([value], level)))))
+    elif isinstance(value, dict):
         opener = "{" + inner
         for key, item in value.items():
             stream.write(f"{opener}{_quote(key)}: ")
@@ -247,18 +265,54 @@ def _write(value: Any, level: int, stream: TextIO) -> None:
             opener = "," + inner
         stream.write(close + "}")
     else:
-        stream.write("[" + inner)
-        sep, start, step = "," + inner, 0, 1
-        # batches grow fourfold while short, then shrink to _BATCH_TEXT by the last one's items
-        while start < len(value):
-            if start:
-                stream.write(sep)
-            text = sep.join(map(str, _texts(value[start:start + step], level + 1)))
-            stream.write(text)
-            start += step
-            fits = len(text) < _BATCH_TEXT
-            step = 4 * step if fits else max(1, step * _BATCH_TEXT // len(text))
-        stream.write(close + "]")
+        _write_items(value, level, stream, _texts)
+
+
+def _write_items(items, level: int, stream: TextIO, texts) -> None:
+    """Write the nonempty list ``items`` at indent ``level``, a batch at a time;
+    ``texts(batch, level + 1)`` gives the texts of a batch's items."""
+    inner = "\n" + "  " * (level + 1)
+    stream.write("[" + inner)
+    sep, start, step = "," + inner, 0, 1
+    # batches grow fourfold while short, then shrink to _BATCH_TEXT by the last one's items
+    while start < len(items):
+        if start:
+            stream.write(sep)
+        text = sep.join(map(str, texts(items[start:start + step], level + 1)))
+        stream.write(text)
+        start += step
+        fits = len(text) < _BATCH_TEXT
+        step = 4 * step if fits else max(1, step * _BATCH_TEXT // len(text))
+    stream.write("\n" + "  " * level + "]")
+
+
+def _block_members(part: Partition, level: int) -> list[list[str]]:
+    """Per block of ``part``, the texts of its members printed at indent ``level``.
+
+    The text of every carrier element is composed once, in rank order: each
+    coordinate contributes its digit strings, led by the opening bracket or
+    a separator and the last one closed by the bracket, and ``_outer`` sums
+    the columns as it sums pairing exponents. A canonical partition lists
+    each block's members in rank order, so appending each text to the block
+    ``block_of`` names gives the blocks' members in their printed order.
+    """
+    inner = "\n" + "  " * (level + 1)
+    orders = part.group.orders
+    heads = ["[" + inner] + ["," + inner] * (len(orders) - 1)
+    tails = [""] * (len(orders) - 1) + ["\n" + "  " * level + "]"]
+    cols = [[f"{head}{x}{tail}" for x in range(n)] for n, head, tail in zip(orders, heads, tails)]
+    texts = reduce(_outer, cols[1:], cols[0]) if cols else ["[]"]
+    members: list[list[str]] = [[] for _ in part.blocks]
+    for i, text in zip(part.block_of, texts):
+        members[i].append(text)
+    return members
+
+
+def _block_texts(batch: list[list[str]], level: int) -> list[str]:
+    """The texts of blocks, given by their members' texts, printed at indent ``level``."""
+    inner = "\n" + "  " * (level + 1)
+    head, sep, tail = "[" + inner, "," + inner, "\n" + "  " * level + "]"
+    return [f"{head}{sep.join(members)}{tail}" for members in batch]
 
 
 def _texts(items, level: int):
@@ -271,6 +325,8 @@ def _texts(items, level: int):
                  for kind in kinds}
         return map(next, map(texts.__getitem__, map(type, items)))
     kind = kinds.pop()
+    if issubclass(kind, Partition):
+        return [_written(p, level) for p in items]
     if kind is int or kind is float and all(map(isfinite, items)):
         return items
     if kind is str:
@@ -290,6 +346,13 @@ def _texts(items, level: int):
                     + "\n" + "  " * level + "}")
         return map(template.__mod__, zip(*columns))
     return map(_scalar_text, items)
+
+
+def _written(value: Any, level: int) -> str:
+    """The text of ``value`` printed at indent ``level``, as ``_write`` writes it."""
+    out = io.StringIO()
+    _write(value, level, out)
+    return out.getvalue()
 
 
 def _grouped(texts, sizes: list[int], level: int):

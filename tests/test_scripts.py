@@ -1,5 +1,8 @@
 """Smoke runs of the scripts under scripts/."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -62,3 +65,20 @@ def test_sweep_cases_script_skips_a_matrix_over_the_guard():
     (case,) = doc["cases"]
     assert case["status"] == "ok" and (case["blocks"], case["dual_blocks"]) == (2309, 4096)
     assert case["krawtchouk_seconds"] is None and case["krawtchouk_peak_rss_mb"] is None
+
+
+def test_sweep_cases_script_prints_the_cli_document():
+    doc = json.loads(run_script("sweep_cases.py", "--case", "(4,)^6 lee symmetrize",
+                                "--timeout", "60"))
+    (case,) = doc["print_cases"]
+    assert (case["name"], case["status"]) == ("(4,)^6 lee symmetrize", "ok")
+    assert case["print_seconds"] > 0
+    from dualpart.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["symmetrize", "--group", '{"orders": [4]}', "--partition",
+                     '{"blocks": [[[0]], [[1], [3]], [[2]]]}', "--copies", "6"]) == 0
+    text = out.getvalue().removesuffix("\n")
+    assert case["bytes"] == len(text)
+    assert case["sha256"] == hashlib.sha256(text.encode()).hexdigest()

@@ -2,6 +2,7 @@ import enum
 import io
 import json
 import math
+import random
 import time
 
 import hypothesis.strategies as st
@@ -12,7 +13,7 @@ import dualpart.serialization
 from dualpart.cyclotomic import CycInt, integer, zeta_pow
 from dualpart.errors import InputError
 from dualpart.group import GroupSpec, generate
-from dualpart.partition import Partition, dual_partition, krawtchouk
+from dualpart.partition import Partition, dual_partition, krawtchouk, random_partition
 from dualpart.poset import Poset, poset_partition
 from dualpart.serialization import (
     code_from_json,
@@ -302,3 +303,68 @@ json_trees = st.recursive(_json_scalars | _rectangles | _records, _json_containe
 @settings(max_examples=400, deadline=None)
 def test_writer_matches_json_dump_on_random_trees(doc):
     assert written(doc) == json.dumps(doc, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# partitions printed from their labels, against partition_to_json as the oracle
+
+
+def as_dicts(doc):
+    """The document with each partition replaced by its ``partition_to_json`` dict."""
+    if isinstance(doc, Partition):
+        return partition_to_json(doc)
+    if isinstance(doc, dict):
+        return {k: as_dicts(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [as_dicts(v) for v in doc]
+    return doc
+
+
+PARTITION_CARRIERS = [(6,), (2, 8), (3, 3), (4,) * 3, (2,) * 5]
+PARTITION_KINDS = {
+    "singletons": Partition.singletons,
+    "one-block": Partition.one_block,
+    "random": lambda g: random_partition(g, random.Random(g.size)),
+}
+
+
+@pytest.mark.parametrize("orders", PARTITION_CARRIERS, ids=str)
+@pytest.mark.parametrize("kind", PARTITION_KINDS)
+def test_writer_prints_partitions_as_their_dicts(orders, kind):
+    part = PARTITION_KINDS[kind](GroupSpec(orders))
+    docs = {
+        "level-0": part,
+        "level-1": {"partition": part},
+        "level-2": {"a": {"partition": part}},
+        "level-3": {"a": {"b": {"partition": part, "n": 1}}},
+        "in-a-list": [part, 1, part],
+        "in-a-dict-in-a-list": [{"x": part}],
+        "in-same-key-dicts": [{"p": part, "n": 0}, {"p": part, "n": 1}],
+        "beside-its-dict": {"p": part, "d": partition_to_json(part)},
+    }
+    for name, doc in docs.items():
+        assert written(doc) == json.dumps(as_dicts(doc), indent=2), name
+
+
+def test_writer_prints_a_partition_of_the_empty_product():
+    part = Partition.singletons(GroupSpec(()))
+    assert written({"p": [part], "q": part}) == json.dumps(
+        {"p": [{"blocks": [[[]]]}], "q": {"blocks": [[[]]]}}, indent=2)
+
+
+def test_writer_streams_a_partition_a_batch_of_blocks_at_a_time(monkeypatch):
+    monkeypatch.setattr(dualpart.serialization, "_BATCH_TEXT", 200)
+    part = random_partition(GroupSpec((4,) * 3), random.Random(3))
+    expected = json.dumps({"partition": partition_to_json(part)}, indent=2)
+
+    class Sink(io.StringIO):
+        longest = 0
+
+        def write(self, text):
+            self.longest = max(self.longest, len(text))
+            return super().write(text)
+
+    sink = Sink()
+    write_json({"partition": part}, sink)
+    assert sink.getvalue() == expected
+    assert part.num_blocks > 8 and sink.longest < len(expected) // 4

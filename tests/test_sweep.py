@@ -176,6 +176,13 @@ def test_outer_loops_over_either_operand():
         assert _outer(a, b) == [x + y for x in a for y in b]
 
 
+def test_outer_concatenates_strings_in_rank_order():
+    # the first operand shorter, longer and as long as the second takes each loop
+    for a, b in [(["a"], ["0", "1"]), (["x", "y"], list("0123")),
+                 (list("abcd"), ["0", "1"]), (["p", "q"], ["0", "1"])]:
+        assert _outer(a, b) == [x + y for x in a for y in b]
+
+
 def hamming(grp):
     return Partition.from_weight(grp, lambda g: sum(1 for x in g if x))
 
