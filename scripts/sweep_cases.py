@@ -184,7 +184,7 @@ sys.path.insert(0, {src!r})
 from dualpart.errors import GuardExceeded
 from dualpart.group import GroupSpec
 from dualpart.partition import Partition, dual_partition, krawtchouk, random_partition
-from dualpart.serialization import krawtchouk_to_json, write_json
+from dualpart.serialization import write_json
 orders, kind = {orders!r}, {kind!r}
 g = GroupSpec(orders)
 if kind == "hamming":
@@ -202,7 +202,7 @@ kseconds = krss = None
 start = time.perf_counter()
 try:
     with open(os.devnull, "w") as sink:
-        write_json(krawtchouk_to_json(krawtchouk(part, dual, max_size=g.size)), sink)
+        write_json(krawtchouk(part, dual, max_size=g.size), sink)
     kseconds = round(time.perf_counter() - start, 4)
     krss = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 except GuardExceeded:

@@ -36,7 +36,7 @@ from .induced import (
     product_partition,
     symmetrized_partition,
 )
-from .partition import MATRIX_GUARD, Partition, dual_partition, krawtchouk
+from .partition import MATRIX_GUARD, KrawtchoukMatrix, Partition, dual_partition, krawtchouk
 from .poset import (
     hierarchical_krawtchouk,
     is_hierarchical,
@@ -52,7 +52,6 @@ from .serialization import (
     element_to_json,
     group_from_json,
     group_to_json,
-    krawtchouk_to_json,
     linear_enumerator_to_json,
     partition_from_json,
     poset_from_json,
@@ -113,8 +112,8 @@ def _poset(args: argparse.Namespace, grp):
 
 
 # ---------------------------------------------------------------------------
-# handlers; each returns (document, exit_code), with partitions as Partition
-# values, which write_json prints in partition_to_json's form
+# handlers; each returns (document, exit_code), with partitions and matrices as
+# Partition and KrawtchoukMatrix values, which write_json prints as their documents
 
 
 def _cmd_dual(args) -> tuple[dict, int]:
@@ -127,7 +126,7 @@ def _cmd_dual(args) -> tuple[dict, int]:
         "partition": part,
         "dual": dual,
         "reflexive": dual.num_blocks == part.num_blocks,
-        "krawtchouk": krawtchouk_to_json(matrix),
+        "krawtchouk": matrix,
     }, 0
 
 
@@ -172,7 +171,7 @@ def _cmd_krawtchouk(args) -> tuple[dict, int]:
         "group": group_to_json(grp),
         "partition": part,
         "char_partition": char_part,
-        "krawtchouk": krawtchouk_to_json(matrix),
+        "krawtchouk": matrix,
     }, 0
 
 
@@ -194,7 +193,7 @@ def _cmd_macwilliams(args) -> tuple[dict, int]:
         "primal_partition": prim,
         "code": code_to_json(code, include_elements=True),
         "a": linear_enumerator_to_json(counts),
-        "krawtchouk": krawtchouk_to_json(matrix),
+        "krawtchouk": matrix,
         "b": linear_enumerator_to_json(out),
         "dual_code": code_to_json(perp, include_elements=True),
         "verified": True,
@@ -236,9 +235,9 @@ def _cmd_induced(args) -> tuple[dict, int]:
     }
     if args.check:
         if product:
-            witness = check_product_duality([base] * copies, ms)
+            witness = check_product_duality([base] * copies, ms, induced)
         else:
-            witness = check_symmetrized_duality(base, copies, ms)
+            witness = check_symmetrized_duality(base, copies, ms, induced)
         doc["duality"] = {
             "commutes": witness is None,
             "witness": None if witness is None else [element_to_json(x) for x in witness],
@@ -263,7 +262,7 @@ def _cmd_induced(args) -> tuple[dict, int]:
         doc["code"] = code_to_json(code, include_elements=False)
         doc["code_size"] = code.size
         doc["enumerator"] = product_enumerator_to_json(counts)
-        doc["factor_krawtchouk"] = krawtchouk_to_json(matrix)
+        doc["factor_krawtchouk"] = matrix
         doc["transform"] = product_enumerator_to_json(out)
         doc["verified"] = True
     return doc, 0
@@ -375,7 +374,7 @@ def _fmt_blocks(blocks: tuple) -> str:
 
 
 def _fmt_matrix(rows: list) -> list[str]:
-    cells = [[str(x) if not isinstance(x, dict) else "~" for x in row] for row in rows]
+    cells = [[str(x) if x is not None else "~" for x in row] for row in rows]
     if not cells:
         return []
     widths = [max(len(r[j]) for r in cells) for j in range(len(cells[0]))]
@@ -390,9 +389,13 @@ def _pretty(doc: dict, out) -> None:
         if isinstance(doc.get(key), Partition):
             print(f"{key:<18} {_fmt_blocks(doc[key].blocks)}", file=out)
     for key in ("krawtchouk", "factor_krawtchouk"):
-        if key in doc and isinstance(doc[key], dict):
+        if isinstance(doc.get(key), KrawtchoukMatrix):
             print(f"{key}:", file=out)
-            for line in _fmt_matrix(doc[key]["entries"]):
+            k = doc[key]
+            phi = len(k.rows[0]) // k.shape[1]  # an irrational entry (None) prints as ~
+            cells = [[None if any(r[j + 1:j + phi]) else r[j] for j in range(0, len(r), phi)]
+                     for r in k.rows]
+            for line in _fmt_matrix(cells):
                 print("  " + line, file=out)
     for key in ("matrix", "closed_form"):
         if isinstance(doc.get(key), list):

@@ -66,21 +66,23 @@ def symmetrized_partition(base: Partition, copies: int,
 
 
 def check_product_duality(parts: Sequence[Partition],
-                          max_size: int = ELEMENT_GUARD):
+                          max_size: int = ELEMENT_GUARD, induced: Partition | None = None):
     """Witness that dualization commutes with the product construction.
 
     Returns None when the dual of the product equals the product of the duals,
     else a pair of characters that one side separates and the other does not.
-    Expected to be None whenever each factor has {0} as a block.
+    Expected to be None whenever each factor has {0} as a block. ``induced``
+    is the product partition when the caller has built it already.
     """
-    left = dual_partition(product_partition(parts, max_size), max_size)
+    left = dual_partition(induced or product_partition(parts, max_size), max_size)
     right = product_partition([dual_partition(p, max_size) for p in parts], max_size)
     return mismatch_witness(left, right)
 
 
-def check_symmetrized_duality(base: Partition, copies: int,
-                              max_size: int = ELEMENT_GUARD):
-    """Witness that dualization commutes with symmetrization; None when it does."""
-    left = dual_partition(symmetrized_partition(base, copies, max_size), max_size)
+def check_symmetrized_duality(base: Partition, copies: int, max_size: int = ELEMENT_GUARD,
+                              induced: Partition | None = None):
+    """Witness that dualization commutes with symmetrization; None when it does.
+    ``induced`` is the symmetrized partition when the caller has built it already."""
+    left = dual_partition(induced or symmetrized_partition(base, copies, max_size), max_size)
     right = symmetrized_partition(dual_partition(base, max_size), copies, max_size)
     return mismatch_witness(left, right)

@@ -16,13 +16,13 @@ Coefficients serialize as decimal strings so arbitrarily large exact values
 survive readers that parse JSON numbers as doubles.
 
 ``write_json`` prints a CLI document (str keys, JSON's scalar and container
-types, and ``Partition`` values) with exactly the bytes of
-``json.dump(doc, stream, indent=2)``, a partition standing for its
-``partition_to_json`` dict. It builds the text with joins over whole lists
-instead of the pure-Python encoder that ``indent`` selects, and a
-partition's text from its labels: each carrier element's text is composed
-once from per-coordinate digit strings, and each block joins its members'
-texts. Input is still parsed with ``json.loads``.
+types, ``Partition`` and ``KrawtchoukMatrix`` values) with exactly the bytes
+of ``json.dump(doc, stream, indent=2)``, a partition or matrix standing for
+its document. It builds the text with joins over whole lists instead of the
+pure-Python encoder that ``indent`` selects; a partition's text from its
+labels, each carrier element's text composed once from per-coordinate digit
+strings; and a matrix's from its packed rows, one text per row, each
+coefficient's text made once. Input is still parsed with ``json.loads``.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from json import JSONEncoder
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from operator import mul
+from types import GeneratorType
 from typing import Any, TextIO
 
 from .cyclotomic import CycInt, _float_root_powers, euler_phi
@@ -147,44 +148,6 @@ def cycint_from_json(obj: Any, order: int | None = None) -> CycInt:
     return CycInt(obj["order"], tuple(map(int, coeffs)))
 
 
-def _approx_pair(z: complex) -> list[float]:
-    def clean(v: float) -> float:
-        r = round(v, 12)
-        return 0.0 if r == 0 else r
-
-    return [clean(z.real), clean(z.imag)]
-
-
-def krawtchouk_to_json(k: KrawtchoukMatrix) -> dict:
-    """The matrix document, read from the packed rows with no ``CycInt`` per entry.
-
-    A rational entry v prints as an int, with the approx [float(v), 0.0] that
-    rounding its ``approx_complex`` gives, one list shared per value. An
-    irrational entry prints its coefficients as decimal strings, one string
-    per value, and sums c * z**i over its nonzero coefficients c in index
-    order from 0j, as ``approx_complex`` does. At phi(E) = 1 the document's
-    entry rows are the matrix's own row lists.
-    """
-    e, phi = k.order, euler_phi(k.order)
-    values = set().union(*k.rows)
-    pairs = {v: [float(v), 0.0] for v in values}
-    if phi == 1:
-        entries, approx = list(k.rows), [list(map(pairs.__getitem__, row)) for row in k.rows]
-    else:
-        strs, powers = {v: str(v) for v in values}, _float_root_powers(e)
-        cells = [[row[j:j + phi] for j in range(0, len(row), phi)] for row in k.rows]
-        entries = [[{"order": e, "coeffs": list(map(strs.__getitem__, c))} if any(c[1:])
-                    else c[0] for c in row] for row in cells]
-        approx = [[_approx_pair(sum(map(mul, compress(c, c), compress(powers, c)), 0j))
-                   if any(c[1:]) else pairs[c[0]] for c in row] for row in cells]
-    return {
-        "entries": entries,
-        "approx": approx,
-        "row_blocks": [[element_to_json(g) for g in b] for b in k.row_blocks],
-        "col_blocks": [[element_to_json(g) for g in b] for b in k.col_blocks],
-    }
-
-
 def linear_enumerator_to_json(e: LinearEnumerator) -> list[int]:
     return list(e.counts)
 
@@ -202,7 +165,8 @@ def write_json(doc: Any, stream: TextIO) -> None:
     """Write a CLI document to ``stream`` as ``json.dump(doc, stream, indent=2)`` would.
 
     A CLI document holds dicts with str keys, lists, strs, ints, finite floats,
-    bools, ``None`` and partitions; every layout rule of ``json.encoder`` is kept for it:
+    bools, ``None``, partitions and Krawtchouk matrices; every layout rule of
+    ``json.encoder`` is kept for it:
 
     - separators ``(",", ": ")``: each item of a nonempty list or dict sits
       on its own line, indented two spaces per level, and the closing
@@ -217,7 +181,10 @@ def write_json(doc: Any, stream: TextIO) -> None:
       prints as ``json.JSONEncoder().encode`` prints it, which also raises
       ``TypeError`` for a type JSON lacks;
     - nothing looks for a container inside itself, which no CLI document holds;
-    - a ``Partition`` prints as its ``partition_to_json`` dict would.
+    - a ``Partition`` prints as its ``partition_to_json`` dict would;
+    - a ``KrawtchoukMatrix`` prints as a dict of its ``entries`` (each by
+      ``cycint_to_json``), their ``approx`` pairs (``approx_complex``
+      rounded to 12 places) and its ``row_blocks`` and ``col_blocks``.
 
     The text is built one depth at a time, not one node at a time. The
     values at one depth are split by type: exact ints and finite floats are
@@ -227,22 +194,20 @@ def write_json(doc: Any, stream: TextIO) -> None:
     of the sizes of their parents, by one ``%`` template per run length.
     The runs are produced lazily. Dicts are written an entry at a time down
     to the first list, and that list a batch of items at a time, so the
-    text held at once stays near ``_BATCH_TEXT`` characters, or one item's
-    text if that is longer.
+    text held at once stays within ``_BATCH_TEXT`` characters and one item's.
 
-    A partition is printed from its labels (``_block_members``): the texts of
-    all carrier elements are composed once, in rank order, each goes to the
-    block ``block_of`` names, and the blocks are written a batch at a time,
-    like the items of a list. That holds for a partition that is the document
-    or a dict's value down to the first list, which is where the CLI puts
-    them. A partition inside a list is one item of a batch, so its text is
-    built whole, by the same steps.
+    A partition is printed from its labels (``_block_texts``), a batch of
+    blocks at a time, and a matrix from its packed rows (``_matrix_fields``),
+    a batch of rows at a time, where the CLI puts them: as the document or a
+    dict's value down to the first list. One inside a list is one item of a
+    batch, so its text is built whole, by the same steps.
     """
     _write(doc, 0, stream)
 
 
-_BATCH_TEXT = 1 << 20
-"""Characters of list items that one batch of a written list aims at."""
+_BATCH_TEXT = 1 << 15
+"""Characters of list items that one batch of a written list aims at; 32 KiB batches
+wrote a 2.4 MB matrix document 6-10% faster than 1 MiB ones (``BENCH_18.json``)."""
 
 _scalar_text = JSONEncoder().encode
 """The JSON text of a value that is no container; it is the same at every indent."""
@@ -253,8 +218,12 @@ def _write(value: Any, level: int, stream: TextIO) -> None:
     inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level
     if isinstance(value, Partition):
         stream.write("{" + inner + '"blocks": ')
-        _write_items(_block_members(value, level + 3), level + 1, stream, _block_texts)
+        _write_batched(_block_texts(value, level + 2), level + 1, stream)
         stream.write(close + "}")
+    elif isinstance(value, KrawtchoukMatrix):
+        _write(_matrix_fields(value, level), level, stream)
+    elif isinstance(value, GeneratorType):  # the item texts of a list, from _matrix_fields
+        _write_batched(value, level, stream)
     elif not (isinstance(value, (dict, list, tuple)) and value):
         stream.write(str(next(iter(_texts([value], level)))))
     elif isinstance(value, dict):
@@ -265,29 +234,26 @@ def _write(value: Any, level: int, stream: TextIO) -> None:
             opener = "," + inner
         stream.write(close + "}")
     else:
-        _write_items(value, level, stream, _texts)
+        _write_batched(map(str, _texts(value, level + 1)), level, stream)
 
 
-def _write_items(items, level: int, stream: TextIO, texts) -> None:
-    """Write the nonempty list ``items`` at indent ``level``, a batch at a time;
-    ``texts(batch, level + 1)`` gives the texts of a batch's items."""
+def _write_batched(texts, level: int, stream: TextIO) -> None:
+    """Write a list at indent ``level`` from its items' texts, nonempty and made lazily,
+    a batch at a time: each batch ends with the text that brings it to ``_BATCH_TEXT``."""
     inner = "\n" + "  " * (level + 1)
+    sep, batch, size = "," + inner, [], 0
     stream.write("[" + inner)
-    sep, start, step = "," + inner, 0, 1
-    # batches grow fourfold while short, then shrink to _BATCH_TEXT by the last one's items
-    while start < len(items):
-        if start:
-            stream.write(sep)
-        text = sep.join(map(str, texts(items[start:start + step], level + 1)))
-        stream.write(text)
-        start += step
-        fits = len(text) < _BATCH_TEXT
-        step = 4 * step if fits else max(1, step * _BATCH_TEXT // len(text))
-    stream.write("\n" + "  " * level + "]")
+    for text in texts:
+        if size >= _BATCH_TEXT:
+            stream.write(sep.join(batch) + sep)
+            batch, size = [], 0
+        batch.append(text)
+        size += len(text)
+    stream.write(sep.join(batch) + "\n" + "  " * level + "]")
 
 
-def _block_members(part: Partition, level: int) -> list[list[str]]:
-    """Per block of ``part``, the texts of its members printed at indent ``level``.
+def _block_texts(part: Partition, level: int):
+    """The texts of the blocks of ``part`` printed at indent ``level``, made lazily.
 
     The text of every carrier element is composed once, in rank order: each
     coordinate contributes its digit strings, led by the opening bracket or
@@ -296,23 +262,60 @@ def _block_members(part: Partition, level: int) -> list[list[str]]:
     each block's members in rank order, so appending each text to the block
     ``block_of`` names gives the blocks' members in their printed order.
     """
-    inner = "\n" + "  " * (level + 1)
+    inner, member = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
     orders = part.group.orders
-    heads = ["[" + inner] + ["," + inner] * (len(orders) - 1)
-    tails = [""] * (len(orders) - 1) + ["\n" + "  " * level + "]"]
+    heads = ["[" + member] + ["," + member] * (len(orders) - 1)
+    tails = [""] * (len(orders) - 1) + [inner + "]"]
     cols = [[f"{head}{x}{tail}" for x in range(n)] for n, head, tail in zip(orders, heads, tails)]
     texts = reduce(_outer, cols[1:], cols[0]) if cols else ["[]"]
     members: list[list[str]] = [[] for _ in part.blocks]
     for i, text in zip(part.block_of, texts):
         members[i].append(text)
-    return members
-
-
-def _block_texts(batch: list[list[str]], level: int) -> list[str]:
-    """The texts of blocks, given by their members' texts, printed at indent ``level``."""
-    inner = "\n" + "  " * (level + 1)
     head, sep, tail = "[" + inner, "," + inner, "\n" + "  " * level + "]"
-    return [f"{head}{sep.join(members)}{tail}" for members in batch]
+    return (f"{head}{sep.join(m)}{tail}" for m in members)
+
+
+def _matrix_fields(k: KrawtchoukMatrix, level: int) -> dict:
+    """The document of ``k`` at indent ``level``, its two row lists as lazy row texts.
+
+    A cell is the slice ``row[j:j + phi]``. A rational one (no coefficient
+    past the first) prints its value v, with the approx [float(v), 0.0] that
+    rounding its ``approx_complex`` gives. An irrational one joins its quoted
+    coefficients and sums c * z**i over its nonzero c in index order from 0j,
+    as ``approx_complex`` does; adding 0.0 to the rounded parts turns -0.0
+    into 0.0 and keeps every other float. Each value's texts are made once.
+    """
+    ind = ["\n" + "  " * i for i in range(level, level + 6)]
+    e, phi = k.order, euler_phi(k.order)
+    values = set().union(*k.rows)
+    nums, quoted = {v: str(v) for v in values}, {v: f'"{v}"' for v in values}
+    pair = "[" + ind[4] + "%r," + ind[4] + "%r" + ind[3] + "]"
+    pairs = {v: pair % (float(v), 0.0) for v in values}
+    head = "{" + ind[4] + f'"order": {e},' + ind[4] + '"coeffs": [' + ind[5]
+    sep, tail, powers = "," + ind[5], ind[4] + "]" + ind[3] + "}", _float_root_powers(e)
+    starts = range(0, k.shape[1] * phi, phi)
+
+    def approx_texts(row):
+        for j in starts:
+            c = row[j:j + phi]
+            if any(c[1:]):
+                z = sum(map(mul, compress(c, c), compress(powers, c)), 0j)
+                yield pair % (round(z.real, 12) + 0.0, round(z.imag, 12) + 0.0)
+            else:
+                yield pairs[c[0]]
+
+    if phi == 1:
+        entries = (map(nums.__getitem__, row) for row in k.rows)
+        approx = (map(pairs.__getitem__, row) for row in k.rows)
+    else:
+        entries = ((head + sep.join(map(quoted.__getitem__, row[j:j + phi])) + tail
+                    if any(row[j + 1:j + phi]) else nums[row[j]] for j in starts)
+                   for row in k.rows)
+        approx = map(approx_texts, k.rows)
+    row_head, row_sep, row_tail = "[" + ind[3], "," + ind[3], ind[2] + "]"
+    return {"entries": (row_head + row_sep.join(row) + row_tail for row in entries),
+            "approx": (row_head + row_sep.join(row) + row_tail for row in approx),
+            "row_blocks": k.row_blocks, "col_blocks": k.col_blocks}
 
 
 def _texts(items, level: int):
@@ -325,7 +328,7 @@ def _texts(items, level: int):
                  for kind in kinds}
         return map(next, map(texts.__getitem__, map(type, items)))
     kind = kinds.pop()
-    if issubclass(kind, Partition):
+    if issubclass(kind, (Partition, KrawtchoukMatrix)):
         return [_written(p, level) for p in items]
     if kind is int or kind is float and all(map(isfinite, items)):
         return items

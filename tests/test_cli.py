@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import dualpart.cli
+import dualpart.induced
 import dualpart.partition
 import dualpart.poset
 from dualpart.cli import main
@@ -100,6 +101,26 @@ def test_product_command_with_code(capsys):
     assert {tuple(e["key"]): e["count"] for e in doc["enumerator"]} == {
         (0, 0, 0): 1, (1, 1, 1): 1,
     }
+
+
+@pytest.mark.parametrize("cmd, builder", [("product", "product_partition"),
+                                          ("symmetrize", "symmetrized_partition")])
+def test_check_reuses_the_induced_partition(cmd, builder, monkeypatch, capsys):
+    """``--check`` sweeps the document's induced partition: one build for it and
+    one for the construction applied to the base's dual."""
+    calls = []
+    real = getattr(dualpart.induced, builder)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (dualpart.cli, dualpart.induced):
+        monkeypatch.setattr(module, builder, counted)
+    code, doc = run(capsys, cmd, "--group", '{"orders":[3]}',
+                    "--partition", '{"blocks":[[[0]],[[1],[2]]]}', "--copies", "5", "--check")
+    assert code == 0 and doc["duality"]["commutes"] is True
+    assert len(calls) == 2
 
 
 def test_symmetrize_command(capsys):
@@ -599,6 +620,40 @@ def test_second_pass_in_one_process_writes_the_same_bytes(capsys):
         "  [ 1  -3   2 ]",
         "reflexive          True",
     ]),
+    (["dual", "--group", '{"orders":[5]}',
+      "--partition", '{"blocks":[[[0]],[[1]],[[2]],[[3]],[[4]]]}'], [
+        "partition          {0} | {1} | {2} | {3} | {4}",
+        "dual               {0} | {1} | {2} | {3} | {4}",
+        "krawtchouk:",
+        "  [ 1  1  1  1  1 ]",
+        "  [ 1  ~  ~  ~  ~ ]",
+        "  [ 1  ~  ~  ~  ~ ]",
+        "  [ 1  ~  ~  ~  ~ ]",
+        "  [ 1  ~  ~  ~  ~ ]",
+        "reflexive          True",
+    ]),
+    (["product", "--group", '{"orders":[2]}', "--partition", '{"blocks":[[[0]],[[1]]]}',
+      "--copies", "3", "--check", "--code", '{"generators":[[1,1,1]]}'], [
+        "partition          {(0,0,0)} | {(0,0,1)} | {(0,1,0)} | {(0,1,1)} | {(1,0,0)} | "
+        "{(1,0,1)} | {(1,1,0)} | {(1,1,1)}",
+        "base_partition     {0} | {1}",
+        "factor_krawtchouk:",
+        "  [ 1   1 ]",
+        "  [ 1  -1 ]",
+        "verified           True",
+    ]),
+    (["product", "--group", '{"orders":[5]}', "--partition", '{"blocks":[[[0]],[[1],[4]],[[2],[3]]]}',
+      "--copies", "2", "--code", '{"generators":[[1,2]]}'], [
+        "partition          {(0,0)} | {(0,1),(0,4)} | {(0,2),(0,3)} | {(1,0),(4,0)} | "
+        "{(1,1),(1,4),(4,1),(4,4)} | {(1,2),(1,3),(4,2),(4,3)} | {(2,0),(3,0)} | "
+        "{(2,1),(2,4),(3,1),(3,4)} | {(2,2),(2,3),(3,2),(3,3)}",
+        "base_partition     {0} | {1,4} | {2,3}",
+        "factor_krawtchouk:",
+        "  [ 1  2  2 ]",
+        "  [ 1  ~  ~ ]",
+        "  [ 1  ~  ~ ]",
+        "verified           True",
+    ]),
     (["check", "--suite", "cyclotomic"], [
         "failed             0",
         "PASS cyclotomic ring laws (150 case(s) verified)",
@@ -606,7 +661,7 @@ def test_second_pass_in_one_process_writes_the_same_bytes(capsys):
         "PASS full root sums vanish (23 case(s) verified)",
         "PASS order lifting is a ring map (80 case(s) verified)",
     ]),
-], ids=["dual", "check"])
+], ids=["dual", "dual-irrational", "product-code", "product-code-irrational", "check"])
 def test_pretty_adds_tables_on_stderr_only(argv, table, capsys):
     assert main(argv) == 0
     plain = capsys.readouterr()

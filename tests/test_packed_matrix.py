@@ -6,20 +6,23 @@ The oracle is the library's former code, kept here. ``signature`` (in
 printed each entry by ``cycint_to_json`` and its approx by
 ``approx_complex``. Every reader of the packed rows must agree with it: the
 ``entries`` view, ``integer_entries`` (which raises on an irrational entry),
-``_sparse_rows``, and the bytes ``write_json`` prints for the matrix
-document (``tests/test_serialization.py`` holds the writer to
-``json.dumps(indent=2)``).
+``_sparse_rows``, and the bytes ``write_json`` prints for the matrix,
+which must be those of ``json.dumps(indent=2)`` of the oracle's document
+wherever the matrix sits and however its rows fall into batches.
 """
 
+import json
 import random
+import textwrap
 
 import pytest
 
+import dualpart.serialization
 from dualpart.enumerator import _sparse_rows
 from dualpart.errors import VerificationFailure
 from dualpart.group import GroupSpec
 from dualpart.partition import Partition, dual_partition, krawtchouk, random_partition
-from dualpart.serialization import _approx_pair, cycint_to_json, krawtchouk_to_json
+from dualpart.serialization import cycint_to_json, write_json
 from test_serialization import written
 from test_sweep import SMALL_CARRIERS, hamming, lee, signature
 
@@ -46,10 +49,19 @@ def oracle_sparse_rows(entries):
     return [[(l, x) for l, x in enumerate(row) if x] for row in ints]
 
 
+def approx_pair(z):
+    """The approx of an entry: its complex value, each part rounded to 12 places, -0.0 as 0.0."""
+    def clean(v):
+        r = round(v, 12)
+        return 0.0 if r == 0 else r
+
+    return [clean(z.real), clean(z.imag)]
+
+
 def oracle_document(entries, matrix):
     return {
         "entries": [[cycint_to_json(x) for x in row] for row in entries],
-        "approx": [[_approx_pair(x.approx_complex()) for x in row] for row in entries],
+        "approx": [[approx_pair(x.approx_complex()) for x in row] for row in entries],
         "row_blocks": [[list(g) for g in b] for b in matrix.row_blocks],
         "col_blocks": [[list(g) for g in b] for b in matrix.col_blocks],
     }
@@ -71,8 +83,33 @@ def check_matrix(part, char_part):
     rows = _sparse_rows(k)
     assert rows == oracle_sparse_rows(entries)
     assert all(type(x) is int for row in rows for _, x in row) is (ints is not None)
-    assert written(krawtchouk_to_json(k)) == written(oracle_document(entries, k))
+    check_written(k, oracle_document(entries, k))
     return ints is None
+
+
+PLACEMENTS = {  # name: (depth of the matrix, the document holding it, _BATCH_TEXT)
+    "document": (0, lambda m: m, 64),
+    "one-down": (1, lambda m: {"krawtchouk": m}, None),
+    "two-down": (2, lambda m: {"a": {"k": m, "n": 1}, "b": 2}, 64),
+    "in-a-list": (2, lambda m: {"k": [m, 1]}, None),
+}
+
+
+def check_written(k, document):
+    """``write_json`` prints ``k``, at every placement, as ``json.dumps`` prints the
+    oracle's document, with the default batches and with rows spanning many batches.
+
+    The oracle's text is dumped once: ``json.dumps`` prints a value at depth d as
+    at depth 0 with 2 * d more spaces after each newline, as no JSON string holds one.
+    """
+    text = json.dumps(document, indent=2)
+    for name, (depth, place, batch) in PLACEMENTS.items():
+        expected = json.dumps(place("\0"), indent=2).replace(
+            '"\\u0000"', text.replace("\n", "\n" + "  " * depth))
+        with pytest.MonkeyPatch.context() as patch:
+            if batch:
+                patch.setattr(dualpart.serialization, "_BATCH_TEXT", batch)
+            assert written(place(k)) == expected, name
 
 
 def shaped_partitions(grp):
@@ -102,3 +139,51 @@ def test_small_carriers_hold_both_kinds_of_matrix():
         singles = Partition.singletons(GroupSpec(orders))
         assert check_matrix(singles, singles) is irrational
         assert check_matrix(hamming(singles.group), singles) is False
+
+
+def row_kind(row):
+    """"rational", "irrational" or "mixed", by the entries of a matrix row."""
+    irrational = {x.as_rational_integer() is None for x in row}
+    return "mixed" if len(irrational) == 2 else "irrational" if True in irrational else "rational"
+
+
+def test_writer_prints_every_kind_of_row():
+    """All-rational rows (phi(E) = 1, and the trivial character's row), all-irrational
+    rows (no singleton {0} on (5,)) and mixed rows (singletons on (5,) and (12,))."""
+    five = GroupSpec((5,))
+    pairs = {
+        "phi-1": (hamming(GroupSpec((2, 2, 2))), Partition.singletons(GroupSpec((2, 2, 2)))),
+        "no-zero-singleton": (Partition.from_blocks(five, [[(0,), (1,)], [(2,)], [(3,)], [(4,)]]),
+                              Partition.singletons(five)),
+        "singletons-5": (Partition.singletons(five), Partition.singletons(five)),
+        "singletons-12": (Partition.singletons(GroupSpec((12,))),) * 2,
+    }
+    kinds = {name: set(map(row_kind, krawtchouk(*pair).entries)) for name, pair in pairs.items()}
+    assert kinds == {"phi-1": {"rational"}, "no-zero-singleton": {"rational", "irrational"},
+                     "singletons-5": {"rational", "mixed"},
+                     "singletons-12": {"rational", "mixed"}}
+    for part, char_part in pairs.values():
+        check_matrix(part, char_part)
+
+
+@pytest.mark.parametrize("orders", [(5,), (12,), (2, 2, 2)], ids=str)
+def test_writer_streams_a_matrix_a_batch_of_rows_at_a_time(orders, monkeypatch):
+    """No write holds much more than ``2 * _BATCH_TEXT`` characters plus one row's text."""
+    monkeypatch.setattr(dualpart.serialization, "_BATCH_TEXT", 64)
+    singles = Partition.singletons(GroupSpec(orders))
+    k = krawtchouk(singles, singles)
+    document = oracle_document(oracle_entries(singles, singles), k)
+    expected = json.dumps(document, indent=2)
+    # a row of the whole-document matrix is printed at indent 2, four spaces
+    longest_row = max(len(textwrap.indent(json.dumps(row, indent=2), "    "))
+                      for row in document["entries"] + document["approx"])
+
+    class Sink(list):
+        def write(self, text):
+            self.append(text)
+
+    sink = Sink()
+    write_json(k, sink)
+    assert "".join(sink) == expected
+    assert len(sink) > 2 * len(k.rows)
+    assert max(map(len, sink)) <= 2 * 64 + longest_row

@@ -66,8 +66,8 @@ from dualpart.partition import (
     refines,
 )
 from dualpart.poset import Poset
-from dualpart.serialization import _approx_pair
 from test_induced import composition_vector, flatten_element, split_element
+from test_packed_matrix import approx_pair
 from test_sweep import SMALL_CARRIERS, carriers
 
 
@@ -419,7 +419,7 @@ def test_approx_skipping_zeros_serializes_the_same(orders):
     for part in parts:
         for row in krawtchouk(part, dual_partition(part)).entries:
             for x in row:
-                assert _approx_pair(x.approx_complex()) == _approx_pair(old_approx(x))
+                assert approx_pair(x.approx_complex()) == approx_pair(old_approx(x))
 
 
 # ---------------------------------------------------------------------------
