@@ -7,7 +7,11 @@ each case in its own capped process.
 Every sweep case (``CASES``) builds its partition, then times one
 ``dual_partition`` call in a fresh ``python3`` child under an address-space
 limit (``RLIMIT_AS``) and a timeout, and then one ``krawtchouk(part, dual)``
-with its document written by ``write_json`` to ``os.devnull``. Every
+with its document written by ``write_json`` to ``os.devnull``; the document
+is then written once more into a sha256, untimed, so runs over two source
+trees can be checked to print the same matrix. A partition is Hamming, Lee,
+random (``random_partition``) or ``k urns``, each element in one of k urns
+drawn with ``random.Random(0)``: few blocks and many rows. Every
 transform case (``TRANSFORM_CASES``) builds a base partition, a code on a
 power of its carrier, the code's dual and the factor matrix, then times what
 ``dualpart product --code`` and ``symmetrize --code`` spend in the layer:
@@ -22,7 +26,8 @@ runs; it reports the document's size and the sha256 of its text, so runs
 over two source trees can be checked to print the same bytes. One JSON
 document goes to stdout:
 ``{python, limit_gib, timeout_s, cases: [{name, seconds, peak_rss_mb,
-blocks, dual_blocks, krawtchouk_seconds, krawtchouk_peak_rss_mb, status}],
+blocks, dual_blocks, krawtchouk_seconds, krawtchouk_peak_rss_mb,
+krawtchouk_bytes, krawtchouk_sha256, status}],
 transform_cases: [{name, transform_seconds, code_size, keys, status}],
 subgroup_cases: [{name, subgroup_seconds, subgroups, status}],
 print_cases: [{name, print_seconds, bytes, sha256, status}]}``. ``peak_rss_mb`` is read
@@ -62,6 +67,12 @@ CASES = {
     "(2,2048) random": ((2, 2048), "random"),
     "(4,)^8 hamming": ((4,) * 8, "hamming"),
     "(2,)^16 hamming": ((2,) * 16, "hamming"),
+    # few blocks, many rows: each element in one of k urns, the matrix with the dual
+    "(256,) 5 urns": ((256,), "urns5"),
+    "(210,) 6 urns": ((210,), "urns6"),
+    "(16,16) 6 urns": ((16, 16), "urns6"),
+    "(3,)^5 6 urns": ((3,) * 5, "urns6"),
+    "(1155,) 3 urns": ((1155,), "urns3"),
 }
 
 # base orders, base partition, copies, and the code: that many random generators,
@@ -177,7 +188,7 @@ print(json.dumps({{"transform_seconds": round(statistics.median(times), 5),
 """
 
 CHILD = """
-import json, os, random, resource, sys, time
+import hashlib, json, os, random, resource, sys, time
 limit = {limit}
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 sys.path.insert(0, {src!r})
@@ -192,24 +203,43 @@ if kind == "hamming":
 elif kind == "lee":
     part = Partition.from_weight(g, lambda x: sum(min(c, n - c) for c, n in zip(x, orders)),
                                  max_size=g.size)
+elif kind.startswith("urns"):
+    rng = random.Random(0)
+    part = Partition.from_labels(g, [rng.randrange(int(kind[4:])) for _ in range(g.size)])
 else:
     part = random_partition(g, random.Random(0), max_size=g.size)
 start = time.perf_counter()
 dual = dual_partition(part, max_size=g.size)
 seconds = time.perf_counter() - start
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-kseconds = krss = None
+kseconds = krss = kbytes = ksha = None
+
+
+class Digest:
+    def __init__(self):
+        self.hash, self.size = hashlib.sha256(), 0
+
+    def write(self, text):
+        self.hash.update(text.encode())
+        self.size += len(text)
+
+
 start = time.perf_counter()
 try:
     with open(os.devnull, "w") as sink:
-        write_json(krawtchouk(part, dual, max_size=g.size), sink)
+        matrix = krawtchouk(part, dual, max_size=g.size)
+        write_json(matrix, sink)
     kseconds = round(time.perf_counter() - start, 4)
     krss = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    digest = Digest()
+    write_json(matrix, digest)
+    kbytes, ksha = digest.size, digest.hash.hexdigest()
 except GuardExceeded:
     pass
 print(json.dumps({{"seconds": round(seconds, 4), "peak_rss_mb": round(rss, 1),
                   "blocks": part.num_blocks, "dual_blocks": dual.num_blocks,
-                  "krawtchouk_seconds": kseconds, "krawtchouk_peak_rss_mb": krss}}))
+                  "krawtchouk_seconds": kseconds, "krawtchouk_peak_rss_mb": krss,
+                  "krawtchouk_bytes": kbytes, "krawtchouk_sha256": ksha}}))
 """
 
 
@@ -233,7 +263,8 @@ def run_case(name: str, src: str, limit_gib: float, timeout: float) -> dict:
         orders, kind = CASES[name]
         code = CHILD.format(limit=limit, src=src, orders=orders, kind=kind)
         row = {"name": name, "seconds": None, "peak_rss_mb": None, "blocks": None,
-               "dual_blocks": None, "krawtchouk_seconds": None, "krawtchouk_peak_rss_mb": None}
+               "dual_blocks": None, "krawtchouk_seconds": None, "krawtchouk_peak_rss_mb": None,
+               "krawtchouk_bytes": None, "krawtchouk_sha256": None}
     try:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=timeout)

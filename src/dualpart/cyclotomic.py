@@ -260,6 +260,7 @@ def _float_root_powers(order: int) -> tuple[complex, ...]:
     return tuple(z**i for i in range(euler_phi(order)))
 
 
+@lru_cache(maxsize=ORDER_CACHE)
 def coefficient_bound(order: int) -> int:
     """c_E: the largest absolute coefficient of any power z^k in canonical form.
 

@@ -23,10 +23,20 @@ time with each cyclic factor split into radix-q passes over its prime
 factors (mixed-radix Cooley-Tukey). Each block takes the cheaper of the two
 by a cost estimate of the transform in rows (``_transform_cost``). A
 partition into singletons has the singletons as its dual and is not swept.
-Then comes a Galois pass of |G| label lookups per generator. A matrix,
-after a guard on its coefficient count (``MATRIX_GUARD``), holds one flat
-list of exact canonical coefficients per character block, summed from
-sparse root-power rows, and no ``CycInt`` per entry.
+Then comes a Galois pass of |G| label lookups per generator.
+
+A Krawtchouk matrix, after a guard on its coefficient count
+(``MATRIX_GUARD``), holds one flat list of exact canonical coefficients per
+character block, and no ``CycInt`` per entry. Its rows come one of two
+ways, whichever a cost estimate over the input picks
+(``_rows_by_transform``): per character, summed from sparse root-power rows,
+or per primal block, one column at a time, from the same radix passes as the
+sweep's transform run on the block's indicator in Z/(2^(Lb) +- 1), where the
+root is 2^b, so a root power is a shift (Kronecker substitution, as in
+Schoenhage and Strassen, Computing 7, 1971). Each value is read exactly by
+its base-2^b digits (the argument is in ``_packed_rows``). The sweep and the
+matrix share one plan of passes in root exponents (``_transform_plan``),
+which each ring lowers to its own multiply.
 
 The dual is kept on the partition object, so its reflexivity test, bidual,
 and generalized Krawtchouk matrices with any character partition that
@@ -43,14 +53,17 @@ orders blocks, and ``group`` owns the pairing whose rows the sweep reads.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import repeat
-from operator import add, itemgetter, mul, sub
-from typing import Callable, Hashable, Iterable, Iterator
+from operator import add, itemgetter, lshift, mul, sub
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
-from .cyclotomic import (CycInt, _radices, coefficient_bound, euler_phi, split_prime,
+from .cyclotomic import (CycInt, _radices, coefficient_bound, cyclotomic_polynomial,
+                         euler_phi, split_prime,
                          unit_generators, zeta_coeff_table)
 from .errors import GuardExceeded, InputError, VerificationFailure
 from .group import (ELEMENT_GUARD, Element, GroupIso, GroupSpec, _outer,
@@ -159,33 +172,21 @@ def _unit_action(grp: GroupSpec, j: int) -> list[int]:
     return reduce(_outer, cols, [0])
 
 
-def _transform_cost(grp: GroupSpec) -> int:
-    """Pairing rows that one block's transform costs, estimated.
-
-    A radix-q pass makes q + 1 scalar operations per element (butterfly and
-    twiddle) and q(q - 1) Python-level steps, one per butterfly row. A row
-    costs about three operations per element (exponent, gather, add), and a
-    step about as much as fifteen element operations.
-    """
-    size = grp.size
-    return sum((q + 1) * size + 15 * q * (q - 1)
-               for n in grp.orders for q in _radices(n)) // (3 * size)
+Pass = tuple[int, list[int], list[list[int] | None]]
+"""One radix-q pass: q, the exponents k of the q-th roots z^k (z = e^(2 pi i / E)),
+and an exponent vector of twiddles per output digit (None where all are z^0)."""
 
 
-Pass = tuple[int, list[int], list[list[int] | None], bool]
-"""One radix-q pass: q, the q-th roots w_q^k, a twiddle vector per output
-digit (None where it is all ones), and whether the pass reduces mod p."""
-
-
-def _transform_plan(grp: GroupSpec, w: int, p: int) -> tuple[list[Pass], list[int]]:
-    """The passes of the per-axis F_p transform, and where it leaves each character.
+def _transform_plan(grp: GroupSpec) -> tuple[list[Pass], list[int]]:
+    """The passes of the per-axis transform in root exponents, and where it leaves
+    each character.
 
     The transform takes a vector in rank order to its sums
-    f^(chi) = sum over g of f(g) * w^<chi, g>, with w of exact order E mod p.
-    Each factor Z/n is split into radix-q passes over the prime factors of n
-    (decimation in frequency, Cooley and Tukey, Math. Comp. 19, 1965). Write
-    L = q * m for the length still to transform on the axis and t = a + m * b
-    for its coordinate, b the top digit. Then with u = w^(E/L)
+    f^(chi) = sum over g of f(g) * z^<chi, g>, z a root of exact order E in
+    some ring. Each factor Z/n is split into radix-q passes over the prime
+    factors of n (decimation in frequency, Cooley and Tukey, Math. Comp. 19,
+    1965). Write L = q * m for the length still to transform on the axis and
+    t = a + m * b for its coordinate, b the top digit. Then with u = z^(E/L)
 
         X[d + q * c] = sum over a of u^(q * a * c) * u^(a * d)
                        * sum over b of u^(m * b * d) * x[a + m * b],
@@ -196,7 +197,9 @@ def _transform_plan(grp: GroupSpec, w: int, p: int) -> tuple[list[Pass], list[in
     Each output digit d is written with stride q, which makes it the last
     digit. After every pass of every axis the axes are back in their order,
     each with its frequency digits reversed; the second list maps a
-    character's rank to that position. Twiddles depend only on (L, q), so
+    character's rank to that position. Every exponent lies below E, as
+    a * d < L. A ring lowers each exponent to its own multiply
+    (``_fp_passes``, ``_shift_passes``). Twiddles depend only on (L, q), so
     axes of one order share them.
     """
     size, e = grp.size, grp.exponent
@@ -210,14 +213,11 @@ def _transform_plan(grp: GroupSpec, w: int, p: int) -> tuple[list[Pass], list[in
         for q in radices:
             m = length // q
             if (length, q) not in twiddles:
-                chunk = size // length  # entries per value of a in a row
-                roots = [pow(w, e // length * k, p) for k in range(length)]
+                chunk, step = size // length, e // length  # entries per value of a in a row
                 twiddles[length, q] = [None] + [
-                    [x for a in range(m) for x in repeat(roots[a * d], chunk)]
+                    [x for a in range(m) for x in repeat(step * a * d, chunk)]
                     for d in range(1, q)] if m > 1 else [None] * q
-            tw = twiddles[length, q]
-            plan.append((q, [pow(w, e // q * k, p) for k in range(q)], tw,
-                         q > 2 or m > 1))
+            plan.append((q, [e // q * k for k in range(q)], twiddles[length, q]))
             length = m
         # frequency k = d1 + q1 * (d2 + q2 * ...) sits at d1 * (q2 * ...) + d2 * ... + dr
         place = [0]
@@ -227,16 +227,35 @@ def _transform_plan(grp: GroupSpec, w: int, p: int) -> tuple[list[Pass], list[in
     return plan, reduce(_outer, cols, [0])
 
 
-def _fp_transform(x: list[int], plan: list[Pass], p: int) -> list[int]:
-    """The F_p transform of x by ``_transform_plan``'s passes, reduced mod p.
+def _lowered(plan: list[Pass], root: Callable, twiddle: Callable) -> list[tuple]:
+    """The plan with each root exponent mapped by ``root`` and each twiddle
+    vector by ``twiddle``; a vector that passes share is lowered once."""
+    done: dict[int, Any] = {}
+
+    def vector(t: list[int]) -> Any:
+        if id(t) not in done:
+            done[id(t)] = twiddle(t)
+        return done[id(t)]
+
+    return [(q, list(map(root, roots)), [t and vector(t) for t in tw]) for q, roots, tw in plan]
+
+
+def _fp_passes(plan: list[Pass], powers: list[int]) -> list[tuple]:
+    """The plan in F_p: each exponent k becomes w^k mod p, read from ``powers``."""
+    return _lowered(plan, powers.__getitem__, lambda t: list(map(powers.__getitem__, t)))
+
+
+def _fp_transform(x: list[int], passes: list[tuple], p: int) -> list[int]:
+    """The F_p transform of x by ``_fp_passes``'s passes, reduced mod p.
 
     A pass without a multiplication only adds and subtracts, so it skips the
     reduction; the values stay exact integers and are reduced later.
     """
-    for q, roots, tw, reduce_mod in plan:
+    for q, roots, tw in passes:
         size = len(x) // q
         rows = [x[b * size:(b + 1) * size] for b in range(q)]
         out = [0] * len(x)
+        reduce_mod = q > 2 or tw[-1] is not None
         for d in range(q):
             acc: Iterable[int] = rows[0]
             for b in range(1, q):
@@ -252,6 +271,43 @@ def _fp_transform(x: list[int], plan: list[Pass], p: int) -> list[int]:
             out[d::q] = map(p.__rmod__, acc) if reduce_mod else acc
         x = out
     return list(map(p.__rmod__, x))
+
+
+def _radix_passes(grp: GroupSpec) -> Iterator[tuple[int, int]]:
+    """(q, m) of each pass of ``_transform_plan``: its radix and the length it leaves."""
+    for n in grp.orders:
+        for q in _radices(n):
+            n //= q
+            yield q, n
+
+
+def _pass_ops(q: int, m: int) -> tuple[int, int]:
+    """Element operations per q outputs of a radix-q pass, and its Python-level steps.
+
+    The q - 1 additions of each output are always made. A root other than
+    +-1 (every one for an odd prime q, none for q = 2) costs a multiplication
+    at each of the (q - 1)^2 butterfly rows and digits that meet it, and the
+    q - 1 digits past the first take a twiddle when m > 1. A pass makes one
+    step for each (row, digit) pair past the first row.
+    """
+    return q * (q - 1) + (q - 1) ** 2 * (q > 2) + (q - 1) * (m > 1), q * (q - 1)
+
+
+def _transform_cost(grp: GroupSpec) -> float:
+    """Pairing rows that one block's F_p transform costs, estimated from its passes.
+
+    A row costs about three operations per element (exponent, gather, add).
+    A pass makes the operations of ``_pass_ops``, plus one reduction mod p
+    per element only if it multiplies at all, and a step costs about as much
+    as fifteen element operations. The indicator, the final reduction and
+    the gather add three operations per element.
+    """
+    size = grp.size
+    ops = 3 * size
+    for q, m in _radix_passes(grp):
+        work, steps = _pass_ops(q, m)
+        ops += (work / q + (q > 2 or m > 1)) * size + 15 * steps
+    return ops / (3 * size)
 
 
 def _galois_refine(grp: GroupSpec, labels: list[int], count: int) -> list[int]:
@@ -347,8 +403,8 @@ def _signature_rows(part: Partition, max_size: int = ELEMENT_GUARD) -> dict[Elem
             values = map(p.__rmod__, reduce(lambda acc, row: list(map(add, acc, row)), rows))
         else:
             if plan is None:
-                plan, place = _transform_plan(grp, w, p)
-                to_rank = itemgetter(*place)
+                plan, place = _transform_plan(grp)
+                plan, to_rank = _fp_passes(plan, powers), itemgetter(*place)
             values = to_rank(_fp_transform(list(map(b.__eq__, part.block_of)), plan, p))
         ids: dict[int, int] = {}
         labels = list(map(ids.setdefault, map(add, labels, values), range(0, size * p, p)))
@@ -359,18 +415,99 @@ def _signature_rows(part: Partition, max_size: int = ELEMENT_GUARD) -> dict[Elem
 def _packed_rows(part: Partition, chars: list[Element]) -> list[list[int]]:
     """The exact block sums S(chi, B_m) of each character, packed into one row each.
 
-    Entry m takes flat indices m * phi(E) up to (m + 1) * phi(E). A ``Counter``
-    per character counts the (block, root power) pairs met on the carrier, on
-    int keys block * span + exponent (span bounds ``_pairing_exponents``), and
-    each key adds its count times the sparse canonical row of its power
-    (``zeta_coeff_table``) at its block's offset. Reduction modulo the
-    cyclotomic polynomial is Z-linear, so the sum of canonical rows is the
-    canonical sum, exactly; these are the integer sums that the test oracle
-    ``signature`` wraps in ``CycInt`` values. The power rows are turned into
-    (index, coefficient) lists once when the keys to visit outnumber four
-    times the table's nonzeros, and are read in place otherwise: a few
-    characters on a large table (E = 3003 has 1.3 million nonzeros) would not
-    repay the lists.
+    Entry m takes flat indices m * phi(E) up to (m + 1) * phi(E): the
+    canonical coefficients of S(chi, B_m) in the power basis of z, a root of
+    exact order E. The rows come one character at a time
+    (``_character_rows``) or one column at a time (``_transformed_rows``),
+    whichever ``_rows_by_transform`` estimates cheaper; both give the canonical
+    coefficients exactly, so they give equal rows.
+
+    Per character. Reduction modulo the cyclotomic polynomial Phi_E is
+    Z-linear, so the sum of the canonical rows of the root powers met on a
+    block is the canonical sum.
+
+    By transform. Each primal block but the largest is transformed whole, in
+    the ring Z/(2^(Lb) + 1) with L = E/2 for even E, or Z/(2^(Lb) - 1) with
+    L = E for odd E, where 2^b has order E, so a root power is a shift. The
+    map x -> 2^b sends Z[x]/(x^L +- 1) onto that ring, and Phi_E divides
+    x^L +- 1 (its roots are the primitive E-th roots, and those satisfy
+    z^(E/2) = -1 for even E and z^E = 1), so both rings map on to the
+    quotients by Phi_E: Z[x]/(x^L +- 1) -> Z[z] and
+    Z/(2^(Lb) +- 1) -> Z/N with N = Phi_E(2^b). The square of maps
+    commutes, so a block's transform at chi, read mod N, is c(2^b) mod N,
+    with c the canonical polynomial of S(chi, B). Its coefficients are at
+    most R = |B| * c_E in size (c_E from ``coefficient_bound``). Let A be the
+    largest absolute coefficient of Phi_E; then
+    |c(2^b)| <= R * (2^(b phi) - 1) / (2^b - 1), while
+    N >= 2^(b phi) - A * (2^(b phi) - 1) / (2^b - 1). With 2^b >= 2R + A + 1
+    this gives 2 |c(2^b)| < N, so the centered residue of the transform
+    mod N is c(2^b) itself, not only its class. And since every |c_i| < 2^(b-1),
+    adding 2^(b-1) to each base-2^b digit leaves c(2^b) + sum of 2^(b-1) * 2^(bi)
+    with digits c_i + 2^(b-1) in [0, 2^b), whose base-2^b digits are read
+    off its bytes. The largest block's column is |G| * [chi = 0] minus the
+    others, since the sums over all blocks add up to that; it is read the
+    same way, and b is taken for the largest block, so the bound holds for
+    every column. For E a power of 2, N is the ring's modulus itself.
+    """
+    if _rows_by_transform(part, len(chars)):
+        return _transformed_rows(part, chars)
+    return _character_rows(part, chars)
+
+
+def _int_ops(bits: int) -> float:
+    """Element operations that one addition or shift of a ``bits``-bit int costs, about:
+    one for a small int, a bit more than one more per 1024 bits as the limbs outgrow
+    the cache."""
+    return 1 + bits / 1024 * (1 + bits / 16384)
+
+
+def _rows_by_transform(part: Partition, rows: int) -> bool:
+    """Whether ``_transformed_rows`` makes ``rows`` rows at less cost than
+    ``_character_rows``, both estimated in element operations.
+
+    A character costs about three operations per carrier element (its
+    pairing row, the block offsets and the ``Counter``), its table lookups
+    (about min(|G|, blocks * E) keys, each with the average count of nonzero
+    coefficients of a root power, at 1.3 operations each) and an eighth of
+    one per coefficient of its row. A transform of one block makes the
+    operations of ``_pass_ops`` on ring values, plus a reduction (mask,
+    shift, add and a list: four operations) after the roots of an odd radix
+    and after each twiddle, each at ``_int_ops`` of the ring width, and
+    fifteen per step. Every block but the largest is transformed. Reading an
+    entry costs five operations, one more per 40 limb products of its long
+    division by N, and b/64 of one per digit. Fitted to timings of both
+    methods on 249 matrices of 20 carriers, the rule picked the slower one on
+    15, each near the crossing: at most 3.5 ms or 1.5 times slower.
+    """
+    grp = part.group
+    b = _digit_width(part)
+    if not b:
+        return False
+    e, size, cols = grp.exponent, grp.size, part.num_blocks
+    phi, nonzeros = euler_phi(e), sum(map(len, map(itemgetter(0), zeta_coeff_table(e))))
+    by_character = rows * (3.2 * size + 1.3 * min(size, cols * e) * nonzeros / e + cols * phi / 8)
+    n = (e // 2 if e % 2 == 0 else e) * b
+    ops = 0.0
+    for q, m in _radix_passes(grp):
+        work, steps = _pass_ops(q, m)
+        ops += (work / q + 4 * (q - 1) / q * ((q > 2) + (m > 1))) * size * _int_ops(n) + 15 * steps
+    quotient = (n - phi * b) // 30
+    read = rows * cols * (5 * _int_ops(n) + quotient * n / 30 / 40 + phi * b / 64)
+    return (cols - 1) * ops + read < by_character
+
+
+def _character_rows(part: Partition, chars: list[Element]) -> list[list[int]]:
+    """The packed rows of ``_packed_rows``, one character at a time.
+
+    A ``Counter`` per character counts the (block, root power) pairs met on
+    the carrier, on int keys block * span + exponent (span bounds
+    ``_pairing_exponents``), and each key adds its count times the sparse
+    canonical row of its power (``zeta_coeff_table``) at its block's offset.
+    These are the integer sums that the test oracle ``signature`` wraps in
+    ``CycInt`` values. The power rows are turned into (index, coefficient)
+    lists once when the keys to visit outnumber four times the table's
+    nonzeros, and are read in place otherwise: a few characters on a large
+    table (E = 3003 has 1.3 million nonzeros) would not repay the lists.
     """
     grp = part.group
     e = grp.exponent
@@ -393,6 +530,119 @@ def _packed_rows(part: Partition, chars: list[Element]) -> list[list[int]]:
     return out
 
 
+_DIGITS = {array(code).itemsize * 8: code for code in "bhilq"}
+"""A signed ``array`` typecode for each digit width in bits: 8, 16, 32 and 64."""
+
+
+def _digit_width(part: Partition) -> int:
+    """The least width b in ``_DIGITS`` with 2^b >= 2R + A + 1 (``_packed_rows``),
+    R taken for the largest block; 0 when no width is wide enough."""
+    e = part.group.exponent
+    bound = (2 * max(map(len, part.blocks)) * coefficient_bound(e)
+             + max(map(abs, cyclotomic_polynomial(e))) + 1)
+    return next((b for b in sorted(_DIGITS) if 1 << b >= bound), 0)
+
+
+def _shift_passes(plan: list[Pass], e: int, b: int) -> list[tuple]:
+    """The plan in Z/(2^(Lb) +- 1): the root z^k is 2^(bk), a shift by b * k.
+
+    For even E, 2^(bL) = -1 with L = E/2, so an exponent k >= L becomes the
+    shift b * (k - L) and a sign: a root keeps (shift or None, negated), a
+    twiddle vector (shifts, signs or None). For odd E, L = E and every sign
+    is +.
+    """
+    half = e // 2 if e % 2 == 0 else e
+
+    def root(k: int) -> tuple[int | None, bool]:
+        return (b * (k % half) if k % half else None), k >= half
+
+    def twiddle(t: list[int]) -> tuple[list[int], list[int] | None]:
+        shifts = [b * (k % half) for k in t]
+        return shifts, ([1 - 2 * (k >= half) for k in t] if max(t) >= half else None)
+
+    return _lowered(plan, root, twiddle)
+
+
+def _shift_transform(x: list[int], passes: list[tuple], n: int, plus: bool) -> list[int]:
+    """The transform of x by ``_shift_passes``'s passes in Z/(2^n + 1) (``plus``)
+    or Z/(2^n - 1), each value congruent to its residue but not reduced.
+
+    After a shift, y = hi * 2^n + lo with lo = y & (2^n - 1) and hi = y >> n
+    (floor division, so negative values too), and 2^n = -+1 in the ring, so
+    lo -+ hi is y's class: a mask, a shift and an add. Values grow by a few
+    bits per pass, and only a pass of shifts reduces them.
+    """
+    mask, fold = (1 << n) - 1, sub if plus else add
+
+    def reduced(values: Iterable[int]) -> Iterator[int]:
+        v = list(values)
+        return map(fold, map(mask.__and__, v), map(n.__rrshift__, v))
+
+    for q, roots, tw in passes:
+        size = len(x) // q
+        rows = [x[j * size:(j + 1) * size] for j in range(q)]
+        out = [0] * len(x)
+        for d in range(q):
+            acc: Iterable[int] = rows[0]
+            shifted = False
+            for j in range(1, q):
+                shift, negated = roots[j * d % q]
+                term = rows[j] if shift is None else map(shift.__rlshift__, rows[j])
+                acc = map(sub if negated else add, acc, term)
+                shifted = shifted or shift is not None
+            if shifted:
+                acc = reduced(acc)
+            if tw[d] is not None:
+                shifts, signs = tw[d]
+                acc = reduced(map(lshift, acc, shifts))
+                if signs is not None:
+                    acc = map(mul, acc, signs)
+            out[d::q] = acc
+        x = out
+    return x
+
+
+def _transformed_rows(part: Partition, chars: list[Element], width: int = 0) -> list[list[int]]:
+    """The packed rows of ``_packed_rows``, one primal block's column at a time.
+
+    Each column but the largest block's is the block indicator's transform
+    (``_shift_transform``) read at the characters; the largest is
+    |G| * [chi = 0] minus the others. A value v is read by its centered
+    residue mod N, (v + h) % N - h with h = (N - 1) / 2 (N is odd, as Phi_E
+    has constant term +-1), plus the offset ``off`` that puts 2^(b-1) on
+    every digit; flipping each digit's top bit (xor ``off``) then turns digit
+    c_i + 2^(b-1) into c_i in b-bit two's complement, so a signed ``array``
+    of the little-endian bytes holds the coefficients. A row is one such
+    array over the bytes of all its entries. ``width`` forces the digit
+    width b, for tests; by default it is ``_digit_width``.
+    """
+    grp = part.group
+    e, size = grp.exponent, grp.size
+    phi, b = euler_phi(e), width or _digit_width(part)
+    plus = e % 2 == 0
+    n = (e // 2 if plus else e) * b
+    big_n = sum(c << (b * i) for i, c in enumerate(cyclotomic_polynomial(e)))
+    plan, place = _transform_plan(grp)
+    passes = _shift_passes(plan, e, b)
+    at = [place[grp.rank(chi)] for chi in chars]
+    largest = max(range(part.num_blocks), key=lambda m: len(part.blocks[m]))
+    cols = [list(map(_shift_transform(list(map(m.__eq__, part.block_of)), passes, n, plus)
+                     .__getitem__, at)) for m in range(part.num_blocks) if m != largest]
+    rest = [size * (chi == grp.zero) for chi in chars]
+    cols.insert(largest, reduce(lambda acc, col: list(map(sub, acc, col)), cols, rest))
+    half, off = big_n >> 1, sum(1 << (b * i + b - 1) for i in range(phi))
+    texts = zip(*[map(int.to_bytes, map(off.__xor__, map((off - half).__add__, map(
+        big_n.__rmod__, map(half.__add__, col)))), repeat(phi * b // 8), repeat("little"))
+        for col in cols])
+    out = []
+    for entries in texts:
+        row = array(_DIGITS[b], b"".join(entries))
+        if sys.byteorder == "big":
+            row.byteswap()
+        out.append(row.tolist())
+    return out
+
+
 @dataclass(frozen=True)
 class KrawtchoukMatrix:
     """Block-sum matrix of a primal/character partition pair.
@@ -403,12 +653,22 @@ class KrawtchoukMatrix:
     the character partition refines the dual, so the sum is the same for all).
     Each row is one flat list of canonical coefficients at root order
     ``order``: entry m is ``row[m * phi:(m + 1) * phi]``, phi = phi(order).
+    The two partitions are kept whole, so the writer prints their blocks from
+    their labels; ``row_blocks`` and ``col_blocks`` read their blocks.
     """
 
     order: int
     rows: tuple[list[int], ...]
-    row_blocks: tuple[Block, ...]
-    col_blocks: tuple[Block, ...]
+    row_part: Partition
+    col_part: Partition
+
+    @property
+    def row_blocks(self) -> tuple[Block, ...]:
+        return self.row_part.blocks
+
+    @property
+    def col_blocks(self) -> tuple[Block, ...]:
+        return self.col_part.blocks
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -495,7 +755,7 @@ def krawtchouk(part: Partition, char_part: Partition, max_size: int = ELEMENT_GU
     if not refines(char_part, dual):
         raise VerificationFailure(_split_message(part, dual, char_part))
     rows = _packed_rows(part, [block[0] for block in char_part.blocks])
-    return KrawtchoukMatrix(part.group.exponent, tuple(rows), char_part.blocks, part.blocks)
+    return KrawtchoukMatrix(part.group.exponent, tuple(rows), char_part, part)
 
 
 def _split_message(part: Partition, dual: Partition, char_part: Partition) -> str:

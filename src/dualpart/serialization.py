@@ -198,7 +198,8 @@ def write_json(doc: Any, stream: TextIO) -> None:
 
     A partition is printed from its labels (``_block_texts``), a batch of
     blocks at a time, and a matrix from its packed rows (``_matrix_fields``),
-    a batch of rows at a time, where the CLI puts them: as the document or a
+    a batch of rows at a time, and its block lists from the labels of its
+    two partitions, where the CLI puts them: as the document or a
     dict's value down to the first list. One inside a list is one item of a
     batch, so its text is built whole, by the same steps.
     """
@@ -276,7 +277,9 @@ def _block_texts(part: Partition, level: int):
 
 
 def _matrix_fields(k: KrawtchoukMatrix, level: int) -> dict:
-    """The document of ``k`` at indent ``level``, its two row lists as lazy row texts.
+    """The document of ``k`` at indent ``level``: its two row lists as lazy row
+    texts, and its two block lists as the lazy block texts of its partitions
+    (``_block_texts``), printed from their labels.
 
     A cell is the slice ``row[j:j + phi]``. A rational one (no coefficient
     past the first) prints its value v, with the approx [float(v), 0.0] that
@@ -315,7 +318,8 @@ def _matrix_fields(k: KrawtchoukMatrix, level: int) -> dict:
     row_head, row_sep, row_tail = "[" + ind[3], "," + ind[3], ind[2] + "]"
     return {"entries": (row_head + row_sep.join(row) + row_tail for row in entries),
             "approx": (row_head + row_sep.join(row) + row_tail for row in approx),
-            "row_blocks": k.row_blocks, "col_blocks": k.col_blocks}
+            "row_blocks": _block_texts(k.row_part, level + 2),
+            "col_blocks": _block_texts(k.col_part, level + 2)}
 
 
 def _texts(items, level: int):

@@ -21,7 +21,9 @@ import dualpart.serialization
 from dualpart.enumerator import _sparse_rows
 from dualpart.errors import VerificationFailure
 from dualpart.group import GroupSpec
-from dualpart.partition import Partition, dual_partition, krawtchouk, random_partition
+from dualpart.cyclotomic import euler_phi
+from dualpart.partition import (MATRIX_GUARD, Partition, _character_rows, _digit_width, _rows_by_transform,
+                                _transformed_rows, dual_partition, krawtchouk, random_partition)
 from dualpart.serialization import cycint_to_json, write_json
 from test_serialization import written
 from test_sweep import SMALL_CARRIERS, hamming, lee, signature
@@ -187,3 +189,101 @@ def test_writer_streams_a_matrix_a_batch_of_rows_at_a_time(orders, monkeypatch):
     assert "".join(sink) == expected
     assert len(sink) > 2 * len(k.rows)
     assert max(map(len, sink)) <= 2 * 64 + longest_row
+
+
+# ---------------------------------------------------------------------------
+# the two ways to the rows: per character, and one transform per primal block
+
+
+def rows_both_ways(part, char_part):
+    """The matrix rows with each method forced in turn; they must be equal."""
+    rows = []
+    for forced in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dualpart.partition, "_rows_by_transform", lambda part, rows: forced)
+            rows.append(krawtchouk(part, char_part).rows)
+    assert rows[0] == rows[1]
+    return rows[1]
+
+
+def largest_column_at_zero(part, char_part, rows):
+    """The zero character's entry in the largest block's column is that block's size,
+    as a rational integer: the column the transform derives from the others."""
+    phi = euler_phi(part.group.exponent)
+    largest = max(range(part.num_blocks), key=lambda m: len(part.blocks[m]))
+    assert char_part.blocks[0][0] == part.group.zero
+    entry = rows[0][largest * phi:(largest + 1) * phi]
+    assert entry == [len(part.blocks[largest])] + [0] * (phi - 1)
+
+
+def method_partitions(grp, urns=None):
+    """Random, zero-block, one-block and singleton partitions, and the random one's dual.
+
+    With ``urns`` the random partitions put each element in one of that many
+    urns, and the dual and singletons, whose matrices are above the matrix
+    guard on (256,), are left out.
+    """
+    rng = random.Random(grp.size * 7 + len(grp.orders))
+    if urns:
+        some = Partition.from_labels(grp, [rng.randrange(urns) for _ in range(grp.size)])
+        zero = Partition.from_labels(grp, [-1] + [rng.randrange(urns) for _ in range(grp.size - 1)])
+        return [some, zero, Partition.one_block(grp)]
+    some = random_partition(grp, rng)
+    return [some, random_partition(grp, rng, zero_block=True), Partition.one_block(grp),
+            Partition.singletons(grp), dual_partition(some)]
+
+
+def check_both_ways(grp, urns=None):
+    for part in method_partitions(grp, urns):
+        dual = dual_partition(part)
+        largest_column_at_zero(part, dual, rows_both_ways(part, dual))
+
+
+@pytest.mark.parametrize("orders", SMALL_CARRIERS)
+def test_both_methods_agree_on_every_small_carrier(orders):
+    check_both_ways(GroupSpec(orders))
+
+
+@pytest.mark.parametrize("orders", [(5,), (12,), (105,), (210,), (256,), (16, 16),
+                                    (12, 12, 4), (3,) * 5, ()], ids=str)
+def test_both_methods_agree_on_larger_and_irrational_carriers(orders):
+    check_both_ways(GroupSpec(orders), urns=6)
+
+
+@pytest.mark.parametrize("width", [32, 64])
+@pytest.mark.parametrize("orders", [(), (2,), (5,), (12,), (8, 4), (3, 3), (105,), (16, 16)],
+                         ids=str)
+def test_forced_digit_widths_read_the_same_rows(orders, width):
+    """The 32- and 64-bit digit arrays, which no default width of these carriers takes."""
+    grp = GroupSpec(orders)
+    for part in method_partitions(grp):
+        chars = [block[0] for block in dual_partition(part).blocks]
+        assert _digit_width(part) < width
+        assert _transformed_rows(part, chars, width) == _character_rows(part, chars)
+
+
+def test_cost_rule_takes_each_method_where_it_is_cheaper():
+    """The transform for 4 urns of (2,)^8 with its dual (233 rows); per-character
+    rows for the 10 x 10 Hamming matrix of (2,)^9."""
+    grp = GroupSpec((2,) * 8)
+    rng = random.Random(8)
+    urns = Partition.from_labels(grp, [rng.randrange(4) for _ in range(grp.size)])
+    assert _rows_by_transform(urns, dual_partition(urns).num_blocks)
+    nine = hamming(GroupSpec((2,) * 9))
+    assert not _rows_by_transform(nine, nine.num_blocks)
+
+
+def test_three_blocks_of_1155_take_the_transform():
+    """E = 1155 = 3 * 5 * 7 * 11 has c_E = 9 and phi(E) = 480, and every
+    character is alone in the dual. Per character, the 1155 rows took about
+    15 s; sampled rows of the transformed matrix equal the per-character rows."""
+    grp = GroupSpec((1155,))
+    rng = random.Random(0)
+    part = Partition.from_labels(grp, [rng.randrange(3) for _ in range(grp.size)])
+    dual = dual_partition(part)
+    assert dual.num_blocks == grp.size and _rows_by_transform(part, grp.size)
+    k = krawtchouk(part, dual)
+    sample = list(range(0, grp.size, 97))
+    assert [k.rows[i] for i in sample] == _character_rows(part, [dual.blocks[i][0]
+                                                                 for i in sample])
+    largest_column_at_zero(part, dual, k.rows)

@@ -9,6 +9,7 @@ ordered item lists, so key order counts, and failures by type and message.
 """
 
 import random
+from dataclasses import replace
 from math import prod
 
 import pytest
@@ -28,7 +29,6 @@ from dualpart.errors import GuardExceeded, InputError, VerificationFailure
 from dualpart.group import ELEMENT_GUARD, GroupSpec, elements, generate
 from dualpart.induced import power_group, product_group
 from dualpart.partition import (
-    KrawtchoukMatrix,
     Partition,
     dual_partition,
     is_reflexive,
@@ -209,7 +209,7 @@ def test_a_wrong_matrix_fails_verification_as_before(orders, kind):
         for r in range(k.shape[0]):
             rows = [list(row) for row in k.rows]
             rows[r][coeff] += 1
-            wrong = KrawtchoukMatrix(k.order, tuple(rows), k.row_blocks, k.col_blocks)
+            wrong = replace(k, rows=tuple(rows))
             for code in codes:
                 counts = product_enumerator(code, [base] * 2)
                 want = outcome(oracle_product_transform, counts, [wrong, k], code.size)

@@ -22,6 +22,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -53,7 +54,6 @@ from dualpart.induced import (
     symmetrized_partition,
 )
 from dualpart.partition import (
-    KrawtchoukMatrix,
     Partition,
     dual_partition,
     dual_under_iso,
@@ -384,7 +384,7 @@ def test_kk_product_matches_the_triple_loop(orders, monkeypatch):
         k, k2 = krawtchouk(part, dual), krawtchouk(dual, dual_partition(dual))
         rows = [list(row) for row in k.rows]
         rows[0][0] += 1  # the constant coefficient of entry (0, 0)
-        wrong = KrawtchoukMatrix(k.order, tuple(rows), k.row_blocks, k.col_blocks)
+        wrong = replace(k, rows=tuple(rows))
         for matrix, holds in ((k, True), (wrong, False)):
             want, want_verdicts = old_kk_product(part, matrix, k2)
             verdicts, product = kk_by_the_step(part, matrix, k2, monkeypatch)

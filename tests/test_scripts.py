@@ -82,3 +82,32 @@ def test_sweep_cases_script_prints_the_cli_document():
     text = out.getvalue().removesuffix("\n")
     assert case["bytes"] == len(text)
     assert case["sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_sweep_cases_script_times_the_few_block_matrices():
+    """The five urn cases: few blocks, every character apart, and the matrix
+    document's sha256 equal to that of the library's own matrix."""
+    import random
+
+    from dualpart.group import GroupSpec
+    from dualpart.partition import Partition, dual_partition, krawtchouk
+    from dualpart.serialization import write_json
+
+    cases = {"(256,) 5 urns": ((256,), 5), "(210,) 6 urns": ((210,), 6),
+             "(16,16) 6 urns": ((16, 16), 6), "(3,)^5 6 urns": ((3,) * 5, 6),
+             "(1155,) 3 urns": ((1155,), 3)}
+    args = [arg for name in cases for arg in ("--case", name)]
+    doc = json.loads(run_script("sweep_cases.py", *args, "--timeout", "60"))
+    assert [c["name"] for c in doc["cases"]] == list(cases)
+    for case in doc["cases"]:
+        orders, urns = cases[case["name"]]
+        grp = GroupSpec(orders)
+        assert case["status"] == "ok" and case["krawtchouk_seconds"] > 0
+        assert (case["blocks"], case["dual_blocks"]) == (urns, grp.size)
+        if grp.size <= 256:
+            rng = random.Random(0)
+            part = Partition.from_labels(grp, [rng.randrange(urns) for _ in range(grp.size)])
+            out = io.StringIO()
+            write_json(krawtchouk(part, dual_partition(part)), out)
+            assert case["krawtchouk_bytes"] == len(out.getvalue())
+            assert case["krawtchouk_sha256"] == hashlib.sha256(out.getvalue().encode()).hexdigest()

@@ -37,8 +37,10 @@ from dualpart.cyclotomic import (
 from dualpart.group import GroupSpec, _pairing_exponents, elements, pairing_exponent
 from dualpart.partition import (
     Partition,
+    _fp_passes,
     _fp_transform,
     _outer,
+    _transform_cost,
     _transform_plan,
     dual_partition,
     krawtchouk,
@@ -150,8 +152,8 @@ def naive_transform(grp, x, p, w):
 
 
 def fast_transform(grp, x, p, w):
-    plan, place = _transform_plan(grp, w, p)
-    values = _fp_transform(list(x), plan, p)
+    plan, place = _transform_plan(grp)
+    values = _fp_transform(list(x), _fp_passes(plan, [pow(w, k, p) for k in range(grp.exponent)]), p)
     return [values[i] for i in place]
 
 
@@ -258,6 +260,9 @@ def test_each_block_takes_the_cheaper_way():
     assert transformed[-8:] == [66, 66, 220, 220, 495, 495, 792, 792]
     assert 1 not in transformed
     assert sum(transformed) + summed == grp.size - 924
+    # its twelve radix-2 passes only add, with no twiddle and no mod, so a
+    # transform is estimated at 5 rows and the 12-member blocks take it too
+    assert _transform_cost(grp) < 6 and transformed[:2] == [12, 12] and summed == 2
     # Lee blocks have at most two members, far below a transform's cost
     assert block_ways(lee(GroupSpec((256,)))) == ([], 256 - 2)
     assert block_ways(Partition.singletons(GroupSpec((4, 4)))) == ([], 0)
