@@ -4,9 +4,12 @@ each case in its own capped process.
 
     python3 scripts/sweep_cases.py [--src DIR] [--timeout S] [--limit-gib G] [--case NAME ...]
 
-Every sweep case (``CASES``) builds its partition, then times one
-``dual_partition`` call in a fresh ``python3`` child under an address-space
-limit (``RLIMIT_AS``) and a timeout, and then one ``krawtchouk(part, dual)``
+Every sweep case (``CASES``) builds its partition in a fresh ``python3``
+child under an address-space limit (``RLIMIT_AS``) and a timeout, and times
+``dual_partition`` as the least of repeated calls, each on a fresh copy of
+the partition made from its labels, untimed, with its ``blocks`` read before
+the clock starts; it stops once the calls took 0.5 s in all, or after 20
+runs. Then it times one ``krawtchouk(part, dual)``
 with its document written by ``write_json`` to ``os.devnull``; the document
 is then written once more into a sha256, untimed, so runs over two source
 trees can be checked to print the same matrix. A partition is Hamming, Lee,
@@ -25,7 +28,7 @@ handler and times ``write_json`` of it to ``os.devnull``, median of five
 runs; it reports the document's size and the sha256 of its text, so runs
 over two source trees can be checked to print the same bytes. One JSON
 document goes to stdout:
-``{python, limit_gib, timeout_s, cases: [{name, seconds, peak_rss_mb,
+``{python, limit_gib, timeout_s, cases: [{name, seconds, runs, peak_rss_mb,
 blocks, dual_blocks, krawtchouk_seconds, krawtchouk_peak_rss_mb,
 krawtchouk_bytes, krawtchouk_sha256, status}],
 transform_cases: [{name, transform_seconds, code_size, keys, status}],
@@ -208,9 +211,14 @@ elif kind.startswith("urns"):
     part = Partition.from_labels(g, [rng.randrange(int(kind[4:])) for _ in range(g.size)])
 else:
     part = random_partition(g, random.Random(0), max_size=g.size)
-start = time.perf_counter()
-dual = dual_partition(part, max_size=g.size)
-seconds = time.perf_counter() - start
+times = []
+while len(times) < 20 and sum(times) < 0.5:
+    fresh = Partition.from_labels(g, part.block_of)
+    fresh.blocks  # built before the clock starts, so only the sweep is timed
+    start = time.perf_counter()
+    dual = dual_partition(fresh, max_size=g.size)
+    times.append(time.perf_counter() - start)
+part = fresh  # the last copy keeps its dual for the matrix
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 kseconds = krss = kbytes = ksha = None
 
@@ -236,7 +244,8 @@ try:
     kbytes, ksha = digest.size, digest.hash.hexdigest()
 except GuardExceeded:
     pass
-print(json.dumps({{"seconds": round(seconds, 4), "peak_rss_mb": round(rss, 1),
+print(json.dumps({{"seconds": round(min(times), 4), "runs": len(times),
+                  "peak_rss_mb": round(rss, 1),
                   "blocks": part.num_blocks, "dual_blocks": dual.num_blocks,
                   "krawtchouk_seconds": kseconds, "krawtchouk_peak_rss_mb": krss,
                   "krawtchouk_bytes": kbytes, "krawtchouk_sha256": ksha}}))
@@ -262,7 +271,7 @@ def run_case(name: str, src: str, limit_gib: float, timeout: float) -> dict:
     else:
         orders, kind = CASES[name]
         code = CHILD.format(limit=limit, src=src, orders=orders, kind=kind)
-        row = {"name": name, "seconds": None, "peak_rss_mb": None, "blocks": None,
+        row = {"name": name, "seconds": None, "runs": None, "peak_rss_mb": None, "blocks": None,
                "dual_blocks": None, "krawtchouk_seconds": None, "krawtchouk_peak_rss_mb": None,
                "krawtchouk_bytes": None, "krawtchouk_sha256": None}
     try:

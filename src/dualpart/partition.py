@@ -44,10 +44,14 @@ refines the dual all read one sweep, as does ``enumerator.kk_product_check``,
 which multiplies two such matrices. A character partition is checked
 against the dual in full on every carrier; nothing is sampled.
 
-Block data is canonical: each block is sorted, blocks are ordered by their
-least member, elements are reduced residue tuples. Partitions on the same
-carrier therefore compare by plain equality. ``Partition.from_labels`` alone
-orders blocks, and ``group`` owns the pairing whose rows the sweep reads.
+A partition is stored once, as its labels: the block index of each carrier
+element in rank order, numbered by first appearance. That numbering is
+canonical, so partitions on the same carrier compare by plain equality of
+their labels. ``Partition.from_labels`` alone numbers them. The member
+tuples (``blocks``: each block in rank order, blocks ordered by their least
+member) are built from the labels on first read and kept; the sweep reads
+them, while the writer, ``refines``, ``meet`` and ``join`` read only the
+labels. ``group`` owns the pairing whose rows the sweep reads.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import repeat
 from operator import add, itemgetter, lshift, mul, sub
 from typing import Any, Callable, Hashable, Iterable, Iterator
@@ -81,12 +85,12 @@ Block = tuple[Element, ...]
 
 @dataclass(frozen=True)
 class Partition:
-    """A set partition of the carrier of a finite abelian group."""
+    """A set partition of the carrier of a finite abelian group, stored as the
+    canonical block index of each element in rank order (``from_labels``)."""
 
     group: GroupSpec
-    blocks: tuple[Block, ...]
-    block_of: tuple[int, ...] = field(compare=False, repr=False)
-    # block_of is derived: block index per element rank, for O(1) lookup
+    block_of: tuple[int, ...]
+    num_blocks: int = field(compare=False)
     _dual: "Partition | None" = field(default=None, init=False, compare=False, repr=False)
     # set once by dual_partition, and dropped with the partition
 
@@ -118,24 +122,20 @@ class Partition:
     def from_labels(cls, group: GroupSpec, labels: Iterable[Hashable]) -> "Partition":
         """The fibers of one label per element, the labels given in rank order.
 
-        The result is canonical without a sort: elements are appended in rank
-        order, which is lexicographic order, so each block's members come out
-        sorted, and a block is opened at its first and least member, so blocks
-        come out ordered by their least members. The elements are the
-        carrier's own tuples, so only the length of the label list is checked.
-        That is why only label lists the library builds itself (weights, sweep
-        classes, factor block indices) come here directly; blocks from user
-        input go through ``from_blocks``, which validates them and then comes
-        here. The caller guards the carrier size.
+        The labels are numbered by first appearance in rank order, which is
+        the canonical form without a sort: equal partitions get equal labels,
+        and block i opens at its least member, before block i + 1 does. Only
+        the length of the label list is checked. That is why only label lists
+        the library builds itself (weights, sweep classes, factor block
+        indices) come here directly; blocks from user input go through
+        ``from_blocks``, which validates them and then comes here. The caller
+        guards the carrier size.
         """
         ids: dict[Hashable, int] = {}
         block_of = tuple(ids.setdefault(label, len(ids)) for label in labels)
         if len(block_of) != group.size:
             raise InputError(f"{len(block_of)} labels for {group.size} elements")
-        blocks: list[list[Element]] = [[] for _ in ids]
-        for g, i in zip(elements(group, group.size), block_of):
-            blocks[i].append(g)
-        return cls(group, tuple(map(tuple, blocks)), block_of)
+        return cls(group, block_of, len(ids))
 
     @classmethod
     def from_weight(cls, group: GroupSpec, weight: Callable[[Element], Hashable],
@@ -151,9 +151,14 @@ class Partition:
     def one_block(cls, group: GroupSpec, max_size: int = ELEMENT_GUARD) -> "Partition":
         return cls.from_labels(group, repeat(0, len(elements(group, max_size))))
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        """The members of each block in rank order, which is lexicographic order,
+        the blocks ordered by their least members; built on first read and kept."""
+        blocks: list[list[Element]] = [[] for _ in range(self.num_blocks)]
+        for g, i in zip(elements(self.group, self.group.size), self.block_of):
+            blocks[i].append(g)
+        return tuple(map(tuple, blocks))
 
     def block_index_of(self, g: Element) -> int:
         return self.block_of[self.group.rank(self.group.validate(g))]
@@ -654,7 +659,7 @@ class KrawtchoukMatrix:
     Each row is one flat list of canonical coefficients at root order
     ``order``: entry m is ``row[m * phi:(m + 1) * phi]``, phi = phi(order).
     The two partitions are kept whole, so the writer prints their blocks from
-    their labels; ``row_blocks`` and ``col_blocks`` read their blocks.
+    their labels.
     """
 
     order: int
@@ -663,16 +668,8 @@ class KrawtchoukMatrix:
     col_part: Partition
 
     @property
-    def row_blocks(self) -> tuple[Block, ...]:
-        return self.row_part.blocks
-
-    @property
-    def col_blocks(self) -> tuple[Block, ...]:
-        return self.col_part.blocks
-
-    @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.col_blocks))
+        return (len(self.rows), self.col_part.num_blocks)
 
     @property
     def entries(self) -> tuple[tuple[CycInt, ...], ...]:
@@ -788,11 +785,15 @@ def meet(a: Partition, b: Partition) -> Partition:
 
 
 def join(a: Partition, b: Partition) -> Partition:
-    """Finest common coarsening, by union-find over overlapping blocks."""
+    """Finest common coarsening, by union-find over the blocks of both partitions.
+
+    The nodes are a's blocks, then b's; each distinct label pair an element
+    has links its two blocks, and an element's join block is the root of its
+    block in a.
+    """
     if a.group != b.group:
         raise InputError("partitions on different carriers have no join")
-    grp = a.group
-    parent = list(range(grp.size))
+    parent = list(range(a.num_blocks + b.num_blocks))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -800,17 +801,10 @@ def join(a: Partition, b: Partition) -> Partition:
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for part in (a, b):
-        for block in part.blocks:
-            first = grp.rank(block[0])
-            for g in block[1:]:
-                union(first, grp.rank(g))
-    return Partition.from_labels(grp, map(find, range(grp.size)))
+    for i, j in set(zip(a.block_of, b.block_of)):
+        parent[find(a.num_blocks + j)] = find(i)
+    roots = [find(i) for i in range(a.num_blocks)]
+    return Partition.from_labels(a.group, map(roots.__getitem__, a.block_of))
 
 
 def negate(part: Partition) -> Partition:

@@ -293,14 +293,11 @@ def poset_krawtchouk_bruteforce(
         ) from exc
     ints = km.integer_entries()
     dp = dual_poset(p)
-    row_order = sorted(
-        range(len(km.row_blocks)),
-        key=lambda r: poset_weight(dp, group, km.row_blocks[r][0]),
-    )
-    col_order = sorted(
-        range(len(km.col_blocks)),
-        key=lambda c: poset_weight(p, group, km.col_blocks[c][0]),
-    )
+    row_blocks, col_blocks = km.row_part.blocks, km.col_part.blocks
+    row_order = sorted(range(len(row_blocks)),
+                       key=lambda r: poset_weight(dp, group, row_blocks[r][0]))
+    col_order = sorted(range(len(col_blocks)),
+                       key=lambda c: poset_weight(p, group, col_blocks[c][0]))
     return tuple(tuple(ints[r][c] for c in col_order) for r in row_order)
 
 

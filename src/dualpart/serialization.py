@@ -184,7 +184,8 @@ def write_json(doc: Any, stream: TextIO) -> None:
     - a ``Partition`` prints as its ``partition_to_json`` dict would;
     - a ``KrawtchoukMatrix`` prints as a dict of its ``entries`` (each by
       ``cycint_to_json``), their ``approx`` pairs (``approx_complex``
-      rounded to 12 places) and its ``row_blocks`` and ``col_blocks``.
+      rounded to 12 places), and the blocks of its ``row_part`` and
+      ``col_part`` as ``row_blocks`` and ``col_blocks``.
 
     The text is built one depth at a time, not one node at a time. The
     values at one depth are split by type: exact ints and finite floats are
@@ -269,7 +270,7 @@ def _block_texts(part: Partition, level: int):
     tails = [""] * (len(orders) - 1) + [inner + "]"]
     cols = [[f"{head}{x}{tail}" for x in range(n)] for n, head, tail in zip(orders, heads, tails)]
     texts = reduce(_outer, cols[1:], cols[0]) if cols else ["[]"]
-    members: list[list[str]] = [[] for _ in part.blocks]
+    members: list[list[str]] = [[] for _ in range(part.num_blocks)]
     for i, text in zip(part.block_of, texts):
         members[i].append(text)
     head, sep, tail = "[" + inner, "," + inner, "\n" + "  " * level + "]"

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through main()."""
 
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -22,7 +23,7 @@ from dualpart.group import GroupSpec
 from dualpart.partition import (MATRIX_GUARD, Partition, dual_partition, krawtchouk,
                                 random_partition)
 from dualpart.serialization import (group_from_json, partition_from_json, partition_to_json,
-                                    poset_from_json)
+                                    poset_from_json, write_json)
 
 Z6_PARTITION = '{"blocks":[[[0]],[[1],[3],[5]],[[2],[4]]]}'
 
@@ -101,6 +102,18 @@ def test_product_command_with_code(capsys):
     assert {tuple(e["key"]): e["count"] for e in doc["enumerator"]} == {
         (0, 0, 0): 1, (1, 1, 1): 1,
     }
+
+
+@pytest.mark.parametrize("cmd", ["product", "symmetrize"])
+def test_induced_partition_is_printed_from_its_labels(cmd):
+    """The induced partition of ``product`` and ``symmetrize --code`` is printed
+    without its member tuples ever being built."""
+    args = dualpart.cli.build_parser().parse_args([
+        cmd, "--group", '{"orders":[4]}', "--partition", '{"blocks":[[[0]],[[1],[3]],[[2]]]}',
+        "--copies", "3", "--code", '{"generators":[[1,2,1]]}'])
+    doc, _ = args.handler(args)
+    write_json(doc, io.StringIO())
+    assert "blocks" not in vars(doc["partition"])
 
 
 @pytest.mark.parametrize("cmd, builder", [("product", "product_partition"),

@@ -64,8 +64,8 @@ def oracle_document(entries, matrix):
     return {
         "entries": [[cycint_to_json(x) for x in row] for row in entries],
         "approx": [[approx_pair(x.approx_complex()) for x in row] for row in entries],
-        "row_blocks": [[list(g) for g in b] for b in matrix.row_blocks],
-        "col_blocks": [[list(g) for g in b] for b in matrix.col_blocks],
+        "row_blocks": [[list(g) for g in b] for b in matrix.row_part.blocks],
+        "col_blocks": [[list(g) for g in b] for b in matrix.col_part.blocks],
     }
 
 

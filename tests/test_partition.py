@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -9,7 +10,7 @@ import pytest
 import dualpart.partition
 from dualpart.enumerator import kk_product_check
 from dualpart.errors import GuardExceeded, InputError, VerificationFailure
-from dualpart.group import GroupIso, GroupSpec
+from dualpart.group import GroupIso, GroupSpec, elements
 from dualpart.partition import (
     Partition,
     all_partitions,
@@ -71,6 +72,91 @@ def test_canonical_block_order():
     assert p.blocks[1] == ((1,), (3,), (5,))
     assert p.blocks[2] == ((2,), (4,))
     assert p.block_index_of((4,)) == 2
+
+
+def grouped(group, labels):
+    """Oracle of a partition's blocks: the elements grouped by label, each
+    group sorted, the groups sorted."""
+    found = {}
+    for g, label in zip(elements(group), labels):
+        found.setdefault(label, []).append(g)
+    return tuple(sorted(tuple(sorted(b)) for b in found.values()))
+
+
+def random_labels(group, rng):
+    """Random int labels, or (int, int) tuples as ``meet`` and ``product_partition``
+    pass them, from few values, so that equal partitions come up often."""
+    k = rng.randint(1, 3)
+    if rng.random() < 0.5:
+        return [rng.randrange(k) for _ in range(group.size)]
+    return [(rng.randrange(k), rng.randrange(2)) for _ in range(group.size)]
+
+
+@pytest.mark.parametrize("orders", [(2,), (4,), (6,), (2, 2), (2, 3), (3, 3), (2, 2, 2)])
+def test_labels_identify_the_partition(orders):
+    """Equal labels exactly for equal partitions, whatever labels built them,
+    and the blocks read from the labels are the grouping oracle's."""
+    g = GroupSpec(orders)
+    rng = random.Random(repr(orders))
+    parts, oracles = [], []
+    for _ in range(40):
+        labels = random_labels(g, rng)
+        # the same grouping under other label values
+        names = {x: rng.random() for x in set(labels)}
+        for ls in (labels, [names[x] for x in labels]):
+            parts.append(Partition.from_labels(g, ls))
+            oracles.append(grouped(g, ls))
+    assert len(set(oracles)) > 1 and len(set(oracles)) < len(oracles)
+    for p, want in zip(parts, oracles):
+        assert p.blocks == want and p.num_blocks == len(want)
+    for (p, a), (q, b) in itertools.product(zip(parts, oracles), repeat=2):
+        assert (p == q) == (a == b)
+        if p == q:
+            assert hash(p) == hash(q) and p.block_of == q.block_of
+
+
+def test_blocks_are_built_once_by_the_sweep():
+    """A partition holds only its labels until ``blocks`` is read; the sweep
+    reads it once, and later reads return the same tuple."""
+    g = GroupSpec((4, 4))
+    part = Partition.from_labels(g, random_labels(g, random.Random(3)))
+    assert "blocks" not in vars(part)
+    dual = dual_partition(part)
+    blocks = vars(part)["blocks"]
+    assert part.blocks is blocks
+    assert "blocks" not in vars(dual)
+
+
+def union_find_join(a, b):
+    """Oracle of ``join``: union-find over the members of every block of both."""
+    grp = a.group
+    parent = list(range(grp.size))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for part in (a, b):
+        for block in part.blocks:
+            first = find(grp.rank(block[0]))
+            for g in block[1:]:
+                root = find(grp.rank(g))
+                if root != first:
+                    parent[root] = first
+    return Partition.from_labels(grp, map(find, range(grp.size)))
+
+
+@pytest.mark.parametrize("orders", [(2,), (5,), (6,), (2, 2), (2, 4), (3, 3), (2, 2, 2)])
+def test_join_equals_the_union_find_oracle(orders):
+    g = GroupSpec(orders)
+    rng = random.Random(repr(orders))
+    for _ in range(50):
+        a = Partition.from_labels(g, random_labels(g, rng))
+        b = Partition.from_labels(g, random_labels(g, rng))
+        want = union_find_join(a, b)
+        assert join(a, b) == want and join(b, a) == want
+        assert refines(a, want) and refines(b, want)
 
 
 def test_worked_example_dual():

@@ -47,6 +47,8 @@ def test_sweep_cases_script_reports_each_case():
     assert [(c["name"], c["status"], c["blocks"], c["dual_blocks"]) for c in doc["cases"]] == [
         ("(256,) lee", "ok", 129, 129), ("(64,64) hamming", "ok", 3, 3)]
     assert all(c["seconds"] > 0 and c["peak_rss_mb"] > 0 for c in doc["cases"])
+    # the least of repeated sweeps: a millisecond case runs more than once
+    assert all(1 < c["runs"] <= 20 for c in doc["cases"])
     assert all(c["krawtchouk_seconds"] > 0 and c["krawtchouk_peak_rss_mb"] >= c["peak_rss_mb"]
                for c in doc["cases"])
     # the child checks each transform against the dual code's enumerator
