@@ -4,36 +4,38 @@ each case in its own capped process.
 
     python3 scripts/sweep_cases.py [--src DIR] [--timeout S] [--limit-gib G] [--case NAME ...]
 
+Every field of seconds is the least of repeated runs, which stops once the
+runs took 0.5 s in all, or after 20 runs; each field's run count is
+reported beside it (``runs`` for the sweep, ``<field>_runs`` for the rest).
 Every sweep case (``CASES``) builds its partition in a fresh ``python3``
 child under an address-space limit (``RLIMIT_AS``) and a timeout, and times
-``dual_partition`` as the least of repeated calls, each on a fresh copy of
-the partition made from its labels, untimed, with its ``blocks`` read before
-the clock starts; it stops once the calls took 0.5 s in all, or after 20
-runs. Then it times one ``krawtchouk(part, dual)``
-with its document written by ``write_json`` to ``os.devnull``; the document
-is then written once more into a sha256, untimed, so runs over two source
-trees can be checked to print the same matrix. A partition is Hamming, Lee,
-random (``random_partition``) or ``k urns``, each element in one of k urns
-drawn with ``random.Random(0)``: few blocks and many rows. Every
-transform case (``TRANSFORM_CASES``) builds a base partition, a code on a
-power of its carrier, the code's dual and the factor matrix, then times what
-``dualpart product --code`` and ``symmetrize --code`` spend in the layer:
-``product_enumerator`` of the code and of its dual, ``product_transform``,
-and ``symmetrized_enumerator`` of both, median of five runs. The child
-checks that the transform equals the dual's enumerator. Every subgroup case
-(``SUBGROUP_CASES``) times ``all_subgroups`` of its carrier, median of three
-runs, and counts the subgroups. Every print case (``PRINT_CASES``) builds
+``dual_partition``, each run on a fresh copy of the partition made from its
+labels, untimed, with its ``blocks`` read before the clock starts. Then it
+times ``krawtchouk(part, dual)`` on the last copy, with the dual's
+``blocks`` read first, and its document written by ``write_json`` to
+``os.devnull``; the document is then written once more into a sha256,
+untimed, so runs over two source trees can be checked to print the same
+matrix. A partition is Hamming, Lee, random (``random_partition``) or
+``k urns``, each element in one of k urns drawn with ``random.Random(0)``:
+few blocks and many rows. Every transform case (``TRANSFORM_CASES``) builds
+a base partition, a code on a power of its carrier, the code's dual and the
+factor matrix, then times what ``dualpart product --code`` and
+``symmetrize --code`` spend in the layer: ``product_enumerator`` of the code
+and of its dual, ``product_transform``, and ``symmetrized_enumerator`` of
+both. The child checks that the transform equals the dual's enumerator.
+Every subgroup case (``SUBGROUP_CASES``) times ``all_subgroups`` of its
+carrier and counts the subgroups. Every print case (``PRINT_CASES``) builds
 the document of ``dualpart product`` or ``symmetrize`` with the CLI's own
-handler and times ``write_json`` of it to ``os.devnull``, median of five
-runs; it reports the document's size and the sha256 of its text, so runs
-over two source trees can be checked to print the same bytes. One JSON
-document goes to stdout:
+handler and times ``write_json`` of it to ``os.devnull``; it reports the
+document's size and the sha256 of its text, so runs over two source trees
+can be checked to print the same bytes. One JSON document goes to stdout:
 ``{python, limit_gib, timeout_s, cases: [{name, seconds, runs, peak_rss_mb,
-blocks, dual_blocks, krawtchouk_seconds, krawtchouk_peak_rss_mb,
-krawtchouk_bytes, krawtchouk_sha256, status}],
-transform_cases: [{name, transform_seconds, code_size, keys, status}],
-subgroup_cases: [{name, subgroup_seconds, subgroups, status}],
-print_cases: [{name, print_seconds, bytes, sha256, status}]}``. ``peak_rss_mb`` is read
+blocks, dual_blocks, krawtchouk_seconds, krawtchouk_runs,
+krawtchouk_peak_rss_mb, krawtchouk_bytes, krawtchouk_sha256, status}],
+transform_cases: [{name, transform_seconds, transform_runs, code_size, keys,
+status}], subgroup_cases: [{name, subgroup_seconds, subgroup_runs,
+subgroups, status}], print_cases: [{name, print_seconds, print_runs, bytes,
+sha256, status}]}``. ``peak_rss_mb`` is read
 before the matrix is built; the ``krawtchouk_`` fields are null where the
 matrix exceeds the matrix guard. ``status`` is ``ok``, ``oom`` (the child
 ran out of address space), ``timeout`` or ``error``; a case that did not
@@ -107,8 +109,21 @@ PRINT_CASES = {
     "(2,)^11 hamming product": ("product", [2], [[[0]], [[1]]], 11),
 }
 
+LEAST = """
+import time
+
+
+def least(timed):
+    \"\"\"The least of repeated timed() calls, each returning its own seconds, until
+    they took 0.5 s in all or 20 ran; and how many ran.\"\"\"
+    times = []
+    while len(times) < 20 and sum(times) < 0.5:
+        times.append(timed())
+    return min(times), len(times)
+"""
+
 PRINT_CHILD = """
-import hashlib, io, json, os, resource, statistics, sys, time
+import hashlib, io, json, os, resource, sys
 limit = {limit}
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 sys.path.insert(0, {src!r})
@@ -116,37 +131,48 @@ from dualpart.cli import build_parser
 from dualpart.serialization import write_json
 args = build_parser().parse_args({argv!r})
 doc, _ = args.handler(args)
-times = []
-with open(os.devnull, "w") as sink:
-    for _ in range(5):
+
+
+def timed():
+    with open(os.devnull, "w") as sink:
         start = time.perf_counter()
         write_json(doc, sink)
-        times.append(time.perf_counter() - start)
+        return time.perf_counter() - start
+
+
+seconds, runs = least(timed)
 text = io.StringIO()
 write_json(doc, text)
-print(json.dumps({{"print_seconds": round(statistics.median(times), 5),
+print(json.dumps({{"print_seconds": round(seconds, 5), "print_runs": runs,
                   "bytes": len(text.getvalue()),
                   "sha256": hashlib.sha256(text.getvalue().encode()).hexdigest()}}))
 """
 
 SUBGROUP_CHILD = """
-import json, resource, statistics, sys, time
+import json, resource, sys
 limit = {limit}
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 sys.path.insert(0, {src!r})
 from dualpart.group import GroupSpec, all_subgroups
 g = GroupSpec({orders!r})
-times = []
-for _ in range(3):
+counts = []
+
+
+def timed():
     start = time.perf_counter()
     subs = all_subgroups(g)
-    times.append(time.perf_counter() - start)
-print(json.dumps({{"subgroup_seconds": round(statistics.median(times), 4),
-                  "subgroups": len(subs)}}))
+    seconds = time.perf_counter() - start
+    counts.append(len(subs))
+    return seconds
+
+
+seconds, runs = least(timed)
+print(json.dumps({{"subgroup_seconds": round(seconds, 5), "subgroup_runs": runs,
+                  "subgroups": counts[-1]}}))
 """
 
 TRANSFORM_CHILD = """
-import json, random, resource, statistics, sys, time
+import json, random, resource, sys
 limit = {limit}
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 sys.path.insert(0, {src!r})
@@ -176,22 +202,29 @@ code = generate(big, gens)
 dual_base = dual_partition(base)
 matrix = krawtchouk(dual_base, base)
 perp = dual_code(big, code)
-times = []
-for _ in range(5):
+keys = []
+
+
+def timed():
     start = time.perf_counter()
     out = product_transform(product_enumerator(code, [base] * copies), [matrix] * copies,
                             code.size)
     direct = product_enumerator(perp, [dual_base] * copies)
     symmetrized_enumerator(code, base, copies)
     symmetrized_enumerator(perp, dual_base, copies)
-    times.append(time.perf_counter() - start)
+    seconds = time.perf_counter() - start
     assert out.counts == direct.counts
-print(json.dumps({{"transform_seconds": round(statistics.median(times), 5),
-                  "code_size": code.size, "keys": len(out.counts)}}))
+    keys.append(len(out.counts))
+    return seconds
+
+
+seconds, runs = least(timed)
+print(json.dumps({{"transform_seconds": round(seconds, 5), "transform_runs": runs,
+                  "code_size": code.size, "keys": keys[-1]}}))
 """
 
 CHILD = """
-import hashlib, json, os, random, resource, sys, time
+import hashlib, json, os, random, resource, sys
 limit = {limit}
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 sys.path.insert(0, {src!r})
@@ -211,16 +244,25 @@ elif kind.startswith("urns"):
     part = Partition.from_labels(g, [rng.randrange(int(kind[4:])) for _ in range(g.size)])
 else:
     part = random_partition(g, random.Random(0), max_size=g.size)
-times = []
-while len(times) < 20 and sum(times) < 0.5:
+last = []
+
+
+def timed():
     fresh = Partition.from_labels(g, part.block_of)
     fresh.blocks  # built before the clock starts, so only the sweep is timed
     start = time.perf_counter()
-    dual = dual_partition(fresh, max_size=g.size)
-    times.append(time.perf_counter() - start)
-part = fresh  # the last copy keeps its dual for the matrix
+    dual_partition(fresh, max_size=g.size)
+    seconds = time.perf_counter() - start
+    last[:] = [fresh]
+    return seconds
+
+
+seconds, runs = least(timed)
+part = last[0]  # the last copy keeps its dual for the matrix
+dual = dual_partition(part, max_size=g.size)
+dual.blocks  # the matrix's row representatives, read before its clock starts
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-kseconds = krss = kbytes = ksha = None
+kseconds = kruns = krss = kbytes = ksha = None
 
 
 class Digest:
@@ -232,22 +274,29 @@ class Digest:
         self.size += len(text)
 
 
-start = time.perf_counter()
-try:
+def ktimed():
+    last.clear()  # one matrix at a time, so the peak is that of one build
     with open(os.devnull, "w") as sink:
-        matrix = krawtchouk(part, dual, max_size=g.size)
-        write_json(matrix, sink)
-    kseconds = round(time.perf_counter() - start, 4)
+        start = time.perf_counter()
+        last[:] = [krawtchouk(part, dual, max_size=g.size)]
+        write_json(last[0], sink)
+        return time.perf_counter() - start
+
+
+try:
+    kseconds, kruns = least(ktimed)
+    kseconds = round(kseconds, 5)
     krss = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     digest = Digest()
-    write_json(matrix, digest)
+    write_json(last[0], digest)
     kbytes, ksha = digest.size, digest.hash.hexdigest()
 except GuardExceeded:
     pass
-print(json.dumps({{"seconds": round(min(times), 4), "runs": len(times),
+print(json.dumps({{"seconds": round(seconds, 5), "runs": runs,
                   "peak_rss_mb": round(rss, 1),
                   "blocks": part.num_blocks, "dual_blocks": dual.num_blocks,
-                  "krawtchouk_seconds": kseconds, "krawtchouk_peak_rss_mb": krss,
+                  "krawtchouk_seconds": kseconds, "krawtchouk_runs": kruns,
+                  "krawtchouk_peak_rss_mb": krss,
                   "krawtchouk_bytes": kbytes, "krawtchouk_sha256": ksha}}))
 """
 
@@ -258,25 +307,29 @@ def run_case(name: str, src: str, limit_gib: float, timeout: float) -> dict:
         orders, kind, copies, gens = TRANSFORM_CASES[name]
         code = TRANSFORM_CHILD.format(limit=limit, src=src, orders=orders, kind=kind,
                                       copies=copies, gens=gens)
-        row = {"name": name, "transform_seconds": None, "code_size": None, "keys": None}
+        row = {"name": name, "transform_seconds": None, "transform_runs": None,
+               "code_size": None, "keys": None}
     elif name in PRINT_CASES:
         cmd, orders, blocks, copies = PRINT_CASES[name]
         argv = [cmd, "--group", json.dumps({"orders": orders}),
                 "--partition", json.dumps({"blocks": blocks}), "--copies", str(copies)]
         code = PRINT_CHILD.format(limit=limit, src=src, argv=argv)
-        row = {"name": name, "print_seconds": None, "bytes": None, "sha256": None}
+        row = {"name": name, "print_seconds": None, "print_runs": None, "bytes": None,
+               "sha256": None}
     elif name in SUBGROUP_CASES:
         code = SUBGROUP_CHILD.format(limit=limit, src=src, orders=SUBGROUP_CASES[name])
-        row = {"name": name, "subgroup_seconds": None, "subgroups": None}
+        row = {"name": name, "subgroup_seconds": None, "subgroup_runs": None,
+               "subgroups": None}
     else:
         orders, kind = CASES[name]
         code = CHILD.format(limit=limit, src=src, orders=orders, kind=kind)
         row = {"name": name, "seconds": None, "runs": None, "peak_rss_mb": None, "blocks": None,
-               "dual_blocks": None, "krawtchouk_seconds": None, "krawtchouk_peak_rss_mb": None,
-               "krawtchouk_bytes": None, "krawtchouk_sha256": None}
+               "dual_blocks": None, "krawtchouk_seconds": None, "krawtchouk_runs": None,
+               "krawtchouk_peak_rss_mb": None, "krawtchouk_bytes": None,
+               "krawtchouk_sha256": None}
     try:
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=timeout)
+        done = subprocess.run([sys.executable, "-c", LEAST + code], capture_output=True,
+                              text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return {**row, "status": "timeout"}
     if done.returncode == 0:

@@ -94,7 +94,18 @@ def _partition_args(args: argparse.Namespace):
 
 
 def _element_guard(args: argparse.Namespace) -> int:
-    return args.max_group if args.max_group else ELEMENT_GUARD
+    return args.max_group or ELEMENT_GUARD
+
+
+def _guard(text: str) -> int:
+    """A guard flag's value: an int of at least 1, else a usage error (exit 1)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"a guard must be at least 1, not {value}")
+    return value
 
 
 def _poset(args: argparse.Namespace, grp):
@@ -434,10 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
         if poset:
             p.add_argument("--poset", required=True,
                            help="poset JSON: {\"n\":2, \"cover\":[[1,2]]} (1-based)")
-        p.add_argument("--max-group", type=int, default=None,
+        p.add_argument("--max-group", type=_guard, default=None,
                        help="override the element/subgroup enumeration guards")
         if matrix:
-            p.add_argument("--max-matrix", type=int, default=MATRIX_GUARD,
+            p.add_argument("--max-matrix", type=_guard, default=MATRIX_GUARD,
                            help="override the guard on Krawtchouk matrix coefficients "
                                 "(rows x columns x phi(E))")
         p.add_argument("--pretty", action="store_true",

@@ -33,7 +33,17 @@ def power_group(group: GroupSpec, copies: int) -> GroupSpec:
 
 def product_partition(parts: Sequence[Partition],
                       max_size: int = ELEMENT_GUARD) -> Partition:
-    """Partition of the product carrier into products of factor blocks."""
+    """Partition of the product carrier into products of factor blocks.
+
+    A word's label is its factor block indices (b_1, ..., b_k) as one
+    mixed-radix number, b_1 most significant. These labels are already
+    canonical (``Partition.from_labels``), so they are not numbered again:
+    rank order on the product is lexicographic, and the least rank f_i(b) of
+    block b in factor i rises with b, as the factor's labels are canonical.
+    So the tuple (b_1, ..., b_k) first appears at (f_1(b_1), ..., f_k(b_k)),
+    the tuples first appear in their own lexicographic order, and the j-th
+    to appear has mixed-radix number j. Every tuple appears.
+    """
     if not parts:
         raise InputError("need at least one factor partition")
     big = product_group([p.group for p in parts])
@@ -42,11 +52,10 @@ def product_partition(parts: Sequence[Partition],
             f"product carrier has {count_text(big.size)} elements, "
             f"above the guard of {max_size}"
         )
-    # a word's label is its factor block indices as one mixed-radix number, the first
-    # factor's most significant; the carrier's rank order is the product of the factors'
     weights = [math.prod(p.num_blocks for p in parts[i + 1:]) for i in range(len(parts))]
     columns = [[b * w for b in p.block_of] for p, w in zip(parts, weights)]
-    return Partition.from_labels(big, reduce(_outer, columns[1:], columns[0]))
+    return Partition(big, tuple(reduce(_outer, columns[1:], columns[0])),
+                     math.prod(p.num_blocks for p in parts))
 
 
 def symmetrized_partition(base: Partition, copies: int,

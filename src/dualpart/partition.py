@@ -35,8 +35,9 @@ sweep's transform run on the block's indicator in Z/(2^(Lb) +- 1), where the
 root is 2^b, so a root power is a shift (Kronecker substitution, as in
 Schoenhage and Strassen, Computing 7, 1971). Each value is read exactly by
 its base-2^b digits (the argument is in ``_packed_rows``). The sweep and the
-matrix share one plan of passes in root exponents (``_transform_plan``),
-which each ring lowers to its own multiply.
+matrix share one plan of passes in root exponents (``_transform_plan``) and
+its executor (``_run_passes``): one executor, two lowerings, as F_p and the
+shift ring each give the plan their own root terms, reduction and twiddle.
 
 The dual is kept on the partition object, so its reflexivity test, bidual,
 and generalized Krawtchouk matrices with any character partition that
@@ -61,10 +62,10 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import repeat
 from operator import add, itemgetter, lshift, mul, sub
-from typing import Any, Callable, Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .cyclotomic import (CycInt, _radices, coefficient_bound, cyclotomic_polynomial,
                          euler_phi, split_prime,
@@ -203,9 +204,10 @@ def _transform_plan(grp: GroupSpec) -> tuple[list[Pass], list[int]]:
     digit. After every pass of every axis the axes are back in their order,
     each with its frequency digits reversed; the second list maps a
     character's rank to that position. Every exponent lies below E, as
-    a * d < L. A ring lowers each exponent to its own multiply
-    (``_fp_passes``, ``_shift_passes``). Twiddles depend only on (L, q), so
-    axes of one order share them.
+    a * d < L. Twiddles depend only on (L, q), so axes of one order share
+    them. One executor, two lowerings: ``_run_passes`` runs the plan in
+    either ring, lowered by ``_fp_passes`` or ``_shift_passes`` to that
+    ring's root terms, reduction and twiddle.
     """
     size, e = grp.size, grp.exponent
     plan: list[Pass] = []
@@ -233,86 +235,93 @@ def _transform_plan(grp: GroupSpec) -> tuple[list[Pass], list[int]]:
 
 
 def _lowered(plan: list[Pass], root: Callable, twiddle: Callable) -> list[tuple]:
-    """The plan with each root exponent mapped by ``root`` and each twiddle
-    vector by ``twiddle``; a vector that passes share is lowered once."""
-    done: dict[int, Any] = {}
-
-    def vector(t: list[int]) -> Any:
-        if id(t) not in done:
-            done[id(t)] = twiddle(t)
-        return done[id(t)]
-
-    return [(q, list(map(root, roots)), [t and vector(t) for t in tw]) for q, roots, tw in plan]
+    """The plan with each root exponent mapped by ``root`` to (scale, negated) and
+    each twiddle vector by ``twiddle``; a vector that passes share is lowered once."""
+    vectors = {id(t): t for _, _, tw in plan for t in tw if t}
+    vectors = {key: twiddle(t) for key, t in vectors.items()}
+    return [(q, list(map(root, roots)), [t and vectors[id(t)] for t in tw])
+            for q, roots, tw in plan]
 
 
-def _fp_passes(plan: list[Pass], powers: list[int]) -> list[tuple]:
-    """The plan in F_p: each exponent k becomes w^k mod p, read from ``powers``."""
-    return _lowered(plan, powers.__getitem__, lambda t: list(map(powers.__getitem__, t)))
+def _fp_passes(plan: list[Pass], powers: list[int], p: int) -> tuple:
+    """The plan in F_p, as ``_run_passes`` takes it: each exponent k becomes w^k mod p,
+    read from ``powers``, the roots 1 and -1 take the row as it is, up to sign, and
+    the reduction is mod p."""
+    def root(k: int) -> tuple[Callable | None, bool]:
+        c = powers[k]
+        return (None if c in (1, p - 1) else c.__mul__), c == p - 1
+
+    reduced = partial(map, p.__rmod__)
+    return (_lowered(plan, root, lambda t: list(map(powers.__getitem__, t))), reduced,
+            lambda values, t: reduced(map(mul, values, t)))
 
 
-def _fp_transform(x: list[int], passes: list[tuple], p: int) -> list[int]:
-    """The F_p transform of x by ``_fp_passes``'s passes, reduced mod p.
+def _run_passes(x: list[int], passes: list[tuple], reduced: Callable,
+                twiddled: Callable) -> list[int]:
+    """The transform of x by one lowering's passes, each value congruent to its
+    residue in the ring but not reduced.
 
-    A pass without a multiplication only adds and subtracts, so it skips the
-    reduction; the values stay exact integers and are reduced later.
+    Output digit d of a pass sums the q rows, row b entering through the root
+    of exponent b * d mod q: as it is or negated where a root is (scale None,
+    negated), else mapped by its scale. The digit is then ``reduced`` if it
+    met a scale, which only digits d >= 1 do, and takes its twiddle by
+    ``twiddled(values, vector)``, which multiplies and reduces; the vector is
+    None for digit 0 and on the last pass of an axis. A digit of additions
+    only is left unreduced; the values stay exact integers.
     """
     for q, roots, tw in passes:
         size = len(x) // q
         rows = [x[b * size:(b + 1) * size] for b in range(q)]
         out = [0] * len(x)
-        reduce_mod = q > 2 or tw[-1] is not None
         for d in range(q):
             acc: Iterable[int] = rows[0]
+            scaled = False
             for b in range(1, q):
-                c = roots[b * d % q]
-                if c == 1:
-                    acc = map(add, acc, rows[b])
-                elif c == p - 1:
-                    acc = map(sub, acc, rows[b])
-                else:
-                    acc = map(add, acc, map(c.__mul__, rows[b]))
+                scale, negated = roots[b * d % q]
+                term = rows[b] if scale is None else map(scale, rows[b])
+                acc = map(sub if negated else add, acc, term)
+                scaled = scaled or scale is not None
+            if scaled:
+                acc = reduced(acc)
             if tw[d] is not None:
-                acc = map(mul, acc, tw[d])
-            out[d::q] = map(p.__rmod__, acc) if reduce_mod else acc
+                acc = twiddled(acc, tw[d])
+            out[d::q] = acc
         x = out
-    return list(map(p.__rmod__, x))
+    return x
 
 
-def _radix_passes(grp: GroupSpec) -> Iterator[tuple[int, int]]:
-    """(q, m) of each pass of ``_transform_plan``: its radix and the length it leaves."""
+def _passes_cost(grp: GroupSpec, reduction: float, width: float) -> float:
+    """Element operations of one ``_run_passes`` transform over the carrier, in a
+    ring whose reduction costs ``reduction`` operations on ints that each cost
+    ``width`` (1 for F_p, ``_int_ops`` of the width for the shift ring).
+
+    Per q outputs a radix-q pass always makes the q(q - 1) additions. A root
+    other than +-1 (every one for an odd prime q, none for q = 2) costs a
+    multiplication at each of the (q - 1)^2 rows and digits that meet it, and
+    the q - 1 digits past the first take a twiddle when the axis has length m > 1
+    left. Those digits are reduced after their roots when q > 2 and again after
+    the twiddle. A pass also makes one Python-level step for each (row, digit)
+    pair past the first row, q(q - 1), at about fifteen element operations each.
+    """
+    ops = 0.0
     for n in grp.orders:
         for q in _radices(n):
             n //= q
-            yield q, n
-
-
-def _pass_ops(q: int, m: int) -> tuple[int, int]:
-    """Element operations per q outputs of a radix-q pass, and its Python-level steps.
-
-    The q - 1 additions of each output are always made. A root other than
-    +-1 (every one for an odd prime q, none for q = 2) costs a multiplication
-    at each of the (q - 1)^2 butterfly rows and digits that meet it, and the
-    q - 1 digits past the first take a twiddle when m > 1. A pass makes one
-    step for each (row, digit) pair past the first row.
-    """
-    return q * (q - 1) + (q - 1) ** 2 * (q > 2) + (q - 1) * (m > 1), q * (q - 1)
+            work = q * (q - 1) + (q - 1) ** 2 * (q > 2) + (q - 1) * (n > 1)
+            reductions = (q - 1) * ((q > 2) + (n > 1))
+            ops += (work + reduction * reductions) / q * grp.size * width + 15 * q * (q - 1)
+    return ops
 
 
 def _transform_cost(grp: GroupSpec) -> float:
     """Pairing rows that one block's F_p transform costs, estimated from its passes.
 
     A row costs about three operations per element (exponent, gather, add).
-    A pass makes the operations of ``_pass_ops``, plus one reduction mod p
-    per element only if it multiplies at all, and a step costs about as much
-    as fifteen element operations. The indicator, the final reduction and
-    the gather add three operations per element.
+    The passes cost ``_passes_cost`` with a reduction mod p at one operation,
+    and the indicator, the final reduction and the gather add three
+    operations per element.
     """
-    size = grp.size
-    ops = 3 * size
-    for q, m in _radix_passes(grp):
-        work, steps = _pass_ops(q, m)
-        ops += (work / q + (q > 2 or m > 1)) * size + 15 * steps
-    return ops / (3 * size)
+    return 1 + _passes_cost(grp, 1, 1) / (3 * grp.size)
 
 
 def _galois_refine(grp: GroupSpec, labels: list[int], count: int) -> list[int]:
@@ -395,7 +404,7 @@ def _signature_rows(part: Partition, max_size: int = ELEMENT_GUARD) -> dict[Elem
     p, w = split_prime(e, 2 * size * coefficient_bound(e))
     powers = [pow(w, x % e, p) for x in range(e * max(1, len(grp.orders)))]
     cost = _transform_cost(grp)
-    plan = None
+    lowering = None
     labels, count = [0] + [p] * (size - 1), 2
     largest = max(range(part.num_blocks), key=lambda b: len(part.blocks[b]))
     for b, block in enumerate(part.blocks):
@@ -405,14 +414,15 @@ def _signature_rows(part: Partition, max_size: int = ELEMENT_GUARD) -> dict[Elem
             continue
         if len(block) <= cost:
             rows = (itemgetter(*_pairing_exponents(grp, g))(powers) for g in block)
-            values = map(p.__rmod__, reduce(lambda acc, row: list(map(add, acc, row)), rows))
+            values = reduce(lambda acc, row: list(map(add, acc, row)), rows)
         else:
-            if plan is None:
+            if lowering is None:
                 plan, place = _transform_plan(grp)
-                plan, to_rank = _fp_passes(plan, powers), itemgetter(*place)
-            values = to_rank(_fp_transform(list(map(b.__eq__, part.block_of)), plan, p))
+                lowering, to_rank = _fp_passes(plan, powers, p), itemgetter(*place)
+            values = to_rank(_run_passes(list(map(b.__eq__, part.block_of)), *lowering))
         ids: dict[int, int] = {}
-        labels = list(map(ids.setdefault, map(add, labels, values), range(0, size * p, p)))
+        keys = map(add, labels, map(p.__rmod__, values))
+        labels = list(map(ids.setdefault, keys, range(0, size * p, p)))
         count = len(ids)
     return dict(zip(chars, _galois_refine(grp, labels, count)))
 
@@ -474,13 +484,12 @@ def _rows_by_transform(part: Partition, rows: int) -> bool:
     pairing row, the block offsets and the ``Counter``), its table lookups
     (about min(|G|, blocks * E) keys, each with the average count of nonzero
     coefficients of a root power, at 1.3 operations each) and an eighth of
-    one per coefficient of its row. A transform of one block makes the
-    operations of ``_pass_ops`` on ring values, plus a reduction (mask,
-    shift, add and a list: four operations) after the roots of an odd radix
-    and after each twiddle, each at ``_int_ops`` of the ring width, and
-    fifteen per step. Every block but the largest is transformed. Reading an
-    entry costs five operations, one more per 40 limb products of its long
-    division by N, and b/64 of one per digit. Fitted to timings of both
+    one per coefficient of its row. A transform of one block costs
+    ``_passes_cost`` with a reduction (mask, shift, add and a list) at four
+    operations, on ints at ``_int_ops`` of the ring width. Every block but
+    the largest is transformed. Reading an entry costs five operations, one
+    more per 40 limb products of its long division by N, and b/64 of one per
+    digit. Fitted to timings of both
     methods on 249 matrices of 20 carriers, the rule picked the slower one on
     15, each near the crossing: at most 3.5 ms or 1.5 times slower.
     """
@@ -492,10 +501,7 @@ def _rows_by_transform(part: Partition, rows: int) -> bool:
     phi, nonzeros = euler_phi(e), sum(map(len, map(itemgetter(0), zeta_coeff_table(e))))
     by_character = rows * (3.2 * size + 1.3 * min(size, cols * e) * nonzeros / e + cols * phi / 8)
     n = (e // 2 if e % 2 == 0 else e) * b
-    ops = 0.0
-    for q, m in _radix_passes(grp):
-        work, steps = _pass_ops(q, m)
-        ops += (work / q + 4 * (q - 1) / q * ((q > 2) + (m > 1))) * size * _int_ops(n) + 15 * steps
+    ops = _passes_cost(grp, 4, _int_ops(n))
     quotient = (n - phi * b) // 30
     read = rows * cols * (5 * _int_ops(n) + quotient * n / 30 / 40 + phi * b / 64)
     return (cols - 1) * ops + read < by_character
@@ -548,71 +554,46 @@ def _digit_width(part: Partition) -> int:
     return next((b for b in sorted(_DIGITS) if 1 << b >= bound), 0)
 
 
-def _shift_passes(plan: list[Pass], e: int, b: int) -> list[tuple]:
-    """The plan in Z/(2^(Lb) +- 1): the root z^k is 2^(bk), a shift by b * k.
+def _shift_passes(plan: list[Pass], e: int, b: int) -> tuple:
+    """The plan in Z/(2^n + 1) for even E or Z/(2^n - 1) for odd E, n = L * b, as
+    ``_run_passes`` takes it: the root z^k is 2^(bk), a shift by b * k.
 
     For even E, 2^(bL) = -1 with L = E/2, so an exponent k >= L becomes the
     shift b * (k - L) and a sign: a root keeps (shift or None, negated), a
     twiddle vector (shifts, signs or None). For odd E, L = E and every sign
-    is +.
+    is +. After a shift, y = hi * 2^n + lo with lo = y & (2^n - 1) and
+    hi = y >> n (floor division, so negative values too), and 2^n = -+1 in the
+    ring, so lo -+ hi is y's class: a mask, a shift and an add. Values grow by
+    a few bits per pass, and only a digit with a shift reduces them.
     """
     half = e // 2 if e % 2 == 0 else e
+    n, mask, fold = half * b, (1 << half * b) - 1, sub if e % 2 == 0 else add
 
-    def root(k: int) -> tuple[int | None, bool]:
-        return (b * (k % half) if k % half else None), k >= half
+    def root(k: int) -> tuple[Callable | None, bool]:
+        return ((b * (k % half)).__rlshift__ if k % half else None), k >= half
 
     def twiddle(t: list[int]) -> tuple[list[int], list[int] | None]:
         shifts = [b * (k % half) for k in t]
         return shifts, ([1 - 2 * (k >= half) for k in t] if max(t) >= half else None)
 
-    return _lowered(plan, root, twiddle)
-
-
-def _shift_transform(x: list[int], passes: list[tuple], n: int, plus: bool) -> list[int]:
-    """The transform of x by ``_shift_passes``'s passes in Z/(2^n + 1) (``plus``)
-    or Z/(2^n - 1), each value congruent to its residue but not reduced.
-
-    After a shift, y = hi * 2^n + lo with lo = y & (2^n - 1) and hi = y >> n
-    (floor division, so negative values too), and 2^n = -+1 in the ring, so
-    lo -+ hi is y's class: a mask, a shift and an add. Values grow by a few
-    bits per pass, and only a pass of shifts reduces them.
-    """
-    mask, fold = (1 << n) - 1, sub if plus else add
-
     def reduced(values: Iterable[int]) -> Iterator[int]:
         v = list(values)
         return map(fold, map(mask.__and__, v), map(n.__rrshift__, v))
 
-    for q, roots, tw in passes:
-        size = len(x) // q
-        rows = [x[j * size:(j + 1) * size] for j in range(q)]
-        out = [0] * len(x)
-        for d in range(q):
-            acc: Iterable[int] = rows[0]
-            shifted = False
-            for j in range(1, q):
-                shift, negated = roots[j * d % q]
-                term = rows[j] if shift is None else map(shift.__rlshift__, rows[j])
-                acc = map(sub if negated else add, acc, term)
-                shifted = shifted or shift is not None
-            if shifted:
-                acc = reduced(acc)
-            if tw[d] is not None:
-                shifts, signs = tw[d]
-                acc = reduced(map(lshift, acc, shifts))
-                if signs is not None:
-                    acc = map(mul, acc, signs)
-            out[d::q] = acc
-        x = out
-    return x
+    def twiddled(values: Iterable[int], t: tuple) -> Iterable[int]:
+        shifts, signs = t
+        values = reduced(map(lshift, values, shifts))
+        return values if signs is None else map(mul, values, signs)
+
+    return _lowered(plan, root, twiddle), reduced, twiddled
 
 
 def _transformed_rows(part: Partition, chars: list[Element], width: int = 0) -> list[list[int]]:
     """The packed rows of ``_packed_rows``, one primal block's column at a time.
 
     Each column but the largest block's is the block indicator's transform
-    (``_shift_transform``) read at the characters; the largest is
-    |G| * [chi = 0] minus the others. A value v is read by its centered
+    (``_run_passes`` on ``_shift_passes``) read at the characters; the
+    largest is |G| * [chi = 0] minus the others. A value v is read by its centered
     residue mod N, (v + h) % N - h with h = (N - 1) / 2 (N is odd, as Phi_E
     has constant term +-1), plus the offset ``off`` that puts 2^(b-1) on
     every digit; flipping each digit's top bit (xor ``off``) then turns digit
@@ -624,15 +605,13 @@ def _transformed_rows(part: Partition, chars: list[Element], width: int = 0) -> 
     grp = part.group
     e, size = grp.exponent, grp.size
     phi, b = euler_phi(e), width or _digit_width(part)
-    plus = e % 2 == 0
-    n = (e // 2 if plus else e) * b
     big_n = sum(c << (b * i) for i, c in enumerate(cyclotomic_polynomial(e)))
     plan, place = _transform_plan(grp)
-    passes = _shift_passes(plan, e, b)
+    lowering = _shift_passes(plan, e, b)
     at = [place[grp.rank(chi)] for chi in chars]
     largest = max(range(part.num_blocks), key=lambda m: len(part.blocks[m]))
-    cols = [list(map(_shift_transform(list(map(m.__eq__, part.block_of)), passes, n, plus)
-                     .__getitem__, at)) for m in range(part.num_blocks) if m != largest]
+    cols = [list(map(_run_passes(list(map(m.__eq__, part.block_of)), *lowering).__getitem__, at))
+            for m in range(part.num_blocks) if m != largest]
     rest = [size * (chi == grp.zero) for chi in chars]
     cols.insert(largest, reduce(lambda acc, col: list(map(sub, acc, col)), cols, rest))
     half, off = big_n >> 1, sum(1 << (b * i + b - 1) for i in range(phi))

@@ -528,6 +528,21 @@ def test_max_matrix_overrides_the_matrix_guard(cmd, capsys):
     assert main(argv + ["--max-matrix", "18"]) == 0
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("cmd, flag", [("dual", "--max-group"), ("dual", "--max-matrix"),
+                                       ("subgroups", "--max-group"),
+                                       ("krawtchouk", "--max-group"),
+                                       ("krawtchouk", "--max-matrix")])
+def test_guard_flags_below_one_are_usage_errors(cmd, flag, value, capsys):
+    argv = [cmd, "--group", '{"orders":[6]}']
+    if cmd != "subgroups":
+        argv += ["--partition", Z6_PARTITION]
+    assert main(argv + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: a guard must be at least 1, not {value}" in captured.err
+
+
 def test_matrix_guard_is_checked_before_any_row_is_built(monkeypatch):
     def refuse(part, chars):
         raise AssertionError("a row was built")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -85,6 +86,23 @@ def test_product_distinct_factors():
     assert pp.num_blocks == 4
     # (1,1) and (1,2) share the (nonzero, nonzero) block
     assert pp.block_index_of((1, 1)) == pp.block_index_of((1, 2))
+
+
+def test_product_labels_need_no_numbering_pass():
+    """The mixed-radix labels ``product_partition`` stores are the canonical ones:
+    numbering each word's tuple of factor blocks by first appearance gives them back."""
+    rng = random.Random(5)
+    kinds = [lambda g: random_partition(g, rng),
+             lambda g: random_partition(g, rng, zero_block=True),
+             Partition.singletons, Partition.one_block]
+    empty = GroupSpec(())
+    for groups in ([Z2, Z3], [Z4, K4, Z2], [Z3, empty, Z4], [empty], [empty, empty], [K4]):
+        for makers in itertools.product(kinds, repeat=len(groups)):
+            parts = [make(g) for make, g in zip(makers, groups)]
+            got = product_partition(parts)
+            tuples = itertools.product(*(p.block_of for p in parts))
+            want = Partition.from_labels(product_group(groups), tuples)
+            assert (got.block_of, got.num_blocks) == (want.block_of, want.num_blocks)
 
 
 def test_symmetrized_partition_blocks():

@@ -37,6 +37,12 @@ def test_poset_refinement_sweep_counts_the_labeled_posets():
             assert f"n={n} q={q}: {count} labeled posets;" in out
 
 
+def least_of_repeats(seconds, runs):
+    """Whether a field was timed as the least of 1 to 20 runs that stopped once they
+    took 0.5 s: all runs but the last, each at least the least, took under 0.5 s."""
+    return seconds > 0 and 1 <= runs <= 20 and (runs - 1) * seconds < 0.5
+
+
 def test_sweep_cases_script_reports_each_case():
     doc = json.loads(run_script("sweep_cases.py", "--case", "(256,) lee",
                                 "--case", "(12,)^3 singletons, 12 words",
@@ -49,17 +55,24 @@ def test_sweep_cases_script_reports_each_case():
     assert all(c["seconds"] > 0 and c["peak_rss_mb"] > 0 for c in doc["cases"])
     # the least of repeated sweeps: a millisecond case runs more than once
     assert all(1 < c["runs"] <= 20 for c in doc["cases"])
+    assert all(least_of_repeats(c["seconds"], c["runs"]) for c in doc["cases"])
     assert all(c["krawtchouk_seconds"] > 0 and c["krawtchouk_peak_rss_mb"] >= c["peak_rss_mb"]
+               for c in doc["cases"])
+    assert all(least_of_repeats(c["krawtchouk_seconds"], c["krawtchouk_runs"])
                for c in doc["cases"])
     # the child checks each transform against the dual code's enumerator
     assert [(c["name"], c["status"], c["code_size"], c["keys"])
             for c in doc["transform_cases"]] == [
         ("(12,)^3 singletons, 12 words", "ok", 12, 144), ("(2,)^12 hamming, 64 words", "ok", 64, 64)]
-    assert all(c["transform_seconds"] > 0 for c in doc["transform_cases"])
+    assert all(least_of_repeats(c["transform_seconds"], c["transform_runs"])
+               for c in doc["transform_cases"])
+    # a millisecond case runs more than once
+    assert doc["transform_cases"][0]["transform_runs"] > 1
     # sum over k of [5 choose k]_2 subspaces of (Z/2)^5
     (sub,) = doc["subgroup_cases"]
     assert (sub["name"], sub["status"], sub["subgroups"]) == ("(2,)^5 subgroups", "ok", 374)
-    assert sub["subgroup_seconds"] > 0
+    assert least_of_repeats(sub["subgroup_seconds"], sub["subgroup_runs"])
+    assert sub["subgroup_runs"] > 1
 
 
 def test_sweep_cases_script_skips_a_matrix_over_the_guard():
@@ -67,6 +80,7 @@ def test_sweep_cases_script_skips_a_matrix_over_the_guard():
     (case,) = doc["cases"]
     assert case["status"] == "ok" and (case["blocks"], case["dual_blocks"]) == (2309, 4096)
     assert case["krawtchouk_seconds"] is None and case["krawtchouk_peak_rss_mb"] is None
+    assert case["krawtchouk_runs"] is None
 
 
 def test_sweep_cases_script_prints_the_cli_document():
@@ -74,7 +88,8 @@ def test_sweep_cases_script_prints_the_cli_document():
                                 "--timeout", "60"))
     (case,) = doc["print_cases"]
     assert (case["name"], case["status"]) == ("(4,)^6 lee symmetrize", "ok")
-    assert case["print_seconds"] > 0
+    assert least_of_repeats(case["print_seconds"], case["print_runs"])
+    assert case["print_runs"] > 1
     from dualpart.cli import main
 
     out = io.StringIO()
@@ -104,7 +119,8 @@ def test_sweep_cases_script_times_the_few_block_matrices():
     for case in doc["cases"]:
         orders, urns = cases[case["name"]]
         grp = GroupSpec(orders)
-        assert case["status"] == "ok" and case["krawtchouk_seconds"] > 0
+        assert case["status"] == "ok"
+        assert least_of_repeats(case["krawtchouk_seconds"], case["krawtchouk_runs"])
         assert (case["blocks"], case["dual_blocks"]) == (urns, grp.size)
         if grp.size <= 256:
             rng = random.Random(0)

@@ -38,8 +38,9 @@ from dualpart.group import GroupSpec, _pairing_exponents, elements, pairing_expo
 from dualpart.partition import (
     Partition,
     _fp_passes,
-    _fp_transform,
     _outer,
+    _run_passes,
+    _shift_passes,
     _transform_cost,
     _transform_plan,
     dual_partition,
@@ -153,8 +154,8 @@ def naive_transform(grp, x, p, w):
 
 def fast_transform(grp, x, p, w):
     plan, place = _transform_plan(grp)
-    values = _fp_transform(list(x), _fp_passes(plan, [pow(w, k, p) for k in range(grp.exponent)]), p)
-    return [values[i] for i in place]
+    values = _run_passes(list(x), *_fp_passes(plan, [pow(w, k, p) for k in range(grp.exponent)], p))
+    return [values[i] % p for i in place]
 
 
 TRANSFORM_CARRIERS = [(8,), (9,), (12,), (30,), (60,), (64,), (210,), (2, 4, 8), (12, 12, 4)]
@@ -170,6 +171,26 @@ def test_transform_matches_the_naive_dft():
                   [rng.randrange(2) for _ in range(grp.size)],
                   [1] + [0] * (grp.size - 1)):
             assert fast_transform(grp, x, p, w) == naive_transform(grp, x, p, w), orders
+
+
+def test_shift_ring_transform_matches_the_direct_sum():
+    """The shift lowering run by the executor, against the sum of x(g) * 2^(b * <chi, g>)
+    mod 2^n + 1 (even E) or 2^n - 1 (odd E), n = L * b, for every chi."""
+    for orders in TRANSFORM_CARRIERS + [(2,) * 5, (3,) * 4, (4,) * 3]:
+        grp = GroupSpec(orders)
+        e, els = grp.exponent, elements(grp)
+        plan, place = _transform_plan(grp)
+        rng = random.Random(sum(orders))
+        for b in (8, 16):
+            n = (e // 2 if e % 2 == 0 else e) * b
+            modulus = (1 << n) + 1 if e % 2 == 0 else (1 << n) - 1
+            for x in ([rng.randrange(-1 << b - 1, 1 << b - 1) for _ in range(grp.size)],
+                      [rng.randrange(2) for _ in range(grp.size)],
+                      [1] + [0] * (grp.size - 1)):
+                values = _run_passes(list(x), *_shift_passes(plan, e, b))
+                direct = [sum(v << b * pairing_exponent(grp, chi, g) for v, g in zip(x, els))
+                          % modulus for chi in els]
+                assert [values[i] % modulus for i in place] == direct, (orders, b)
 
 
 def test_outer_loops_over_either_operand():
@@ -231,18 +252,18 @@ def test_both_paths_match_the_dense_oracle_on_every_small_carrier():
 def block_ways(part):
     """Sizes of the blocks the sweep transforms, and the pairing rows it sums."""
     transformed, summed = [], []
-    real_transform = dualpart.partition._fp_transform
+    real_transform = dualpart.partition._run_passes
     real_rows = dualpart.partition._pairing_exponents
 
-    def transform(x, plan, p):
+    def transform(x, *lowering):
         transformed.append(sum(x))
-        return real_transform(x, plan, p)
+        return real_transform(x, *lowering)
 
     def rows(grp, g):
         summed.append(g)
         return real_rows(grp, g)
 
-    with mock.patch.object(dualpart.partition, "_fp_transform", transform), \
+    with mock.patch.object(dualpart.partition, "_run_passes", transform), \
             mock.patch.object(dualpart.partition, "_pairing_exponents", rows):
         dual_partition(part)
     return sorted(transformed), len(summed)
