@@ -1,6 +1,6 @@
 """Time ``dual_partition``, the Krawtchouk matrix, the product transform, the
-subgroup enumeration and the printing of induced partitions on fixed carriers,
-each case in its own capped process.
+subgroup enumeration, the printing of induced partitions and the poset weight
+partition on fixed carriers, each case in its own capped process.
 
     python3 scripts/sweep_cases.py [--src DIR] [--timeout S] [--limit-gib G] [--case NAME ...]
 
@@ -28,14 +28,19 @@ carrier and counts the subgroups. Every print case (``PRINT_CASES``) builds
 the document of ``dualpart product`` or ``symmetrize`` with the CLI's own
 handler and times ``write_json`` of it to ``os.devnull``; it reports the
 document's size and the sha256 of its text, so runs over two source trees
-can be checked to print the same bytes. One JSON document goes to stdout:
+can be checked to print the same bytes. Every poset case (``POSET_CASES``)
+draws a random order (density 0.3) or builds a hierarchical one, and times
+``poset_partition`` and ``poset_duality_check``; it reports the sha256 of the
+partition's labels and of the report's fields. One JSON document goes to stdout:
 ``{python, limit_gib, timeout_s, cases: [{name, seconds, runs, peak_rss_mb,
 blocks, dual_blocks, krawtchouk_seconds, krawtchouk_runs,
 krawtchouk_peak_rss_mb, krawtchouk_bytes, krawtchouk_sha256, status}],
 transform_cases: [{name, transform_seconds, transform_runs, code_size, keys,
 status}], subgroup_cases: [{name, subgroup_seconds, subgroup_runs,
 subgroups, status}], print_cases: [{name, print_seconds, print_runs, bytes,
-sha256, status}]}``. ``peak_rss_mb`` is read
+sha256, status}], poset_cases: [{name, partition_seconds, partition_runs,
+check_seconds, check_runs, blocks, labels_sha256, report_sha256, status}]}``.
+``peak_rss_mb`` is read
 before the matrix is built; the ``krawtchouk_`` fields are null where the
 matrix exceeds the matrix guard. ``status`` is ``ok``, ``oom`` (the child
 ran out of address space), ``timeout`` or ``error``; a case that did not
@@ -109,6 +114,16 @@ PRINT_CASES = {
     "(2,)^11 hamming product": ("product", [2], [[[0]], [[1]]], 11),
 }
 
+# carrier and the poset: "random" (relations upward along a random linear
+# extension, each with chance 0.3, as the benchmark draws them) or hierarchical levels
+POSET_CASES = {
+    "(3,)^6 random poset": ((3,) * 6, "random"),
+    "(4,)^5 random poset": ((4,) * 5, "random"),
+    "(2,)^9 random poset": ((2,) * 9, "random"),
+    "(2,)^12 random poset": ((2,) * 12, "random"),
+    "(2,)^9 hierarchical poset": ((2,) * 9, (3, 3, 3)),
+}
+
 LEAST = """
 import time
 
@@ -146,6 +161,51 @@ write_json(doc, text)
 print(json.dumps({{"print_seconds": round(seconds, 5), "print_runs": runs,
                   "bytes": len(text.getvalue()),
                   "sha256": hashlib.sha256(text.getvalue().encode()).hexdigest()}}))
+"""
+
+POSET_CHILD = """
+import hashlib, json, random, resource, sys
+limit = {limit}
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.path.insert(0, {src!r})
+from dualpart.group import GroupSpec
+from dualpart.poset import Poset, hierarchical_poset, poset_duality_check, poset_partition
+orders, shape = {orders!r}, {shape!r}
+g, n = GroupSpec(orders), len(orders)
+if shape == "random":
+    rng = random.Random(0)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p = Poset.from_covers(n, [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+                              if rng.random() < 0.3])
+else:
+    p = hierarchical_poset(shape)
+last = []
+
+
+def partition_timed():
+    start = time.perf_counter()
+    last[:] = [poset_partition(p, g, max_size=g.size)]
+    return time.perf_counter() - start
+
+
+def check_timed():
+    start = time.perf_counter()
+    last[:] = [poset_duality_check(p, g, max_size=g.size)]
+    return time.perf_counter() - start
+
+
+pseconds, pruns = least(partition_timed)
+part = last[0]
+cseconds, cruns = least(check_timed)
+r = last[0]
+fields = [r.equal, r.dual_refines_transposed, r.transposed_refines_dual,
+          None if r.shape is None else list(r.shape.levels), r.levels_equal_order]
+print(json.dumps({{"partition_seconds": round(pseconds, 6), "partition_runs": pruns,
+                  "check_seconds": round(cseconds, 5), "check_runs": cruns,
+                  "blocks": part.num_blocks,
+                  "labels_sha256": hashlib.sha256(repr(part.block_of).encode()).hexdigest(),
+                  "report_sha256": hashlib.sha256(json.dumps(fields).encode()).hexdigest()}}))
 """
 
 SUBGROUP_CHILD = """
@@ -316,6 +376,12 @@ def run_case(name: str, src: str, limit_gib: float, timeout: float) -> dict:
         code = PRINT_CHILD.format(limit=limit, src=src, argv=argv)
         row = {"name": name, "print_seconds": None, "print_runs": None, "bytes": None,
                "sha256": None}
+    elif name in POSET_CASES:
+        orders, shape = POSET_CASES[name]
+        code = POSET_CHILD.format(limit=limit, src=src, orders=orders, shape=shape)
+        row = {"name": name, "partition_seconds": None, "partition_runs": None,
+               "check_seconds": None, "check_runs": None, "blocks": None,
+               "labels_sha256": None, "report_sha256": None}
     elif name in SUBGROUP_CASES:
         code = SUBGROUP_CHILD.format(limit=limit, src=src, orders=SUBGROUP_CASES[name])
         row = {"name": name, "subgroup_seconds": None, "subgroup_runs": None,
@@ -344,9 +410,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--limit-gib", type=float, default=2.0)
     parser.add_argument("--case", action="append",
                         choices=sorted([*CASES, *TRANSFORM_CASES, *SUBGROUP_CASES,
-                                        *PRINT_CASES]))
+                                        *PRINT_CASES, *POSET_CASES]))
     args = parser.parse_args(argv)
-    names = args.case or [*CASES, *TRANSFORM_CASES, *SUBGROUP_CASES, *PRINT_CASES]
+    names = args.case or [*CASES, *TRANSFORM_CASES, *SUBGROUP_CASES, *PRINT_CASES,
+                          *POSET_CASES]
     src = str(Path(args.src).resolve())
     doc = {
         "python": platform.python_version(),
@@ -360,6 +427,8 @@ def main(argv: list[str] | None = None) -> int:
                            for n in names if n in SUBGROUP_CASES],
         "print_cases": [run_case(n, src, args.limit_gib, args.timeout)
                         for n in names if n in PRINT_CASES],
+        "poset_cases": [run_case(n, src, args.limit_gib, args.timeout)
+                        for n in names if n in POSET_CASES],
     }
     json.dump(doc, sys.stdout, indent=2)
     print()

@@ -109,7 +109,7 @@ def _guard(text: str) -> int:
 
 
 def _poset(args: argparse.Namespace, grp):
-    # building the order costs about n^3, so a poset that cannot fit the
+    # building the order costs about n^2 steps on n-bit masks, so a poset that cannot fit the
     # carrier, or a carrier above the element guard, is rejected before it is built
     obj = _load_json(args.poset)
     n = obj.get("n") if isinstance(obj, dict) else None

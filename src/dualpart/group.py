@@ -258,10 +258,11 @@ def all_subgroups(group: GroupSpec, max_size: int = SUBGROUP_GUARD) -> tuple[Cod
     def grow(gens: tuple[Element, ...], sub: set[Element]) -> Iterator[Code]:
         yield Code(group, gens, tuple(sorted(sub)))
         for x in els[group.rank(gens[-1]) + 1 if gens else 1:]:
-            if x not in sub:
-                bigger = _close(group.add, sub, x)
-                if min(bigger - sub) == x:
-                    yield from grow(gens + (x,), bigger)
+            # the cosets t*x + sub of <sub, x> one at a time: x goes at the first member below it
+            cosets = itertools.takewhile(lambda c: c not in sub,
+                                         itertools.accumulate(itertools.repeat(x), group.add))
+            if x not in sub and all(x <= group.add(h, c) for c in cosets for h in sub):
+                yield from grow(gens + (x,), _close(group.add, sub, x))
     return tuple(sorted(grow((), {group.zero}), key=lambda c: (c.size, c.elements)))
 
 

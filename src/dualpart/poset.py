@@ -1,121 +1,120 @@
 """Poset weights on product carriers and the hierarchical closed forms.
 
 Coordinates of the carrier (one per cyclic factor) are partially ordered; the
-weight of a tuple is the size of the order ideal generated by its support.
-The weight fibers partition the carrier into exactly n+1 blocks. Dualizing the
-partition and transposing the order agree precisely for hierarchical posets
-whose levels have equal coordinate orders, and in that case the full
-Krawtchouk matrix collapses to a closed form built from classical Krawtchouk
-polynomials. Everything here indexes coordinates from 0; the JSON layer
-speaks 1-based cover relations.
+weight of a tuple is the size of the order ideal generated by its support
+(Brualdi, Graves and Lawrence, Discrete Math. 147, 1995). The weight fibers
+partition the carrier into exactly n+1 blocks. Dualizing the partition and
+transposing the order agree precisely for hierarchical posets whose levels
+have equal coordinate orders, and in that case the full Krawtchouk matrix
+collapses to a closed form built from classical Krawtchouk polynomials.
+Everything here indexes coordinates from 0; the JSON layer speaks 1-based
+cover relations.
+
+A poset is stored as its down-set masks: bit i of ``below[j]`` is set when
+i < j. ``poset_partition`` reads each element's weight at its support mask
+from one table of ideal sizes, filled by ideal(m) = ideal(m & (m - 1)) |
+down(lowest bit of m), with down(i) = ``below[i]`` plus bit i: O(1) a mask,
+and exact because the ideal of a union is the union of the ideals. The
+table has 2^n entries, at most |G|, since every cyclic order is at least 2.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import reduce
+from math import comb, prod
+from operator import or_
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, VerificationFailure
-from .group import ELEMENT_GUARD, Element, GroupSpec
+from .group import ELEMENT_GUARD, Element, GroupSpec, _outer, elements
 from .partition import Partition, dual_partition, krawtchouk, refines
-
-
-def _transitive(lt: Sequence[Sequence[bool]]) -> bool:
-    """True when i < j and j < k always give i < k, on a square less-than matrix."""
-    n = len(lt)
-    return all(lt[i][k] for i in range(n) for j in range(n) if lt[i][j]
-               for k in range(n) if lt[j][k])
 
 
 @dataclass(frozen=True)
 class Poset:
-    """Strict partial order on coordinates 0..n-1 as a full less-than matrix."""
+    """Strict partial order on coordinates 0..n-1 as down-set bit masks:
+    bit i of ``below[j]`` is set when i < j."""
 
     n: int
-    lt: tuple[tuple[bool, ...], ...]
+    below: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InputError("a poset needs at least one coordinate")
-        lt = tuple(tuple(bool(x) for x in row) for row in self.lt)
-        if len(lt) != self.n or any(len(row) != self.n for row in lt):
-            raise InputError("less-than matrix must be n x n")
-        if any(lt[i][i] for i in range(self.n)):
+        below = tuple(self.below)
+        if len(below) != self.n or any(type(m) is not int or not 0 <= m < 1 << self.n
+                                       for m in below):
+            raise InputError("down-sets must be n bit masks below 2^n")
+        if any(m >> j & 1 for j, m in enumerate(below)):
             raise InputError("strict order cannot be reflexive")
-        if any(lt[i][j] and lt[j][i] for i in range(self.n) for j in range(i)):
+        pairs = [(i, j) for j, m in enumerate(below) for i in range(self.n) if m >> i & 1]
+        if any(below[i] >> j & 1 for i, j in pairs):
             raise InputError("order relation is not antisymmetric")
-        if not _transitive(lt):
+        if any(below[i] & ~below[j] for i, j in pairs):
             raise InputError("order relation is not transitive")
-        object.__setattr__(self, "lt", lt)
+        object.__setattr__(self, "below", below)
 
     @classmethod
     def from_covers(cls, n: int, covers: Iterable[tuple[int, int]]) -> "Poset":
         """Build from cover pairs (a, b) meaning a < b, taking transitive closure."""
-        below: list[set[int]] = [set() for _ in range(n)]
+        below = [0] * n
         for a, b in covers:
             if not (0 <= a < n and 0 <= b < n):
                 raise InputError(f"cover ({a}, {b}) out of range for n={n}")
-            below[b].add(a)
+            below[b] |= 1 << a
         for k in range(n):  # Warshall: after step k, paths through 0..k are closed
             for b in range(n):
-                if k in below[b]:
+                if below[b] >> k & 1:
                     below[b] |= below[k]
-        for i in range(n):
-            if i in below[i]:
-                raise InputError("cover relations contain a cycle")
-        lt = tuple(tuple(i in below[j] for j in range(n)) for i in range(n))
-        return cls(n, lt)
+        if any(m >> i & 1 for i, m in enumerate(below)):
+            raise InputError("cover relations contain a cycle")
+        return cls(n, tuple(below))
 
     def covers(self) -> list[tuple[int, int]]:
-        """Covering pairs (a, b): a < b with nothing strictly between."""
+        """Covering pairs (a, b): a < b with nothing strictly between, in sorted order."""
         out = []
-        for a in range(self.n):
-            for b in range(self.n):
-                if self.lt[a][b] and not any(
-                    self.lt[a][k] and self.lt[k][b] for k in range(self.n)
-                ):
-                    out.append((a, b))
-        return out
+        for b, m in enumerate(self.below):
+            # everything below something below b
+            between = reduce(or_, (self.below[k] for k in range(self.n) if m >> k & 1), 0)
+            out += [(a, b) for a in range(self.n) if (m & ~between) >> a & 1]
+        return sorted(out)
 
 
 def chain(n: int) -> Poset:
-    return Poset(n, tuple(tuple(i < j for j in range(n)) for i in range(n)))
+    return Poset(n, tuple((1 << j) - 1 for j in range(n)))
 
 
 def antichain(n: int) -> Poset:
-    return Poset(n, tuple((False,) * n for _ in range(n)))
+    return Poset(n, (0,) * n)
 
 
 def hierarchical_poset(levels: Sequence[int]) -> Poset:
     """Levels of mutually incomparable coordinates, fully ordered between levels."""
-    if not levels or any(k < 1 for k in levels):
-        raise InputError("levels must be positive")
-    level_of = [i for i, k in enumerate(levels) for _ in range(k)]
-    n = len(level_of)
-    lt = tuple(
-        tuple(level_of[i] < level_of[j] for j in range(n)) for i in range(n)
-    )
-    return Poset(n, lt)
+    if not levels or any(type(k) is not int or k < 1 for k in levels):
+        raise InputError("levels must be positive integers")
+    below: list[int] = []
+    for k in levels:  # each coordinate of a level lies above every one before it
+        below += [(1 << len(below)) - 1] * k
+    return Poset(len(below), tuple(below))
 
 
 def all_posets(n: int) -> Iterator[Poset]:
     """Every labeled poset on n coordinates (three states per unordered pair)."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
-        lt = [[False] * n for _ in range(n)]
-        for (i, j), s in zip(pairs, states):
-            if s == 1:
-                lt[i][j] = True
-            elif s == 2:
-                lt[j][i] = True
-        if _transitive(lt):
-            yield Poset(n, tuple(map(tuple, lt)))
+    states = [(None, (i, j), (j, i)) for i in range(n) for j in range(i + 1, n)]
+    for chosen in itertools.product(*states):
+        below = [0] * n
+        for a, b in filter(None, chosen):  # a < b
+            below[b] |= 1 << a
+        if all(below[i] | m == m for m in below for i in range(n) if m >> i & 1):
+            yield Poset(n, tuple(below))
 
 
 def dual_poset(p: Poset) -> Poset:
-    return Poset(p.n, tuple(tuple(p.lt[j][i] for j in range(p.n)) for i in range(p.n)))
+    """The transposed order: j is below i in it exactly when i is below j in p."""
+    return Poset(p.n, tuple(sum(1 << j for j, m in enumerate(p.below) if m >> i & 1)
+                            for i in range(p.n)))
 
 
 def ideal(p: Poset, coords: Iterable[int]) -> frozenset[int]:
@@ -123,27 +122,32 @@ def ideal(p: Poset, coords: Iterable[int]) -> frozenset[int]:
     s = set(coords)
     if any(not 0 <= x < p.n for x in s):
         raise InputError("coordinate out of range")
-    return frozenset(
-        x for x in range(p.n) if x in s or any(p.lt[x][y] for y in s)
-    )
-
-
-def _weight(p: Poset, group: GroupSpec) -> Callable[[Element], int]:
-    """The weight of a valid element of the carrier, after one check of the factor count."""
-    if len(group.orders) != p.n:
-        raise InputError("carrier must have one cyclic factor per coordinate")
-    return lambda g: len(ideal(p, (i for i, x in enumerate(g) if x)))
+    mask = reduce(or_, (p.below[x] | 1 << x for x in s), 0)
+    return frozenset(x for x in range(p.n) if mask >> x & 1)
 
 
 def poset_weight(p: Poset, group: GroupSpec, g: Element) -> int:
     """Size of the ideal generated by the support of g."""
-    return _weight(p, group)(group.validate(g))
+    if len(group.orders) != p.n:
+        raise InputError("carrier must have one cyclic factor per coordinate")
+    return len(ideal(p, (i for i, x in enumerate(group.validate(g)) if x)))
 
 
 def poset_partition(p: Poset, group: GroupSpec,
                     max_size: int = ELEMENT_GUARD) -> Partition:
-    """Partition of the carrier into the n+1 weight fibers."""
-    return Partition.from_weight(group, _weight(p, group), max_size)
+    """Partition of the carrier into the n+1 weight fibers: each element's weight
+    is read from the table of ideal sizes (module docstring) at its support
+    mask, and ``_outer`` builds the masks in rank order, one coordinate at a time."""
+    if len(group.orders) != p.n:
+        raise InputError("carrier must have one cyclic factor per coordinate")
+    elements(group, max_size)  # the element guard, before the table is built
+    ideals = [0]
+    for m in range(1, 1 << p.n):
+        low = m & -m
+        ideals.append(ideals[m ^ low] | p.below[low.bit_length() - 1] | low)
+    sizes = [m.bit_count() for m in ideals]
+    masks = reduce(_outer, [[0] + [1 << i] * (q - 1) for i, q in enumerate(group.orders)])
+    return Partition.from_labels(group, map(sizes.__getitem__, masks))
 
 
 # ---------------------------------------------------------------------------
@@ -161,26 +165,21 @@ class HierarchicalShape:
 def is_hierarchical(p: Poset) -> HierarchicalShape | None:
     """Shape of the poset when it is a full alignment of antichain levels.
 
-    Strips minimal elements layer by layer, then verifies the biconditional:
-    x < y exactly when x sits on a strictly lower layer. None otherwise.
+    Strips minimal elements layer by layer, and requires every member of a
+    layer to have exactly the lower layers as its down-set: x < y exactly
+    when x sits on a strictly lower layer. None otherwise.
     """
-    remaining = set(range(p.n))
     level_of = [0] * p.n
-    sizes = []
-    depth = 0
-    while remaining:
-        mins = {
-            x for x in remaining if not any(p.lt[y][x] for y in remaining if y != x)
-        }
-        for x in mins:
-            level_of[x] = depth
-        sizes.append(len(mins))
-        remaining -= mins
-        depth += 1
-    for x in range(p.n):
-        for y in range(p.n):
-            if p.lt[x][y] != (level_of[x] < level_of[y]):
-                return None
+    sizes: list[int] = []
+    lower = 0  # the coordinates on the layers stripped so far
+    while lower != (1 << p.n) - 1:
+        layer = [x for x in range(p.n) if not lower >> x & 1 and p.below[x] | lower == lower]
+        if any(p.below[x] != lower for x in layer):
+            return None
+        for x in layer:
+            level_of[x] = len(sizes)
+            lower |= 1 << x
+        sizes.append(len(layer))
     return HierarchicalShape(tuple(sizes), tuple(level_of))
 
 
@@ -197,8 +196,9 @@ def classical_krawtchouk(n: int, q: int, m: int, x: int) -> int:
     >>> [classical_krawtchouk(3, 2, 1, x) for x in range(4)]
     [3, 1, -1, -3]
     """
-    if q < 2 or n < 0 or not 0 <= m <= n:
-        raise InputError("invalid Krawtchouk parameters")
+    if any(type(v) is not int for v in (n, q, m, x)) or q < 2 or not 0 <= m <= n \
+            or not 0 <= x <= n:
+        raise InputError("invalid Krawtchouk parameters: need integers q >= 2, 0 <= m, x <= n")
     return sum(
         (-1) ** j * (q - 1) ** (m - j) * comb(x, j) * comb(n - x, m - j)
         for j in range(m + 1)
@@ -217,12 +217,12 @@ def hierarchical_krawtchouk(
     Krawtchouk value exactly on it.
     """
     levels = tuple(shape.levels) if isinstance(shape, HierarchicalShape) else tuple(shape)
-    if not levels or any(k < 1 for k in levels):
-        raise InputError("levels must be positive")
+    if not levels or any(type(k) is not int or k < 1 for k in levels):
+        raise InputError("levels must be positive integers")
     t = len(levels)
-    qs = tuple(q for _ in levels) if isinstance(q, int) else tuple(q)
-    if len(qs) != t or any(x < 2 for x in qs):
-        raise InputError("need one order >= 2 per level")
+    qs = tuple(q) if isinstance(q, Sequence) else (q,) * t
+    if len(qs) != t or any(type(x) is not int or x < 2 for x in qs):
+        raise InputError("need one integer order >= 2 per level")
     # w >= 1 as (level, offset): primal levels from 1 at the bottom, dual from 0 at the top
     primal = [(0, 0)] + [(s, mu) for s, k in enumerate(levels, 1) for mu in range(1, k + 1)]
     dual = [(0, 0)] + [(r, lam) for r, k in enumerate(levels[::-1]) for lam in range(1, k + 1)]
@@ -230,13 +230,10 @@ def hierarchical_krawtchouk(
     for r, lam in dual:
         row = []
         for s, mu in primal:
+            pre = prod(qs[i] ** levels[i] for i in range(s - 1))
             if s == 0:
                 row.append(1)
-                continue
-            pre = 1
-            for i in range(s - 1):
-                pre *= qs[i] ** levels[i]
-            if s < t - r:
+            elif s < t - r:
                 row.append(pre * (qs[s - 1] - 1) ** mu * comb(levels[s - 1], mu))
             elif s > t - r:
                 row.append(0)
@@ -252,8 +249,8 @@ def rt_krawtchouk(n: int, q: int) -> tuple[tuple[int, ...], ...]:
     Agrees with hierarchical_krawtchouk((1,) * n, q); kept separate because
     the chain case has this much simpler description.
     """
-    if n < 1 or q < 2:
-        raise InputError("need n >= 1 and q >= 2")
+    if type(n) is not int or type(q) is not int or n < 1 or q < 2:
+        raise InputError("need integers n >= 1 and q >= 2")
     out = []
     for l in range(n + 1):
         row = []
@@ -283,7 +280,8 @@ def poset_krawtchouk_bruteforce(
     as an InputError that names the split characters.
     """
     prim = poset_partition(p, group, max_size)
-    dual_side = poset_partition(dual_poset(p), group, max_size)
+    dp = dual_poset(p)
+    dual_side = poset_partition(dp, group, max_size)
     try:
         km = krawtchouk(prim, dual_side, max_size=max_size)
     except VerificationFailure as exc:
@@ -292,7 +290,6 @@ def poset_krawtchouk_bruteforce(
             f"the matrix is not well defined for this poset and carrier ({exc})"
         ) from exc
     ints = km.integer_entries()
-    dp = dual_poset(p)
     row_blocks, col_blocks = km.row_part.blocks, km.col_part.blocks
     row_order = sorted(range(len(row_blocks)),
                        key=lambda r: poset_weight(dp, group, row_blocks[r][0]))

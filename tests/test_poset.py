@@ -24,8 +24,8 @@ from dualpart.poset import (
 
 def test_from_covers_and_closure():
     p = Poset.from_covers(3, [(0, 1), (1, 2)])
-    assert p.lt[0][2]  # transitive closure filled in
-    assert not p.lt[2][0]
+    assert p.below[2] >> 0 & 1  # transitive closure filled in
+    assert not p.below[0] >> 2 & 1
     with pytest.raises(InputError):
         Poset.from_covers(2, [(0, 1), (1, 0)])  # cycle
 
@@ -93,6 +93,25 @@ def test_classical_krawtchouk_row():
 def test_rt_matrix_small():
     assert rt_krawtchouk(2, 2) == ((1, 1, 2), (1, 1, -2), (1, -1, 0))
     assert rt_krawtchouk(1, 3) == ((1, 2), (1, -1))
+
+
+CLOSED_FORM_INPUTS = {
+    "classical x above n": (classical_krawtchouk, (3, 2, 1, 5)),
+    "classical x below 0": (classical_krawtchouk, (3, 2, 1, -1)),
+    "classical float q": (classical_krawtchouk, (3, 2.0, 1, 1)),
+    "rt float q": (rt_krawtchouk, (2, 2.5)),
+    "rt bool n": (rt_krawtchouk, (True, 2)),
+    "poset bool level": (hierarchical_poset, ([True, 2],)),
+    "closed form bool level": (hierarchical_krawtchouk, ([True, 2], 2)),
+    "closed form float q": (hierarchical_krawtchouk, ((2,), 2.5)),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_INPUTS)
+def test_closed_form_inputs_must_be_integers_in_range(name):
+    func, args = CLOSED_FORM_INPUTS[name]
+    with pytest.raises(InputError):
+        func(*args)
 
 
 def test_rt_matches_levels_form_and_bruteforce():

@@ -129,3 +129,39 @@ def test_sweep_cases_script_times_the_few_block_matrices():
             write_json(krawtchouk(part, dual_partition(part)), out)
             assert case["krawtchouk_bytes"] == len(out.getvalue())
             assert case["krawtchouk_sha256"] == hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_sweep_cases_script_times_the_poset_weights():
+    """A random and a hierarchical order: both timings the least of repeats,
+    and the label and report digests equal to the library's own."""
+    import random
+
+    from dualpart.group import GroupSpec
+    from dualpart.poset import Poset, hierarchical_poset, poset_duality_check, poset_partition
+
+    doc = json.loads(run_script("sweep_cases.py", "--case", "(3,)^6 random poset",
+                                "--case", "(2,)^9 hierarchical poset", "--timeout", "60"))
+    rng = random.Random(0)
+    perm = list(range(6))
+    rng.shuffle(perm)
+    posets = {
+        "(3,)^6 random poset": (Poset.from_covers(6, [
+            (perm[i], perm[j]) for i in range(6) for j in range(i + 1, 6)
+            if rng.random() < 0.3]), GroupSpec((3,) * 6)),
+        "(2,)^9 hierarchical poset": (hierarchical_poset((3, 3, 3)), GroupSpec((2,) * 9)),
+    }
+    assert [c["name"] for c in doc["poset_cases"]] == list(posets)
+    for case in doc["poset_cases"]:
+        p, grp = posets[case["name"]]
+        assert case["status"] == "ok"
+        assert least_of_repeats(case["partition_seconds"], case["partition_runs"])
+        assert least_of_repeats(case["check_seconds"], case["check_runs"])
+        assert case["partition_runs"] > 1 and case["check_runs"] > 1
+        part = poset_partition(p, grp)
+        assert case["blocks"] == part.num_blocks == p.n + 1
+        assert case["labels_sha256"] == hashlib.sha256(repr(part.block_of).encode()).hexdigest()
+        r = poset_duality_check(p, grp)
+        fields = [r.equal, r.dual_refines_transposed, r.transposed_refines_dual,
+                  None if r.shape is None else list(r.shape.levels), r.levels_equal_order]
+        assert case["report_sha256"] == hashlib.sha256(json.dumps(fields).encode()).hexdigest()
+    assert doc["cases"] == doc["transform_cases"] == doc["subgroup_cases"] == []

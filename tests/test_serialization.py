@@ -104,7 +104,7 @@ def test_poset_round_trip_one_based():
     doc = poset_to_json(p)
     assert doc == {"n": 3, "cover": [[1, 2], [2, 3]]}
     assert poset_from_json(doc) == p
-    assert poset_from_json({"n": 2}) == Poset(2, ((False, False), (False, False)))
+    assert poset_from_json({"n": 2}) == Poset(2, (0, 0))
     with pytest.raises(InputError):
         poset_from_json({"n": 2, "cover": [[0, 1]]})  # 0 is out of range
 
