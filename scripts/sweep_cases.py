@@ -47,6 +47,12 @@ ran out of address space), ``timeout`` or ``error``; a case that did not
 finish has null numbers. ``--src`` picks the source tree to import, so two
 checkouts can be measured with the same script. Carriers above the element
 guard pass their size as ``max_size``.
+
+To compare two trees, alternate whole runs of the script over them an even
+number of times and swap which tree runs first in each alternation (A B,
+then B A: ABBA). Within one alternation the tree run second reads slower on
+the same code, so an odd number of alternations, or the same tree always
+first, biases the medians against one tree.
 """
 
 from __future__ import annotations

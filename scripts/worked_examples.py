@@ -6,12 +6,11 @@ prints each object and asserts the expected values along the way.
 """
 
 from dualpart import (
-    GroupIso,
     GroupSpec,
     Partition,
     dual_code,
     dual_partition,
-    dual_under_iso,
+    elements,
     generate,
     hierarchical_krawtchouk,
     is_reflexive,
@@ -102,10 +101,15 @@ def main():
 
     print("\n== the dual depends on the character identification ==")
     k4 = GroupSpec((2, 2))
-    trace_table = GroupIso.from_mapping(
-        k4, {(0, 0): (0, 0), (1, 0): (0, 1), (0, 1): (1, 1), (1, 1): (1, 0)}
-    )
-    plain_table = GroupIso.identity(k4)
+    # an automorphism of the carrier, listed at the elements in rank order
+    trace = {(0, 0): (0, 0), (1, 0): (0, 1), (0, 1): (1, 1), (1, 1): (1, 0)}
+    trace_table, plain_table = [trace[x] for x in elements(k4)], elements(k4)
+
+    def dual_under_iso(part, table):
+        # the dual pulled back through the table: x joins the dual block of its image
+        dual = dual_partition(part)
+        return Partition.from_labels(k4, (dual.block_of[k4.rank(t)] for t in table))
+
     f4 = Partition.from_blocks(k4, [[(0, 0)], [(1, 0)], [(0, 1), (1, 1)]])
     show_partition("P on the four-element carrier", f4)
     d1 = dual_under_iso(f4, trace_table)

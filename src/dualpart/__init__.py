@@ -13,7 +13,6 @@ from .errors import GuardExceeded, InputError, VerificationFailure
 from .group import (
     Code,
     Element,
-    GroupIso,
     GroupSpec,
     all_subgroups,
     dual_code,
@@ -29,7 +28,6 @@ from .partition import (
     all_partitions,
     bidual,
     dual_partition,
-    dual_under_iso,
     is_reflexive,
     join,
     krawtchouk,
@@ -85,10 +83,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CycInt", "cyclotomic_polynomial", "euler_phi", "integer", "one", "zero", "zeta_pow",
     "GuardExceeded", "InputError", "VerificationFailure",
-    "Code", "Element", "GroupIso", "GroupSpec", "all_subgroups", "dual_code", "elements",
+    "Code", "Element", "GroupSpec", "all_subgroups", "dual_code", "elements",
     "fourier_transform", "generate", "pairing", "pairing_exponent",
     "KrawtchoukMatrix", "Partition", "all_partitions", "bidual", "dual_partition",
-    "dual_under_iso", "is_reflexive", "join", "kk_product_check", "krawtchouk", "meet",
+    "is_reflexive", "join", "kk_product_check", "krawtchouk", "meet",
     "mismatch_witness", "negate", "random_partition", "random_reflexive_partition",
     "refines",
     "check_product_duality", "check_symmetrized_duality", "power_group", "product_group",

@@ -75,11 +75,13 @@ def _load_json(text: str) -> Any:
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {text[1:]}: {exc}") from exc
     try:
         return json.loads(text)
-    except ValueError as exc:  # also an int past Python's 4300-digit conversion limit
+    # ValueError also covers an int past Python's 4300-digit conversion limit, and
+    # RecursionError an array or object nested past the interpreter's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
 
 

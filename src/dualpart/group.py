@@ -6,8 +6,8 @@ through the exponent sum((E // n_i) * c_i * g_i) mod E of a primitive E-th
 root of unity, where E is the group exponent. The pairing is symmetric, so
 double duals land back on the original carrier with no extra bookkeeping.
 This is one concrete identification of the group with its characters; biduals
-do not depend on it, single duals may, and twisted identifications are
-expressed with GroupIso.
+do not depend on it, single duals may: another identification gives the dual
+relabelled by an automorphism of the carrier.
 
 This module owns the pairing: ``pairing_exponent`` gives one exponent, and
 ``_pairing_exponents`` one character's row over the carrier, which
@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from operator import add, mod
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .cyclotomic import CycInt, _close, _greedy_generators, zero, zeta_pow
 from .errors import GuardExceeded, InputError, count_text
@@ -297,60 +297,3 @@ def fourier_transform(
         out[chi] = CycInt(e, tuple(raw))
     return out
 
-
-# ---------------------------------------------------------------------------
-# explicit isomorphisms of the carrier
-
-
-@dataclass(frozen=True)
-class GroupIso:
-    """An additive bijection of the carrier, tabulated element by element."""
-
-    group: GroupSpec
-    images: tuple[Element, ...]  # indexed by element rank
-
-    @classmethod
-    def from_mapping(
-        cls,
-        group: GroupSpec,
-        mapping: Mapping[Element, Element] | Callable[[Element], Element],
-    ) -> "GroupIso":
-        """Tabulate an additive bijection, checking additivity on every carrier.
-
-        f(g + b) = f(g) + f(b) is checked for every b and each generator g
-        with a 1 in one factor and 0 elsewhere: |factors| * |G| checks. That
-        is exact by induction on word length: b = 0 gives f(0) = 0, and
-        writing a = g_1 + ... + g_t, each step f(g_i + c) = f(g_i) + f(c)
-        peels off one generator, so
-        f(a + b) = f(g_1) + ... + f(g_t) + f(b) = f(a) + f(b).
-        """
-        els = elements(group)
-        if callable(mapping) and not isinstance(mapping, Mapping):
-            table = {g: group.validate(mapping(g)) for g in els}
-        else:
-            table = {group.validate(k): group.validate(v) for k, v in mapping.items()}
-        if set(table) != set(els):
-            raise InputError("mapping must be defined on the whole carrier")
-        if len(set(table.values())) != len(els):
-            raise InputError("mapping is not a bijection")
-        zero = group.zero
-        for i in range(len(group.orders)):
-            g = zero[:i] + (1,) + zero[i + 1:]
-            for b in els:
-                if table[group.add(g, b)] != group.add(table[g], table[b]):
-                    raise InputError(f"mapping is not additive at {g}, {b}")
-        return cls(group, tuple(table[g] for g in els))
-
-    @classmethod
-    def identity(cls, group: GroupSpec) -> "GroupIso":
-        return cls(group, elements(group))
-
-    def __call__(self, g: Element) -> Element:
-        return self.images[self.group.rank(self.group.validate(g))]
-
-    def inverse(self) -> "GroupIso":
-        els = elements(self.group)
-        inv: list[Element | None] = [None] * len(els)
-        for g, img in zip(els, self.images):
-            inv[self.group.rank(img)] = g
-        return GroupIso(self.group, tuple(inv))  # type: ignore[arg-type]

@@ -71,8 +71,7 @@ from .cyclotomic import (CycInt, _radices, coefficient_bound, cyclotomic_polynom
                          euler_phi, split_prime,
                          unit_generators, zeta_coeff_table)
 from .errors import GuardExceeded, InputError, VerificationFailure
-from .group import (ELEMENT_GUARD, Element, GroupIso, GroupSpec, _outer,
-                    _pairing_exponents, elements)
+from .group import ELEMENT_GUARD, Element, GroupSpec, _outer, _pairing_exponents, elements
 
 MATRIX_GUARD = 5_000_000
 """Most exact coefficients a Krawtchouk matrix may hold: rows x columns x phi(E).
@@ -588,7 +587,7 @@ def _shift_passes(plan: list[Pass], e: int, b: int) -> tuple:
     return _lowered(plan, root, twiddle), reduced, twiddled
 
 
-def _transformed_rows(part: Partition, chars: list[Element], width: int = 0) -> list[list[int]]:
+def _transformed_rows(part: Partition, chars: list[Element]) -> list[list[int]]:
     """The packed rows of ``_packed_rows``, one primal block's column at a time.
 
     Each column but the largest block's is the block indicator's transform
@@ -599,12 +598,11 @@ def _transformed_rows(part: Partition, chars: list[Element], width: int = 0) -> 
     every digit; flipping each digit's top bit (xor ``off``) then turns digit
     c_i + 2^(b-1) into c_i in b-bit two's complement, so a signed ``array``
     of the little-endian bytes holds the coefficients. A row is one such
-    array over the bytes of all its entries. ``width`` forces the digit
-    width b, for tests; by default it is ``_digit_width``.
+    array over the bytes of all its entries; b is ``_digit_width``.
     """
     grp = part.group
     e, size = grp.exponent, grp.size
-    phi, b = euler_phi(e), width or _digit_width(part)
+    phi, b = euler_phi(e), _digit_width(part)
     big_n = sum(c << (b * i) for i, c in enumerate(cyclotomic_polynomial(e)))
     plan, place = _transform_plan(grp)
     lowering = _shift_passes(plan, e, b)
@@ -804,25 +802,6 @@ def mismatch_witness(a: Partition, b: Partition) -> tuple[Element, Element] | No
         if a.blocks[i] != b.blocks[j]:
             return (g, min(set(a.blocks[i]).symmetric_difference(b.blocks[j])))
     raise AssertionError("unequal partitions must disagree somewhere")
-
-
-# ---------------------------------------------------------------------------
-# twisted dualization
-
-
-def dual_under_iso(part: Partition, iso: GroupIso) -> Partition:
-    """Dual partition pulled back to the primal carrier through an isomorphism.
-
-    The isomorphism encodes a choice of identification between the carrier and
-    its characters; different choices can give genuinely different duals, while
-    the bidual is independent of the choice.
-    """
-    if iso.group != part.group:
-        raise InputError("isomorphism must act on the partition's carrier")
-    dual = dual_partition(part)
-    # g joins the dual block of its image; the images are in the rank order of g
-    rank = part.group.rank
-    return Partition.from_labels(part.group, (dual.block_of[rank(x)] for x in iso.images))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ coefficient's text made once. Input is still parsed with ``json.loads``.
 from __future__ import annotations
 
 import io
-import re
 from functools import reduce
 from itertools import chain, compress, islice, repeat
 from json import JSONEncoder
@@ -38,10 +37,10 @@ from operator import mul
 from types import GeneratorType
 from typing import Any, TextIO
 
-from .cyclotomic import CycInt, _float_root_powers, euler_phi
+from .cyclotomic import _float_root_powers, euler_phi
 from .enumerator import LinearEnumerator, ProductEnumerator, SymmetrizedEnumerator
 from .errors import InputError
-from .group import ELEMENT_GUARD, Code, Element, GroupSpec, _outer, generate
+from .group import Code, Element, GroupSpec, _outer, generate
 from .partition import KrawtchoukMatrix, Partition
 from .poset import Poset
 
@@ -83,14 +82,9 @@ def code_to_json(code: Code, include_elements: bool = False) -> dict:
 
 
 def code_from_json(obj: Any, group: GroupSpec) -> Code:
-    _require(isinstance(obj, dict) and "generators" in obj,
+    _require(isinstance(obj, dict) and isinstance(obj.get("generators"), list),
              "code JSON needs a 'generators' list")
-    gens = [element_from_json(g) for g in obj["generators"]]
-    return generate(group, gens)
-
-
-def partition_to_json(part: Partition) -> dict:
-    return {"blocks": [[element_to_json(g) for g in b] for b in part.blocks]}
+    return generate(group, [element_from_json(g) for g in obj["generators"]])
 
 
 def partition_from_json(obj: Any, group: GroupSpec) -> Partition:
@@ -123,29 +117,6 @@ def poset_from_json(obj: Any) -> Poset:
                  f"cover {pair} out of range (coordinates are 1-based)")
         covers.append((pair[0] - 1, pair[1] - 1))
     return Poset.from_covers(n, covers)
-
-
-def cycint_to_json(x: CycInt) -> Any:
-    n = x.as_rational_integer()
-    if n is not None:
-        return n
-    return {"order": x.order, "coeffs": [str(c) for c in x.coeffs]}
-
-
-def cycint_from_json(obj: Any, order: int | None = None) -> CycInt:
-    if type(obj) is int:
-        _require(order is not None, "a bare integer needs an ambient root order")
-        return CycInt(order, (obj,))
-    _require(isinstance(obj, dict) and "order" in obj and "coeffs" in obj,
-             "cyclotomic JSON needs 'order' and 'coeffs'")
-    _require(type(obj["order"]) is int, "'order' must be an integer")
-    # a carrier's exponent is at most its size: refuse before any polynomial is built
-    _require(obj["order"] <= ELEMENT_GUARD, f"root order {obj['order']} is above {ELEMENT_GUARD}")
-    coeffs = obj["coeffs"]
-    _require(isinstance(coeffs, list) and all(
-        type(c) is int or isinstance(c, str) and re.fullmatch("-?[0-9]+", c) for c in coeffs),
-        "coeffs must be decimal strings or integers")
-    return CycInt(obj["order"], tuple(map(int, coeffs)))
 
 
 def linear_enumerator_to_json(e: LinearEnumerator) -> list[int]:
@@ -181,9 +152,10 @@ def write_json(doc: Any, stream: TextIO) -> None:
       prints as ``json.JSONEncoder().encode`` prints it, which also raises
       ``TypeError`` for a type JSON lacks;
     - nothing looks for a container inside itself, which no CLI document holds;
-    - a ``Partition`` prints as its ``partition_to_json`` dict would;
-    - a ``KrawtchoukMatrix`` prints as a dict of its ``entries`` (each by
-      ``cycint_to_json``), their ``approx`` pairs (``approx_complex``
+    - a ``Partition`` prints as the partition format above, its canonical
+      ``blocks`` in order;
+    - a ``KrawtchoukMatrix`` prints as a dict of its ``entries`` (each in
+      the cyclotomic format above), their ``approx`` pairs (``approx_complex``
       rounded to 12 places), and the blocks of its ``row_part`` and
       ``col_part`` as ``row_blocks`` and ``col_blocks``.
 

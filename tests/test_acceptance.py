@@ -25,12 +25,11 @@ from dualpart.checks import (
     check_symmetrized_duality_sweep,
     check_transform_oracle,
 )
-from dualpart.group import GroupIso, GroupSpec
+from dualpart.group import GroupSpec, elements
 from dualpart.partition import (
     Partition,
     bidual,
     dual_partition,
-    dual_under_iso,
     is_reflexive,
     krawtchouk,
 )
@@ -124,10 +123,14 @@ def test_criterion_07_induced_duality():
 def test_criterion_08_character_identification():
     t0 = time.perf_counter()
     g = GroupSpec((2, 2))
-    trace_table = GroupIso.from_mapping(
-        g, {(0, 0): (0, 0), (1, 0): (0, 1), (0, 1): (1, 1), (1, 1): (1, 0)}
-    )
-    plain_table = GroupIso.identity(g)
+    trace = {(0, 0): (0, 0), (1, 0): (0, 1), (0, 1): (1, 1), (1, 1): (1, 0)}
+    trace_table, plain_table = [trace[x] for x in elements(g)], elements(g)
+
+    def dual_under_iso(part, table):
+        # the dual pulled back through the table: x joins the dual block of its image
+        dual = dual_partition(part)
+        return Partition.from_labels(g, (dual.block_of[g.rank(t)] for t in table))
+
     p = Partition.from_blocks(g, [[(0, 0)], [(1, 0)], [(0, 1), (1, 1)]])
     d1 = dual_under_iso(p, trace_table)
     d2 = dual_under_iso(p, plain_table)

@@ -22,8 +22,8 @@ from dualpart.errors import GuardExceeded
 from dualpart.group import GroupSpec
 from dualpart.partition import (MATRIX_GUARD, Partition, dual_partition, krawtchouk,
                                 random_partition)
-from dualpart.serialization import (group_from_json, partition_from_json, partition_to_json,
-                                    poset_from_json, write_json)
+from dualpart.serialization import group_from_json, partition_from_json, poset_from_json, write_json
+from test_serialization import partition_to_json
 
 Z6_PARTITION = '{"blocks":[[[0]],[[1],[3],[5]],[[2],[4]]]}'
 
@@ -280,6 +280,30 @@ def test_non_integers_in_integer_slots_exit_1_with_one_line(argv, message, capsy
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("generators", ["5", "null"])
+def test_code_generators_that_are_no_list_exit_1(generators, capsys):
+    argv = ["macwilliams", "--group", '{"orders":[4]}', "--partition", HAMMING4,
+            "--code", '{"generators": %s}' % generators]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: code JSON needs a 'generators' list\n"
+
+
+def test_a_json_file_that_is_no_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"orders": [6], "name": "\u00e9"}'.encode("latin-1"))
+    assert main(["dual", "--group", f"@{path}", "--partition", Z6_PARTITION]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+
+def test_json_nested_past_the_recursion_limit_exits_1(capsys):
+    deep = "[" * 200000 + "]" * 200000
+    assert main(["dual", "--group", deep, "--partition", Z6_PARTITION]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: invalid JSON: ") and err.count("\n") == 1
 
 
 def test_exit_code_guard(capsys):

@@ -8,7 +8,6 @@ from dualpart.errors import GuardExceeded, InputError
 from dualpart.group import (
     ELEMENTS_CACHE,
     Code,
-    GroupIso,
     GroupSpec,
     all_subgroups,
     dual_code,
@@ -187,34 +186,6 @@ def test_fourier_transform_rejects_a_value_of_another_order():
     f = {x: zeta_pow(3, 1) for x in elements(Z6)}
     with pytest.raises(InputError):
         fourier_transform(Z6, f)
-
-
-def test_iso_validation():
-    good = GroupIso.from_mapping(Z2x3, {x: x for x in elements(Z2x3)})
-    assert good((1, 2)) == (1, 2)
-    swap = {(0, 0): (0, 0), (1, 0): (0, 1), (0, 1): (1, 1), (1, 1): (1, 0)}
-    g22 = GroupSpec((2, 2))
-    iso = GroupIso.from_mapping(g22, swap)
-    assert iso.inverse()((0, 1)) == (1, 0)
-    bad = dict(swap)
-    bad[(1, 1)] = (0, 0)  # not injective
-    with pytest.raises(InputError):
-        GroupIso.from_mapping(g22, bad)
-    # bijective but not additive: swap 2 and 3 in Z_4
-    not_additive = {(0,): (0,), (1,): (1,), (2,): (3,), (3,): (2,)}
-    with pytest.raises(InputError):
-        GroupIso.from_mapping(GroupSpec((4,)), not_additive)
-
-
-def test_iso_additivity_is_checked_on_large_carriers():
-    """On (512,), x -> 3x with the images of 1 and 3 swapped is a bijection, not additive."""
-    g = GroupSpec((512,))
-    images = {x: (3 * x[0] % 512,) for x in elements(g)}
-    images[(1,)], images[(3,)] = images[(3,)], images[(1,)]
-    with pytest.raises(InputError):
-        GroupIso.from_mapping(g, images)
-    triple = GroupIso.from_mapping(g, lambda x: (3 * x[0] % 512,))
-    assert triple((171,)) == (1,)
 
 
 def test_elements_cache_is_bounded():

@@ -17,6 +17,7 @@ import textwrap
 
 import pytest
 
+import dualpart.partition
 import dualpart.serialization
 from dualpart.enumerator import _sparse_rows
 from dualpart.errors import VerificationFailure
@@ -24,8 +25,8 @@ from dualpart.group import GroupSpec
 from dualpart.cyclotomic import euler_phi
 from dualpart.partition import (MATRIX_GUARD, Partition, _character_rows, _digit_width, _rows_by_transform,
                                 _transformed_rows, dual_partition, krawtchouk, random_partition)
-from dualpart.serialization import cycint_to_json, write_json
-from test_serialization import written
+from dualpart.serialization import write_json
+from test_serialization import cycint_to_json, written
 from test_sweep import SMALL_CARRIERS, hamming, lee, signature
 
 
@@ -253,13 +254,14 @@ def test_both_methods_agree_on_larger_and_irrational_carriers(orders):
 @pytest.mark.parametrize("width", [32, 64])
 @pytest.mark.parametrize("orders", [(), (2,), (5,), (12,), (8, 4), (3, 3), (105,), (16, 16)],
                          ids=str)
-def test_forced_digit_widths_read_the_same_rows(orders, width):
+def test_forced_digit_widths_read_the_same_rows(orders, width, monkeypatch):
     """The 32- and 64-bit digit arrays, which no default width of these carriers takes."""
-    grp = GroupSpec(orders)
-    for part in method_partitions(grp):
-        chars = [block[0] for block in dual_partition(part).blocks]
-        assert _digit_width(part) < width
-        assert _transformed_rows(part, chars, width) == _character_rows(part, chars)
+    cases = [(part, [block[0] for block in dual_partition(part).blocks])
+             for part in method_partitions(GroupSpec(orders))]
+    assert all(_digit_width(part) < width for part, _ in cases)
+    monkeypatch.setattr(dualpart.partition, "_digit_width", lambda part: width)
+    for part, chars in cases:
+        assert _transformed_rows(part, chars) == _character_rows(part, chars)
 
 
 def test_cost_rule_takes_each_method_where_it_is_cheaper():

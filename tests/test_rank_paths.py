@@ -1,9 +1,9 @@
 """Rank- and integer-based constructions against the element-wise code they replaced.
 
 Each oracle below is the earlier implementation, copied here: partitions
-built from validated blocks (fibers, meet, join, random urns, the dual pulled
-back through an isomorphism), induced partitions from explicit block products
-and composition-vector weights, the dual code from ``pairing_exponent``, the
+built from validated blocks (fibers, meet, join, random urns), induced
+partitions from explicit block products and composition-vector weights, the
+dual code from ``pairing_exponent``, the
 transform step on ``CycInt`` entries only, the ``CycInt`` triple loop of the
 double-dual product K'K, and the floating approximation
 summed over every coefficient. The second half holds the duplicates that one
@@ -39,7 +39,6 @@ from dualpart.enumerator import (
 from dualpart.errors import InputError
 from dualpart.group import (
     Code,
-    GroupIso,
     GroupSpec,
     all_subgroups,
     dual_code,
@@ -56,7 +55,6 @@ from dualpart.induced import (
 from dualpart.partition import (
     Partition,
     dual_partition,
-    dual_under_iso,
     join,
     krawtchouk,
     meet,
@@ -161,17 +159,6 @@ def test_random_partition_draws_as_before(orders):
         for seed in range(4):
             new = random_partition(g, random.Random(seed), zero_block=zero_block)
             assert new == old_random_partition(g, random.Random(seed), zero_block)
-
-
-def test_dual_under_iso_matches_the_pulled_back_blocks():
-    g = GroupSpec((4, 4))
-    iso = GroupIso.from_mapping(g, lambda x: ((x[0] + 2 * x[1]) % 4, (3 * x[1]) % 4))
-    inv = iso.inverse()
-    rng = random.Random(19)
-    for _ in range(10):
-        part = random_partition(g, rng)
-        old = Partition.from_blocks(g, ([inv(ch) for ch in b] for b in dual_partition(part).blocks))
-        assert dual_under_iso(part, iso) == old
 
 
 # ---------------------------------------------------------------------------
