@@ -437,10 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, group=True, partition=False, poset=False, matrix=False):
-        if group:
-            p.add_argument("--group", required=True,
-                           help="carrier JSON, e.g. '{\"orders\":[6]}'")
+    def common(p, partition=False, poset=False, matrix=False):
+        p.add_argument("--group", required=True,
+                       help="carrier JSON, e.g. '{\"orders\":[6]}'")
         if partition:
             p.add_argument("--partition", required=True,
                            help="partition JSON: {\"blocks\":[[[0]],[[1],[2]]]}")

@@ -36,11 +36,11 @@ ELEMENT_GUARD = 4096
 SUBGROUP_GUARD = 64
 
 
-def _brief(values: tuple[int, ...], shown: int = 4) -> str:
-    """A tuple as Python prints it, cut to its first entries when it is longer."""
-    if len(values) <= shown:
+def _brief(values: tuple[int, ...]) -> str:
+    """A tuple as Python prints it, cut to its first four entries when it is longer."""
+    if len(values) <= 4:
         return str(values)
-    return f"({', '.join(map(str, values[:shown]))}, ... {len(values)} entries)"
+    return f"({', '.join(map(str, values[:4]))}, ... {len(values)} entries)"
 
 
 def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:

@@ -13,12 +13,13 @@ from pathlib import Path
 
 import pytest
 
+import dualpart.checks
 import dualpart.cli
 import dualpart.induced
 import dualpart.partition
 import dualpart.poset
 from dualpart.cli import main
-from dualpart.errors import GuardExceeded
+from dualpart.errors import GuardExceeded, InputError
 from dualpart.group import GroupSpec
 from dualpart.partition import (MATRIX_GUARD, Partition, dual_partition, krawtchouk,
                                 random_partition)
@@ -206,6 +207,27 @@ def test_check_command(capsys):
     assert code == 0
     assert doc["failed"] == 0
     assert all(r["passed"] for r in doc["results"])
+
+
+def test_a_failing_check_exits_3_and_reports_its_first_failure(capsys, monkeypatch):
+    def broken():
+        return dualpart.checks._result("broken identity", ["order 5", "order 7"], 2)
+
+    cyclotomic = dualpart.checks.SUITES["cyclotomic"]
+    monkeypatch.setitem(dualpart.checks.SUITES, "cyclotomic", [broken, *cyclotomic[1:]])
+    code, doc = run(capsys, "check", "--suite", "cyclotomic")
+    assert code == 3
+    assert doc["failed"] == 1
+    assert doc["results"][0] == {"name": "broken identity", "passed": False,
+                                 "detail": "2 failure(s), first: order 5"}
+    assert [r["passed"] for r in doc["results"][1:]] == [True] * (len(cyclotomic) - 1)
+
+
+def test_an_unknown_suite_is_an_input_error_that_names_every_suite():
+    with pytest.raises(InputError) as err:
+        dualpart.checks.run_suite("nope")
+    assert "'nope'" in str(err.value)
+    assert all(name in str(err.value) for name in ["all", *dualpart.checks.SUITES])
 
 
 def test_exit_code_input_error(capsys):

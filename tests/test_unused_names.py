@@ -1,18 +1,25 @@
-"""Every module-level function and class of ``src/dualpart`` is used by name there.
+"""Every module-level function and class of ``src/dualpart`` is used by name there,
+and every defaulted parameter of its functions is passed by some call.
 
 Code that only tests call belongs in ``tests/``. A name counts as used when it
 appears in the package outside its own definition: as a name, an attribute or
 an imported name, the package exports included. Docstrings, comments and other
 strings do not count.
+
+A parameter whose default no call in the package, the tests or the scripts
+overrides takes one value, so it is a constant. ``max_size``, the element
+guard every public entry point takes, is exempt.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import dualpart
 
 SRC = Path(dualpart.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = (SRC, ROOT / "tests", ROOT / "scripts")
 
 
 def names_in(node):
@@ -48,3 +55,67 @@ def test_a_definition_used_only_by_itself_or_in_a_docstring_is_found(tmp_path):
         "def exported():\n    return 2\n")
     (tmp_path / "b.py").write_text("from .a import exported\n\nX = used()\n")
     assert unreferenced_definitions(tmp_path) == ["a.py:2 lonely", "a.py:5 Alone"]
+
+
+def defaulted_parameters(fn, method):
+    """(position, name) of each parameter with a default; keyword-only ones have no position.
+
+    A method's positions count from the argument after ``self`` or ``cls``, as a call
+    through an instance or the class passes them.
+    """
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    shift = 1 if method else 0
+    return ([(i - shift, a.arg) for i, a in enumerate(positional) if i >= first]
+            + [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+               if d is not None])
+
+
+def passed_arguments(trees):
+    """Called name -> the positions and keywords its calls pass; ``*`` or ``**`` pass all."""
+    passed = defaultdict(set)
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            keywords = {k.arg for k in call.keywords}
+            passed[name] |= keywords | set(range(len(call.args)))
+            if None in keywords or any(isinstance(a, ast.Starred) for a in call.args):
+                passed[name].add("*")
+    return passed
+
+
+def defaults_never_passed(src=SRC, callers=CALLERS):
+    """``module:line function(parameter)`` of each defaulted parameter no call passes."""
+    passed = passed_arguments(ast.parse(path.read_text())
+                              for folder in callers for path in sorted(folder.rglob("*.py")))
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = passed.get(fn.name, set())
+                found += [f"{path.name}:{fn.lineno} {fn.name}({name})"
+                          for position, name in defaulted_parameters(fn, id(fn) in methods)
+                          if name != "max_size" and "*" not in calls
+                          and position not in calls and name not in calls]
+    return found
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    assert defaults_never_passed() == []
+
+
+def test_a_parameter_no_call_passes_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(a, b=1, *, c=2, max_size=9):\n    return a\n\n"
+        "def outer():\n    def inner(flag=True):\n        return flag\n    return inner()\n\n"
+        "class K:\n    def m(self, k=0):\n        return k\n\n"
+        "def h(x=1, y=2):\n    return x\n")
+    (tmp_path / "b.py").write_text(
+        '"""Mentions f(c=3) and inner(flag=False)."""\n'
+        "from .a import K, f, h\n\nf(0, 5)\nK().m(1)\nh(**{})\n")
+    assert defaults_never_passed(tmp_path, [tmp_path]) == ["a.py:1 f(c)", "a.py:5 inner(flag)"]
