@@ -22,7 +22,9 @@ a base partition, a code on a power of its carrier, the code's dual and the
 factor matrix, then times what ``dualpart product --code`` and
 ``symmetrize --code`` spend in the layer: ``product_enumerator`` of the code
 and of its dual, ``product_transform``, and ``symmetrized_enumerator`` of
-both. The child checks that the transform equals the dual's enumerator.
+both. Separately it times ``symmetrized_transform`` of the code's
+composition counts (``symmetrized_seconds``). The child checks that each
+transform equals the dual's enumerator.
 Every subgroup case (``SUBGROUP_CASES``) times ``all_subgroups`` of its
 carrier and counts the subgroups. Every print case (``PRINT_CASES``) builds
 the document of ``dualpart product`` or ``symmetrize`` with the CLI's own
@@ -35,8 +37,8 @@ partition's labels and of the report's fields. One JSON document goes to stdout:
 ``{python, limit_gib, timeout_s, cases: [{name, seconds, runs, peak_rss_mb,
 blocks, dual_blocks, krawtchouk_seconds, krawtchouk_runs,
 krawtchouk_peak_rss_mb, krawtchouk_bytes, krawtchouk_sha256, status}],
-transform_cases: [{name, transform_seconds, transform_runs, code_size, keys,
-status}], subgroup_cases: [{name, subgroup_seconds, subgroup_runs,
+transform_cases: [{name, transform_seconds, transform_runs,
+symmetrized_seconds, symmetrized_runs, code_size, keys, status}], subgroup_cases: [{name, subgroup_seconds, subgroup_runs,
 subgroups, status}], print_cases: [{name, print_seconds, print_runs, bytes,
 sha256, status}], poset_cases: [{name, partition_seconds, partition_runs,
 check_seconds, check_runs, blocks, labels_sha256, report_sha256, status}]}``.
@@ -242,7 +244,8 @@ import json, random, resource, sys
 limit = {limit}
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 sys.path.insert(0, {src!r})
-from dualpart.enumerator import product_enumerator, product_transform, symmetrized_enumerator
+from dualpart.enumerator import (product_enumerator, product_transform, symmetrized_enumerator,
+                                 symmetrized_transform)
 from dualpart.group import GroupSpec, dual_code, elements, generate
 from dualpart.induced import power_group
 from dualpart.partition import Partition, dual_partition, krawtchouk, random_reflexive_partition
@@ -284,8 +287,22 @@ def timed():
     return seconds
 
 
+compositions = symmetrized_enumerator(code, base, copies)
+dual_compositions = symmetrized_enumerator(perp, dual_base, copies)
+
+
+def symmetrized_timed():
+    start = time.perf_counter()
+    out = symmetrized_transform(compositions, matrix, code.size)
+    seconds = time.perf_counter() - start
+    assert out.counts == dual_compositions.counts
+    return seconds
+
+
 seconds, runs = least(timed)
+sseconds, sruns = least(symmetrized_timed)
 print(json.dumps({{"transform_seconds": round(seconds, 5), "transform_runs": runs,
+                  "symmetrized_seconds": round(sseconds, 6), "symmetrized_runs": sruns,
                   "code_size": code.size, "keys": keys[-1]}}))
 """
 
@@ -374,7 +391,8 @@ def run_case(name: str, src: str, limit_gib: float, timeout: float) -> dict:
         code = TRANSFORM_CHILD.format(limit=limit, src=src, orders=orders, kind=kind,
                                       copies=copies, gens=gens)
         row = {"name": name, "transform_seconds": None, "transform_runs": None,
-               "code_size": None, "keys": None}
+               "symmetrized_seconds": None, "symmetrized_runs": None, "code_size": None,
+               "keys": None}
     elif name in PRINT_CASES:
         cmd, orders, blocks, copies = PRINT_CASES[name]
         argv = [cmd, "--group", json.dumps({"orders": orders}),

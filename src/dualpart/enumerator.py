@@ -9,37 +9,37 @@ irrational count raises, since only a wrong pairing of partitions gives one.
 The enumerators read a code by coordinate columns, with ``map``s for ranks
 and block indices and one ``Counter`` for the keys, in first-seen order.
 
+Exactness: every transform sums products of entries in Z[z], z a primitive
+root of order E, and Z[z] = Z^phi(E) through the canonical basis. A value is
+phi integer planes, one per power z^i, and multiplying by an entry x is
+Z-linear: plane i gains a times plane k, a the coefficient of z^i in x z^k
+(``zeta_coeff_table`` rows). So every sum is an integer sum, exact. The
+action is lazy: a row is read only when a nonzero value meets it, and the
+column for x z^k only for a plane k that holds a nonzero value, once per
+(x, k) in a call; column 0 is x itself. Rational matrices alone use one
+plane, on which a rational x acts by itself; two irrational orders are
+rejected. A nonzero value on a plane i >= 1 at the end is an irrational count.
+
 Product: the matrix is the Kronecker product of the factor matrices, so the
 dual count at l is sum_m A(m) prod_i K_i[m_i][l_i] / |C|, which
 distributivity regroups one factor at a time. A sits on a dense row-major
 grid over the factor rows, within the guard's prod_i max(rows_i, cols_i)
-cells. A step contracts the outermost axis and writes the column axis
-innermost, stride cols, so the cells end in sorted key order. Values are
-integer planes, one per power z^i, i < phi(E): Z[z] = Z^phi through the
-canonical basis, and multiplying by an entry x is Z-linear, the integer
-matrix whose column k holds the coefficients of x z^k (``zeta_coeff_table``
-rows). Each nonzero coefficient of it is one ``map`` over a slice, zero
-slices add nothing, and a rational x acts by itself on every plane, so the
-sums are exact. Rational matrices alone use one plane; two irrational orders
-are rejected. A state holds at most phi(E) times the guard integers (a step
-keeps about three), and a nonzero cell on a plane i >= 1 at the end is an
-irrational count.
+cells. A step, ``_grid_step``, contracts the outermost axis and writes the
+column axis innermost, stride cols, so the cells end in sorted key order;
+each coefficient of an action is one ``map`` over a slice. A state holds at
+most phi(E) times the guard integers. The linear
+transform is one step on a one-axis grid whose plane 0 is the counts: rows
+x phi integers, which the matrix guard bounds. ``kk_product_check`` lays the
+planes of K' on a grid with l outermost and r inner, and one step by K
+leaves K'K on (r, m).
 
-The other transforms keep a sparse step, ``_contract_at``: it replaces
-coordinate i of each key by each column l of K, times K[key[i]][l], and sums
-equal keys. The symmetrized state of sorted prefixes is no grid, and the
-linear transform and ``kk_product_check`` run one step on matrices whose
-phi(E) reaches 2048, where an entry's integer matrix costs up to phi^2
-column operations. Integer matrices multiply plain ints there, which is
-exact, as a rational ``CycInt`` is its constant coefficient. Symmetrized: a
-composition s expands to its sorted representative key m; by the
-symmetrization theorem K_sym[s][t] = sum of prod_i K[m_i][l_i] over all l
+Symmetrized: a composition s expands to its sorted representative key m; by
+the symmetrization theorem K_sym[s][t] = sum of prod_i K[m_i][l_i] over all l
 with comp(l) = t, for any m with comp(m) = s. Step i reads only key[i] and
-the end only the composition of the contracted prefix, so sorting the
-prefix after each step and merging equal keys is exact. The state stays
-within (input keys) x C(copies + cols - 1, cols - 1); the guard bounds the
-binomial. ``kk_product_check`` puts the nonzero K'[r][l] on keys (r, l);
-one step at coordinate 1 by K leaves K'K on keys (r, m).
+the end only the composition of the contracted prefix, so sorting the prefix
+after each step and merging equal keys is exact. The state is phi sparse
+planes, each a dict of key -> int, within (input keys) x C(copies + cols -
+1, cols - 1) keys; the guard bounds the binomial.
 
 Orientation conventions, fixed once:
 
@@ -61,16 +61,11 @@ from math import comb, prod
 from operator import add, floordiv, mod, mul, sub
 from typing import Iterable, Iterator, Sequence
 
-from .cyclotomic import CycInt, euler_phi, zeta_coeff_table
+from .cyclotomic import euler_phi, zeta_coeff_table
 from .errors import GuardExceeded, InputError, VerificationFailure
 from .group import ELEMENT_GUARD, Code
 from .induced import product_group
 from .partition import KrawtchoukMatrix, Partition, dual_partition, krawtchouk
-
-# counts start as ints; a contraction by an irrational matrix makes them CycInts
-Distribution = dict[tuple[int, ...], CycInt | int]
-SparseRows = list[list[tuple[int, CycInt | int]]]
-
 
 @dataclass(frozen=True)
 class LinearEnumerator:
@@ -112,15 +107,11 @@ def linear_enumerator(code: Code, part: Partition) -> LinearEnumerator:
     return LinearEnumerator(tuple(counts[(b,)] for b in range(part.num_blocks)))
 
 
-def _rational(value: CycInt | int) -> int | None:
-    return value if isinstance(value, int) else value.as_rational_integer()
-
-
-def _exact_count(value: CycInt | int, divisor: int) -> int:
-    n = _rational(value)
-    if n is None:
+def _exact_count(cell: Sequence[int], divisor: int) -> int:
+    """A value given by its planes, divided exactly; only plane 0 may be nonzero."""
+    if any(cell[1:]):
         raise VerificationFailure("transform produced an irrational value")
-    q, r = divmod(n, divisor)
+    q, r = divmod(cell[0], divisor)
     if r != 0:
         raise VerificationFailure("transform result is not divisible by the code size")
     if q < 0:
@@ -128,45 +119,99 @@ def _exact_count(value: CycInt | int, divisor: int) -> int:
     return q
 
 
-def _accumulate(terms: Iterable[tuple[tuple[int, ...], CycInt | int]]) -> Distribution:
-    out: Distribution = {}
-    for k, v in terms:
-        out[k] = out[k] + v if k in out else v
-    return out
-
-
-def _integer_entries(matrix: KrawtchoukMatrix) -> tuple[tuple[int, ...], ...] | None:
-    try:
-        return matrix.integer_entries()
-    except VerificationFailure:
-        return None
-
-
-def _sparse_rows(matrix: KrawtchoukMatrix) -> SparseRows:
-    """Nonzero (column, entry) pairs of each row; plain ints if every entry is rational,
-    else a ``CycInt`` for each nonzero entry."""
-    ints = _integer_entries(matrix)
-    if ints is not None:
-        return [[(l, x) for l, x in enumerate(row) if x] for row in ints]
-    e, phi = matrix.order, euler_phi(matrix.order)
-    return [[(j // phi, CycInt(e, tuple(row[j:j + phi])))
-             for j in range(0, len(row), phi) if any(row[j:j + phi])] for row in matrix.rows]
-
-
-def _contract_at(
-    dist: Distribution, i: int, rows: SparseRows
-) -> Iterator[tuple[tuple[int, ...], CycInt | int]]:
-    """Terms of ``dist`` with key[i] = m replaced by each column l, times K[m][l]."""
-    for key, coef in dist.items():
-        head, tail = key[:i], key[i + 1 :]
-        for l, entry in rows[key[i]]:
-            yield head + (l,) + tail, coef * entry
-
-
-def _finish(dist: Distribution, code_size: int) -> dict[tuple[int, ...], int]:
-    """Exact division by the code size, keys sorted, zero counts dropped."""
-    counts = {k: _exact_count(dist[k], code_size) for k in sorted(dist)}
+def _finish(planes: Sequence[dict], code_size: int) -> dict[tuple[int, ...], int]:
+    """Sparse planes divided exactly by the code size, keys sorted, zero counts dropped."""
+    keys = sorted(set().union(*planes))
+    counts = {k: _exact_count([p.get(k, 0) for p in planes], code_size) for k in keys}
     return {k: c for k, c in counts.items() if c}
+
+
+def _grid_counts(planes: list[list[int]], code_size: int) -> list[int]:
+    """Dense planes divided exactly by the code size; the first failing cell raises."""
+    values = planes[0]
+    if any(map(any, planes[1:])) or any(map(mod, values, repeat(code_size))) or min(values) < 0:
+        deque(map(_exact_count, zip(*planes), repeat(code_size)), 0)
+    return list(map(floordiv, values, repeat(code_size)))
+
+
+def _root_order(matrices: Iterable[KrawtchoukMatrix]) -> int:
+    """The one root order of the irrational matrices, 1 if every matrix is rational."""
+    irrational = []
+    for k in matrices:
+        try:
+            k.integer_entries()
+        except VerificationFailure:
+            irrational.append(k.order)
+    orders = list(dict.fromkeys(irrational))
+    if len(orders) > 1:
+        raise InputError(f"mixed root orders {orders[0]} and {orders[1]}; "
+                         "lift with change_order first")
+    return orders[0] if orders else 1
+
+
+class _Action(dict):
+    """The action of a nonzero entry x: column k lists the (i, a) with which plane i gains
+    a times plane k, the nonzero coefficients of x z^k, built on first use."""
+
+    def __init__(self, x: tuple[int, ...], order: int) -> None:
+        self.x, self.order = x, order
+
+    def __missing__(self, k: int) -> tuple[tuple[int, int], ...]:
+        x, column = self.x, self.x
+        if k:
+            column, table = [0] * len(x), zeta_coeff_table(self.order)
+            for j in filter(x.__getitem__, range(len(x))):
+                for i, v in zip(*table[(j + k) % self.order]):
+                    column[i] += x[j] * v
+        self[k] = terms = tuple((i, a) for i, a in enumerate(column) if a)
+        return terms
+
+
+class _Rows(dict):
+    """Row m of ``matrix`` as (l, action) for each nonzero entry x, read on first use;
+    equal entries share one action through ``cache``."""
+
+    def __init__(self, matrix: KrawtchoukMatrix, order: int, cache: dict) -> None:
+        self.matrix, self.order, self.cache = matrix, order, cache
+
+    def __missing__(self, m: int) -> list[tuple[int, _Action]]:
+        stride, width = euler_phi(self.matrix.order), euler_phi(self.order)
+        n = min(stride, width)  # a rational matrix of another order pads with zeros
+        row, pad, out = self.matrix.rows[m], (0,) * (width - n), []
+        for j in range(0, len(row), stride):
+            x = tuple(row[j:j + n]) + pad
+            if any(x):
+                if x not in self.cache:
+                    self.cache[x] = _Action(x, self.order)
+                out.append((j // stride, self.cache[x]))
+        self[m] = out
+        return out
+
+
+def _grid_step(planes: list[list[int]], rows: _Rows) -> list[list[int]]:
+    """Contract the outermost grid axis by one matrix; its column axis becomes innermost.
+    A row is read only when the slice it acts on is nonzero."""
+    height, cols = rows.matrix.shape
+    t = len(planes[0]) // height
+    live = [(k, p) for k, p in enumerate(planes) if any(p)]
+    sums: list[list] = [[None] * cols for _ in planes]  # sums[i][l]: column l of plane i
+    for m in range(height):
+        cut = [(k, values) for k, p in live if any(values := p[m * t:(m + 1) * t])]
+        for l, action in rows[m] if cut else ():
+            for k, values in cut:
+                for i, a in action[k]:
+                    acc = sums[i][l]
+                    if acc is None:
+                        sums[i][l] = values if a == 1 else list(map(mul, values, repeat(a)))
+                    elif a == 1 or a == -1:
+                        sums[i][l] = list(map(add if a == 1 else sub, acc, values))
+                    else:
+                        sums[i][l] = list(map(add, acc, map(mul, values, repeat(a))))
+    out = [[0] * (t * cols) for _ in planes]
+    for plane, columns in zip(out, sums):
+        for l in filter(columns.__getitem__, range(cols)):
+            plane[l::cols] = columns[l]
+    return out
 
 
 def macwilliams_transform(
@@ -179,14 +224,14 @@ def macwilliams_transform(
     """
     rows, cols = matrix.shape
     if rows != len(enum.counts):
-        raise InputError(
-            f"matrix has {rows} rows but the enumerator has {len(enum.counts)} counts"
-        )
+        raise InputError(f"matrix has {rows} rows but the enumerator has "
+                         f"{len(enum.counts)} counts")
     if code_size <= 0:
         raise InputError("code size must be positive")
-    dist = {(m,): a for m, a in enumerate(enum.counts) if a}
-    counts = _finish(_accumulate(_contract_at(dist, 0, _sparse_rows(matrix))), code_size)
-    return LinearEnumerator(tuple(counts.get((l,), 0) for l in range(cols)))
+    order = _root_order([matrix])
+    planes = [list(enum.counts)] + [[0] * rows for _ in range(euler_phi(order) - 1)]
+    planes = _grid_step(planes, _Rows(matrix, order, {}))
+    return LinearEnumerator(tuple(_grid_counts(planes, code_size)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,53 +259,6 @@ def product_enumerator(code: Code, parts: Sequence[Partition]) -> ProductEnumera
     return ProductEnumerator(dict(Counter(_block_keys(code, parts))))
 
 
-def _actions(matrix: KrawtchoukMatrix, order: int, cache: dict) -> list[list[tuple]]:
-    """Per row, (l, action) for each nonzero entry x. The action lists the (i, k, a)
-    with which plane i gains a times plane k: a is the coefficient of z^i in x z^k
-    at root order ``order``, summed from ``zeta_coeff_table`` once per distinct x."""
-    phi, table = euler_phi(order), zeta_coeff_table(order)
-    ints = _integer_entries(matrix)
-    if ints is not None:  # a rational x has the coefficients (x, 0, ..., 0) at any order
-        cells = [[(x,) + (0,) * (phi - 1) for x in row] for row in ints]
-    else:
-        cells = [[tuple(row[j:j + phi]) for j in range(0, len(row), phi)] for row in matrix.rows]
-    for x in {x for row in cells for x in row if any(x)} - cache.keys():
-        terms = []
-        for k in range(phi):
-            column = [0] * phi
-            for j in filter(x.__getitem__, range(phi)):
-                for i, v in zip(*table[(j + k) % order]):
-                    column[i] += x[j] * v
-            terms += ((i, k, a) for i, a in enumerate(column) if a)
-        cache[x] = tuple(terms)
-    return [[(l, cache[x]) for l, x in enumerate(row) if any(x)] for row in cells]
-
-
-def _grid_step(planes: list[list[int]], actions: list[list[tuple]], cols: int) -> list[list[int]]:
-    """Contract the outermost grid axis by one matrix; its column axis becomes innermost."""
-    t = len(planes[0]) // len(actions)
-    sums: list[list] = [[None] * cols for _ in planes]  # sums[i][l]: column l of plane i
-    for m, row in enumerate(actions):
-        cut = [p[m * t:(m + 1) * t] for p in planes]
-        live = list(map(any, cut))
-        for l, terms in row if any(live) else ():
-            for i, k, a in terms:
-                if not live[k]:
-                    continue
-                acc, values = sums[i][l], cut[k]
-                if acc is None:
-                    sums[i][l] = values if a == 1 else list(map(mul, values, repeat(a)))
-                elif a == 1 or a == -1:
-                    sums[i][l] = list(map(add if a == 1 else sub, acc, values))
-                else:
-                    sums[i][l] = list(map(add, acc, map(mul, values, repeat(a))))
-    out = [[0] * (t * cols) for _ in planes]
-    for plane, columns in zip(out, sums):
-        for l in filter(columns.__getitem__, range(cols)):
-            plane[l::cols] = columns[l]
-    return out
-
-
 def product_transform(
     enum: ProductEnumerator,
     matrices: Sequence[KrawtchoukMatrix],
@@ -281,15 +279,9 @@ def product_transform(
         raise InputError("enumerator key length does not match the matrices")
     size = prod(max(k.shape) for k in matrices)
     if size > max_size:
-        raise GuardExceeded(
-            f"product transform has {size} keys, above the guard of {max_size}"
-        )
+        raise GuardExceeded(f"product transform has {size} keys, above the guard of {max_size}")
     distinct = {id(k): k for k in matrices}
-    orders = list(dict.fromkeys(k.order for k in distinct.values() if _integer_entries(k) is None))
-    if len(orders) > 1:
-        raise InputError(f"mixed root orders {orders[0]} and {orders[1]}; "
-                         "lift with change_order first")
-    order = orders[0] if orders else 1
+    order = _root_order(distinct.values())
     rows = [k.shape[0] for k in matrices]
     columns = list(zip(*enum.counts))
     if any(min(c) < 0 or max(c) >= r for c, r in zip(columns, rows)):
@@ -299,17 +291,11 @@ def product_transform(
         index = map(add, map(mul, index, repeat(r)), c)
     planes = [[0] * prod(rows) for _ in range(euler_phi(order))]
     deque(map(planes[0].__setitem__, index, enum.counts.values()), 0)
-    cache: dict[tuple[int, ...], tuple] = {}
-    actions = {i: _actions(k, order, cache) for i, k in distinct.items()}
+    cache: dict[tuple[int, ...], _Action] = {}
+    actions = {i: _Rows(k, order, cache) for i, k in distinct.items()}
     for k in matrices:
-        planes = _grid_step(planes, actions[id(k)], k.shape[1])
-    values = planes[0]
-    if any(map(any, planes[1:])) or any(map(mod, values, repeat(code_size))) or min(values) < 0:
-        for cell in zip(*planes):  # the first failing key names the failure, as in _finish
-            if any(cell[1:]):
-                raise VerificationFailure("transform produced an irrational value")
-            _exact_count(cell[0], code_size)
-    counts = list(map(floordiv, values, repeat(code_size)))
+        planes = _grid_step(planes, actions[id(k)])
+    counts = _grid_counts(planes, code_size)
     keys = compress(product(*(range(k.shape[1]) for k in matrices)), counts)
     return ProductEnumerator(dict(zip(keys, compress(counts, counts))))
 
@@ -337,33 +323,40 @@ def symmetrized_transform(
     """Dual composition distribution, contracting sorted representative keys.
 
     ``matrix`` must be krawtchouk(dual(P), P) of a reflexive base partition.
-    Every composition must sum to the same positive number of copies.
+    Every composition must have nonnegative parts summing to the same positive
+    number of copies.
     """
     if code_size <= 0:
         raise InputError("code size must be positive")
     rows, cols = matrix.shape
     if any(len(key) != rows for key in enum.counts):
         raise InputError("composition length does not match the matrix rows")
+    if any(s < 0 for key in enum.counts for s in key):
+        raise InputError("a composition has a negative part")
     totals = {sum(key) for key in enum.counts}
     if len(totals) != 1 or 0 in totals:
         raise InputError("compositions must all sum to the same positive number of copies")
     (copies,) = totals
     size = comb(copies + cols - 1, cols - 1)
     if size > max_size:
-        raise GuardExceeded(
-            f"symmetrized transform has {size} keys, above the guard of {max_size}"
-        )
-    dist: Distribution = {
-        tuple(m for m, s in enumerate(key) for _ in range(s)): c
-        for key, c in enum.counts.items()
-    }
-    sparse = _sparse_rows(matrix)
+        raise GuardExceeded(f"symmetrized transform has {size} keys, "
+                            f"above the guard of {max_size}")
+    order = _root_order([matrix])
+    actions = _Rows(matrix, order, {})
+    planes = [{tuple(m for m, s in enumerate(key) for _ in range(s)): c
+               for key, c in enum.counts.items()}] + [{} for _ in range(euler_phi(order) - 1)]
     for i in range(copies):
-        dist = _accumulate(
-            (tuple(sorted(k[: i + 1])) + k[i + 1 :], v)
-            for k, v in _contract_at(dist, i, sparse)
-        )
-    comps = {tuple(key.count(l) for l in range(cols)): v for key, v in dist.items()}
+        out: list[dict] = [{} for _ in planes]
+        for k, plane in enumerate(planes):
+            for key, v in plane.items():
+                head, tail = key[:i], key[i + 1:]
+                for l, action in actions[key[i]]:
+                    new = tuple(sorted(head + (l,))) + tail
+                    for j, a in action[k]:
+                        sums = out[j]
+                        sums[new] = sums.get(new, 0) + a * v
+        planes = out
+    comps = [{tuple(map(key.count, range(cols))): v for key, v in p.items()} for p in planes]
     return SymmetrizedEnumerator(_finish(comps, code_size))
 
 
@@ -386,11 +379,15 @@ def kk_product_check(part: Partition, max_size: int = ELEMENT_GUARD) -> tuple[tu
     ddual = dual_partition(dual, max_size)
     k = krawtchouk(part, dual, max_size=max_size)
     k2 = krawtchouk(dual, ddual, max_size=max_size)
-    keys = {(r, l): x for r, row in enumerate(_sparse_rows(k2)) for l, x in row}
-    product = _accumulate(_contract_at(keys, 1, _sparse_rows(k)))
+    order, (rows, mid), cols = _root_order([k, k2]), k2.shape, part.num_blocks
+    s = euler_phi(k2.order)  # k and k2 both have the carrier's exponent as order
+    planes = [[row[l * s + i] for l in range(mid) for row in k2.rows]  # K'[r][l] at l * rows + r
+              for i in range(euler_phi(order))]
+    cells = list(zip(*_grid_step(planes, _Rows(k, order, {}))))
+    zero = (0,) * (len(planes) - 1)
     out: list[tuple[bool, ...]] = []
     for r, block in enumerate(ddual.blocks):
         owners = {part.block_of[grp.rank(grp.neg(g))] for g in block}
-        out.append(tuple(_rational(product.get((r, m), 0)) == (grp.size if owners == {m} else 0)
-                         for m in range(part.num_blocks)))
+        out.append(tuple(cells[r * cols + m] == (grp.size if owners == {m} else 0,) + zero
+                         for m in range(cols)))
     return tuple(out)

@@ -149,3 +149,9 @@ def test_symmetrized_rejects_bad_copy_counts():
         symmetrized_transform(SymmetrizedEnumerator({(2, 0): 1, (0, 3): 1}), k, 2)
     with pytest.raises(InputError):
         symmetrized_transform(SymmetrizedEnumerator({(0, 0): 1}), k, 1)
+    # (3, -1) sums to 2 copies; a negative part once expanded it to 3-copy compositions
+    g3 = GroupSpec((3,))
+    hamming3 = part(g3, [0], [1, 2])
+    k3 = krawtchouk(dual_partition(hamming3), hamming3)
+    with pytest.raises(InputError, match="negative part"):
+        symmetrized_transform(SymmetrizedEnumerator({(3, -1): 1}), k3, 1)

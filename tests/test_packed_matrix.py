@@ -1,13 +1,13 @@
 """Packed Krawtchouk matrices against the ``CycInt`` matrix they replaced.
 
 The oracle is the library's former code, kept here. ``signature`` (in
-``test_sweep``) built one ``CycInt`` per entry; ``integer_entries`` and
-``_sparse_rows`` read those entries one at a time; the matrix document
-printed each entry by ``cycint_to_json`` and its approx by
-``approx_complex``. Every reader of the packed rows must agree with it: the
-``entries`` view, ``integer_entries`` (which raises on an irrational entry),
-``_sparse_rows``, and the bytes ``write_json`` prints for the matrix,
-which must be those of ``json.dumps(indent=2)`` of the oracle's document
+``test_sweep``) built one ``CycInt`` per entry; ``integer_entries`` and the
+sparse transform step (``oracle_sparse_rows`` in ``test_product_grid``) read
+those entries one at a time; the matrix document printed each entry by
+``cycint_to_json`` and its approx by ``approx_complex``. Every reader of the
+packed rows must agree with it: the ``entries`` view, ``integer_entries``
+(which raises on an irrational entry), the transforms' row reader ``_Rows``,
+and the bytes ``write_json`` prints for the matrix, which must be those of ``json.dumps(indent=2)`` of the oracle's document
 wherever the matrix sits and however its rows fall into batches.
 """
 
@@ -19,13 +19,14 @@ import pytest
 
 import dualpart.partition
 import dualpart.serialization
-from dualpart.enumerator import _sparse_rows
+from dualpart.cyclotomic import CycInt, euler_phi
+from dualpart.enumerator import _root_order, _Rows
 from dualpart.errors import VerificationFailure
 from dualpart.group import GroupSpec
-from dualpart.cyclotomic import euler_phi
 from dualpart.partition import (MATRIX_GUARD, Partition, _character_rows, _digit_width, _rows_by_transform,
                                 _transformed_rows, dual_partition, krawtchouk, random_partition)
 from dualpart.serialization import write_json
+from test_product_grid import oracle_sparse_rows
 from test_serialization import cycint_to_json, written
 from test_sweep import SMALL_CARRIERS, hamming, lee, signature
 
@@ -43,13 +44,6 @@ def oracle_integer_entries(entries):
             return None
         out.append(tuple(vals))
     return tuple(out)
-
-
-def oracle_sparse_rows(entries):
-    ints = [[x.as_rational_integer() for x in row] for row in entries]
-    if any(None in row for row in ints):
-        return [[(l, x) for l, x in enumerate(row) if not x.is_zero] for row in entries]
-    return [[(l, x) for l, x in enumerate(row) if x] for row in ints]
 
 
 def approx_pair(z):
@@ -83,9 +77,11 @@ def check_matrix(part, char_part):
             k.integer_entries()
     else:
         assert k.integer_entries() == ints
-    rows = _sparse_rows(k)
-    assert rows == oracle_sparse_rows(entries)
-    assert all(type(x) is int for row in rows for _, x in row) is (ints is not None)
+    order = _root_order([k])
+    assert (order == 1) is (ints is not None)  # one plane of plain ints
+    rows = _Rows(k, order, {})
+    assert [[(l, CycInt(k.order, a.x) if ints is None else a.x[0]) for l, a in rows[m]]
+            for m in range(k.shape[0])] == oracle_sparse_rows(k)
     check_written(k, oracle_document(entries, k))
     return ints is None
 

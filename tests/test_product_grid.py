@@ -1,42 +1,98 @@
-"""The dense-grid product transform and the column-wise enumerators against the
+"""The integer-plane transforms and the column-wise enumerators against the
 sparse code they replaced.
 
-The oracles are the former library code, copied here: ``product_transform``
-contracting a sparse key dictionary with ``_contract_at`` (``CycInt`` values
-once a matrix is irrational), and the two enumerators, which cut every code
-word into factor coordinates and rank each one. Results are compared as
-ordered item lists, so key order counts, and failures by type and message.
+The oracles are the former library code, copied here. Its one contraction
+step, ``oracle_contract_at``, replaced coordinate i of each key of a sparse
+dictionary by each column of the matrix, with ``CycInt`` values once a matrix
+is irrational, and ``oracle_accumulate`` summed equal keys. On it ran
+``product_transform``, ``macwilliams_transform``, ``symmetrized_transform``
+and ``kk_product_check``, and ``oracle_finish`` divided by the code size. The
+two enumerators cut every code word into factor coordinates and ranked each
+one. Results are compared as ordered item lists, so key order counts, and
+failures by type and message.
 """
 
 import random
 from dataclasses import replace
-from math import prod
+from math import comb, prod
 
 import pytest
 
+from dualpart.checks import CODE_GROUPS, SWEEP_GROUPS
+from dualpart.cyclotomic import CycInt, euler_phi
 from dualpart.enumerator import (
+    LinearEnumerator,
     ProductEnumerator,
     SymmetrizedEnumerator,
-    _accumulate,
-    _contract_at,
-    _finish,
-    _sparse_rows,
+    kk_product_check,
+    linear_enumerator,
+    macwilliams_transform,
     product_enumerator,
     product_transform,
     symmetrized_enumerator,
+    symmetrized_transform,
 )
 from dualpart.errors import GuardExceeded, InputError, VerificationFailure
-from dualpart.group import ELEMENT_GUARD, GroupSpec, elements, generate
+from dualpart.group import ELEMENT_GUARD, GroupSpec, all_subgroups, elements, generate
 from dualpart.induced import power_group, product_group
 from dualpart.partition import (
     Partition,
     dual_partition,
     is_reflexive,
     krawtchouk,
+    random_partition,
     random_reflexive_partition,
 )
 from test_induced import composition_vector, split_element
 from test_sweep import carriers
+
+
+def oracle_rational(value):
+    return value if isinstance(value, int) else value.as_rational_integer()
+
+
+def oracle_exact_count(value, divisor):
+    n = oracle_rational(value)
+    if n is None:
+        raise VerificationFailure("transform produced an irrational value")
+    q, r = divmod(n, divisor)
+    if r != 0:
+        raise VerificationFailure("transform result is not divisible by the code size")
+    if q < 0:
+        raise VerificationFailure("transform produced a negative count")
+    return q
+
+
+def oracle_accumulate(terms):
+    out = {}
+    for k, v in terms:
+        out[k] = out[k] + v if k in out else v
+    return out
+
+
+def oracle_sparse_rows(matrix):
+    """Nonzero (column, entry) pairs of each row; plain ints if every entry is rational,
+    else a ``CycInt`` for each nonzero entry."""
+    try:
+        ints = matrix.integer_entries()
+    except VerificationFailure:
+        e, phi = matrix.order, euler_phi(matrix.order)
+        return [[(j // phi, CycInt(e, tuple(row[j:j + phi])))
+                 for j in range(0, len(row), phi) if any(row[j:j + phi])] for row in matrix.rows]
+    return [[(l, x) for l, x in enumerate(row) if x] for row in ints]
+
+
+def oracle_contract_at(dist, i, rows):
+    """Terms of ``dist`` with key[i] = m replaced by each column l, times K[m][l]."""
+    for key, coef in dist.items():
+        head, tail = key[:i], key[i + 1:]
+        for l, entry in rows[key[i]]:
+            yield head + (l,) + tail, coef * entry
+
+
+def oracle_finish(dist, code_size):
+    counts = {k: oracle_exact_count(dist[k], code_size) for k in sorted(dist)}
+    return {k: c for k, c in counts.items() if c}
 
 
 def oracle_product_enumerator(code, parts):
@@ -77,16 +133,77 @@ def oracle_product_transform(enum, matrices, code_size, max_size=ELEMENT_GUARD):
         )
     dist = dict(enum.counts)
     for i, matrix in enumerate(matrices):
-        dist = _accumulate(_contract_at(dist, i, _sparse_rows(matrix)))
-    return ProductEnumerator(_finish(dist, code_size))
+        dist = oracle_accumulate(oracle_contract_at(dist, i, oracle_sparse_rows(matrix)))
+    return ProductEnumerator(oracle_finish(dist, code_size))
+
+
+def oracle_macwilliams_transform(enum, matrix, code_size):
+    rows, cols = matrix.shape
+    if rows != len(enum.counts):
+        raise InputError(
+            f"matrix has {rows} rows but the enumerator has {len(enum.counts)} counts"
+        )
+    if code_size <= 0:
+        raise InputError("code size must be positive")
+    dist = {(m,): a for m, a in enumerate(enum.counts) if a}
+    rows = oracle_sparse_rows(matrix)
+    counts = oracle_finish(oracle_accumulate(oracle_contract_at(dist, 0, rows)), code_size)
+    return LinearEnumerator(tuple(counts.get((l,), 0) for l in range(cols)))
+
+
+def oracle_symmetrized_transform(enum, matrix, code_size, max_size=ELEMENT_GUARD):
+    if code_size <= 0:
+        raise InputError("code size must be positive")
+    rows, cols = matrix.shape
+    if any(len(key) != rows for key in enum.counts):
+        raise InputError("composition length does not match the matrix rows")
+    totals = {sum(key) for key in enum.counts}
+    if len(totals) != 1 or 0 in totals:
+        raise InputError("compositions must all sum to the same positive number of copies")
+    (copies,) = totals
+    size = comb(copies + cols - 1, cols - 1)
+    if size > max_size:
+        raise GuardExceeded(
+            f"symmetrized transform has {size} keys, above the guard of {max_size}"
+        )
+    dist = {
+        tuple(m for m, s in enumerate(key) for _ in range(s)): c
+        for key, c in enum.counts.items()
+    }
+    sparse = oracle_sparse_rows(matrix)
+    for i in range(copies):
+        dist = oracle_accumulate(
+            (tuple(sorted(k[: i + 1])) + k[i + 1 :], v)
+            for k, v in oracle_contract_at(dist, i, sparse)
+        )
+    comps = {tuple(key.count(l) for l in range(cols)): v for key, v in dist.items()}
+    return SymmetrizedEnumerator(oracle_finish(comps, code_size))
+
+
+def oracle_kk_product_check(part, k=None, k2=None, max_size=ELEMENT_GUARD):
+    """The verdicts, by the sparse step; K and K' may be given in place of the true ones."""
+    grp = part.group
+    dual = dual_partition(part, max_size)
+    ddual = dual_partition(dual, max_size)
+    k = k or krawtchouk(part, dual, max_size=max_size)
+    k2 = k2 or krawtchouk(dual, ddual, max_size=max_size)
+    keys = {(r, l): x for r, row in enumerate(oracle_sparse_rows(k2)) for l, x in row}
+    product = oracle_accumulate(oracle_contract_at(keys, 1, oracle_sparse_rows(k)))
+    out = []
+    for r, block in enumerate(ddual.blocks):
+        owners = {part.block_of[grp.rank(grp.neg(g))] for g in block}
+        out.append(tuple(oracle_rational(product.get((r, m), 0)) ==
+                         (grp.size if owners == {m} else 0) for m in range(part.num_blocks)))
+    return tuple(out)
 
 
 def outcome(fn, *args, **kwargs):
     """The result's items in order, or the exception's type and message."""
     try:
-        return list(fn(*args, **kwargs).counts.items())
+        counts = fn(*args, **kwargs).counts
     except (InputError, GuardExceeded, VerificationFailure) as exc:
         return type(exc), str(exc)
+    return list(counts.items()) if isinstance(counts, dict) else list(counts)
 
 
 def factor_matrix(base):
@@ -231,3 +348,100 @@ def test_degenerate_enumerators_match_the_oracle():
             outcome(oracle_product_transform, enum, [k, k], 1)
     with pytest.raises(InputError, match="out of range"):  # the oracle ended in IndexError
         product_transform(ProductEnumerator({(0, 5): 1}), [k, k], 1)
+
+
+def wrong_matrices(k):
+    """``k`` with the constant coefficient of entry (0, 0) raised by 1, and again with
+    its z coefficient raised by 1 when phi(order) > 1."""
+    out = []
+    for coeff in range(min(2, euler_phi(k.order))):
+        rows = [list(row) for row in k.rows]
+        rows[0][coeff] += 1
+        out.append(replace(k, rows=tuple(rows)))
+    return out
+
+
+SYM_CARRIERS = [(n,) for n in range(2, 13)] + [(2, 2), (3, 3), (4, 2)]
+
+
+@pytest.mark.parametrize("orders", SYM_CARRIERS)
+def test_symmetrized_transform_matches_the_sparse_oracle(orders):
+    """Every reflexive base of ``bases``, one to three copies, and each matrix again
+    made wrong, which the oracle and the new step must fail alike."""
+    g = GroupSpec(orders)
+    rng = random.Random(repr(orders) + "symmetrized")
+    found = bases(g, rng)
+    assert {"singletons", "random"} <= set(found)
+    failures = 0
+    for name, base in found.items():
+        k = factor_matrix(base)
+        for copies in (1, 2, 3):
+            if g.size ** copies > ELEMENT_GUARD:
+                continue
+            big = power_group(g, copies)
+            for gens in (0, 1, 2):
+                code = random_code(big, rng, gens)
+                enum = symmetrized_enumerator(code, base, copies)
+                for matrix in [k] + wrong_matrices(k):
+                    want = outcome(oracle_symmetrized_transform, enum, matrix, code.size)
+                    assert outcome(symmetrized_transform, enum, matrix, code.size) == want, name
+                    assert isinstance(want, list) or matrix is not k
+                    failures += want[0] is VerificationFailure
+    assert failures
+
+
+def macwilliams_cases():
+    """(matrix, enumerators, code sizes): random character partitions on the
+    ``check_macwilliams`` groups with all their subgroups, and a zero-block urn
+    partition of Z/256 with one code per divisor."""
+    rng = random.Random(10)
+    for grp in CODE_GROUPS:
+        codes = all_subgroups(grp)
+        for _ in range(4):
+            char_part = random_partition(grp, rng)
+            prim = dual_partition(char_part)
+            yield krawtchouk(char_part, prim), [(linear_enumerator(c, prim), c.size) for c in codes]
+    g = GroupSpec((256,))
+    char_part = Partition.from_labels(g, [-1] + [rng.randrange(3) for _ in range(255)])
+    prim = dual_partition(char_part)
+    codes = [generate(g, [(d,)]) for d in (1, 2, 8, 64, 128)]
+    yield krawtchouk(char_part, prim), [(linear_enumerator(c, prim), c.size) for c in codes]
+
+
+def test_macwilliams_transform_matches_the_sparse_oracle():
+    """Each matrix and code size, then the size one too large and the matrix made wrong."""
+    irrational = failures = 0
+    for k, enums in macwilliams_cases():
+        irrational += any(x.as_rational_integer() is None for row in k.entries for x in row)
+        for enum, size in enums:
+            want = outcome(oracle_macwilliams_transform, enum, k, size)
+            assert outcome(macwilliams_transform, enum, k, size) == want
+            assert isinstance(want, list)
+            for matrix, s in [(k, size + 1)] + [(w, size) for w in wrong_matrices(k)]:
+                want = outcome(oracle_macwilliams_transform, enum, matrix, s)
+                assert outcome(macwilliams_transform, enum, matrix, s) == want
+                failures += want[0] is VerificationFailure
+    assert irrational >= 3 and failures
+    k, _ = next(macwilliams_cases())
+    for args in [(LinearEnumerator((1,)), k, 1), (LinearEnumerator((0,) * k.shape[0]), k, 0)]:
+        assert outcome(macwilliams_transform, *args) == outcome(oracle_macwilliams_transform, *args)
+
+
+def kk_partitions(grp, rng):
+    return [random_partition(grp, rng), random_partition(grp, rng, zero_block=True),
+            *bases(grp, rng).values()]
+
+
+@pytest.mark.parametrize("orders", SYM_CARRIERS)
+def test_kk_product_check_matches_the_sparse_oracle(orders):
+    grp = GroupSpec(orders)
+    for part in kk_partitions(grp, random.Random(repr(orders) + "kk")):
+        assert kk_product_check(part) == oracle_kk_product_check(part)
+
+
+def test_kk_product_check_matches_on_the_check_kk_pattern_partitions():
+    rng = random.Random(9)
+    for i in range(60):
+        grp = SWEEP_GROUPS[i % len(SWEEP_GROUPS)]
+        part = random_reflexive_partition(grp, rng) if i % 2 else random_partition(grp, rng)
+        assert kk_product_check(part) == oracle_kk_product_check(part)

@@ -4,8 +4,9 @@ Each oracle below is the earlier implementation, copied here: partitions
 built from validated blocks (fibers, meet, join, random urns), induced
 partitions from explicit block products and composition-vector weights, the
 dual code from ``pairing_exponent``, the
-transform step on ``CycInt`` entries only, the ``CycInt`` triple loop of the
-double-dual product K'K, and the floating approximation
+transform step on ``CycInt`` entries only, which the integer planes of
+``_grid_step`` must equal, the ``CycInt`` triple loop of the double-dual
+product K'K, and the floating approximation
 summed over every coefficient. The second half holds the duplicates that one
 implementation each replaced: the breadth-first closure of ``generate``, the
 pair-loop closure test of ``Code.from_elements``, the closure search of
@@ -22,16 +23,15 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
 import dualpart.enumerator
-from dualpart.cyclotomic import CycInt, _poly_divmod, integer, unit_generators
+from dualpart.cyclotomic import CycInt, _poly_divmod, euler_phi, integer, unit_generators
 from dualpart.enumerator import (
-    _accumulate,
-    _contract_at,
-    _sparse_rows,
+    _grid_step,
+    _root_order,
+    _Rows,
     kk_product_check,
     product_enumerator,
     product_transform,
@@ -66,6 +66,7 @@ from dualpart.partition import (
 from dualpart.poset import Poset
 from test_induced import composition_vector, flatten_element, split_element
 from test_packed_matrix import approx_pair
+from test_product_grid import oracle_accumulate, wrong_matrices
 from test_sweep import SMALL_CARRIERS, carriers
 
 
@@ -275,29 +276,52 @@ def singletons_matrix(n):
     return factor_matrix(Partition.singletons(GroupSpec((n,))))
 
 
+def step_by_the_grid(dist, matrix):
+    """One ``_grid_step`` on the dense grid of ``dist``, whose keys share one width and
+    index the matrix rows, read back as the nonzero values of the step at coordinate 0:
+    the grid contracts its outermost axis and writes the column axis innermost."""
+    rows, cols = matrix.shape
+    width = len(next(iter(dist)))
+    order = _root_order([matrix])
+    planes = [[0] * rows ** width for _ in range(euler_phi(order))]
+    for key, c in dist.items():
+        planes[0][sum(m * rows ** (width - 1 - j) for j, m in enumerate(key))] = c
+    cells = zip(*_grid_step(planes, _Rows(matrix, order, {})))
+    keys = itertools.product(*map(range, (rows,) * (width - 1) + (cols,)))
+    return {key[-1:] + key[:-1]: CycInt(matrix.order, cell)
+            for key, cell in zip(keys, cells) if any(cell)}
+
+
+def cycint_step(dist, matrix):
+    return {k: v for k, v in oracle_accumulate(old_contract_at(dist, 0, matrix)).items()
+            if not v.is_zero}
+
+
+def random_dists(rows, rng):
+    for width in (1, 3):
+        yield {tuple(rng.randrange(rows) for _ in range(width)): rng.randrange(1, 9)
+               for _ in range(6)}
+
+
 def test_integer_step_equals_the_cycint_step():
     rng = random.Random(5)
     matrices = rational_factor_matrices()
     assert len(matrices) > 20
     for m in matrices:
-        rows, _ = m.shape
-        for width, i in ((1, 0), (3, 0), (3, 2)):
-            dist = {tuple(rng.randrange(rows) for _ in range(width)): rng.randrange(1, 9)
-                    for _ in range(6)}
-            new = _accumulate(_contract_at(dist, i, _sparse_rows(m)))
-            old = _accumulate(old_contract_at(dist, i, m))
-            assert all(type(v) is int for v in new.values())
-            assert set(new) == set(old)
-            assert all(CycInt(m.entries[0][0].order, (new[k],)) == old[k] for k in new)
+        assert _root_order([m]) == 1  # one plane of plain ints
+        for dist in random_dists(m.shape[0], rng):
+            assert step_by_the_grid(dist, m) == cycint_step(dist, m)
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_irrational_matrices_keep_the_cycint_step(n):
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
+def test_irrational_grid_step_equals_the_cycint_step(n):
+    rng = random.Random(n)
     m = singletons_matrix(n)
-    dist = {(r,): 1 for r in range(n)}
-    new = _accumulate(_contract_at(dist, 0, _sparse_rows(m)))
-    assert all(isinstance(v, CycInt) for v in new.values())
-    assert new == _accumulate(old_contract_at(dist, 0, m))
+    assert _root_order([m]) == n
+    dists = [{(r,): 1 for r in range(n)}, *random_dists(n, rng)]
+    for matrix in [m] + wrong_matrices(m):
+        for dist in dists:
+            assert step_by_the_grid(dist, matrix) == cycint_step(dist, matrix)
 
 
 def test_mixed_matrices_transform_to_the_dual_code():
@@ -345,16 +369,15 @@ def kk_by_the_step(part, k, k2, monkeypatch):
     """kk_product_check's verdicts and its K'K, with K and K' given in place of its own."""
     monkeypatch.setattr(dualpart.enumerator, "krawtchouk",
                         lambda p, c, max_size: k if p is part else k2)
-    sums = []
-    monkeypatch.setattr(dualpart.enumerator, "_accumulate",
-                        lambda terms: sums.append(_accumulate(terms)) or sums[-1])
+    steps = []
+    monkeypatch.setattr(dualpart.enumerator, "_grid_step",
+                        lambda *args: steps.append(_grid_step(*args)) or steps[-1])
     verdicts = kk_product_check(part)
-    assert len(sums) == 1
-    e = part.group.exponent
-    product = [[sums[0].get((r, m), 0) for m in range(part.num_blocks)]
-               for r in range(k2.shape[0])]
-    return verdicts, [[CycInt(e, (x,)) if type(x) is int else x for x in row]
-                      for row in product]
+    assert len(steps) == 1
+    e, cols = part.group.exponent, part.num_blocks
+    cells = list(zip(*steps[0]))
+    return verdicts, [[CycInt(e, cells[r * cols + m]) for m in range(cols)]
+                      for r in range(k2.shape[0])]
 
 
 KK_CARRIERS = carriers(16)
@@ -363,21 +386,19 @@ KK_CARRIERS = carriers(16)
 @pytest.mark.parametrize("orders", KK_CARRIERS)
 def test_kk_product_matches_the_triple_loop(orders, monkeypatch):
     """Every entry of K'K and every verdict, on random and reflexive partitions,
-    and again with one entry of K raised by 1, which must make a verdict false."""
+    and again with one entry of K made wrong, which must make a verdict false: its
+    constant coefficient raised by 1, and its z coefficient where there is one."""
     grp = GroupSpec(orders)
     rng = random.Random(len(orders) * 100 + grp.size)
     for part in (random_partition(grp, rng), random_reflexive_partition(grp, rng)):
         dual = dual_partition(part)
         k, k2 = krawtchouk(part, dual), krawtchouk(dual, dual_partition(dual))
-        rows = [list(row) for row in k.rows]
-        rows[0][0] += 1  # the constant coefficient of entry (0, 0)
-        wrong = replace(k, rows=tuple(rows))
-        for matrix, holds in ((k, True), (wrong, False)):
+        for matrix in [k] + wrong_matrices(k):
             want, want_verdicts = old_kk_product(part, matrix, k2)
             verdicts, product = kk_by_the_step(part, matrix, k2, monkeypatch)
             assert product == want
             assert verdicts == want_verdicts
-            assert all(map(all, verdicts)) is holds
+            assert all(map(all, verdicts)) is (matrix is k)
 
 
 def test_kk_carriers_include_irrational_exponents():

@@ -68,6 +68,11 @@ def test_sweep_cases_script_reports_each_case():
                for c in doc["transform_cases"])
     # a millisecond case runs more than once
     assert doc["transform_cases"][0]["transform_runs"] > 1
+    # symmetrized_transform, timed apart and checked against the dual's compositions;
+    # the (12,)^3 singletons matrix is irrational
+    assert all(least_of_repeats(c["symmetrized_seconds"], c["symmetrized_runs"])
+               for c in doc["transform_cases"])
+    assert all(c["symmetrized_runs"] > 1 for c in doc["transform_cases"])
     # sum over k of [5 choose k]_2 subspaces of (Z/2)^5
     (sub,) = doc["subgroup_cases"]
     assert (sub["name"], sub["status"], sub["subgroups"]) == ("(2,)^5 subgroups", "ok", 374)
