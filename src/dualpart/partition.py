@@ -27,14 +27,15 @@ Then comes a Galois pass of |G| label lookups per generator.
 
 A Krawtchouk matrix, after a guard on its coefficient count
 (``MATRIX_GUARD``), holds one flat list of exact canonical coefficients per
-character block, and no ``CycInt`` per entry. Its rows come one of two
-ways, whichever a cost estimate over the input picks
-(``_rows_by_transform``): per character, summed from sparse root-power rows,
-or per primal block, one column at a time, from the same radix passes as the
-sweep's transform run on the block's indicator in Z/(2^(Lb) +- 1), where the
-root is 2^b, so a root power is a shift (Kronecker substitution, as in
-Schoenhage and Strassen, Computing 7, 1971). Each value is read exactly by
-its base-2^b digits (the argument is in ``_packed_rows``). The sweep and the
+character block, and no ``CycInt`` per entry. Every entry is computed in one
+ring, Z/(2^(Lb) +- 1), where the root is 2^b, so a root power is a shift
+(Kronecker substitution, as in Schoenhage and Strassen, Computing 7, 1971).
+The values come one of two ways, whichever costs fewer pairing rows by the
+sweep's own estimate: per character, its pairing row mapped through the
+ring's root powers and summed block by block, or per primal block, one
+column at a time, from the same radix passes as the sweep's transform run on
+the block's indicator. One reader turns every value into coefficients by its
+base-2^b digits (the argument is in ``_packed_rows``). The sweep and the
 matrix share one plan of passes in root exponents (``_transform_plan``) and
 its executor (``_run_passes``): one executor, two lowerings, as F_p and the
 shift ring each give the plan their own root terms, reduction and twiddle.
@@ -60,16 +61,14 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial, reduce
-from itertools import repeat
+from itertools import accumulate, compress, repeat
 from operator import add, itemgetter, lshift, mul, sub
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .cyclotomic import (CycInt, _radices, coefficient_bound, cyclotomic_polynomial,
-                         euler_phi, split_prime,
-                         unit_generators, zeta_coeff_table)
+                         euler_phi, split_prime, unit_generators)
 from .errors import GuardExceeded, InputError, VerificationFailure
 from .group import ELEMENT_GUARD, Element, GroupSpec, _outer, _pairing_exponents, elements
 
@@ -289,18 +288,19 @@ def _run_passes(x: list[int], passes: list[tuple], reduced: Callable,
     return x
 
 
-def _passes_cost(grp: GroupSpec, reduction: float, width: float) -> float:
-    """Element operations of one ``_run_passes`` transform over the carrier, in a
-    ring whose reduction costs ``reduction`` operations on ints that each cost
-    ``width`` (1 for F_p, ``_int_ops`` of the width for the shift ring).
+def _transform_cost(grp: GroupSpec) -> float:
+    """Pairing rows that one block's F_p transform costs, estimated from its passes.
 
+    A row costs about three operations per element (exponent, gather, add).
     Per q outputs a radix-q pass always makes the q(q - 1) additions. A root
     other than +-1 (every one for an odd prime q, none for q = 2) costs a
     multiplication at each of the (q - 1)^2 rows and digits that meet it, and
     the q - 1 digits past the first take a twiddle when the axis has length m > 1
-    left. Those digits are reduced after their roots when q > 2 and again after
-    the twiddle. A pass also makes one Python-level step for each (row, digit)
-    pair past the first row, q(q - 1), at about fifteen element operations each.
+    left. Those digits are reduced mod p, at one operation, after their roots
+    when q > 2 and again after the twiddle. A pass also makes one Python-level
+    step for each (row, digit) pair past the first row, q(q - 1), at about
+    fifteen element operations each. The indicator, the final reduction and
+    the gather add three operations per element.
     """
     ops = 0.0
     for n in grp.orders:
@@ -308,19 +308,8 @@ def _passes_cost(grp: GroupSpec, reduction: float, width: float) -> float:
             n //= q
             work = q * (q - 1) + (q - 1) ** 2 * (q > 2) + (q - 1) * (n > 1)
             reductions = (q - 1) * ((q > 2) + (n > 1))
-            ops += (work + reduction * reductions) / q * grp.size * width + 15 * q * (q - 1)
-    return ops
-
-
-def _transform_cost(grp: GroupSpec) -> float:
-    """Pairing rows that one block's F_p transform costs, estimated from its passes.
-
-    A row costs about three operations per element (exponent, gather, add).
-    The passes cost ``_passes_cost`` with a reduction mod p at one operation,
-    and the indicator, the final reduction and the gather add three
-    operations per element.
-    """
-    return 1 + _passes_cost(grp, 1, 1) / (3 * grp.size)
+            ops += (work + reductions) / q * grp.size + 15 * q * (q - 1)
+    return 1 + ops / (3 * grp.size)
 
 
 def _galois_refine(grp: GroupSpec, labels: list[int], count: int) -> list[int]:
@@ -426,131 +415,21 @@ def _signature_rows(part: Partition, max_size: int = ELEMENT_GUARD) -> dict[Elem
     return dict(zip(chars, _galois_refine(grp, labels, count)))
 
 
-def _packed_rows(part: Partition, chars: list[Element]) -> list[list[int]]:
-    """The exact block sums S(chi, B_m) of each character, packed into one row each.
-
-    Entry m takes flat indices m * phi(E) up to (m + 1) * phi(E): the
-    canonical coefficients of S(chi, B_m) in the power basis of z, a root of
-    exact order E. The rows come one character at a time
-    (``_character_rows``) or one column at a time (``_transformed_rows``),
-    whichever ``_rows_by_transform`` estimates cheaper; both give the canonical
-    coefficients exactly, so they give equal rows.
-
-    Per character. Reduction modulo the cyclotomic polynomial Phi_E is
-    Z-linear, so the sum of the canonical rows of the root powers met on a
-    block is the canonical sum.
-
-    By transform. Each primal block but the largest is transformed whole, in
-    the ring Z/(2^(Lb) + 1) with L = E/2 for even E, or Z/(2^(Lb) - 1) with
-    L = E for odd E, where 2^b has order E, so a root power is a shift. The
-    map x -> 2^b sends Z[x]/(x^L +- 1) onto that ring, and Phi_E divides
-    x^L +- 1 (its roots are the primitive E-th roots, and those satisfy
-    z^(E/2) = -1 for even E and z^E = 1), so both rings map on to the
-    quotients by Phi_E: Z[x]/(x^L +- 1) -> Z[z] and
-    Z/(2^(Lb) +- 1) -> Z/N with N = Phi_E(2^b). The square of maps
-    commutes, so a block's transform at chi, read mod N, is c(2^b) mod N,
-    with c the canonical polynomial of S(chi, B). Its coefficients are at
-    most R = |B| * c_E in size (c_E from ``coefficient_bound``). Let A be the
-    largest absolute coefficient of Phi_E; then
-    |c(2^b)| <= R * (2^(b phi) - 1) / (2^b - 1), while
-    N >= 2^(b phi) - A * (2^(b phi) - 1) / (2^b - 1). With 2^b >= 2R + A + 1
-    this gives 2 |c(2^b)| < N, so the centered residue of the transform
-    mod N is c(2^b) itself, not only its class. And since every |c_i| < 2^(b-1),
-    adding 2^(b-1) to each base-2^b digit leaves c(2^b) + sum of 2^(b-1) * 2^(bi)
-    with digits c_i + 2^(b-1) in [0, 2^b), whose base-2^b digits are read
-    off its bytes. The largest block's column is |G| * [chi = 0] minus the
-    others, since the sums over all blocks add up to that; it is read the
-    same way, and b is taken for the largest block, so the bound holds for
-    every column. For E a power of 2, N is the ring's modulus itself.
-    """
-    if _rows_by_transform(part, len(chars)):
-        return _transformed_rows(part, chars)
-    return _character_rows(part, chars)
-
-
-def _int_ops(bits: int) -> float:
-    """Element operations that one addition or shift of a ``bits``-bit int costs, about:
-    one for a small int, a bit more than one more per 1024 bits as the limbs outgrow
-    the cache."""
-    return 1 + bits / 1024 * (1 + bits / 16384)
-
-
-def _rows_by_transform(part: Partition, rows: int) -> bool:
-    """Whether ``_transformed_rows`` makes ``rows`` rows at less cost than
-    ``_character_rows``, both estimated in element operations.
-
-    A character costs about three operations per carrier element (its
-    pairing row, the block offsets and the ``Counter``), its table lookups
-    (about min(|G|, blocks * E) keys, each with the average count of nonzero
-    coefficients of a root power, at 1.3 operations each) and an eighth of
-    one per coefficient of its row. A transform of one block costs
-    ``_passes_cost`` with a reduction (mask, shift, add and a list) at four
-    operations, on ints at ``_int_ops`` of the ring width. Every block but
-    the largest is transformed. Reading an entry costs five operations, one
-    more per 40 limb products of its long division by N, and b/64 of one per
-    digit. Fitted to timings of both
-    methods on 249 matrices of 20 carriers, the rule picked the slower one on
-    15, each near the crossing: at most 3.5 ms or 1.5 times slower.
-    """
-    grp = part.group
-    b = _digit_width(part)
-    if not b:
-        return False
-    e, size, cols = grp.exponent, grp.size, part.num_blocks
-    phi, nonzeros = euler_phi(e), sum(map(len, map(itemgetter(0), zeta_coeff_table(e))))
-    by_character = rows * (3.2 * size + 1.3 * min(size, cols * e) * nonzeros / e + cols * phi / 8)
-    n = (e // 2 if e % 2 == 0 else e) * b
-    ops = _passes_cost(grp, 4, _int_ops(n))
-    quotient = (n - phi * b) // 30
-    read = rows * cols * (5 * _int_ops(n) + quotient * n / 30 / 40 + phi * b / 64)
-    return (cols - 1) * ops + read < by_character
-
-
-def _character_rows(part: Partition, chars: list[Element]) -> list[list[int]]:
-    """The packed rows of ``_packed_rows``, one character at a time.
-
-    A ``Counter`` per character counts the (block, root power) pairs met on
-    the carrier, on int keys block * span + exponent (span bounds
-    ``_pairing_exponents``), and each key adds its count times the sparse
-    canonical row of its power (``zeta_coeff_table``) at its block's offset.
-    These are the integer sums that the test oracle ``signature`` wraps in
-    ``CycInt`` values. The power rows are turned into (index, coefficient)
-    lists once when the keys to visit outnumber four times the table's
-    nonzeros, and are read in place otherwise: a few characters on a large
-    table (E = 3003 has 1.3 million nonzeros) would not repay the lists.
-    """
-    grp = part.group
-    e = grp.exponent
-    phi, span = euler_phi(e), e * max(1, len(grp.orders))
-    table = zeta_coeff_table(e)
-    if len(chars) * grp.size > 4 * sum(map(len, map(itemgetter(0), table))):
-        pairs = [list(zip(*power)) for power in table].__getitem__
-    else:
-        def pairs(k: int) -> Iterator[tuple[int, int]]:
-            return zip(*table[k])
-    offsets = [b * span for b in part.block_of]
-    out = []
-    for chi in chars:
-        row = [0] * (part.num_blocks * phi)
-        for key, n in Counter(map(add, offsets, _pairing_exponents(grp, chi))).items():
-            base = key // span * phi
-            for i, c in pairs(key % e):
-                row[base + i] += n * c
-        out.append(row)
-    return out
-
-
 _DIGITS = {array(code).itemsize * 8: code for code in "bhilq"}
 """A signed ``array`` typecode for each digit width in bits: 8, 16, 32 and 64."""
 
 
 def _digit_width(part: Partition) -> int:
     """The least width b in ``_DIGITS`` with 2^b >= 2R + A + 1 (``_packed_rows``),
-    R taken for the largest block; 0 when no width is wide enough."""
+    R taken for the largest block; ``GuardExceeded`` when no width is wide enough."""
     e = part.group.exponent
     bound = (2 * max(map(len, part.blocks)) * coefficient_bound(e)
              + max(map(abs, cyclotomic_polynomial(e))) + 1)
-    return next((b for b in sorted(_DIGITS) if 1 << b >= bound), 0)
+    b = next((b for b in sorted(_DIGITS) if 1 << b >= bound), None)
+    if b is None:
+        raise GuardExceeded(f"the Krawtchouk rows need digits of 2^b >= 2R + A + 1 = {bound}, "
+                            f"above the widest digit of 2^64")
+    return b
 
 
 def _shift_passes(plan: list[Pass], e: int, b: int) -> tuple:
@@ -587,38 +466,98 @@ def _shift_passes(plan: list[Pass], e: int, b: int) -> tuple:
     return _lowered(plan, root, twiddle), reduced, twiddled
 
 
-def _transformed_rows(part: Partition, chars: list[Element]) -> list[list[int]]:
-    """The packed rows of ``_packed_rows``, one primal block's column at a time.
+def _packed_rows(part: Partition, chars: list[Element]) -> list[list[int]]:
+    """The exact block sums S(chi, B_m) of each character, packed into one row each.
 
-    Each column but the largest block's is the block indicator's transform
-    (``_run_passes`` on ``_shift_passes``) read at the characters; the
-    largest is |G| * [chi = 0] minus the others. A value v is read by its centered
-    residue mod N, (v + h) % N - h with h = (N - 1) / 2 (N is odd, as Phi_E
-    has constant term +-1), plus the offset ``off`` that puts 2^(b-1) on
-    every digit; flipping each digit's top bit (xor ``off``) then turns digit
-    c_i + 2^(b-1) into c_i in b-bit two's complement, so a signed ``array``
-    of the little-endian bytes holds the coefficients. A row is one such
-    array over the bytes of all its entries; b is ``_digit_width``.
+    Entry m takes flat indices m * phi(E) up to (m + 1) * phi(E): the
+    canonical coefficients of S(chi, B_m) in the power basis of z, a root of
+    exact order E. Every entry is first a value in the ring
+    Z/(2^(Lb) + 1) with L = E/2 for even E, or Z/(2^(Lb) - 1) with L = E for
+    odd E, where 2^b has order E, so the root power z^k is the shift
+    2^(b (k mod L)), negated for even E when k mod E >= L (the sign fold, as
+    ``_shift_passes`` lowers a root). The values of every block but the
+    largest come one of two ways:
+
+    - Per character: the character's pairing row (``_pairing_exponents``) is
+      gathered in block order and mapped through a table of those root
+      values, and each block is summed by a slice, as a plain int.
+    - By transform: each block's indicator goes through the sweep's radix
+      passes in the ring (``_run_passes`` on ``_shift_passes``) and is read
+      at the characters.
+
+    The largest block's value is |G| * [chi = 0] minus the others, since the
+    sums over all blocks add up to that, so neither way adds its members.
+
+    The transform is taken when its blocks - 1 transforms cost fewer pairing
+    rows (``_transform_cost``) than there are rows. Both ways add ints of the
+    ring's width and end in the same read, so the width and the read drop
+    out.
+
+    Exactness. The map x -> 2^b sends Z[x]/(x^L +- 1) onto the ring, and
+    Phi_E divides x^L +- 1 (its roots are the primitive E-th roots, and those
+    satisfy z^(E/2) = -1 for even E and z^E = 1), so both rings map on to the
+    quotients by Phi_E: Z[x]/(x^L +- 1) -> Z[z] and
+    Z/(2^(Lb) +- 1) -> Z/N with N = Phi_E(2^b). The square of maps commutes.
+    Let P be the sum of x^<chi, g> over the block, each exponent taken mod E
+    and, for even E, x^k folded to -x^(k - L) when k >= L; each step changes
+    P by a multiple of x^E - 1 or x^L + 1, and so of Phi_E. The
+    per-character int is P(2^b), and the transform is P's image in the ring.
+    So either value, read mod N, is c(2^b) mod N, with c the canonical
+    polynomial of S(chi, B), as P = c mod Phi_E. Its coefficients are at most
+    R = |B| * c_E in size (c_E from ``coefficient_bound``). Let A be the
+    largest absolute coefficient of Phi_E; then
+    |c(2^b)| <= R * (2^(b phi) - 1) / (2^b - 1), while
+    N >= 2^(b phi) - A * (2^(b phi) - 1) / (2^b - 1). With 2^b >= 2R + A + 1
+    this gives 2 |c(2^b)| < N, so the centered residue of a value mod N is
+    c(2^b) itself, not only its class. And since every |c_i| < 2^(b-1),
+    adding 2^(b-1) to each base-2^b digit leaves c(2^b) + sum of
+    2^(b-1) * 2^(bi) with digits c_i + 2^(b-1) in [0, 2^b), whose base-2^b
+    digits are read off its bytes. b is taken for the largest block
+    (``_digit_width``), so the bound holds for every entry. For E a power of
+    2, N is the ring's modulus itself.
+
+    Read. A value v is read by its centered residue mod N, (v + h) % N - h
+    with h = (N - 1) / 2 (N is odd, as Phi_E has constant term +-1), plus the
+    offset ``off`` that puts 2^(b-1) on every digit; flipping each digit's top
+    bit (xor ``off``) then turns digit c_i + 2^(b-1) into c_i in b-bit two's
+    complement, so a signed ``array`` of the little-endian bytes holds the
+    coefficients. A row is one such array over the bytes of all its entries.
     """
     grp = part.group
     e, size = grp.exponent, grp.size
     phi, b = euler_phi(e), _digit_width(part)
-    big_n = sum(c << (b * i) for i, c in enumerate(cyclotomic_polynomial(e)))
-    plan, place = _transform_plan(grp)
-    lowering = _shift_passes(plan, e, b)
-    at = [place[grp.rank(chi)] for chi in chars]
     largest = max(range(part.num_blocks), key=lambda m: len(part.blocks[m]))
-    cols = [list(map(_run_passes(list(map(m.__eq__, part.block_of)), *lowering).__getitem__, at))
-            for m in range(part.num_blocks) if m != largest]
-    rest = [size * (chi == grp.zero) for chi in chars]
-    cols.insert(largest, reduce(lambda acc, col: list(map(sub, acc, col)), cols, rest))
-    half, off = big_n >> 1, sum(1 << (b * i + b - 1) for i in range(phi))
-    texts = zip(*[map(int.to_bytes, map(off.__xor__, map((off - half).__add__, map(
-        big_n.__rmod__, map(half.__add__, col)))), repeat(phi * b // 8), repeat("little"))
-        for col in cols])
+    others = [m for m in range(part.num_blocks) if m != largest]
+    if (part.num_blocks - 1) * _transform_cost(grp) < len(chars):
+        plan, place = _transform_plan(grp)
+        lowering = _shift_passes(plan, e, b)
+        at = [place[grp.rank(chi)] for chi in chars]
+        cols = [list(map(_run_passes(list(map(m.__eq__, part.block_of)), *lowering).__getitem__, at))
+                for m in others]
+        sums: Iterable[tuple] = zip(chars, *cols)
+    else:
+        half = e // 2 if e % 2 == 0 else e
+        root = [(1 - 2 * (k >= half)) << b * (k % half) for k in range(e)] * max(1, len(grp.orders))
+        ranks = sorted(compress(range(size), map(largest.__ne__, part.block_of)),
+                       key=part.block_of.__getitem__)
+        ends = list(accumulate(len(part.blocks[m]) for m in others))
+        spans = list(map(slice, [0] + ends[:-1], ends))
+
+        def block_sums(chi: Element) -> tuple:
+            values = list(map(root.__getitem__, map(_pairing_exponents(grp, chi).__getitem__, ranks)))
+            return (chi, *map(sum, map(values.__getitem__, spans)))
+
+        sums = map(block_sums, chars)
+    big_n = sum(c << (b * i) for i, c in enumerate(cyclotomic_polynomial(e)) if c)
+    half_n, off = big_n >> 1, ((1 << b * phi) - 1) // ((1 << b) - 1) << (b - 1)
+    center, residue, shift, flip = half_n.__add__, big_n.__rmod__, (off - half_n).__add__, off.__xor__
+    width, little = repeat(phi * b // 8), repeat("little")
     out = []
-    for entries in texts:
-        row = array(_DIGITS[b], b"".join(entries))
+    for chi, *entries in sums:
+        entries.insert(largest, size * (chi == grp.zero) - sum(entries))
+        texts = map(int.to_bytes, map(flip, map(shift, map(residue, map(center, entries)))),
+                    width, little)
+        row = array(_DIGITS[b], b"".join(texts))
         if sys.byteorder == "big":
             row.byteswap()
         out.append(row.tolist())
@@ -715,17 +654,18 @@ def krawtchouk(part: Partition, char_part: Partition, max_size: int = ELEMENT_GU
     for every character, on every carrier; then one exact row is built per
     character block. On failure the message names two characters of one
     character block that lie in different dual blocks, and the first primal
-    block whose sums differ. Before any row is built, the matrix's
-    coefficient count, rows x columns x phi(E), is checked against
-    ``max_entries``.
+    block whose sums differ. The guards come before the sweep: first the
+    element guard, then the matrix's coefficient count, rows x columns x
+    phi(E), against ``max_entries``.
     """
-    dual = dual_partition(part, max_size)
+    elements(part.group, max_size)
     rows, cols, phi = char_part.num_blocks, part.num_blocks, euler_phi(part.group.exponent)
     if rows * cols * phi > max_entries:
         raise GuardExceeded(
             f"the Krawtchouk matrix needs {rows} x {cols} entries of {phi} coefficients, "
             f"{rows * cols * phi} in all, above the matrix guard of {max_entries} "
             f"(--max-matrix)")
+    dual = dual_partition(part, max_size)
     if not refines(char_part, dual):
         raise VerificationFailure(_split_message(part, dual, char_part))
     rows = _packed_rows(part, [block[0] for block in char_part.blocks])

@@ -589,14 +589,36 @@ def test_guard_flags_below_one_are_usage_errors(cmd, flag, value, capsys):
     assert f"argument {flag}: a guard must be at least 1, not {value}" in captured.err
 
 
-def test_matrix_guard_is_checked_before_any_row_is_built(monkeypatch):
-    def refuse(part, chars):
+def test_matrix_guard_is_checked_before_any_row_is_built(monkeypatch, capsys):
+    """Also before the sweep: ``krawtchouk`` of Lee on (4096,) against the singletons
+    exits 2 with the partition never swept."""
+    def refuse(*args):
         raise AssertionError("a row was built")
 
     monkeypatch.setattr(dualpart.partition, "_packed_rows", refuse)
     part = Partition.singletons(GroupSpec((8,)))
     with pytest.raises(GuardExceeded, match="8 x 8 entries of 4 coefficients, 256 in all"):
         krawtchouk(part, dual_partition(part), max_entries=255)
+    monkeypatch.setattr(dualpart.partition, "_signature_rows", refuse)
+    lee = {"blocks": [[[x]] + [[4096 - x]] * (0 < x < 2048) for x in range(2049)]}
+    singles = {"blocks": [[[x]] for x in range(4096)]}
+    assert main(["krawtchouk", "--group", '{"orders":[4096]}', "--partition", json.dumps(lee),
+                 "--char-partition", json.dumps(singles)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("4096 x 2049 entries of 2048 coefficients, 17188257792 in all, "
+            "above the matrix guard of 5000000") in captured.err
+
+
+def test_a_digit_wider_than_64_bits_is_a_guard_error(monkeypatch, capsys):
+    """With c_E = 2^63, singletons on (4,) need 2^b >= 2 * 2^63 + 1 + 1."""
+    monkeypatch.setattr(dualpart.partition, "coefficient_bound", lambda e: 1 << 63)
+    singles = '{"blocks":[[[0]],[[1]],[[2]],[[3]]]}'
+    assert main(["krawtchouk", "--group", '{"orders":[4]}', "--partition", singles]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"guard exceeded: the Krawtchouk rows need digits of 2^b >= 2R + A + 1 = "
+            f"{(1 << 64) + 2}, above the widest digit of 2^64") in captured.err
 
 
 def test_packed_matrix_is_printed_in_half_a_gib(tmp_path):

@@ -5,7 +5,12 @@ partition Q and its dual P has one row per P block and one column per Q
 block; a code counted under P transforms to its dual counted under Q.
 """
 
+import ast
+import subprocess
+import sys
+import textwrap
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -133,12 +138,30 @@ def test_expansion_guard():
     counts = product_enumerator(c, [p] * copies)
     with pytest.raises(GuardExceeded):  # 2^30 output keys > 4096
         product_transform(counts, [k] * copies, c.size)
-    # the symmetrized key space is 65 compositions, so 64 copies pass the guard
+    # the symmetrized key space is 65 compositions, so 64 copies pass the guard; it
+    # runs in a child process under a time and memory limit, as keys that failed to
+    # merge would grow as 2^i at step i and stall the suite instead of failing it
     copies = 64
-    big = GroupSpec((2,) * copies)
-    c = generate(big, [tuple([1] * copies)])
-    sym = symmetrized_transform(symmetrized_enumerator(c, p, copies), k, c.size)
-    assert sym.counts == {(copies - w, w): comb(copies, w) for w in range(0, copies + 1, 2)}
+    child = textwrap.dedent(f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "src")!r})
+        from dualpart.enumerator import symmetrized_enumerator, symmetrized_transform
+        from dualpart.group import GroupSpec, generate
+        from dualpart.partition import Partition, dual_partition, krawtchouk
+        g = GroupSpec((2,))
+        p = Partition.from_blocks(g, [[(0,)], [(1,)]])
+        k = krawtchouk(dual_partition(p), p)
+        big = GroupSpec((2,) * {copies})
+        c = generate(big, [tuple([1] * {copies})])
+        sym = symmetrized_transform(symmetrized_enumerator(c, p, {copies}), k, c.size)
+        print(sorted(sym.counts.items()))
+    """)
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    counts = dict(ast.literal_eval(done.stdout))
+    assert counts == {(copies - w, w): comb(copies, w) for w in range(0, copies + 1, 2)}
 
 
 def test_symmetrized_rejects_bad_copy_counts():

@@ -1,7 +1,8 @@
 """Packed Krawtchouk matrices against the ``CycInt`` matrix they replaced.
 
-The oracle is the library's former code, kept here. ``signature`` (in
-``test_sweep``) built one ``CycInt`` per entry; ``integer_entries`` and the
+The oracles are the library's former code, kept here. ``signature`` (in
+``test_sweep``) built one ``CycInt`` per entry; ``character_rows`` built the
+packed rows from sparse root-power rows, with no ring and no digit read; ``integer_entries`` and the
 sparse transform step (``oracle_sparse_rows`` in ``test_product_grid``) read
 those entries one at a time; the matrix document printed each entry by
 ``cycint_to_json`` and its approx by ``approx_complex``. Every reader of the
@@ -12,19 +13,22 @@ wherever the matrix sits and however its rows fall into batches.
 """
 
 import json
+import math
 import random
 import textwrap
+from collections import Counter
+from operator import add
 
 import pytest
 
 import dualpart.partition
 import dualpart.serialization
-from dualpart.cyclotomic import CycInt, euler_phi
+from dualpart.cyclotomic import CycInt, euler_phi, zeta_coeff_table
 from dualpart.enumerator import _root_order, _Rows
 from dualpart.errors import VerificationFailure
-from dualpart.group import GroupSpec
-from dualpart.partition import (MATRIX_GUARD, Partition, _character_rows, _digit_width, _rows_by_transform,
-                                _transformed_rows, dual_partition, krawtchouk, random_partition)
+from dualpart.group import GroupSpec, _pairing_exponents
+from dualpart.partition import (MATRIX_GUARD, Partition, _digit_width, _packed_rows,
+                                dual_partition, krawtchouk, random_partition)
 from dualpart.serialization import write_json
 from test_product_grid import oracle_sparse_rows
 from test_serialization import cycint_to_json, written
@@ -192,15 +196,55 @@ def test_writer_streams_a_matrix_a_batch_of_rows_at_a_time(orders, monkeypatch):
 # the two ways to the rows: per character, and one transform per primal block
 
 
+def character_rows(part, chars):
+    """The packed rows, one character at a time, in exact integers.
+
+    This is the library's former per-character row builder, kept as the
+    oracle of both ways in the shift ring: a ``Counter`` per character counts
+    the (block, root power) pairs met on the carrier, on int keys
+    block * span + exponent (span bounds ``_pairing_exponents``), and each key
+    adds its count times the sparse canonical row of its power
+    (``zeta_coeff_table``) at its block's offset.
+    """
+    grp = part.group
+    e = grp.exponent
+    phi, span = euler_phi(e), e * max(1, len(grp.orders))
+    table = zeta_coeff_table(e)
+    offsets = [b * span for b in part.block_of]
+    out = []
+    for chi in chars:
+        row = [0] * (part.num_blocks * phi)
+        for key, n in Counter(map(add, offsets, _pairing_exponents(grp, chi))).items():
+            base = key // span * phi
+            for i, c in zip(*table[key % e]):
+                row[base + i] += n * c
+        out.append(row)
+    return out
+
+
+WAYS = {"transform": 0, "per-character": math.inf}  # transform costs that force each way
+
+
 def rows_both_ways(part, char_part):
-    """The matrix rows with each method forced in turn; they must be equal."""
-    rows = []
-    for forced in (False, True):
+    """The matrix rows with each way forced in turn; both must equal the oracle."""
+    want = character_rows(part, [block[0] for block in char_part.blocks])
+    for way, cost in WAYS.items():
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dualpart.partition, "_rows_by_transform", lambda part, rows: forced)
-            rows.append(krawtchouk(part, char_part).rows)
-    assert rows[0] == rows[1]
-    return rows[1]
+            patch.setattr(dualpart.partition, "_transform_cost", lambda grp: cost)
+            assert list(krawtchouk(part, char_part).rows) == want, way
+    return want
+
+
+def way_taken(part, char_part):
+    """The way ``krawtchouk`` built the rows, and the matrix: only the transform
+    lowers the plan to the shift ring, which the sweep never does."""
+    lowered = []
+    real = dualpart.partition._shift_passes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dualpart.partition, "_shift_passes",
+                      lambda *args: lowered.append(args) or real(*args))
+        k = krawtchouk(part, char_part)
+    return "transform" if lowered else "per-character", k
 
 
 def largest_column_at_zero(part, char_part, rows):
@@ -257,31 +301,37 @@ def test_forced_digit_widths_read_the_same_rows(orders, width, monkeypatch):
     assert all(_digit_width(part) < width for part, _ in cases)
     monkeypatch.setattr(dualpart.partition, "_digit_width", lambda part: width)
     for part, chars in cases:
-        assert _transformed_rows(part, chars) == _character_rows(part, chars)
+        want = character_rows(part, chars)
+        for way, cost in WAYS.items():
+            monkeypatch.setattr(dualpart.partition, "_transform_cost", lambda grp: cost)
+            assert _packed_rows(part, chars) == want, way
 
 
 def test_cost_rule_takes_each_method_where_it_is_cheaper():
-    """The transform for 4 urns of (2,)^8 with its dual (233 rows); per-character
-    rows for the 10 x 10 Hamming matrix of (2,)^9."""
+    """The transform for 4 urns of (2,)^8 with its dual (233 rows, 3 transforms);
+    per-character rows for the 10 x 10 Hamming matrix of (2,)^9 (9 transforms
+    of about 5 rows each against 10 rows)."""
     grp = GroupSpec((2,) * 8)
     rng = random.Random(8)
     urns = Partition.from_labels(grp, [rng.randrange(4) for _ in range(grp.size)])
-    assert _rows_by_transform(urns, dual_partition(urns).num_blocks)
+    assert dual_partition(urns).num_blocks == 233
+    assert way_taken(urns, dual_partition(urns))[0] == "transform"
     nine = hamming(GroupSpec((2,) * 9))
-    assert not _rows_by_transform(nine, nine.num_blocks)
+    assert way_taken(nine, nine)[0] == "per-character"
 
 
 def test_three_blocks_of_1155_take_the_transform():
     """E = 1155 = 3 * 5 * 7 * 11 has c_E = 9 and phi(E) = 480, and every
     character is alone in the dual. Per character, the 1155 rows took about
-    15 s; sampled rows of the transformed matrix equal the per-character rows."""
+    15 s with sparse root-power rows; sampled rows of the transformed matrix
+    equal the oracle's."""
     grp = GroupSpec((1155,))
     rng = random.Random(0)
     part = Partition.from_labels(grp, [rng.randrange(3) for _ in range(grp.size)])
     dual = dual_partition(part)
-    assert dual.num_blocks == grp.size and _rows_by_transform(part, grp.size)
-    k = krawtchouk(part, dual)
+    way, k = way_taken(part, dual)
+    assert dual.num_blocks == grp.size and way == "transform"
     sample = list(range(0, grp.size, 97))
-    assert [k.rows[i] for i in sample] == _character_rows(part, [dual.blocks[i][0]
-                                                                 for i in sample])
+    assert [k.rows[i] for i in sample] == character_rows(part, [dual.blocks[i][0]
+                                                                for i in sample])
     largest_column_at_zero(part, dual, k.rows)
