@@ -17,7 +17,6 @@ from .group import (
     all_subgroups,
     dual_code,
     elements,
-    fourier_transform,
     generate,
     pairing,
     pairing_exponent,
@@ -28,6 +27,7 @@ from .partition import (
     all_partitions,
     bidual,
     dual_partition,
+    fourier_transform,
     is_reflexive,
     join,
     krawtchouk,
@@ -84,9 +84,9 @@ __all__ = [
     "CycInt", "cyclotomic_polynomial", "euler_phi", "integer", "one", "zero", "zeta_pow",
     "GuardExceeded", "InputError", "VerificationFailure",
     "Code", "Element", "GroupSpec", "all_subgroups", "dual_code", "elements",
-    "fourier_transform", "generate", "pairing", "pairing_exponent",
+    "generate", "pairing", "pairing_exponent",
     "KrawtchoukMatrix", "Partition", "all_partitions", "bidual", "dual_partition",
-    "is_reflexive", "join", "kk_product_check", "krawtchouk", "meet",
+    "fourier_transform", "is_reflexive", "join", "kk_product_check", "krawtchouk", "meet",
     "mismatch_witness", "negate", "random_partition", "random_reflexive_partition",
     "refines",
     "check_product_duality", "check_symmetrized_duality", "power_group", "product_group",

@@ -28,7 +28,6 @@ from .group import (
     all_subgroups,
     dual_code,
     elements,
-    fourier_transform,
     _pairing_exponents,
 )
 from .induced import (
@@ -42,6 +41,7 @@ from .partition import (
     KrawtchoukMatrix,
     Partition,
     dual_partition,
+    fourier_transform,
     is_reflexive,
     join,
     krawtchouk,

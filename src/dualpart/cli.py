@@ -36,7 +36,8 @@ from .induced import (
     product_partition,
     symmetrized_partition,
 )
-from .partition import MATRIX_GUARD, KrawtchoukMatrix, Partition, dual_partition, krawtchouk
+from .partition import (MATRIX_GUARD, KrawtchoukMatrix, Partition, _matrix_guard, dual_partition,
+                        krawtchouk)
 from .poset import (
     hierarchical_krawtchouk,
     is_hierarchical,
@@ -131,6 +132,7 @@ def _poset(args: argparse.Namespace, grp):
 
 def _cmd_dual(args) -> tuple[dict, int]:
     grp, part, ms = _partition_args(args)
+    _matrix_guard(part.num_blocks, part, args.max_matrix, "at least ")
     dual = dual_partition(part, ms)
     matrix = krawtchouk(part, dual, max_size=ms, max_entries=args.max_matrix)
     return {
@@ -191,6 +193,7 @@ def _cmd_krawtchouk(args) -> tuple[dict, int]:
 def _cmd_macwilliams(args) -> tuple[dict, int]:
     grp, char_part, ms = _partition_args(args)
     code = code_from_json(_load_json(args.code), grp)
+    _matrix_guard(char_part.num_blocks, char_part, args.max_matrix, "at least ")
     prim = dual_partition(char_part, ms)
     matrix = krawtchouk(char_part, prim, max_size=ms, max_entries=args.max_matrix)
     counts = linear_enumerator(code, prim)

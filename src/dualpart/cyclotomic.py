@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import count
 from math import gcd
 from typing import Callable, Iterable, TypeVar
@@ -81,8 +81,10 @@ def cyclotomic_polynomial(order: int) -> CycPoly:
 
 @lru_cache(maxsize=ORDER_CACHE)
 def euler_phi(order: int) -> int:
-    """Euler totient, read off as the degree of the cyclotomic polynomial."""
-    return len(cyclotomic_polynomial(order)) - 1
+    """Euler totient, from the prime factors: a guard reads it without the polynomial."""
+    if order < 1:
+        raise InputError("root order must be a positive integer")
+    return reduce(lambda phi, q: phi - phi // q, set(_radices(order)), order)
 
 
 @dataclass(frozen=True)

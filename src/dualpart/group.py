@@ -11,7 +11,8 @@ relabelled by an automorphism of the carrier.
 
 This module owns the pairing: ``pairing_exponent`` gives one exponent, and
 ``_pairing_exponents`` one character's row over the carrier, which
-``dual_code``, ``fourier_transform`` and ``partition`` read.
+``dual_code`` and ``partition`` read. The Fourier transform lives in
+``partition``, next to the radix passes it runs on.
 
 The factor list is kept verbatim: carriers with the same abstract group but
 different factorizations (say orders (6,) and (2, 3)) are distinct here.
@@ -25,9 +26,9 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from operator import add, mod
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
-from .cyclotomic import CycInt, _close, _greedy_generators, zero, zeta_pow
+from .cyclotomic import CycInt, _close, _greedy_generators, zeta_pow
 from .errors import GuardExceeded, InputError, count_text
 
 Element = tuple[int, ...]
@@ -264,36 +265,3 @@ def all_subgroups(group: GroupSpec, max_size: int = SUBGROUP_GUARD) -> tuple[Cod
             if x not in sub and all(x <= group.add(h, c) for c in cosets for h in sub):
                 yield from grow(gens + (x,), _close(group.add, sub, x))
     return tuple(sorted(grow((), {group.zero}), key=lambda c: (c.size, c.elements)))
-
-
-# ---------------------------------------------------------------------------
-# Fourier analysis with exact coefficients
-
-
-def fourier_transform(
-    group: GroupSpec,
-    f: Mapping[Element, CycInt | int],
-    max_size: int = ELEMENT_GUARD,
-) -> dict[Element, CycInt]:
-    """Character sums chi -> sum_g <chi, g> f(g), exactly.
-
-    No root power is multiplied out. For each character, the coefficient of
-    z^i in f(g) is added at offset (k + i) mod E of a raw vector of length
-    E, where <chi, g> = z^k; one ``CycInt`` then reduces it modulo the
-    cyclotomic polynomial. That is exact because z^E = 1, that is, the
-    cyclotomic polynomial divides x^E - 1.
-    """
-    e = group.exponent
-    els = elements(group, max_size)
-    # the nonzero (offset, coefficient) pairs of each value, in rank order;
-    # adding to zero turns an int into a CycInt and checks a CycInt's order
-    terms = [[(i, c) for i, c in enumerate((zero(e) + f[g]).coeffs) if c] for g in els]
-    out: dict[Element, CycInt] = {}
-    for chi in els:
-        raw = [0] * e
-        for k, pairs in zip(_pairing_exponents(group, chi), terms):
-            for i, c in pairs:
-                raw[(k + i) % e] += c
-        out[chi] = CycInt(e, tuple(raw))
-    return out
-

@@ -26,19 +26,19 @@ partition into singletons has the singletons as its dual and is not swept.
 Then comes a Galois pass of |G| label lookups per generator.
 
 A Krawtchouk matrix, after a guard on its coefficient count
-(``MATRIX_GUARD``), holds one flat list of exact canonical coefficients per
-character block, and no ``CycInt`` per entry. Every entry is computed in one
-ring, Z/(2^(Lb) +- 1), where the root is 2^b, so a root power is a shift
-(Kronecker substitution, as in Schoenhage and Strassen, Computing 7, 1971).
-The values come one of two ways, whichever costs fewer pairing rows by the
-sweep's own estimate: per character, its pairing row mapped through the
-ring's root powers and summed block by block, or per primal block, one
-column at a time, from the same radix passes as the sweep's transform run on
-the block's indicator. One reader turns every value into coefficients by its
-base-2^b digits (the argument is in ``_packed_rows``). The sweep and the
-matrix share one plan of passes in root exponents (``_transform_plan``) and
-its executor (``_run_passes``): one executor, two lowerings, as F_p and the
-shift ring each give the plan their own root terms, reduction and twiddle.
+(``MATRIX_GUARD``), holds one signed ``array`` of exact canonical
+coefficients per character block, and no ``CycInt`` per entry. Every entry
+is computed in one ring, Z/(2^(Lb) +- 1), where the root is 2^b, so a root
+power is a shift (Kronecker substitution, as in Schoenhage and Strassen,
+Computing 7, 1971): per character, its pairing row mapped through the ring's
+root powers and summed block by block, or per primal block, by the same
+radix passes as the sweep's transform, whichever costs fewer pairing rows.
+``fourier_transform`` runs those passes once on all the values of a
+function. One plan (``_transform_plan``) and one executor (``_run_passes``)
+serve the sweep, the rows and ``fourier_transform``, as F_p and the shift
+ring each lower the plan to their own root terms, reduction and twiddle; one
+reader (``_digit_reader``) turns the ring values of the last two into
+coefficients by their base-2^b digits.
 
 The dual is kept on the partition object, so its reflexivity test, bidual,
 and generalized Krawtchouk matrices with any character partition that
@@ -65,19 +65,20 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, partial, reduce
 from itertools import accumulate, compress, repeat
 from operator import add, itemgetter, lshift, mul, sub
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .cyclotomic import (CycInt, _radices, coefficient_bound, cyclotomic_polynomial,
-                         euler_phi, split_prime, unit_generators)
+                         euler_phi, split_prime, unit_generators, zero)
 from .errors import GuardExceeded, InputError, VerificationFailure
 from .group import ELEMENT_GUARD, Element, GroupSpec, _outer, _pairing_exponents, elements
 
 MATRIX_GUARD = 5_000_000
 """Most exact coefficients a Krawtchouk matrix may hold: rows x columns x phi(E).
 
-A coefficient costs 8 bytes in its row. The printed document adds a batch of
-text and one text per distinct value, so the peak while printing was 8.1 to
-8.2 bytes a coefficient for 1.3M and 5.0M coefficients: about 40 MB at the guard."""
+A coefficient costs b/8 bytes in its row (``_digit_width``; b is 8 to 32 under
+the element guard). Printing 2.5M and 4.4M coefficients, random partitions
+of (2,)^11 and (2,)^12 at b = 8, peaked at 21.8 and 25.8 MiB of RSS on
+Python 3.11, the interpreter included."""
 
 Block = tuple[Element, ...]
 
@@ -419,15 +420,14 @@ _DIGITS = {array(code).itemsize * 8: code for code in "bhilq"}
 """A signed ``array`` typecode for each digit width in bits: 8, 16, 32 and 64."""
 
 
-def _digit_width(part: Partition) -> int:
-    """The least width b in ``_DIGITS`` with 2^b >= 2R + A + 1 (``_packed_rows``),
-    R taken for the largest block; ``GuardExceeded`` when no width is wide enough."""
-    e = part.group.exponent
-    bound = (2 * max(map(len, part.blocks)) * coefficient_bound(e)
-             + max(map(abs, cyclotomic_polynomial(e))) + 1)
+def _digit_width(e: int, r: int, what: str) -> int:
+    """The least width b in ``_DIGITS`` with 2^b >= 2R + A + 1 (``_digit_reader``),
+    R = r * c_E for values that are sums of r signed root powers; ``GuardExceeded``,
+    opening with ``what``, when no width is wide enough."""
+    bound = 2 * r * coefficient_bound(e) + max(map(abs, cyclotomic_polynomial(e))) + 1
     b = next((b for b in sorted(_DIGITS) if 1 << b >= bound), None)
     if b is None:
-        raise GuardExceeded(f"the Krawtchouk rows need digits of 2^b >= 2R + A + 1 = {bound}, "
+        raise GuardExceeded(f"{what} digits of 2^b >= 2R + A + 1 = {bound}, "
                             f"above the widest digit of 2^64")
     return b
 
@@ -466,66 +466,72 @@ def _shift_passes(plan: list[Pass], e: int, b: int) -> tuple:
     return _lowered(plan, root, twiddle), reduced, twiddled
 
 
-def _packed_rows(part: Partition, chars: list[Element]) -> list[list[int]]:
+def _digit_reader(e: int, b: int) -> Callable[[Iterable[int]], array]:
+    """A reader of shift-ring values into one signed ``array`` of their canonical
+    coefficients, phi(E) b-bit digits a value.
+
+    The ring is Z/(2^(Lb) + 1) with L = E/2 for even E, or Z/(2^(Lb) - 1) with
+    L = E for odd E (``_shift_passes``). A value must be P(2^b) for an
+    integer polynomial P = c mod Phi_E, c of degree below phi(E) with
+    coefficients at most R in size, and 2^b >= 2R + A + 1, A the largest
+    absolute coefficient of Phi_E (``_digit_width``). The read gives c.
+
+    Exactness. Phi_E divides x^L +- 1 (the primitive E-th roots satisfy
+    z^(E/2) = -1 for even E and z^E = 1), so N = Phi_E(2^b) divides the
+    ring's modulus, and a value is c(2^b) modulo N. Now |c(2^b)| <= R * S with
+    S = (2^(b phi) - 1) / (2^b - 1), while N >= 2^(b phi) - A * S, so
+    2 |c(2^b)| < N, and the centered residue (v + h) % N - h with
+    h = (N - 1) / 2 (N is odd, as Phi_E has constant term +-1) is c(2^b)
+    itself. As every |c_i| < 2^(b-1), adding ``off``, 2^(b-1) on every
+    digit, leaves digits c_i + 2^(b-1) in [0, 2^b); flipping each digit's top
+    bit (xor ``off``) turns them into c_i in b-bit two's complement, so a
+    signed ``array`` of the little-endian bytes holds the coefficients.
+    N, h and ``off`` are made once per reader.
+    """
+    phi = euler_phi(e)
+    big_n = sum(c << (b * i) for i, c in enumerate(cyclotomic_polynomial(e)) if c)
+    half_n, off = big_n >> 1, ((1 << b * phi) - 1) // ((1 << b) - 1) << (b - 1)
+    center, residue, shift, flip = half_n.__add__, big_n.__rmod__, (off - half_n).__add__, off.__xor__
+    width, little = repeat(phi * b // 8), repeat("little")
+
+    def read(values: Iterable[int]) -> array:
+        texts = map(int.to_bytes, map(flip, map(shift, map(residue, map(center, values)))),
+                    width, little)
+        digits = array(_DIGITS[b], b"".join(texts))
+        if sys.byteorder == "big":
+            digits.byteswap()
+        return digits
+
+    return read
+
+
+def _packed_rows(part: Partition, chars: list[Element]) -> list[array]:
     """The exact block sums S(chi, B_m) of each character, packed into one row each.
 
     Entry m takes flat indices m * phi(E) up to (m + 1) * phi(E): the
     canonical coefficients of S(chi, B_m) in the power basis of z, a root of
-    exact order E. Every entry is first a value in the ring
-    Z/(2^(Lb) + 1) with L = E/2 for even E, or Z/(2^(Lb) - 1) with L = E for
-    odd E, where 2^b has order E, so the root power z^k is the shift
-    2^(b (k mod L)), negated for even E when k mod E >= L (the sign fold, as
-    ``_shift_passes`` lowers a root). The values of every block but the
-    largest come one of two ways:
+    exact order E, read by ``_digit_reader`` from a value in the shift ring.
+    The values of every block but the largest come by transform when its
+    blocks - 1 transforms cost fewer pairing rows (``_transform_cost``) than
+    there are rows, else per character:
 
     - Per character: the character's pairing row (``_pairing_exponents``) is
-      gathered in block order and mapped through a table of those root
-      values, and each block is summed by a slice, as a plain int.
+      gathered in block order and mapped through a table of the root powers,
+      z^k to 2^(b (k mod L)), negated for even E when k mod E >= L (the sign
+      fold of ``_shift_passes``), and each block is summed by a slice.
     - By transform: each block's indicator goes through the sweep's radix
-      passes in the ring (``_run_passes`` on ``_shift_passes``) and is read
-      at the characters.
+      passes in the ring (``_run_passes`` on ``_shift_passes``).
 
     The largest block's value is |G| * [chi = 0] minus the others, since the
-    sums over all blocks add up to that, so neither way adds its members.
-
-    The transform is taken when its blocks - 1 transforms cost fewer pairing
-    rows (``_transform_cost``) than there are rows. Both ways add ints of the
-    ring's width and end in the same read, so the width and the read drop
-    out.
-
-    Exactness. The map x -> 2^b sends Z[x]/(x^L +- 1) onto the ring, and
-    Phi_E divides x^L +- 1 (its roots are the primitive E-th roots, and those
-    satisfy z^(E/2) = -1 for even E and z^E = 1), so both rings map on to the
-    quotients by Phi_E: Z[x]/(x^L +- 1) -> Z[z] and
-    Z/(2^(Lb) +- 1) -> Z/N with N = Phi_E(2^b). The square of maps commutes.
-    Let P be the sum of x^<chi, g> over the block, each exponent taken mod E
-    and, for even E, x^k folded to -x^(k - L) when k >= L; each step changes
-    P by a multiple of x^E - 1 or x^L + 1, and so of Phi_E. The
-    per-character int is P(2^b), and the transform is P's image in the ring.
-    So either value, read mod N, is c(2^b) mod N, with c the canonical
-    polynomial of S(chi, B), as P = c mod Phi_E. Its coefficients are at most
-    R = |B| * c_E in size (c_E from ``coefficient_bound``). Let A be the
-    largest absolute coefficient of Phi_E; then
-    |c(2^b)| <= R * (2^(b phi) - 1) / (2^b - 1), while
-    N >= 2^(b phi) - A * (2^(b phi) - 1) / (2^b - 1). With 2^b >= 2R + A + 1
-    this gives 2 |c(2^b)| < N, so the centered residue of a value mod N is
-    c(2^b) itself, not only its class. And since every |c_i| < 2^(b-1),
-    adding 2^(b-1) to each base-2^b digit leaves c(2^b) + sum of
-    2^(b-1) * 2^(bi) with digits c_i + 2^(b-1) in [0, 2^b), whose base-2^b
-    digits are read off its bytes. b is taken for the largest block
-    (``_digit_width``), so the bound holds for every entry. For E a power of
-    2, N is the ring's modulus itself.
-
-    Read. A value v is read by its centered residue mod N, (v + h) % N - h
-    with h = (N - 1) / 2 (N is odd, as Phi_E has constant term +-1), plus the
-    offset ``off`` that puts 2^(b-1) on every digit; flipping each digit's top
-    bit (xor ``off``) then turns digit c_i + 2^(b-1) into c_i in b-bit two's
-    complement, so a signed ``array`` of the little-endian bytes holds the
-    coefficients. A row is one such array over the bytes of all its entries.
+    sums over all blocks add up to that. Either way a value is P(2^b) for P
+    the sum of x^<chi, g> over the block, each exponent reduced mod E and, for
+    even E, folded; those steps change P by multiples of x^E - 1 and x^L + 1,
+    so P mod Phi_E is S(chi, B) in canonical form. S(chi, B) sums |B| root
+    powers: R = |B| * c_E, for the largest block, bounds every entry.
     """
     grp = part.group
     e, size = grp.exponent, grp.size
-    phi, b = euler_phi(e), _digit_width(part)
+    b = _digit_width(e, max(map(len, part.blocks)), "the Krawtchouk rows need")
     largest = max(range(part.num_blocks), key=lambda m: len(part.blocks[m]))
     others = [m for m in range(part.num_blocks) if m != largest]
     if (part.num_blocks - 1) * _transform_cost(grp) < len(chars):
@@ -548,20 +554,33 @@ def _packed_rows(part: Partition, chars: list[Element]) -> list[list[int]]:
             return (chi, *map(sum, map(values.__getitem__, spans)))
 
         sums = map(block_sums, chars)
-    big_n = sum(c << (b * i) for i, c in enumerate(cyclotomic_polynomial(e)) if c)
-    half_n, off = big_n >> 1, ((1 << b * phi) - 1) // ((1 << b) - 1) << (b - 1)
-    center, residue, shift, flip = half_n.__add__, big_n.__rmod__, (off - half_n).__add__, off.__xor__
-    width, little = repeat(phi * b // 8), repeat("little")
-    out = []
+    read, out = _digit_reader(e, b), []
     for chi, *entries in sums:
         entries.insert(largest, size * (chi == grp.zero) - sum(entries))
-        texts = map(int.to_bytes, map(flip, map(shift, map(residue, map(center, entries)))),
-                    width, little)
-        row = array(_DIGITS[b], b"".join(texts))
-        if sys.byteorder == "big":
-            row.byteswap()
-        out.append(row.tolist())
+        out.append(read(entries))
     return out
+
+
+def fourier_transform(group: GroupSpec, f: Mapping[Element, CycInt | int],
+                      max_size: int = ELEMENT_GUARD) -> dict[Element, CycInt]:
+    """Character sums chi -> sum_g <chi, g> f(g), exactly.
+
+    Each value f(g), made canonical at the exponent E by adding it to zero
+    (which refuses another root order), enters the shift ring as c_g(2^b).
+    One run of the sweep's radix passes (``_run_passes`` on ``_shift_passes``)
+    transforms them all, and one ``_digit_reader`` reads every sum. The sum at
+    chi is P(2^b) for P = sum over g of x^<chi, g> * c_g(x), a sum of
+    r = sum over g of ||c_g||_1 signed root powers, so R = r * c_E.
+    """
+    e = group.exponent
+    els = elements(group, max_size)
+    polys = [(zero(e) + f[g]).coeffs for g in els]
+    b = _digit_width(e, sum(sum(map(abs, c)) for c in polys), "the Fourier transform needs")
+    plan, place = _transform_plan(group)
+    values = _run_passes([sum(c << b * i for i, c in enumerate(cs) if c) for cs in polys],
+                         *_shift_passes(plan, e, b))
+    digits, phi = _digit_reader(e, b)(map(values.__getitem__, place)), euler_phi(e)
+    return {chi: CycInt(e, tuple(digits[r * phi:(r + 1) * phi])) for r, chi in enumerate(els)}
 
 
 @dataclass(frozen=True)
@@ -572,14 +591,14 @@ class KrawtchoukMatrix:
     entry at (l, m) is the sum of <chi, g> over g in primal block m, for any
     chi in character block l (``krawtchouk`` checks, for every character, that
     the character partition refines the dual, so the sum is the same for all).
-    Each row is one flat list of canonical coefficients at root order
+    Each row is one signed ``array`` of canonical coefficients at root order
     ``order``: entry m is ``row[m * phi:(m + 1) * phi]``, phi = phi(order).
     The two partitions are kept whole, so the writer prints their blocks from
     their labels.
     """
 
     order: int
-    rows: tuple[list[int], ...]
+    rows: tuple[array, ...]
     row_part: Partition
     col_part: Partition
 
@@ -659,17 +678,24 @@ def krawtchouk(part: Partition, char_part: Partition, max_size: int = ELEMENT_GU
     phi(E), against ``max_entries``.
     """
     elements(part.group, max_size)
-    rows, cols, phi = char_part.num_blocks, part.num_blocks, euler_phi(part.group.exponent)
-    if rows * cols * phi > max_entries:
-        raise GuardExceeded(
-            f"the Krawtchouk matrix needs {rows} x {cols} entries of {phi} coefficients, "
-            f"{rows * cols * phi} in all, above the matrix guard of {max_entries} "
-            f"(--max-matrix)")
+    _matrix_guard(char_part.num_blocks, part, max_entries, "")
     dual = dual_partition(part, max_size)
     if not refines(char_part, dual):
         raise VerificationFailure(_split_message(part, dual, char_part))
     rows = _packed_rows(part, [block[0] for block in char_part.blocks])
     return KrawtchoukMatrix(part.group.exponent, tuple(rows), char_part, part)
+
+
+def _matrix_guard(rows: int, part: Partition, max_entries: int, least: str) -> None:
+    """``GuardExceeded`` when rows x blocks entries of phi(E) coefficients pass
+    ``max_entries``; ``least`` opens a lower bound on rows, as a dual's blocks
+    (|P*| >= |P|) that ``dual`` and ``macwilliams`` check before the sweep."""
+    cols, phi = part.num_blocks, euler_phi(part.group.exponent)
+    if rows * cols * phi > max_entries:
+        raise GuardExceeded(
+            f"the Krawtchouk matrix needs {least}{rows} x {cols} entries of {phi} coefficients, "
+            f"{rows * cols * phi} in all, above the matrix guard of {max_entries} "
+            f"(--max-matrix)")
 
 
 def _split_message(part: Partition, dual: Partition, char_part: Partition) -> str:

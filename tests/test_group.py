@@ -12,13 +12,12 @@ from dualpart.group import (
     all_subgroups,
     dual_code,
     elements,
-    fourier_transform,
     generate,
     _pairing_exponents,
     pairing,
     pairing_exponent,
 )
-from dualpart.partition import Partition
+from dualpart.partition import Partition, _digit_width, fourier_transform
 from test_sweep import SMALL_CARRIERS, carriers
 
 Z6 = GroupSpec((6,))
@@ -171,8 +170,11 @@ def product_fourier_transform(group, f):
 
 
 def test_fourier_transform_matches_the_product_oracle():
+    """Every carrier up to 16 elements, () with E = 1 (the ring Z/(2^b - 1)) and
+    (2,) with E = 2 (the ring Z/(2^b + 1)) among them, and odd composite
+    exponents, where N = Phi_E(2^b) is a proper factor of the ring's modulus."""
     rng = random.Random(16)
-    for orders in carriers(16):
+    for orders in carriers(16) + [(105,), (3, 5, 7)]:
         g = GroupSpec(orders)
         e = g.exponent
         ints = {x: rng.randint(-9, 9) for x in elements(g)}
@@ -180,6 +182,23 @@ def test_fourier_transform_matches_the_product_oracle():
                 for x in elements(g)}
         for f in (ints, cycs):
             assert fourier_transform(g, f) == product_fourier_transform(g, f), orders
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_fourier_transform_reads_64_bit_digits(sign):
+    """Values on (2,) of total |coefficient| R = 2^63 - 1 need 2^b >= 2R + A + 1 = 2^64."""
+    f = {(0,): sign << 62, (1,): sign * ((1 << 62) - 1)}
+    assert _digit_width(2, (1 << 63) - 1, "") == 64
+    assert fourier_transform(GroupSpec((2,)), f) == {(0,): integer(2, sign * ((1 << 63) - 1)),
+                                                     (1,): integer(2, sign)}
+
+
+def test_fourier_transform_past_64_bit_digits_is_a_guard_error():
+    f = {(0,): 1 << 62, (1,): 1 << 62}
+    with pytest.raises(GuardExceeded) as err:
+        fourier_transform(GroupSpec((2,)), f)
+    assert str(err.value) == (f"the Fourier transform needs digits of 2^b >= 2R + A + 1 = "
+                              f"{(1 << 64) + 2}, above the widest digit of 2^64")
 
 
 def test_fourier_transform_rejects_a_value_of_another_order():

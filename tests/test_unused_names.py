@@ -9,6 +9,9 @@ strings do not count.
 A parameter whose default no call in the package, the tests or the scripts
 overrides takes one value, so it is a constant. ``max_size``, the element
 guard every public entry point takes, is exempt.
+
+Every name a module imports is used in that module, except in ``__init__.py``,
+whose imports are the package's exports.
 """
 
 import ast
@@ -119,3 +122,37 @@ def test_a_parameter_no_call_passes_is_found(tmp_path):
         '"""Mentions f(c=3) and inner(flag=False)."""\n'
         "from .a import K, f, h\n\nf(0, 5)\nK().m(1)\nh(**{})\n")
     assert defaults_never_passed(tmp_path, [tmp_path]) == ["a.py:1 f(c)", "a.py:5 inner(flag)"]
+
+
+def unused_imports(src=SRC):
+    """``module:line name`` of each name a module other than ``__init__.py`` imports
+    and never reads; ``from __future__`` imports are not names."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{node.lineno} {name}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for alias in node.names
+                  if (name := (alias.asname or alias.name).split(".")[0]) not in read]
+    return found
+
+
+def test_every_imported_name_is_used_in_its_module():
+    assert unused_imports() == []
+
+
+def test_an_import_its_module_never_reads_is_found(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")
+    (tmp_path / "a.py").write_text(
+        '"""Mentions Mapping."""\n'
+        "from __future__ import annotations\n"
+        "import os, os.path, sys\n"
+        "from typing import Iterable, Mapping\n"
+        "from .b import helper as renamed, helper\n\n"
+        "def exported(xs: Iterable) -> None:\n    return renamed(sys.argv, xs)\n")
+    assert unused_imports(tmp_path) == ["a.py:3 os", "a.py:3 os", "a.py:4 Mapping",
+                                        "a.py:5 helper"]
