@@ -23,8 +23,10 @@ factor matrix, then times what ``dualpart product --code`` and
 ``symmetrize --code`` spend in the layer: ``product_enumerator`` of the code
 and of its dual, ``product_transform``, and ``symmetrized_enumerator`` of
 both. Separately it times ``symmetrized_transform`` of the code's
-composition counts (``symmetrized_seconds``). The child checks that each
-transform equals the dual's enumerator.
+composition counts (``symmetrized_seconds``), and the code layer
+(``code_seconds``): ``generate`` of the code and ``dual_code`` of it. The
+child checks that each transform equals the dual's enumerator, and that
+|C| * |C-perp| = |G|.
 Every subgroup case (``SUBGROUP_CASES``) times ``all_subgroups`` of its
 carrier and counts the subgroups. Every print case (``PRINT_CASES``) builds
 the document of ``dualpart product`` or ``symmetrize`` with the CLI's own
@@ -38,7 +40,8 @@ partition's labels and of the report's fields. One JSON document goes to stdout:
 blocks, dual_blocks, krawtchouk_seconds, krawtchouk_runs,
 krawtchouk_peak_rss_mb, krawtchouk_bytes, krawtchouk_sha256, status}],
 transform_cases: [{name, transform_seconds, transform_runs,
-symmetrized_seconds, symmetrized_runs, code_size, keys, status}], subgroup_cases: [{name, subgroup_seconds, subgroup_runs,
+symmetrized_seconds, symmetrized_runs, code_seconds, code_runs, code_size, keys,
+status}], subgroup_cases: [{name, subgroup_seconds, subgroup_runs,
 subgroups, status}], print_cases: [{name, print_seconds, print_runs, bytes,
 sha256, status}], poset_cases: [{name, partition_seconds, partition_runs,
 check_seconds, check_runs, blocks, labels_sha256, report_sha256, status}]}``.
@@ -299,10 +302,21 @@ def symmetrized_timed():
     return seconds
 
 
+def code_timed():
+    start = time.perf_counter()
+    c = generate(big, gens)
+    c_perp = dual_code(big, c)
+    seconds = time.perf_counter() - start
+    assert c.size * c_perp.size == big.size
+    return seconds
+
+
 seconds, runs = least(timed)
 sseconds, sruns = least(symmetrized_timed)
+cseconds, cruns = least(code_timed)
 print(json.dumps({{"transform_seconds": round(seconds, 5), "transform_runs": runs,
                   "symmetrized_seconds": round(sseconds, 6), "symmetrized_runs": sruns,
+                  "code_seconds": round(cseconds, 6), "code_runs": cruns,
                   "code_size": code.size, "keys": keys[-1]}}))
 """
 
@@ -391,8 +405,8 @@ def run_case(name: str, src: str, limit_gib: float, timeout: float) -> dict:
         code = TRANSFORM_CHILD.format(limit=limit, src=src, orders=orders, kind=kind,
                                       copies=copies, gens=gens)
         row = {"name": name, "transform_seconds": None, "transform_runs": None,
-               "symmetrized_seconds": None, "symmetrized_runs": None, "code_size": None,
-               "keys": None}
+               "symmetrized_seconds": None, "symmetrized_runs": None, "code_seconds": None,
+               "code_runs": None, "code_size": None, "keys": None}
     elif name in PRINT_CASES:
         cmd, orders, blocks, copies = PRINT_CASES[name]
         argv = [cmd, "--group", json.dumps({"orders": orders}),

@@ -179,6 +179,7 @@ def _cmd_krawtchouk(args) -> tuple[dict, int]:
     if args.char_partition:
         char_part = partition_from_json(_load_json(args.char_partition), grp)
     else:
+        _matrix_guard(part.num_blocks, part, args.max_matrix, "at least ")
         char_part = dual_partition(part, ms)
     matrix = krawtchouk(part, char_part, max_size=ms, max_entries=args.max_matrix)
     return {

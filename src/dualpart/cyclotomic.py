@@ -19,7 +19,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import count
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Iterable, TypeVar
 
 from .errors import InputError
@@ -30,10 +30,7 @@ CycPoly = tuple[int, ...]
 """Dense integer polynomial, coefficients ascending by degree."""
 
 ORDER_CACHE = 256
-"""Most root orders whose cyclotomic polynomial and totient are kept at once.
-
-Computing one order touches only its divisors, at most 60 for orders up to
-5040, so a miss never evicts what the same computation needs again."""
+"""Most root orders whose cyclotomic polynomial and totient are kept at once."""
 
 ZETA_TABLE_CACHE = 8
 """Most root orders whose power tables are kept at once."""
@@ -54,12 +51,21 @@ def _poly_divmod(num: CycPoly, den: CycPoly) -> tuple[CycPoly, CycPoly]:
     return tuple(q), tuple(r[: dlen - 1])
 
 
+def _stretch(poly: CycPoly, k: int) -> CycPoly:
+    """poly(x^k)."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return tuple(out)
+
+
 @lru_cache(maxsize=ORDER_CACHE)
 def cyclotomic_polynomial(order: int) -> CycPoly:
     """Monic cyclotomic polynomial of the given root order.
 
-    Computed by dividing x^order - 1 by the cyclotomic polynomials of all
-    proper divisors, entirely over the integers.
+    Built over the integers from the squarefree radical r of the order: from
+    Phi_1 = x - 1, each prime p of r, not dividing the m reached so far, gives
+    Phi_mp(x) = Phi_m(x^p) / Phi_m(x), an exact division. Then Phi_n(x) =
+    Phi_r(x^(n/r)), since every prime of n/r divides r.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -70,13 +76,13 @@ def cyclotomic_polynomial(order: int) -> CycPoly:
     """
     if order < 1:
         raise InputError("root order must be a positive integer")
-    poly: CycPoly = tuple([-1] + [0] * (order - 1) + [1])
-    for d in range(1, order):
-        if order % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            if any(rem):
-                raise ArithmeticError("polynomial division was not exact")
-    return poly
+    poly: CycPoly = (-1, 1)
+    primes = set(_radices(order))
+    for p in primes:
+        poly, rem = _poly_divmod(_stretch(poly, p), poly)
+        if any(rem):
+            raise ArithmeticError("polynomial division was not exact")
+    return _stretch(poly, order // prod(primes))
 
 
 @lru_cache(maxsize=ORDER_CACHE)

@@ -11,8 +11,16 @@ relabelled by an automorphism of the carrier.
 
 This module owns the pairing: ``pairing_exponent`` gives one exponent, and
 ``_pairing_exponents`` one character's row over the carrier, which
-``dual_code`` and ``partition`` read. The Fourier transform lives in
-``partition``, next to the radix passes it runs on.
+``partition`` reads. The Fourier transform lives in ``partition``, next to
+the radix passes it runs on.
+
+Subgroups are closed on packed words (``_words``): each element is one int,
+two words add slotwise with no per-coordinate loop, and words order as the
+tuples do. ``generate``, ``dual_code``, ``all_subgroups`` and
+``Code.from_elements`` all close through ``_close`` and
+``_greedy_generators`` on that add, and turn words back into tuples once, in
+sorted order (``all_subgroups`` takes the carrier's own tuples). ``dual_code`` never lists the carrier: it closes generators
+of the annihilator read off the integer kernel of the pairing.
 
 The factor list is kept verbatim: carriers with the same abstract group but
 different factorizations (say orders (6,) and (2, 3)) are distinct here.
@@ -25,11 +33,11 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from operator import add, mod
-from typing import Iterable, Iterator
+from operator import add, itemgetter, mod, mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cyclotomic import CycInt, _close, _greedy_generators, zeta_pow
-from .errors import GuardExceeded, InputError, count_text
+from .errors import GuardExceeded, InputError, VerificationFailure, count_text
 
 Element = tuple[int, ...]
 
@@ -110,7 +118,7 @@ class GroupSpec:
 
 
 ELEMENTS_CACHE = 8
-"""Most carriers whose element lists are kept at once."""
+"""Most carriers whose element lists, and whose packed-word codecs, are kept at once."""
 
 
 @lru_cache(maxsize=ELEMENTS_CACHE)
@@ -118,12 +126,17 @@ def _elements(group: GroupSpec) -> tuple[Element, ...]:
     return tuple(itertools.product(*(range(n) for n in group.orders)))
 
 
-def elements(group: GroupSpec, max_size: int = ELEMENT_GUARD) -> tuple[Element, ...]:
-    """All elements in lexicographic order, guarded by carrier size."""
+def _guard(group: GroupSpec, max_size: int) -> None:
+    """``GuardExceeded`` when the carrier has more than ``max_size`` elements."""
     if group.size > max_size:
         raise GuardExceeded(
             f"carrier has {count_text(group.size)} elements, above the guard of {max_size}"
         )
+
+
+def elements(group: GroupSpec, max_size: int = ELEMENT_GUARD) -> tuple[Element, ...]:
+    """All elements in lexicographic order, guarded by carrier size."""
+    _guard(group, max_size)
     return _elements(group)
 
 
@@ -180,6 +193,59 @@ def _pairing_exponents(grp: GroupSpec, chi: Element) -> list[int]:
 # additive codes (subgroups of the carrier)
 
 
+@lru_cache(maxsize=ELEMENTS_CACHE)
+def _words(group: GroupSpec) -> tuple[Callable[[Element], int],
+                                      Callable[[Sequence[int]], tuple[Element, ...]],
+                                      Callable[[int, int], int]]:
+    """The packed word of an element, the elements of a list of words, and the
+    slotwise add of two words.
+
+    Let s be the least multiple of 8 with 2^(s-1) >= 2 * max n_j. The word of g
+    is sum_j g_j * 2^(s(m-1-j)): slot 0 is the most significant, so words
+    compare as the tuples do, and the sorted words are the sorted elements.
+
+    Adding words is exact. In c = a + b slot j holds a_j + b_j < 2 n_j <=
+    2^(s-1), so no slot carries into the next. ``k`` holds 2^(s-1) - n_j in
+    slot j, and c + k stays below 2^(s-1) + n_j < 2^s in every slot, so bit
+    s - 1 of slot j is set exactly when a_j + b_j >= n_j. Those flags, moved
+    to the low bit of their slots (``ones``), times 2^s - 1 fill their slots,
+    and masked by ``nvec`` (n_j in slot j) they are the n_j to subtract:
+    every slot ends in [0, n_j), with no borrow.
+
+    Each word is read back with one ``to_bytes``: at s = 8 its big-endian
+    bytes are the coordinates, so the words' bytes are joined and cut into
+    m-tuples at once; wider slots are read one at a time.
+    """
+    orders, m = group.orders, len(group.orders)
+    s = 8
+    while 1 << (s - 1) < 2 * max(orders, default=1):
+        s += 8
+    shifts = [s * (m - 1 - j) for j in range(m)]
+    k = sum(((1 << (s - 1)) - n) << sh for n, sh in zip(orders, shifts))
+    nvec = sum(n << sh for n, sh in zip(orders, shifts))
+    ones = sum(1 << sh for sh in shifts)
+    top, full, width = s - 1, (1 << s) - 1, s // 8
+
+    def add(a: int, b: int) -> int:
+        c = a + b
+        return c - (((c + k) >> top & ones) * full & nvec)
+
+    def word(g: Element) -> int:
+        if width == 1:
+            return int.from_bytes(bytes(g), "big")
+        return reduce(lambda w, x: w << s | x, g, 0)
+
+    def unpack(words: Sequence[int]) -> tuple[Element, ...]:
+        if not m:
+            return ((),) * len(words)
+        data = map(int.to_bytes, words, itertools.repeat(m * width), itertools.repeat("big"))
+        if width == 1:
+            return tuple(zip(*[iter(b"".join(data))] * m))
+        cuts = range(0, m * width, width)
+        return tuple(tuple(int.from_bytes(d[i:i + width], "big") for i in cuts) for d in data)
+    return word, unpack, add
+
+
 @dataclass(frozen=True)
 class Code:
     """An additive code: a subgroup of the carrier, with its full element list."""
@@ -204,39 +270,91 @@ class Code:
         elems = tuple(sorted({group.validate(g) for g in members}))
         if not elems or group.zero not in elems:
             raise InputError("a code must contain the zero element")
-        gens = _greedy_generators(group.add, group.zero, elems)
-        eset = set(elems)
+        word, unpack, add = _words(group)
+        words = list(map(word, elems))
+        gens = _greedy_generators(add, 0, words)
+        wset = set(words)
         for g in gens:
-            for a in elems:
-                if group.add(a, g) not in eset:
+            for a in words:
+                if add(a, g) not in wset:
+                    a, g = unpack([a, g])
                     raise InputError(f"not closed under addition: {a} + {g}")
-        return cls(group, gens, elems)
+        return cls(group, unpack(gens), elems)
 
 
 def generate(group: GroupSpec, gens: Iterable[Element]) -> Code:
     """Additive closure of the given generators, which the code keeps as given."""
     gen_list = [group.validate(g) for g in gens]
-    span = reduce(partial(_close, group.add), gen_list, {group.zero})
-    return Code(group, tuple(gen_list), tuple(sorted(span)))
+    word, unpack, add = _words(group)
+    span = reduce(partial(_close, add), map(word, gen_list), {0})
+    return Code(group, tuple(gen_list), unpack(sorted(span)))
+
+
+def _annihilator_generators(group: GroupSpec, gens: Iterable[Element]) -> list[Element]:
+    """Elements that generate the annihilator of the span of ``gens``.
+
+    With A_ij = (E / n_j) * g_i[j] mod E, an element h pairs to 1 with every
+    g_i exactly when A h = 0 mod E. So the annihilator is L / N, for the
+    lattice L of such h in Z^m, which holds N = (+) n_j Z. L is the h part of
+    the integer kernel of [A | -E I_k] (Cohen, GTM 138, section 2.4), found
+    here by unimodular column operations one row at a time, with each h part
+    kept reduced mod N, as an element of the carrier.
+
+    Before row i, the m columns kept generate the elements that pair to 1
+    with g_1, ..., g_(i-1); they start as the unit vectors. Row i brings its
+    column -E e_i, with h part 0. A kept column's entry in row i is read as
+    a_i . h mod E, which adds a multiple of -E e_i to it; that entry is the
+    same for every h in one class mod N. Euclid on these m + 1 entries (signs
+    do not matter) leaves one column holding their gcd, the pivot of row i,
+    which is dropped, and m columns with entry 0. They generate every member
+    x of the span with a_i . x = 0 mod E: x is the h part of a combination
+    of the columns whose entry is a multiple of E, and adding that multiple
+    of the column -E e_i makes it 0, a combination of the m columns alone.
+    """
+    orders, e = group.orders, group.exponent
+    m = len(orders)
+    basis = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    for g in gens:
+        row = [e // n * x % e for n, x in zip(orders, g)]
+        kernel, live = [], [(e, (0,) * m)]
+        for h in basis:
+            v = sum(map(mul, row, h)) % e
+            if v:
+                live.append((v, h))
+            else:
+                kernel.append(h)
+        while len(live) > 1:
+            live.sort(key=itemgetter(0))
+            (p, hp), *rest = live
+            live = [(p, hp)]
+            for v, h in rest:
+                q, r = divmod(v, p)
+                h = tuple((x - q * y) % n for x, y, n in zip(h, hp, orders))
+                if r:
+                    live.append((r, h))
+                else:
+                    kernel.append(h)
+        basis = kernel
+    return basis
 
 
 def dual_code(group: GroupSpec, code: Code, max_size: int = ELEMENT_GUARD) -> Code:
     """Annihilator of the code under the pairing, on the same carrier.
 
-    Bilinearity lets the membership test run against the generators only:
-    the ranks kept are those at which every generator's pairing row is 0
-    mod E. Ranks stay ascending, so the members are in sorted order already.
+    Its generators come from the integer kernel of the pairing of the code's
+    generators (``_annihilator_generators``); only their span is closed, and
+    the carrier is never listed. |C| * |C-perp| = |G| is checked.
     """
     if code.group != group:
         raise InputError("the code must lie on the given carrier")
-    e = group.exponent
-    els = elements(group, max_size)
-    ranks: Iterable[int] = range(group.size)
-    for h in code.generators:
-        row = _pairing_exponents(group, h)
-        ranks = [r for r in ranks if not row[r] % e]
-    members = tuple(map(els.__getitem__, ranks))
-    return Code(group, _greedy_generators(group.add, group.zero, members), members)
+    _guard(group, max_size)
+    word, unpack, add = _words(group)
+    span = sorted(reduce(partial(_close, add), map(word, _annihilator_generators(
+        group, code.generators)), {0}))
+    if code.size * len(span) != group.size:
+        raise VerificationFailure(
+            f"the annihilator has {len(span)} elements, but |G| / |C| = {group.size} / {code.size}")
+    return Code(group, unpack(_greedy_generators(add, 0, span)), unpack(span))
 
 
 def all_subgroups(group: GroupSpec, max_size: int = SUBGROUP_GUARD) -> tuple[Code, ...]:
@@ -248,20 +366,26 @@ def all_subgroups(group: GroupSpec, max_size: int = SUBGROUP_GUARD) -> tuple[Cod
     spawns T = <S, x> for each x > g_j outside S with x = min(T - S). Then
     T - S lies above each g_i, so T's greedy generators are g_1, ..., g_j, x,
     and its only parent is the span of all but the last: each subgroup comes
-    once, with its generators.
+    once, with its generators. Elements are packed words, which order as the
+    tuples do.
     """
     if group.size > max_size:
         raise GuardExceeded(
             f"subgroup enumeration guarded at carrier size {max_size}, "
             f"got {count_text(group.size)}"
         )
-    els = elements(group)
-    def grow(gens: tuple[Element, ...], sub: set[Element]) -> Iterator[Code]:
-        yield Code(group, gens, tuple(sorted(sub)))
-        for x in els[group.rank(gens[-1]) + 1 if gens else 1:]:
+    word, _, add = _words(group)
+    carrier = elements(group)
+    els = list(map(word, carrier))
+    element = dict(zip(els, carrier)).__getitem__  # every code shares the carrier's tuples
+
+    def grow(gens: tuple[int, ...], start: int, sub: set[int]) -> Iterator[Code]:
+        yield Code(group, tuple(map(element, gens)), tuple(map(element, sorted(sub))))
+        for i in range(start, len(els)):
+            x = els[i]
             # the cosets t*x + sub of <sub, x> one at a time: x goes at the first member below it
             cosets = itertools.takewhile(lambda c: c not in sub,
-                                         itertools.accumulate(itertools.repeat(x), group.add))
-            if x not in sub and all(x <= group.add(h, c) for c in cosets for h in sub):
-                yield from grow(gens + (x,), _close(group.add, sub, x))
-    return tuple(sorted(grow((), {group.zero}), key=lambda c: (c.size, c.elements)))
+                                         itertools.accumulate(itertools.repeat(x), add))
+            if x not in sub and all(x <= add(h, c) for c in cosets for h in sub):
+                yield from grow(gens + (x,), i + 1, _close(add, sub, x))
+    return tuple(sorted(grow((), 1, {0}), key=lambda c: (c.size, c.elements)))

@@ -546,8 +546,10 @@ def test_huge_inputs_fail_with_one_line_and_no_traceback(argv, exit_code, messag
 
 @pytest.mark.parametrize("order", [512, 1024])
 def test_matrix_guard_stops_a_huge_krawtchouk_matrix(order, tmp_path):
-    """Random partitions of (512,) and (1024,) ask for 3.6e7 and 3.0e8 exact
-    coefficients; under 2 GiB they must exit 2 quickly, not end in MemoryError."""
+    """Random partitions of (512,) and (1024,) have 276 and 571 blocks, so their
+    matrices ask for at least 276^2 x 256 and 571^2 x 512 exact coefficients
+    (the dual has at least as many blocks); under 2 GiB they must exit 2
+    quickly, before the sweep, not end in MemoryError."""
     part = random_partition(GroupSpec((order,)), random.Random(0))
     payload = tmp_path / "partition.json"
     payload.write_text(json.dumps(partition_to_json(part)))
@@ -555,8 +557,8 @@ def test_matrix_guard_stops_a_huge_krawtchouk_matrix(order, tmp_path):
                          "--partition", f"@{payload}"], gib=2)
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
-    rows, cols, phi = order, part.num_blocks, order // 2
-    assert f"{rows} x {cols} entries of {phi} coefficients, {rows * cols * phi} in all" \
+    cols, phi = part.num_blocks, order // 2
+    assert f"at least {cols} x {cols} entries of {phi} coefficients, {cols * cols * phi} in all" \
         in proc.stderr
     assert "--max-matrix" in proc.stderr
     assert float(proc.stdout) < 1.0
@@ -610,10 +612,12 @@ def test_matrix_guard_is_checked_before_any_row_is_built(monkeypatch, capsys):
             "above the matrix guard of 5000000") in captured.err
 
 
-@pytest.mark.parametrize("cmd", ["dual", "macwilliams"])
+@pytest.mark.parametrize("cmd", ["dual", "macwilliams", "krawtchouk"])
 def test_dual_and_macwilliams_check_the_matrix_guard_before_the_sweep(cmd, monkeypatch, capsys):
     """Lee on (4095,) has 2048 blocks, and the dual has at least as many, so the
-    matrix holds at least 2048 x 2048 entries of phi(4095) = 1728 coefficients."""
+    matrix holds at least 2048 x 2048 entries of phi(4095) = 1728 coefficients.
+    ``krawtchouk`` with no character partition takes the dual as its rows, so it
+    refuses before the sweep too."""
     def refuse(*args, **kwargs):
         raise AssertionError("the partition was swept")
 

@@ -3,6 +3,7 @@ import doctest
 import importlib
 import pkgutil
 import random
+from functools import lru_cache
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from dualpart.cyclotomic import (
     ORDER_CACHE,
     ZETA_TABLE_CACHE,
     CycInt,
+    _poly_divmod,
     cyclotomic_polynomial,
     euler_phi,
     integer,
@@ -44,6 +46,23 @@ def test_polynomial_examples():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+@lru_cache(maxsize=None)
+def oracle_cyclotomic_polynomial(order):
+    """x^order - 1 divided by the polynomials of all proper divisors."""
+    poly = tuple([-1] + [0] * (order - 1) + [1])
+    for d in range(1, order):
+        if order % d == 0:
+            poly, rem = _poly_divmod(poly, oracle_cyclotomic_polynomial(d))
+            assert not any(rem)
+    return poly
+
+
+@pytest.mark.parametrize("orders", [range(1, 400), [1155, 2310, 3465, 4096]])
+def test_polynomials_from_the_radical_match_the_divisor_quotients(orders):
+    for e in orders:
+        assert cyclotomic_polynomial(e) == oracle_cyclotomic_polynomial(e), e
 
 
 def test_degrees_are_totients():

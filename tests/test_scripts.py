@@ -73,6 +73,9 @@ def test_sweep_cases_script_reports_each_case():
     assert all(least_of_repeats(c["symmetrized_seconds"], c["symmetrized_runs"])
                for c in doc["transform_cases"])
     assert all(c["symmetrized_runs"] > 1 for c in doc["transform_cases"])
+    # generate and dual_code of the code, the child checking |C| * |C-perp| = |G|
+    assert all(least_of_repeats(c["code_seconds"], c["code_runs"]) and c["code_runs"] > 1
+               for c in doc["transform_cases"])
     # sum over k of [5 choose k]_2 subspaces of (Z/2)^5
     (sub,) = doc["subgroup_cases"]
     assert (sub["name"], sub["status"], sub["subgroups"]) == ("(2,)^5 subgroups", "ok", 374)
