@@ -26,7 +26,10 @@ both. Separately it times ``symmetrized_transform`` of the code's
 composition counts (``symmetrized_seconds``), and the code layer
 (``code_seconds``): ``generate`` of the code and ``dual_code`` of it. The
 child checks that each transform equals the dual's enumerator, and that
-|C| * |C-perp| = |G|.
+|C| * |C-perp| = |G|. A transform case runs in ``--children`` child
+processes (3 by default), and each of its three timings is the median over
+them, with the runs of the child that gave it: one process can sit in a slow
+mode for all its runs, which its least of repeats cannot remove.
 Every subgroup case (``SUBGROUP_CASES``) times ``all_subgroups`` of its
 carrier and counts the subgroups. Every print case (``PRINT_CASES``) builds
 the document of ``dualpart product`` or ``symmetrize`` with the CLI's own
@@ -39,7 +42,7 @@ partition's labels and of the report's fields. One JSON document goes to stdout:
 ``{python, limit_gib, timeout_s, cases: [{name, seconds, runs, peak_rss_mb,
 blocks, dual_blocks, krawtchouk_seconds, krawtchouk_runs,
 krawtchouk_peak_rss_mb, krawtchouk_bytes, krawtchouk_sha256, status}],
-transform_cases: [{name, transform_seconds, transform_runs,
+transform_cases: [{name, children, transform_seconds, transform_runs,
 symmetrized_seconds, symmetrized_runs, code_seconds, code_runs, code_size, keys,
 status}], subgroup_cases: [{name, subgroup_seconds, subgroup_runs,
 subgroups, status}], print_cases: [{name, print_seconds, print_runs, bytes,
@@ -105,6 +108,7 @@ TRANSFORM_CASES = {
     "(4,)^6 singletons": ((4,), "singletons", 6, 2),
     "(5,)^5 singletons": ((5,), "singletons", 5, 2),
     "(8,)^4 singletons": ((8,), "singletons", 4, 2),
+    "(7,)^5 lee, 49 words": ((7,), "lee", 5, [(1, 2, 3, 4, 5), (0, 1, 1, 2, 6)]),
     "(12,)^3 singletons, 12 words": ((12,), "singletons", 3, [(1, 1, 1)]),
     "(32,)^2 random reflexive, 8 words": ((32,), "random", 2, [(4, 12)]),
     "(64,)^2 singletons": ((64,), "singletons", 2, 1),
@@ -273,7 +277,7 @@ if isinstance(gens, int):
 code = generate(big, gens)
 dual_base = dual_partition(base)
 matrix = krawtchouk(dual_base, base)
-perp = dual_code(big, code)
+perp = dual_code(big, code, max_size=big.size)
 keys = []
 
 
@@ -305,7 +309,7 @@ def symmetrized_timed():
 def code_timed():
     start = time.perf_counter()
     c = generate(big, gens)
-    c_perp = dual_code(big, c)
+    c_perp = dual_code(big, c, max_size=big.size)
     seconds = time.perf_counter() - start
     assert c.size * c_perp.size == big.size
     return seconds
@@ -398,15 +402,28 @@ print(json.dumps({{"seconds": round(seconds, 5), "runs": runs,
 """
 
 
-def run_case(name: str, src: str, limit_gib: float, timeout: float) -> dict:
+def median_child(rows: list[dict], fields: tuple[str, ...]) -> dict:
+    """The first row, with each field's seconds and runs taken from the child whose
+    seconds are the median (the upper one for an even count)."""
+    out = dict(rows[0])
+    for f in fields:
+        mid = sorted(rows, key=lambda r: r[f + "_seconds"])[len(rows) // 2]
+        out[f + "_seconds"], out[f + "_runs"] = mid[f + "_seconds"], mid[f + "_runs"]
+    return out
+
+
+def run_case(name: str, src: str, limit_gib: float, timeout: float, children: int = 1) -> dict:
     limit = int(limit_gib * (1 << 30))
     if name in TRANSFORM_CASES:
         orders, kind, copies, gens = TRANSFORM_CASES[name]
         code = TRANSFORM_CHILD.format(limit=limit, src=src, orders=orders, kind=kind,
                                       copies=copies, gens=gens)
-        row = {"name": name, "transform_seconds": None, "transform_runs": None,
-               "symmetrized_seconds": None, "symmetrized_runs": None, "code_seconds": None,
-               "code_runs": None, "code_size": None, "keys": None}
+        row = {"name": name, "children": children, "transform_seconds": None,
+               "transform_runs": None, "symmetrized_seconds": None, "symmetrized_runs": None,
+               "code_seconds": None, "code_runs": None, "code_size": None, "keys": None}
+        rows = [run_child(row, code, timeout) for _ in range(children)]
+        bad = [r for r in rows if r["status"] != "ok"]
+        return bad[0] if bad else median_child(rows, ("transform", "symmetrized", "code"))
     elif name in PRINT_CASES:
         cmd, orders, blocks, copies = PRINT_CASES[name]
         argv = [cmd, "--group", json.dumps({"orders": orders}),
@@ -431,6 +448,11 @@ def run_case(name: str, src: str, limit_gib: float, timeout: float) -> dict:
                "dual_blocks": None, "krawtchouk_seconds": None, "krawtchouk_runs": None,
                "krawtchouk_peak_rss_mb": None, "krawtchouk_bytes": None,
                "krawtchouk_sha256": None}
+    return run_child(row, code, timeout)
+
+
+def run_child(row: dict, code: str, timeout: float) -> dict:
+    """``row`` filled in from one child process running ``code``, with its status."""
     try:
         done = subprocess.run([sys.executable, "-c", LEAST + code], capture_output=True,
                               text=True, timeout=timeout)
@@ -446,6 +468,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
     parser.add_argument("--timeout", type=float, default=120.0)
     parser.add_argument("--limit-gib", type=float, default=2.0)
+    parser.add_argument("--children", type=int, default=3,
+                        help="child processes per transform case (default 3)")
     parser.add_argument("--case", action="append",
                         choices=sorted([*CASES, *TRANSFORM_CASES, *SUBGROUP_CASES,
                                         *PRINT_CASES, *POSET_CASES]))
@@ -459,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
         "timeout_s": args.timeout,
         "cases": [run_case(n, src, args.limit_gib, args.timeout)
                   for n in names if n in CASES],
-        "transform_cases": [run_case(n, src, args.limit_gib, args.timeout)
+        "transform_cases": [run_case(n, src, args.limit_gib, args.timeout, args.children)
                             for n in names if n in TRANSFORM_CASES],
         "subgroup_cases": [run_case(n, src, args.limit_gib, args.timeout)
                            for n in names if n in SUBGROUP_CASES],

@@ -273,12 +273,14 @@ def coefficient_bound(order: int) -> int:
     """c_E: the largest absolute coefficient of any power z^k in canonical form.
 
     It is 1 when the order is a prime power and grows with the number of odd
-    prime factors, so it is computed, never assumed.
+    prime factors, so it is computed, never assumed: from the table of the radical
+    r of E, as c_E = c_r. With s = E / r, Phi_E(x) = Phi_r(x^s), so the canonical
+    form of z_E^(qs + j), j < s, is x^j times that of z_r^q with x^s in place of x.
 
     >>> [coefficient_bound(e) for e in (8, 9, 105, 1155)]
     [1, 1, 2, 9]
     """
-    return max(max(map(abs, coeffs)) for _, coeffs in zeta_coeff_table(order))
+    return max(max(map(abs, c)) for _, c in zeta_coeff_table(prod(set(_radices(order)))))
 
 
 def _radices(n: int) -> list[int]:

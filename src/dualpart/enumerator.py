@@ -10,15 +10,11 @@ The enumerators read a code by coordinate columns, with ``map``s for ranks
 and block indices and one ``Counter`` for the keys, in first-seen order.
 
 Exactness: every transform sums products of entries in Z[z], z a primitive
-root of order E, and Z[z] = Z^phi(E) through the canonical basis. A value is
-phi integer planes, one per power z^i, and multiplying by an entry x is
-Z-linear: plane i gains a times plane k, a the coefficient of z^i in x z^k
-(``zeta_coeff_table`` rows). So every sum is an integer sum, exact. The
-action is lazy: a row is read only when a nonzero value meets it, and the
-column for x z^k only for a plane k that holds a nonzero value, once per
-(x, k) in a call; column 0 is x itself. Rational matrices alone use one
-plane, on which a rational x acts by itself; two irrational orders are
-rejected. A nonzero value on a plane i >= 1 at the end is an irrational count.
+root of order E. A value is one int V = Q(2^b), Q the sum of products of the
+entries' coefficient polynomials (Kronecker substitution), read once as its
+centered residue mod Phi_E(2^b): exact, rational or not, for the b that each
+transform takes from a bound on ||Q||_1 (``partition._kronecker``). With only
+rational matrices a cell is its count; two irrational orders are rejected.
 
 Product: the matrix is the Kronecker product of the factor matrices, so the
 dual count at l is sum_m A(m) prod_i K_i[m_i][l_i] / |C|, which
@@ -26,20 +22,18 @@ distributivity regroups one factor at a time. A sits on a dense row-major
 grid over the factor rows, within the guard's prod_i max(rows_i, cols_i)
 cells. A step, ``_grid_step``, contracts the outermost axis and writes the
 column axis innermost, stride cols, so the cells end in sorted key order;
-each coefficient of an action is one ``map`` over a slice. A state holds at
-most phi(E) times the guard integers. The linear
-transform is one step on a one-axis grid whose plane 0 is the counts: rows
-x phi integers, which the matrix guard bounds. ``kk_product_check`` lays the
-planes of K' on a grid with l outermost and r inner, and one step by K
-leaves K'K on (r, m).
+each entry is one ``map`` over a slice. A state holds at most the guard's
+number of integers. The linear transform is one step on a one-axis grid of
+the counts. ``kk_product_check`` lays K' on a grid with l outermost and r
+inner, and one step by K leaves K'K on (r, m).
 
 Symmetrized: a composition s expands to its sorted representative key m; by
 the symmetrization theorem K_sym[s][t] = sum of prod_i K[m_i][l_i] over all l
 with comp(l) = t, for any m with comp(m) = s. Step i reads only key[i] and
 the end only the composition of the contracted prefix, so sorting the prefix
-after each step and merging equal keys is exact. The state is phi sparse
-planes, each a dict of key -> int, within (input keys) x C(copies + cols -
-1, cols - 1) keys; the guard bounds the binomial.
+after each step and merging equal keys is exact. The state is one dict of
+key -> int, within (input keys) x C(copies + cols - 1, cols - 1) keys; the
+guard bounds the binomial.
 
 Orientation conventions, fixed once:
 
@@ -59,13 +53,13 @@ from dataclasses import dataclass
 from itertools import compress, product, repeat
 from math import comb, prod
 from operator import add, floordiv, mod, mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .cyclotomic import euler_phi, zeta_coeff_table
+from .cyclotomic import euler_phi
 from .errors import GuardExceeded, InputError, VerificationFailure
 from .group import ELEMENT_GUARD, Code
 from .induced import product_group
-from .partition import KrawtchoukMatrix, Partition, dual_partition, krawtchouk
+from .partition import KrawtchoukMatrix, Partition, _kronecker, dual_partition, krawtchouk
 
 @dataclass(frozen=True)
 class LinearEnumerator:
@@ -107,11 +101,11 @@ def linear_enumerator(code: Code, part: Partition) -> LinearEnumerator:
     return LinearEnumerator(tuple(counts[(b,)] for b in range(part.num_blocks)))
 
 
-def _exact_count(cell: Sequence[int], divisor: int) -> int:
-    """A value given by its planes, divided exactly; only plane 0 may be nonzero."""
-    if any(cell[1:]):
+def _exact_count(value: int | None, divisor: int) -> int:
+    """A rational value, None for an irrational one, divided exactly."""
+    if value is None:
         raise VerificationFailure("transform produced an irrational value")
-    q, r = divmod(cell[0], divisor)
+    q, r = divmod(value, divisor)
     if r != 0:
         raise VerificationFailure("transform result is not divisible by the code size")
     if q < 0:
@@ -119,18 +113,12 @@ def _exact_count(cell: Sequence[int], divisor: int) -> int:
     return q
 
 
-def _finish(planes: Sequence[dict], code_size: int) -> dict[tuple[int, ...], int]:
-    """Sparse planes divided exactly by the code size, keys sorted, zero counts dropped."""
-    keys = sorted(set().union(*planes))
-    counts = {k: _exact_count([p.get(k, 0) for p in planes], code_size) for k in keys}
-    return {k: c for k, c in counts.items() if c}
-
-
-def _grid_counts(planes: list[list[int]], code_size: int) -> list[int]:
-    """Dense planes divided exactly by the code size; the first failing cell raises."""
-    values = planes[0]
-    if any(map(any, planes[1:])) or any(map(mod, values, repeat(code_size))) or min(values) < 0:
-        deque(map(_exact_count, zip(*planes), repeat(code_size)), 0)
+def _grid_counts(cells: list[int], code_size: int, read: Callable | None) -> list[int]:
+    """Cells, read unless rational, divided exactly by the code size; the first bad cell raises."""
+    values = cells if read is None else read(cells)
+    if (read is not None and None in values or any(map(mod, values, repeat(code_size)))
+            or min(values, default=0) < 0):
+        deque(map(_exact_count, values, repeat(code_size)), 0)
     return list(map(floordiv, values, repeat(code_size)))
 
 
@@ -149,68 +137,70 @@ def _root_order(matrices: Iterable[KrawtchoukMatrix]) -> int:
     return orders[0] if orders else 1
 
 
-class _Action(dict):
-    """The action of a nonzero entry x: column k lists the (i, a) with which plane i gains
-    a times plane k, the nonzero coefficients of x z^k, built on first use."""
+def _norm(matrix: KrawtchoukMatrix, rows: Iterable[int] | None = None) -> int:
+    """At least ||x||_1 for each entry x of the given rows, all by default: phi times
+    their largest absolute coefficient."""
+    picked = matrix.rows if rows is None else list(map(matrix.rows.__getitem__, rows))
+    return euler_phi(matrix.order) * max(max(map(max, picked), default=0),
+                                         -min(map(min, picked), default=0))
 
-    def __init__(self, x: tuple[int, ...], order: int) -> None:
-        self.x, self.order = x, order
 
-    def __missing__(self, k: int) -> tuple[tuple[int, int], ...]:
-        x, column = self.x, self.x
-        if k:
-            column, table = [0] * len(x), zeta_coeff_table(self.order)
-            for j in filter(x.__getitem__, range(len(x))):
-                for i, v in zip(*table[(j + k) % self.order]):
-                    column[i] += x[j] * v
-        self[k] = terms = tuple((i, a) for i, a in enumerate(column) if a)
-        return terms
+def _evaluation(order: int, norm: Callable[[], int]) -> tuple[int, Callable | None]:
+    """The width b of z = 2^b for cells Q(2^b) with ||Q||_1 <= norm(), and the reader of a
+    list of cells: the rational integer each stands for, or None (``_kronecker``). At
+    order 1 a cell is its count: b = 0 and no reader."""
+    if order == 1:
+        return 0, None
+    b, big_n, half_n = _kronecker(order, norm())
+    top = 1 << (b - 1)
+
+    def read(cells: list[int]) -> list[int | None]:
+        live = list(compress(range(len(cells)), cells))  # a zero cell reads 0
+        values = [(cells[i] + half_n) % big_n - half_n for i in live]
+        if max(map(abs, values), default=0) >= top:
+            values = [v if -top < v < top else None for v in values]
+        out: list[int | None] = [0] * len(cells)
+        deque(map(out.__setitem__, live, values), 0)
+        return out
+
+    return b, read
 
 
 class _Rows(dict):
-    """Row m of ``matrix`` as (l, action) for each nonzero entry x, read on first use;
-    equal entries share one action through ``cache``."""
+    """Row m of ``matrix`` as (l, x(2^b)) for each nonzero entry x, read on first use;
+    at b = 0, where every matrix is rational, x is its constant coefficient."""
 
-    def __init__(self, matrix: KrawtchoukMatrix, order: int, cache: dict) -> None:
-        self.matrix, self.order, self.cache = matrix, order, cache
+    def __init__(self, matrix: KrawtchoukMatrix, b: int) -> None:
+        self.matrix, self.b = matrix, b
 
-    def __missing__(self, m: int) -> list[tuple[int, _Action]]:
-        stride, width = euler_phi(self.matrix.order), euler_phi(self.order)
-        n = min(stride, width)  # a rational matrix of another order pads with zeros
-        row, pad, out = self.matrix.rows[m], (0,) * (width - n), []
-        for j in range(0, len(row), stride):
-            x = tuple(row[j:j + n]) + pad
-            if any(x):
-                if x not in self.cache:
-                    self.cache[x] = _Action(x, self.order)
-                out.append((j // stride, self.cache[x]))
-        self[m] = out
+    def __missing__(self, m: int) -> list[tuple[int, int]]:
+        row, phi, b = self.matrix.rows[m], euler_phi(self.matrix.order), self.b
+        values = row[::phi] if b == 0 else [0] * (len(row) // phi)
+        for i in compress(range(len(row)), row) if b else ():
+            values[i // phi] += row[i] << b * (i % phi)
+        self[m] = out = [(l, x) for l, x in enumerate(values) if x]
         return out
 
 
-def _grid_step(planes: list[list[int]], rows: _Rows) -> list[list[int]]:
+def _grid_step(grid: list[int], rows: _Rows) -> list[int]:
     """Contract the outermost grid axis by one matrix; its column axis becomes innermost.
     A row is read only when the slice it acts on is nonzero."""
     height, cols = rows.matrix.shape
-    t = len(planes[0]) // height
-    live = [(k, p) for k, p in enumerate(planes) if any(p)]
-    sums: list[list] = [[None] * cols for _ in planes]  # sums[i][l]: column l of plane i
+    t = len(grid) // height
+    sums: list = [None] * cols  # sums[l]: column l of the new grid
     for m in range(height):
-        cut = [(k, values) for k, p in live if any(values := p[m * t:(m + 1) * t])]
-        for l, action in rows[m] if cut else ():
-            for k, values in cut:
-                for i, a in action[k]:
-                    acc = sums[i][l]
-                    if acc is None:
-                        sums[i][l] = values if a == 1 else list(map(mul, values, repeat(a)))
-                    elif a == 1 or a == -1:
-                        sums[i][l] = list(map(add if a == 1 else sub, acc, values))
-                    else:
-                        sums[i][l] = list(map(add, acc, map(mul, values, repeat(a))))
-    out = [[0] * (t * cols) for _ in planes]
-    for plane, columns in zip(out, sums):
-        for l in filter(columns.__getitem__, range(cols)):
-            plane[l::cols] = columns[l]
+        values = grid[m * t:(m + 1) * t]
+        for l, x in rows[m] if any(values) else ():
+            acc = sums[l]
+            if acc is None:
+                sums[l] = values if x == 1 else list(map(mul, values, repeat(x)))
+            elif x == 1 or x == -1:
+                sums[l] = list(map(add if x == 1 else sub, acc, values))
+            else:
+                sums[l] = list(map(add, acc, map(mul, values, repeat(x))))
+    out = [0] * (t * cols)
+    for l in filter(sums.__getitem__, range(cols)):
+        out[l::cols] = sums[l]
     return out
 
 
@@ -228,10 +218,10 @@ def macwilliams_transform(
                          f"{len(enum.counts)} counts")
     if code_size <= 0:
         raise InputError("code size must be positive")
-    order = _root_order([matrix])
-    planes = [list(enum.counts)] + [[0] * rows for _ in range(euler_phi(order) - 1)]
-    planes = _grid_step(planes, _Rows(matrix, order, {}))
-    return LinearEnumerator(tuple(_grid_counts(planes, code_size)))
+    b, read = _evaluation(_root_order([matrix]), lambda: sum(map(abs, enum.counts)) *
+                          _norm(matrix, compress(range(rows), enum.counts)))
+    cells = _grid_step(list(enum.counts), _Rows(matrix, b))
+    return LinearEnumerator(tuple(_grid_counts(cells, code_size, read)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +279,14 @@ def product_transform(
     index: Iterable[int] = columns[0] if columns else ()
     for c, r in zip(columns[1:], rows[1:]):
         index = map(add, map(mul, index, repeat(r)), c)
-    planes = [[0] * prod(rows) for _ in range(euler_phi(order))]
-    deque(map(planes[0].__setitem__, index, enum.counts.values()), 0)
-    cache: dict[tuple[int, ...], _Action] = {}
-    actions = {i: _Rows(k, order, cache) for i, k in distinct.items()}
+    b, read = _evaluation(order, lambda: sum(map(abs, enum.counts.values())) * prod(
+        _norm(k) ** sum(m is k for m in matrices) for k in distinct.values()))
+    grid = [0] * prod(rows)
+    deque(map(grid.__setitem__, index, enum.counts.values()), 0)
+    steps = {i: _Rows(k, b) for i, k in distinct.items()}
     for k in matrices:
-        planes = _grid_step(planes, actions[id(k)])
-    counts = _grid_counts(planes, code_size)
+        grid = _grid_step(grid, steps[id(k)])
+    counts = _grid_counts(grid, code_size, read)
     keys = compress(product(*(range(k.shape[1]) for k in matrices)), counts)
     return ProductEnumerator(dict(zip(keys, compress(counts, counts))))
 
@@ -341,23 +332,24 @@ def symmetrized_transform(
     if size > max_size:
         raise GuardExceeded(f"symmetrized transform has {size} keys, "
                             f"above the guard of {max_size}")
-    order = _root_order([matrix])
-    actions = _Rows(matrix, order, {})
-    planes = [{tuple(m for m, s in enumerate(key) for _ in range(s)): c
-               for key, c in enum.counts.items()}] + [{} for _ in range(euler_phi(order) - 1)]
+    # up to cols^copies keys l share one composition t: ||Q_t||_1 <= sum |A| (cols norm)^copies
+    b, read = _evaluation(_root_order([matrix]), lambda: sum(map(abs, enum.counts.values())) *
+                          (cols * _norm(matrix)) ** copies)
+    entries = _Rows(matrix, b)
+    state = {tuple(m for m, s in enumerate(key) for _ in range(s)): c
+             for key, c in enum.counts.items()}
     for i in range(copies):
-        out: list[dict] = [{} for _ in planes]
-        for k, plane in enumerate(planes):
-            for key, v in plane.items():
-                head, tail = key[:i], key[i + 1:]
-                for l, action in actions[key[i]]:
-                    new = tuple(sorted(head + (l,))) + tail
-                    for j, a in action[k]:
-                        sums = out[j]
-                        sums[new] = sums.get(new, 0) + a * v
-        planes = out
-    comps = [{tuple(map(key.count, range(cols))): v for key, v in p.items()} for p in planes]
-    return SymmetrizedEnumerator(_finish(comps, code_size))
+        out: dict[tuple[int, ...], int] = {}
+        for key, v in state.items():
+            head, tail = key[:i], key[i + 1:]
+            for l, x in entries[key[i]]:
+                new = tuple(sorted(head + (l,))) + tail
+                out[new] = out.get(new, 0) + x * v
+        state = out
+    comps = {tuple(map(key.count, range(cols))): v for key, v in state.items()}
+    keys = sorted(comps)
+    counts = _grid_counts(list(map(comps.__getitem__, keys)), code_size, read)
+    return SymmetrizedEnumerator(dict(zip(compress(keys, counts), compress(counts, counts))))
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +371,16 @@ def kk_product_check(part: Partition, max_size: int = ELEMENT_GUARD) -> tuple[tu
     ddual = dual_partition(dual, max_size)
     k = krawtchouk(part, dual, max_size=max_size)
     k2 = krawtchouk(dual, ddual, max_size=max_size)
-    order, (rows, mid), cols = _root_order([k, k2]), k2.shape, part.num_blocks
-    s = euler_phi(k2.order)  # k and k2 both have the carrier's exponent as order
-    planes = [[row[l * s + i] for l in range(mid) for row in k2.rows]  # K'[r][l] at l * rows + r
-              for i in range(euler_phi(order))]
-    cells = list(zip(*_grid_step(planes, _Rows(k, order, {}))))
-    zero = (0,) * (len(planes) - 1)
+    (rows, mid), cols = k2.shape, part.num_blocks
+    b, read = _evaluation(_root_order([k, k2]), lambda: mid * _norm(k2) * _norm(k))
+    grid, k2_rows = [0] * (mid * rows), _Rows(k2, b)
+    for r in range(rows):
+        for l, x in k2_rows[r]:
+            grid[l * rows + r] = x  # K'[r][l]
+    cells = (read or list)(_grid_step(grid, _Rows(k, b)))
     out: list[tuple[bool, ...]] = []
     for r, block in enumerate(ddual.blocks):
         owners = {part.block_of[grp.rank(grp.neg(g))] for g in block}
-        out.append(tuple(cells[r * cols + m] == (grp.size if owners == {m} else 0,) + zero
+        out.append(tuple(cells[r * cols + m] == (grp.size if owners == {m} else 0)
                          for m in range(cols)))
     return tuple(out)

@@ -75,7 +75,7 @@ from .group import ELEMENT_GUARD, Element, GroupSpec, _outer, _pairing_exponents
 MATRIX_GUARD = 5_000_000
 """Most exact coefficients a Krawtchouk matrix may hold: rows x columns x phi(E).
 
-A coefficient costs b/8 bytes in its row (``_digit_width``; b is 8 to 32 under
+A coefficient costs b/8 bytes in its row (``_digit_reader``; b is 8 to 32 under
 the element guard). Printing 2.5M and 4.4M coefficients, random partitions
 of (2,)^11 and (2,)^12 at b = 8, peaked at 21.8 and 25.8 MiB of RSS on
 Python 3.11, the interpreter included."""
@@ -420,16 +420,28 @@ _DIGITS = {array(code).itemsize * 8: code for code in "bhilq"}
 """A signed ``array`` typecode for each digit width in bits: 8, 16, 32 and 64."""
 
 
-def _digit_width(e: int, r: int, what: str) -> int:
-    """The least width b in ``_DIGITS`` with 2^b >= 2R + A + 1 (``_digit_reader``),
-    R = r * c_E for values that are sums of r signed root powers; ``GuardExceeded``,
-    opening with ``what``, when no width is wide enough."""
+def _kronecker(e: int, r: int, widths: tuple[int, ...] = (), what: str = "") -> tuple[int, ...]:
+    """Kronecker substitution z -> 2^b for values of Z[z], z of order E, that are integer
+    polynomials Q with ||Q||_1 <= r: the width b, N = Phi_E(2^b) and h = (N - 1) / 2. b is
+    the least width (of ``widths``, if given) with 2^b >= 2R + A + 1, R = r * c_E and A the
+    largest |coefficient| of Phi_E; ``GuardExceeded``, opening with ``what``, if none is.
+
+    Exactness. x -> x(2^b) mod N is a ring map from Z[x] that sends Phi_E to 0, so
+    V = Q(2^b) is c(2^b) mod N for the canonical form c = Q mod Phi_E. Q sums ||Q||_1
+    signed powers x^k, and each z^k has canonical coefficients at most c_E, so every
+    |c_i| <= R < 2^(b-1). With S = (2^(b phi) - 1) / (2^b - 1), |c(2^b)| <= R * S and
+    N >= 2^(b phi) - A * S, so 2 |c(2^b)| < N: the centered residue (V + h) % N - h is
+    c(2^b) (N is odd, as Phi_E(0) = +-1). c is rational exactly when |c(2^b)| < 2^(b-1),
+    and then c(2^b) = c_0: a top nonzero c_j, j >= 1, makes |c(2^b)| > 2^(bj-1), as the
+    digits below it add up to less than 2^(bj-1).
+    """
     bound = 2 * r * coefficient_bound(e) + max(map(abs, cyclotomic_polynomial(e))) + 1
-    b = next((b for b in sorted(_DIGITS) if 1 << b >= bound), None)
+    b = next((w for w in widths if 1 << w >= bound), None) if widths else (bound - 1).bit_length()
     if b is None:
         raise GuardExceeded(f"{what} digits of 2^b >= 2R + A + 1 = {bound}, "
-                            f"above the widest digit of 2^64")
-    return b
+                            f"above the widest digit of 2^{max(widths)}")
+    big_n = sum(c << (b * i) for i, c in enumerate(cyclotomic_polynomial(e)) if c)
+    return b, big_n, big_n >> 1
 
 
 def _shift_passes(plan: list[Pass], e: int, b: int) -> tuple:
@@ -466,31 +478,23 @@ def _shift_passes(plan: list[Pass], e: int, b: int) -> tuple:
     return _lowered(plan, root, twiddle), reduced, twiddled
 
 
-def _digit_reader(e: int, b: int) -> Callable[[Iterable[int]], array]:
-    """A reader of shift-ring values into one signed ``array`` of their canonical
-    coefficients, phi(E) b-bit digits a value.
+def _digit_reader(e: int, r: int, what: str) -> tuple[int, Callable[[Iterable[int]], array]]:
+    """The least width b in ``_DIGITS`` that reads sums of r signed root powers
+    (``_kronecker``), and a reader of their shift-ring values into one signed ``array``
+    of canonical coefficients, phi(E) b-bit digits a value.
 
-    The ring is Z/(2^(Lb) + 1) with L = E/2 for even E, or Z/(2^(Lb) - 1) with
-    L = E for odd E (``_shift_passes``). A value must be P(2^b) for an
-    integer polynomial P = c mod Phi_E, c of degree below phi(E) with
-    coefficients at most R in size, and 2^b >= 2R + A + 1, A the largest
-    absolute coefficient of Phi_E (``_digit_width``). The read gives c.
-
-    Exactness. Phi_E divides x^L +- 1 (the primitive E-th roots satisfy
-    z^(E/2) = -1 for even E and z^E = 1), so N = Phi_E(2^b) divides the
-    ring's modulus, and a value is c(2^b) modulo N. Now |c(2^b)| <= R * S with
-    S = (2^(b phi) - 1) / (2^b - 1), while N >= 2^(b phi) - A * S, so
-    2 |c(2^b)| < N, and the centered residue (v + h) % N - h with
-    h = (N - 1) / 2 (N is odd, as Phi_E has constant term +-1) is c(2^b)
-    itself. As every |c_i| < 2^(b-1), adding ``off``, 2^(b-1) on every
-    digit, leaves digits c_i + 2^(b-1) in [0, 2^b); flipping each digit's top
-    bit (xor ``off``) turns them into c_i in b-bit two's complement, so a
-    signed ``array`` of the little-endian bytes holds the coefficients.
-    N, h and ``off`` are made once per reader.
+    The ring is Z/(2^(Lb) + 1) with L = E/2 for even E, or Z/(2^(Lb) - 1) with L = E for
+    odd E (``_shift_passes``). Phi_E divides x^L +- 1 (z^(E/2) = -1 for even E, z^E = 1),
+    so N = Phi_E(2^b) divides the ring's modulus, and the centered residue mod N of a
+    value P(2^b) is c(2^b) for c = P mod Phi_E. As every |c_i| < 2^(b-1), adding ``off``,
+    2^(b-1) on every digit, leaves digits c_i + 2^(b-1) in [0, 2^b); flipping each digit's
+    top bit (xor ``off``) turns them into c_i in b-bit two's complement, so a signed
+    ``array`` of the little-endian bytes holds the coefficients. N, h and ``off`` are
+    made once per reader.
     """
     phi = euler_phi(e)
-    big_n = sum(c << (b * i) for i, c in enumerate(cyclotomic_polynomial(e)) if c)
-    half_n, off = big_n >> 1, ((1 << b * phi) - 1) // ((1 << b) - 1) << (b - 1)
+    b, big_n, half_n = _kronecker(e, r, tuple(sorted(_DIGITS)), what)
+    off = ((1 << b * phi) - 1) // ((1 << b) - 1) << (b - 1)
     center, residue, shift, flip = half_n.__add__, big_n.__rmod__, (off - half_n).__add__, off.__xor__
     width, little = repeat(phi * b // 8), repeat("little")
 
@@ -502,7 +506,7 @@ def _digit_reader(e: int, b: int) -> Callable[[Iterable[int]], array]:
             digits.byteswap()
         return digits
 
-    return read
+    return b, read
 
 
 def _packed_rows(part: Partition, chars: list[Element]) -> list[array]:
@@ -531,7 +535,7 @@ def _packed_rows(part: Partition, chars: list[Element]) -> list[array]:
     """
     grp = part.group
     e, size = grp.exponent, grp.size
-    b = _digit_width(e, max(map(len, part.blocks)), "the Krawtchouk rows need")
+    b, read = _digit_reader(e, max(map(len, part.blocks)), "the Krawtchouk rows need")
     largest = max(range(part.num_blocks), key=lambda m: len(part.blocks[m]))
     others = [m for m in range(part.num_blocks) if m != largest]
     if (part.num_blocks - 1) * _transform_cost(grp) < len(chars):
@@ -554,7 +558,7 @@ def _packed_rows(part: Partition, chars: list[Element]) -> list[array]:
             return (chi, *map(sum, map(values.__getitem__, spans)))
 
         sums = map(block_sums, chars)
-    read, out = _digit_reader(e, b), []
+    out = []
     for chi, *entries in sums:
         entries.insert(largest, size * (chi == grp.zero) - sum(entries))
         out.append(read(entries))
@@ -575,11 +579,11 @@ def fourier_transform(group: GroupSpec, f: Mapping[Element, CycInt | int],
     e = group.exponent
     els = elements(group, max_size)
     polys = [(zero(e) + f[g]).coeffs for g in els]
-    b = _digit_width(e, sum(sum(map(abs, c)) for c in polys), "the Fourier transform needs")
+    b, read = _digit_reader(e, sum(sum(map(abs, c)) for c in polys), "the Fourier transform needs")
     plan, place = _transform_plan(group)
     values = _run_passes([sum(c << b * i for i, c in enumerate(cs) if c) for cs in polys],
                          *_shift_passes(plan, e, b))
-    digits, phi = _digit_reader(e, b)(map(values.__getitem__, place)), euler_phi(e)
+    digits, phi = read(map(values.__getitem__, place)), euler_phi(e)
     return {chi: CycInt(e, tuple(digits[r * phi:(r + 1) * phi])) for r, chi in enumerate(els)}
 
 

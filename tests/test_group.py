@@ -17,7 +17,7 @@ from dualpart.group import (
     pairing,
     pairing_exponent,
 )
-from dualpart.partition import Partition, _digit_width, fourier_transform
+from dualpart.partition import Partition, _digit_reader, fourier_transform
 from test_sweep import SMALL_CARRIERS, carriers
 
 Z6 = GroupSpec((6,))
@@ -188,7 +188,7 @@ def test_fourier_transform_matches_the_product_oracle():
 def test_fourier_transform_reads_64_bit_digits(sign):
     """Values on (2,) of total |coefficient| R = 2^63 - 1 need 2^b >= 2R + A + 1 = 2^64."""
     f = {(0,): sign << 62, (1,): sign * ((1 << 62) - 1)}
-    assert _digit_width(2, (1 << 63) - 1, "") == 64
+    assert _digit_reader(2, (1 << 63) - 1, "")[0] == 64
     assert fourier_transform(GroupSpec((2,)), f) == {(0,): integer(2, sign * ((1 << 63) - 1)),
                                                      (1,): integer(2, sign)}
 

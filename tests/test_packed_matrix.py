@@ -7,7 +7,8 @@ sparse transform step (``oracle_sparse_rows`` in ``test_product_grid``) read
 those entries one at a time; the matrix document printed each entry by
 ``cycint_to_json`` and its approx by ``approx_complex``. Every reader of the
 packed rows must agree with it: the ``entries`` view, ``integer_entries``
-(which raises on an irrational entry), the transforms' row reader ``_Rows``,
+(which raises on an irrational entry), the transforms' row reader ``_Rows``
+(each entry evaluated at z = 2^b, read back by ``read_coefficients``),
 and the bytes ``write_json`` prints for the matrix, which must be those of ``json.dumps(indent=2)`` of the oracle's document
 wherever the matrix sits and however its rows fall into batches.
 """
@@ -24,13 +25,13 @@ import pytest
 import dualpart.partition
 import dualpart.serialization
 from dualpart.cyclotomic import CycInt, euler_phi, zeta_coeff_table
-from dualpart.enumerator import _root_order, _Rows
+from dualpart.enumerator import _evaluation, _norm, _root_order, _Rows
 from dualpart.errors import VerificationFailure
 from dualpart.group import GroupSpec, _pairing_exponents
-from dualpart.partition import (MATRIX_GUARD, Partition, _digit_width, _packed_rows,
+from dualpart.partition import (_DIGITS, MATRIX_GUARD, Partition, _digit_reader, _packed_rows,
                                 dual_partition, krawtchouk, random_partition)
 from dualpart.serialization import write_json
-from test_product_grid import oracle_sparse_rows
+from test_product_grid import oracle_sparse_rows, read_coefficients
 from test_serialization import cycint_to_json, written
 from test_sweep import SMALL_CARRIERS, hamming, lee, signature
 
@@ -82,10 +83,11 @@ def check_matrix(part, char_part):
     else:
         assert k.integer_entries() == ints
     order = _root_order([k])
-    assert (order == 1) is (ints is not None)  # one plane of plain ints
-    rows = _Rows(k, order, {})
-    assert [[(l, CycInt(k.order, a.x) if ints is None else a.x[0]) for l, a in rows[m]]
-            for m in range(k.shape[0])] == oracle_sparse_rows(k)
+    assert (order == 1) is (ints is not None)  # entries are plain ints
+    b, _ = _evaluation(order, lambda: _norm(k))
+    rows = _Rows(k, b)
+    assert [[(l, CycInt(k.order, read_coefficients(x, order, b)) if ints is None else x)
+             for l, x in rows[m]] for m in range(k.shape[0])] == oracle_sparse_rows(k)
     check_written(k, oracle_document(entries, k))
     return ints is None
 
@@ -298,9 +300,9 @@ def test_forced_digit_widths_read_the_same_rows(orders, width, monkeypatch):
     """The 32- and 64-bit digit arrays, which no default width of these carriers takes."""
     cases = [(part, [block[0] for block in dual_partition(part).blocks])
              for part in method_partitions(GroupSpec(orders))]
-    assert all(_digit_width(GroupSpec(orders).exponent, max(map(len, part.blocks)), "") < width
-               for part, _ in cases)
-    monkeypatch.setattr(dualpart.partition, "_digit_width", lambda e, r, what: width)
+    assert all(_digit_reader(GroupSpec(orders).exponent, max(map(len, part.blocks)), "")[0]
+               < width for part, _ in cases)
+    monkeypatch.setattr(dualpart.partition, "_DIGITS", {width: _DIGITS[width]})
     for part, chars in cases:
         want = character_rows(part, chars)
         for way, cost in WAYS.items():

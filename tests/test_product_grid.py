@@ -1,4 +1,4 @@
-"""The integer-plane transforms and the column-wise enumerators against the
+"""The one-integer transforms and the column-wise enumerators against the
 sparse code they replaced.
 
 The oracles are the former library code, copied here. Its one contraction
@@ -9,9 +9,11 @@ is irrational, and ``oracle_accumulate`` summed equal keys. On it ran
 and ``kk_product_check``, and ``oracle_finish`` divided by the code size. The
 two enumerators cut every code word into factor coordinates and ranked each
 one. Results are compared as ordered item lists, so key order counts, and
-failures by type and message.
+failures by type and message. ``read_coefficients`` reads a transform's cell
+back into canonical coefficients, for the tests that compare a step's cells.
 """
 
+import math
 import random
 from dataclasses import replace
 from math import comb, prod
@@ -19,11 +21,13 @@ from math import comb, prod
 import pytest
 
 from dualpart.checks import CODE_GROUPS, SWEEP_GROUPS
-from dualpart.cyclotomic import CycInt, euler_phi
+from dualpart.cyclotomic import CycInt, coefficient_bound, cyclotomic_polynomial, euler_phi
 from dualpart.enumerator import (
     LinearEnumerator,
     ProductEnumerator,
     SymmetrizedEnumerator,
+    _evaluation,
+    _norm,
     kk_product_check,
     linear_enumerator,
     macwilliams_transform,
@@ -80,6 +84,22 @@ def oracle_sparse_rows(matrix):
         return [[(j // phi, CycInt(e, tuple(row[j:j + phi])))
                  for j in range(0, len(row), phi) if any(row[j:j + phi])] for row in matrix.rows]
     return [[(l, x) for l, x in enumerate(row) if x] for row in ints]
+
+
+def read_coefficients(v, order, b):
+    """The canonical coefficients c of a cell V = Q(2^b) of the transforms at root order
+    ``order``, for 2^b >= 2R + A + 1: the centered residue of V mod Phi_E(2^b) is c(2^b),
+    whose balanced base-2^b digits are c. At order 1 a cell is its own value."""
+    if order == 1:
+        return (v,)
+    big_n = sum(c << b * i for i, c in enumerate(cyclotomic_polynomial(order)))
+    v = (v + big_n // 2) % big_n - big_n // 2
+    out, half = [], 1 << b - 1
+    for _ in range(euler_phi(order)):
+        out.append((v + half) % (1 << b) - half)
+        v = (v - out[-1]) >> b
+    assert v == 0
+    return tuple(out)
 
 
 def oracle_contract_at(dist, i, rows):
@@ -390,6 +410,71 @@ def test_symmetrized_transform_matches_the_sparse_oracle(orders):
     assert failures
 
 
+@pytest.mark.parametrize("order", [3, 4, 5, 8, 12, 105])
+def test_the_cell_reader_returns_the_rational_value_or_none(order):
+    """Random Q of degree below 3 phi with ||Q||_1 <= r, some of them a signed constant
+    plus a multiple of Phi_E, in one list with a zero cell: the read of Q(2^b) plus a
+    multiple of N is Q mod Phi_E when that is a rational integer, negative ones
+    included, and None otherwise."""
+    rng = random.Random(order)
+    phi, poly = euler_phi(order), cyclotomic_polynomial(order)
+    for r in (1, 7, 1 << 70):
+        b, read = _evaluation(order, lambda: r)
+        big_n = sum(c << b * i for i, c in enumerate(poly))
+        cells, want = [0], [0]
+        for _ in range(60):
+            q = [0] * 3 * phi
+            if rng.random() < 0.5:  # a constant, and Phi_E times x^j when r allows
+                q[0] = rng.randint(-r, r)
+                j, a = rng.randrange(phi), sum(map(abs, poly))
+                if abs(q[0]) + a <= r:
+                    for i, c in enumerate(poly):
+                        q[i + j] += c
+            else:
+                left = r
+                for _ in range(rng.randint(1, 4)):
+                    c = rng.randint(-left, left)
+                    q[rng.randrange(len(q))] += c
+                    left -= abs(c)
+            assert sum(map(abs, q)) <= r
+            cells.append(sum(c << b * i for i, c in enumerate(q)) + rng.randint(-3, 3) * big_n)
+            want.append(CycInt(order, tuple(q)).as_rational_integer())
+        assert None in want and read(cells) == want
+
+
+def test_symmetrized_transform_bounds_the_terms_that_share_a_composition():
+    """A 3 x 3 matrix of order 3 whose every entry is z, on 12 copies of block 0: the
+    composition (4, 4, 4) sums 34650 products z^12 = 1, more than the 2^12 that the
+    entries' norms alone allow; the transform agrees with the oracle."""
+    k = factor_matrix(Partition.singletons(GroupSpec((3,))))
+    every_z = replace(k, rows=tuple([0, 1] * 3 for _ in k.rows))
+    enum = SymmetrizedEnumerator({(12, 0, 0): 1})
+    want = outcome(oracle_symmetrized_transform, enum, every_z, 1)
+    assert outcome(symmetrized_transform, enum, every_z, 1) == want
+    assert dict(want)[(4, 4, 4)] == 34650
+
+
+def test_symmetrized_transform_reads_cells_past_64_bits():
+    """Z/5 Lee with 30 copies, where the bound R on a cell's coefficients passes 2^64: the
+    zero code and a five-word code transform as the sparse oracle does, with no guard
+    error, and the zero code's dual, every word, is multinomial(t) * 2^(t_1 + t_2)."""
+    g, copies = GroupSpec((5,)), 30
+    base = lee(g)
+    k = factor_matrix(base)
+    big = power_group(g, copies)
+    zero, five = generate(big, []), generate(big, [(1,) * copies])
+    for code in (zero, five):
+        enum = symmetrized_enumerator(code, base, copies)
+        assert code.size * (3 * _norm(k)) ** copies * coefficient_bound(5) > 1 << 64
+        want = outcome(oracle_symmetrized_transform, enum, k, code.size)
+        assert outcome(symmetrized_transform, enum, k, code.size) == want
+        assert isinstance(want, list)
+    out = symmetrized_transform(symmetrized_enumerator(zero, base, copies), k, 1).counts
+    assert out == {(t0, t1, copies - t0 - t1): math.factorial(copies) * 2 ** (copies - t0) //
+                   math.factorial(t0) // math.factorial(t1) // math.factorial(copies - t0 - t1)
+                   for t0 in range(copies + 1) for t1 in range(copies + 1 - t0)}
+
+
 def macwilliams_cases():
     """(matrix, enumerators, code sizes): random character partitions on the
     ``check_macwilliams`` groups with all their subgroups, and a zero-block urn
@@ -425,6 +510,18 @@ def test_macwilliams_transform_matches_the_sparse_oracle():
     k, _ = next(macwilliams_cases())
     for args in [(LinearEnumerator((1,)), k, 1), (LinearEnumerator((0,) * k.shape[0]), k, 0)]:
         assert outcome(macwilliams_transform, *args) == outcome(oracle_macwilliams_transform, *args)
+
+
+def test_macwilliams_transform_bounds_every_row_it_reads():
+    """Counts on both rows of an order-3 matrix whose rows are (z, 0) and (1000 - z, 0):
+    the first column sums to 1000, which a bound from the first row alone misreads."""
+    k = factor_matrix(hamming(GroupSpec((3,))))
+    assert (k.shape, k.order) == ((2, 2), 3)
+    wrong = replace(k, rows=([0, 1, 0, 0], [1000, -1, 0, 0]))
+    enum = LinearEnumerator((1, 1))
+    want = outcome(oracle_macwilliams_transform, enum, wrong, 1)
+    assert want == [1000, 0]
+    assert outcome(macwilliams_transform, enum, wrong, 1) == want
 
 
 def kk_partitions(grp, rng):

@@ -4,7 +4,7 @@ Each oracle below is the earlier implementation, copied here: partitions
 built from validated blocks (fibers, meet, join, random urns), induced
 partitions from explicit block products and composition-vector weights, the
 dual code from ``pairing_exponent``, the
-transform step on ``CycInt`` entries only, which the integer planes of
+transform step on ``CycInt`` entries only, which the one-integer cells of
 ``_grid_step`` must equal, the ``CycInt`` triple loop of the double-dual
 product K'K, and the floating approximation
 summed over every coefficient. The second half holds the duplicates that one
@@ -27,9 +27,11 @@ from collections import Counter
 import pytest
 
 import dualpart.enumerator
-from dualpart.cyclotomic import CycInt, _poly_divmod, euler_phi, integer, unit_generators
+from dualpart.cyclotomic import CycInt, _poly_divmod, integer, unit_generators
 from dualpart.enumerator import (
+    _evaluation,
     _grid_step,
+    _norm,
     _root_order,
     _Rows,
     kk_product_check,
@@ -66,7 +68,7 @@ from dualpart.partition import (
 from dualpart.poset import Poset
 from test_induced import composition_vector, flatten_element, split_element
 from test_packed_matrix import approx_pair
-from test_product_grid import oracle_accumulate, wrong_matrices
+from test_product_grid import oracle_accumulate, read_coefficients, wrong_matrices
 from test_sweep import SMALL_CARRIERS, carriers
 
 
@@ -279,14 +281,17 @@ def singletons_matrix(n):
 def step_by_the_grid(dist, matrix):
     """One ``_grid_step`` on the dense grid of ``dist``, whose keys share one width and
     index the matrix rows, read back as the nonzero values of the step at coordinate 0:
-    the grid contracts its outermost axis and writes the column axis innermost."""
+    the grid contracts its outermost axis and writes the column axis innermost. The
+    entries are evaluated at the width that the bound of ``macwilliams_transform``
+    gives, sum |A| * ``_norm``."""
     rows, cols = matrix.shape
     width = len(next(iter(dist)))
     order = _root_order([matrix])
-    planes = [[0] * rows ** width for _ in range(euler_phi(order))]
+    b, _ = _evaluation(order, lambda: sum(dist.values()) * _norm(matrix))
+    grid = [0] * rows ** width
     for key, c in dist.items():
-        planes[0][sum(m * rows ** (width - 1 - j) for j, m in enumerate(key))] = c
-    cells = zip(*_grid_step(planes, _Rows(matrix, order, {})))
+        grid[sum(m * rows ** (width - 1 - j) for j, m in enumerate(key))] = c
+    cells = (read_coefficients(v, order, b) for v in _grid_step(grid, _Rows(matrix, b)))
     keys = itertools.product(*map(range, (rows,) * (width - 1) + (cols,)))
     return {key[-1:] + key[:-1]: CycInt(matrix.order, cell)
             for key, cell in zip(keys, cells) if any(cell)}
@@ -308,7 +313,7 @@ def test_integer_step_equals_the_cycint_step():
     matrices = rational_factor_matrices()
     assert len(matrices) > 20
     for m in matrices:
-        assert _root_order([m]) == 1  # one plane of plain ints
+        assert _root_order([m]) == 1  # entries are plain ints
         for dist in random_dists(m.shape[0], rng):
             assert step_by_the_grid(dist, m) == cycint_step(dist, m)
 
@@ -371,11 +376,12 @@ def kk_by_the_step(part, k, k2, monkeypatch):
                         lambda p, c, max_size: k if p is part else k2)
     steps = []
     monkeypatch.setattr(dualpart.enumerator, "_grid_step",
-                        lambda *args: steps.append(_grid_step(*args)) or steps[-1])
+                        lambda grid, rows: steps.append((rows.b, _grid_step(grid, rows))) or
+                        steps[-1][1])
     verdicts = kk_product_check(part)
     assert len(steps) == 1
-    e, cols = part.group.exponent, part.num_blocks
-    cells = list(zip(*steps[0]))
+    (b, cells), e, cols = steps[0], part.group.exponent, part.num_blocks
+    cells = [read_coefficients(v, e if b else 1, b) for v in cells]
     return verdicts, [[CycInt(e, cells[r * cols + m]) for m in range(cols)]
                       for r in range(k2.shape[0])]
 

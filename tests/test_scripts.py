@@ -46,6 +46,7 @@ def least_of_repeats(seconds, runs):
 def test_sweep_cases_script_reports_each_case():
     doc = json.loads(run_script("sweep_cases.py", "--case", "(256,) lee",
                                 "--case", "(12,)^3 singletons, 12 words",
+                                "--case", "(7,)^5 lee, 49 words",
                                 "--case", "(64,64) hamming",
                                 "--case", "(2,)^12 hamming, 64 words",
                                 "--case", "(2,)^5 subgroups", "--timeout", "60"))
@@ -60,10 +61,12 @@ def test_sweep_cases_script_reports_each_case():
                for c in doc["cases"])
     assert all(least_of_repeats(c["krawtchouk_seconds"], c["krawtchouk_runs"])
                for c in doc["cases"])
-    # the child checks each transform against the dual code's enumerator
-    assert [(c["name"], c["status"], c["code_size"], c["keys"])
+    # the child checks each transform against the dual code's enumerator; the
+    # (7,)^5 Lee case is irrational and past the element guard, its grid inside it
+    assert [(c["name"], c["status"], c["code_size"], c["keys"], c["children"])
             for c in doc["transform_cases"]] == [
-        ("(12,)^3 singletons, 12 words", "ok", 12, 144), ("(2,)^12 hamming, 64 words", "ok", 64, 64)]
+        ("(12,)^3 singletons, 12 words", "ok", 12, 144, 3),
+        ("(7,)^5 lee, 49 words", "ok", 49, 148, 3), ("(2,)^12 hamming, 64 words", "ok", 64, 64, 3)]
     assert all(least_of_repeats(c["transform_seconds"], c["transform_runs"])
                for c in doc["transform_cases"])
     # a millisecond case runs more than once
@@ -81,6 +84,16 @@ def test_sweep_cases_script_reports_each_case():
     assert (sub["name"], sub["status"], sub["subgroups"]) == ("(2,)^5 subgroups", "ok", 374)
     assert least_of_repeats(sub["subgroup_seconds"], sub["subgroup_runs"])
     assert sub["subgroup_runs"] > 1
+
+
+def test_median_child_takes_each_timing_from_its_median_child(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from sweep_cases import median_child
+
+    rows = [{"name": "x", "a_seconds": s, "a_runs": r, "b_seconds": t, "b_runs": q}
+            for s, r, t, q in [(3.0, 1, 0.5, 7), (1.0, 2, 0.2, 8), (2.0, 3, 0.9, 9)]]
+    assert median_child(rows, ("a", "b")) == {"name": "x", "a_seconds": 2.0, "a_runs": 3,
+                                              "b_seconds": 0.5, "b_runs": 7}
 
 
 def test_sweep_cases_script_skips_a_matrix_over_the_guard():

@@ -319,6 +319,12 @@ def test_coefficient_bounds():
     assert [coefficient_bound(e) for e in (105, 210, 1155, 2145)] == [2, 2, 9, 15]
 
 
+def test_coefficient_bound_reads_the_table_of_the_radical():
+    """c_E, read off the table of rad(E), is the largest coefficient of E's own table."""
+    for e in [*range(1, 1200), 3465, 4095]:
+        assert coefficient_bound(e) == max(max(map(abs, c)) for _, c in zeta_coeff_table(e)), e
+
+
 def test_zeta_rows_are_the_canonical_powers():
     for e in list(range(1, 41)) + [105]:
         for k, (indices, coeffs) in enumerate(zeta_coeff_table(e)):
