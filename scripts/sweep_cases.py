@@ -26,10 +26,10 @@ both. Separately it times ``symmetrized_transform`` of the code's
 composition counts (``symmetrized_seconds``), and the code layer
 (``code_seconds``): ``generate`` of the code and ``dual_code`` of it. The
 child checks that each transform equals the dual's enumerator, and that
-|C| * |C-perp| = |G|. A transform case runs in ``--children`` child
-processes (3 by default), and each of its three timings is the median over
-them, with the runs of the child that gave it: one process can sit in a slow
-mode for all its runs, which its least of repeats cannot remove.
+|C| * |C-perp| = |G|. A transform case runs in ``CHILDREN`` child
+processes, and each of its three timings is the median over them, with the
+runs of the child that gave it: one process can sit in a slow mode for all
+its runs, which its least of repeats cannot remove.
 Every subgroup case (``SUBGROUP_CASES``) times ``all_subgroups`` of its
 carrier and counts the subgroups. Every print case (``PRINT_CASES``) builds
 the document of ``dualpart product`` or ``symmetrize`` with the CLI's own
@@ -42,7 +42,7 @@ partition's labels and of the report's fields. One JSON document goes to stdout:
 ``{python, limit_gib, timeout_s, cases: [{name, seconds, runs, peak_rss_mb,
 blocks, dual_blocks, krawtchouk_seconds, krawtchouk_runs,
 krawtchouk_peak_rss_mb, krawtchouk_bytes, krawtchouk_sha256, status}],
-transform_cases: [{name, children, transform_seconds, transform_runs,
+transform_cases: [{name, transform_seconds, transform_runs,
 symmetrized_seconds, symmetrized_runs, code_seconds, code_runs, code_size, keys,
 status}], subgroup_cases: [{name, subgroup_seconds, subgroup_runs,
 subgroups, status}], print_cases: [{name, print_seconds, print_runs, bytes,
@@ -113,6 +113,7 @@ TRANSFORM_CASES = {
     "(32,)^2 random reflexive, 8 words": ((32,), "random", 2, [(4, 12)]),
     "(64,)^2 singletons": ((64,), "singletons", 2, 1),
 }
+CHILDREN = 3  # child processes per transform case
 
 # carriers at the subgroup guard, 64 elements, and one below it
 SUBGROUP_CASES = {
@@ -412,16 +413,16 @@ def median_child(rows: list[dict], fields: tuple[str, ...]) -> dict:
     return out
 
 
-def run_case(name: str, src: str, limit_gib: float, timeout: float, children: int = 1) -> dict:
+def run_case(name: str, src: str, limit_gib: float, timeout: float) -> dict:
     limit = int(limit_gib * (1 << 30))
     if name in TRANSFORM_CASES:
         orders, kind, copies, gens = TRANSFORM_CASES[name]
         code = TRANSFORM_CHILD.format(limit=limit, src=src, orders=orders, kind=kind,
                                       copies=copies, gens=gens)
-        row = {"name": name, "children": children, "transform_seconds": None,
-               "transform_runs": None, "symmetrized_seconds": None, "symmetrized_runs": None,
-               "code_seconds": None, "code_runs": None, "code_size": None, "keys": None}
-        rows = [run_child(row, code, timeout) for _ in range(children)]
+        row = {"name": name, "transform_seconds": None, "transform_runs": None,
+               "symmetrized_seconds": None, "symmetrized_runs": None, "code_seconds": None,
+               "code_runs": None, "code_size": None, "keys": None}
+        rows = [run_child(row, code, timeout) for _ in range(CHILDREN)]
         bad = [r for r in rows if r["status"] != "ok"]
         return bad[0] if bad else median_child(rows, ("transform", "symmetrized", "code"))
     elif name in PRINT_CASES:
@@ -468,8 +469,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
     parser.add_argument("--timeout", type=float, default=120.0)
     parser.add_argument("--limit-gib", type=float, default=2.0)
-    parser.add_argument("--children", type=int, default=3,
-                        help="child processes per transform case (default 3)")
     parser.add_argument("--case", action="append",
                         choices=sorted([*CASES, *TRANSFORM_CASES, *SUBGROUP_CASES,
                                         *PRINT_CASES, *POSET_CASES]))
@@ -483,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
         "timeout_s": args.timeout,
         "cases": [run_case(n, src, args.limit_gib, args.timeout)
                   for n in names if n in CASES],
-        "transform_cases": [run_case(n, src, args.limit_gib, args.timeout, args.children)
+        "transform_cases": [run_case(n, src, args.limit_gib, args.timeout)
                             for n in names if n in TRANSFORM_CASES],
         "subgroup_cases": [run_case(n, src, args.limit_gib, args.timeout)
                            for n in names if n in SUBGROUP_CASES],

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import compress, product, repeat
+from itertools import chain, compress, product, repeat
 from math import comb, prod
 from operator import add, floordiv, mod, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
@@ -138,11 +138,11 @@ def _root_order(matrices: Iterable[KrawtchoukMatrix]) -> int:
 
 
 def _norm(matrix: KrawtchoukMatrix, rows: Iterable[int] | None = None) -> int:
-    """At least ||x||_1 for each entry x of the given rows, all by default: phi times
-    their largest absolute coefficient."""
-    picked = matrix.rows if rows is None else list(map(matrix.rows.__getitem__, rows))
-    return euler_phi(matrix.order) * max(max(map(max, picked), default=0),
-                                         -min(map(min, picked), default=0))
+    """The largest ||x||_1 of an entry x of the given rows, all by default: the sum of
+    the absolute values of its phi canonical coefficients."""
+    phi = euler_phi(matrix.order)
+    picked = matrix.rows if rows is None else map(matrix.rows.__getitem__, rows)
+    return max(map(sum, chain.from_iterable(zip(*[map(abs, r)] * phi) for r in picked)), default=0)
 
 
 def _evaluation(order: int, norm: Callable[[], int]) -> tuple[int, Callable | None]:

@@ -444,14 +444,28 @@ def test_the_cell_reader_returns_the_rational_value_or_none(order):
 
 def test_symmetrized_transform_bounds_the_terms_that_share_a_composition():
     """A 3 x 3 matrix of order 3 whose every entry is z, on 12 copies of block 0: the
-    composition (4, 4, 4) sums 34650 products z^12 = 1, more than the 2^12 that the
-    entries' norms alone allow; the transform agrees with the oracle."""
+    composition (4, 4, 4) sums 34650 products z^12 = 1, where the entries' norms alone
+    allow 1, as ||z||_1 = 1; the transform agrees with the oracle."""
     k = factor_matrix(Partition.singletons(GroupSpec((3,))))
     every_z = replace(k, rows=tuple([0, 1] * 3 for _ in k.rows))
     enum = SymmetrizedEnumerator({(12, 0, 0): 1})
     want = outcome(oracle_symmetrized_transform, enum, every_z, 1)
     assert outcome(symmetrized_transform, enum, every_z, 1) == want
     assert dict(want)[(4, 4, 4)] == 34650
+
+
+def test_product_transform_bounds_each_entry_by_its_coefficient_sum():
+    """Two order-3 factors whose only nonzero entries are x = 30 - 30z and y = 60 + 30z:
+    x y = 2700 is rational, with ||x||_1 ||y||_1 = 5400; a bound from the entries' largest
+    coefficients, 30 * 60 = 1800, picks b = 12 and misreads it."""
+    k = factor_matrix(hamming(GroupSpec((3,))))
+    assert (k.shape, k.order) == ((2, 2), 3)
+    x = replace(k, rows=([30, -30, 0, 0], [0, 0, 0, 0]))
+    y = replace(k, rows=([60, 30, 0, 0], [0, 0, 0, 0]))
+    enum = ProductEnumerator({(0, 0): 1})
+    want = outcome(oracle_product_transform, enum, [x, y], 1)
+    assert want == [((0, 0), 2700)]
+    assert outcome(product_transform, enum, [x, y], 1) == want
 
 
 def test_symmetrized_transform_reads_cells_past_64_bits():
