@@ -1,6 +1,6 @@
 """Time ``dual_partition``, the Krawtchouk matrix, the product transform, the
 subgroup enumeration, the printing of induced partitions and the poset weight
-partition on fixed carriers, each case in its own capped process.
+partition on fixed carriers, each case in its own capped child processes.
 
     python3 scripts/sweep_cases.py [--src DIR] [--timeout S] [--limit-gib G] [--case NAME ...]
 
@@ -26,10 +26,7 @@ both. Separately it times ``symmetrized_transform`` of the code's
 composition counts (``symmetrized_seconds``), and the code layer
 (``code_seconds``): ``generate`` of the code and ``dual_code`` of it. The
 child checks that each transform equals the dual's enumerator, and that
-|C| * |C-perp| = |G|. A transform case runs in ``CHILDREN`` child
-processes, and each of its three timings is the median over them, with the
-runs of the child that gave it: one process can sit in a slow mode for all
-its runs, which its least of repeats cannot remove.
+|C| * |C-perp| = |G|.
 Every subgroup case (``SUBGROUP_CASES``) times ``all_subgroups`` of its
 carrier and counts the subgroups. Every print case (``PRINT_CASES``) builds
 the document of ``dualpart product`` or ``symmetrize`` with the CLI's own
@@ -38,7 +35,11 @@ document's size and the sha256 of its text, so runs over two source trees
 can be checked to print the same bytes. Every poset case (``POSET_CASES``)
 draws a random order (density 0.3) or builds a hierarchical one, and times
 ``poset_partition`` and ``poset_duality_check``; it reports the sha256 of the
-partition's labels and of the report's fields. One JSON document goes to stdout:
+partition's labels and of the report's fields. Every case runs in ``CHILDREN``
+child processes, and each of its timings is the median over them, with the
+runs of the child that gave it; its other fields are the first child's. One
+process can sit in a slow mode for all its runs, which its least of repeats
+cannot remove. One JSON document goes to stdout:
 ``{python, limit_gib, timeout_s, cases: [{name, seconds, runs, peak_rss_mb,
 blocks, dual_blocks, krawtchouk_seconds, krawtchouk_runs,
 krawtchouk_peak_rss_mb, krawtchouk_bytes, krawtchouk_sha256, status}],
@@ -113,7 +114,6 @@ TRANSFORM_CASES = {
     "(32,)^2 random reflexive, 8 words": ((32,), "random", 2, [(4, 12)]),
     "(64,)^2 singletons": ((64,), "singletons", 2, 1),
 }
-CHILDREN = 3  # child processes per transform case
 
 # carriers at the subgroup guard, 64 elements, and one below it
 SUBGROUP_CASES = {
@@ -139,6 +139,8 @@ POSET_CASES = {
     "(2,)^12 random poset": ((2,) * 12, "random"),
     "(2,)^9 hierarchical poset": ((2,) * 9, (3, 3, 3)),
 }
+
+CHILDREN = 3  # child processes per case
 
 LEAST = """
 import time
@@ -405,15 +407,20 @@ print(json.dumps({{"seconds": round(seconds, 5), "runs": runs,
 
 def median_child(rows: list[dict], fields: tuple[str, ...]) -> dict:
     """The first row, with each field's seconds and runs taken from the child whose
-    seconds are the median (the upper one for an even count)."""
+    seconds are the median (the upper one for an even count). The field "" is the
+    sweep's own ``seconds`` and ``runs``; a field null in the first row stays null."""
     out = dict(rows[0])
     for f in fields:
-        mid = sorted(rows, key=lambda r: r[f + "_seconds"])[len(rows) // 2]
-        out[f + "_seconds"], out[f + "_runs"] = mid[f + "_seconds"], mid[f + "_runs"]
+        seconds, runs = (f + "_seconds", f + "_runs") if f else ("seconds", "runs")
+        if out[seconds] is not None:
+            mid = sorted(rows, key=lambda r: r[seconds])[len(rows) // 2]
+            out[seconds], out[runs] = mid[seconds], mid[runs]
     return out
 
 
 def run_case(name: str, src: str, limit_gib: float, timeout: float) -> dict:
+    """The case's row from ``CHILDREN`` child processes: the first failed one, or
+    each timing from its median child (``median_child``)."""
     limit = int(limit_gib * (1 << 30))
     if name in TRANSFORM_CASES:
         orders, kind, copies, gens = TRANSFORM_CASES[name]
@@ -422,9 +429,7 @@ def run_case(name: str, src: str, limit_gib: float, timeout: float) -> dict:
         row = {"name": name, "transform_seconds": None, "transform_runs": None,
                "symmetrized_seconds": None, "symmetrized_runs": None, "code_seconds": None,
                "code_runs": None, "code_size": None, "keys": None}
-        rows = [run_child(row, code, timeout) for _ in range(CHILDREN)]
-        bad = [r for r in rows if r["status"] != "ok"]
-        return bad[0] if bad else median_child(rows, ("transform", "symmetrized", "code"))
+        fields = ("transform", "symmetrized", "code")
     elif name in PRINT_CASES:
         cmd, orders, blocks, copies = PRINT_CASES[name]
         argv = [cmd, "--group", json.dumps({"orders": orders}),
@@ -432,16 +437,19 @@ def run_case(name: str, src: str, limit_gib: float, timeout: float) -> dict:
         code = PRINT_CHILD.format(limit=limit, src=src, argv=argv)
         row = {"name": name, "print_seconds": None, "print_runs": None, "bytes": None,
                "sha256": None}
+        fields = ("print",)
     elif name in POSET_CASES:
         orders, shape = POSET_CASES[name]
         code = POSET_CHILD.format(limit=limit, src=src, orders=orders, shape=shape)
         row = {"name": name, "partition_seconds": None, "partition_runs": None,
                "check_seconds": None, "check_runs": None, "blocks": None,
                "labels_sha256": None, "report_sha256": None}
+        fields = ("partition", "check")
     elif name in SUBGROUP_CASES:
         code = SUBGROUP_CHILD.format(limit=limit, src=src, orders=SUBGROUP_CASES[name])
         row = {"name": name, "subgroup_seconds": None, "subgroup_runs": None,
                "subgroups": None}
+        fields = ("subgroup",)
     else:
         orders, kind = CASES[name]
         code = CHILD.format(limit=limit, src=src, orders=orders, kind=kind)
@@ -449,7 +457,10 @@ def run_case(name: str, src: str, limit_gib: float, timeout: float) -> dict:
                "dual_blocks": None, "krawtchouk_seconds": None, "krawtchouk_runs": None,
                "krawtchouk_peak_rss_mb": None, "krawtchouk_bytes": None,
                "krawtchouk_sha256": None}
-    return run_child(row, code, timeout)
+        fields = ("", "krawtchouk")
+    rows = [run_child(row, code, timeout) for _ in range(CHILDREN)]
+    bad = [r for r in rows if r["status"] != "ok"]
+    return bad[0] if bad else median_child(rows, fields)
 
 
 def run_child(row: dict, code: str, timeout: float) -> dict:

@@ -6,6 +6,13 @@ power basis 1, z, ..., z^(phi(E)-1). Sums of roots of unity therefore compare
 by plain tuple equality; no floating point enters any computation. Values are
 immutable, and the polynomial cache fills on demand.
 
+A value is also one int: Q(2^b) for an integer polynomial Q (Kronecker
+substitution, Schoenhage and Strassen, Computing 7, 1971), whose centered
+residue mod N = Phi_E(2^b) has the canonical coefficients as base-2^b digits.
+``_kronecker`` gives b and N and the exactness argument, for ``CycInt``
+products and reductions, the Krawtchouk rows, ``fourier_transform`` and the
+four transforms of ``enumerator``.
+
 The module also holds what exact evaluation modulo a prime needs: sparse
 canonical rows of the root powers, their largest coefficient c_E, a prime
 p = 1 (mod E) with a root of exact order E, and generators of the units
@@ -15,14 +22,16 @@ mod E.
 from __future__ import annotations
 
 import cmath
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import count
+from itertools import count, repeat
 from math import gcd, prod
+from operator import lshift
 from typing import Callable, Iterable, TypeVar
 
-from .errors import InputError
+from .errors import GuardExceeded, InputError
 
 T = TypeVar("T")
 
@@ -100,6 +109,7 @@ class CycInt:
     Construction reduces the coefficient vector modulo the cyclotomic
     polynomial of ``order`` and pads it to length phi(order), so equal values
     always have equal field tuples. Re-reducing a canonical value is a no-op.
+    The order and every coefficient must be ``int``s; ``bool`` is refused too.
 
     >>> CycInt(6, (0, 0, 0, 1))            # z^3 = -1 at order 6
     CycInt(order=6, coeffs=(-1, 0))
@@ -111,12 +121,14 @@ class CycInt:
     coeffs: CycPoly
 
     def __post_init__(self) -> None:
-        if self.order < 1:
+        if type(self.order) is not int or self.order < 1:
             raise InputError("root order must be a positive integer")
-        phi = euler_phi(self.order)
         coeffs = self.coeffs
+        if not {int}.issuperset(map(type, coeffs)):
+            raise InputError("coefficients must be integers")
+        phi = euler_phi(self.order)
         if len(coeffs) > phi:
-            coeffs = _poly_divmod(coeffs, cyclotomic_polynomial(self.order))[1]
+            coeffs = _reduced(self.order, sum(map(abs, coeffs)), coeffs)
         if len(coeffs) < phi:
             coeffs = tuple(coeffs) + (0,) * (phi - len(coeffs))
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -150,25 +162,15 @@ class CycInt:
 
     def __mul__(self, other: "CycInt | int") -> "CycInt":
         o = self._coerce(other)
-        a, b = self.coeffs, o.coeffs
-        conv = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        return CycInt(self.order, tuple(conv))
+        r = sum(map(abs, self.coeffs)) * sum(map(abs, o.coeffs))
+        return CycInt(self.order, _reduced(self.order, r, self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "CycInt":
-        """Complex conjugate, via the substitution z -> z^(order-1)."""
-        e = self.order
-        raw = [0] * e
-        for i, c in enumerate(self.coeffs):
-            if c:
-                raw[(i * (e - 1)) % e] += c
-        return CycInt(e, tuple(raw))
+        """Complex conjugate, via the substitution z^i -> z^(order - i): c_i moves to order - i."""
+        c = self.coeffs
+        return CycInt(self.order, c[:1] + (0,) * (self.order - len(c)) + c[:0:-1])
 
     def as_rational_integer(self) -> int | None:
         """The value as a plain integer, or None if it is irrational."""
@@ -182,11 +184,7 @@ class CycInt:
             raise InputError(
                 f"target order {new_order} is not a multiple of {self.order}"
             )
-        step = new_order // self.order
-        raw = [0] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            raw[i * step] = c
-        return CycInt(new_order, tuple(raw))
+        return CycInt(new_order, _stretch(self.coeffs, new_order // self.order))
 
     def approx_complex(self) -> complex:
         """Floating approximation, for display only; never used in comparisons.
@@ -292,6 +290,87 @@ def _radices(n: int) -> list[int]:
             n //= q
         q += 1
     return out + [n] * (n > 1)
+
+
+_DIGITS = {array(code).itemsize * 8: code for code in "bhilq"}
+"""A signed ``array`` typecode for each digit width in bits: 8, 16, 32 and 64."""
+
+
+def _kronecker(e: int, r: int, widths: tuple[int, ...] = (), what: str = "") -> tuple[int, ...]:
+    """Kronecker substitution z -> 2^b for values of Z[z], z of order E, that are integer
+    polynomials Q with ||Q||_1 <= r: the width b, N = Phi_E(2^b) and h = (N - 1) / 2. b is
+    the least width (of ``widths``, if given) with 2^b >= 2R + A + 1, R = r * c_E and A the
+    largest |coefficient| of Phi_E; ``GuardExceeded``, opening with ``what``, if none is.
+
+    Exactness. x -> x(2^b) mod N is a ring map from Z[x] that sends Phi_E to 0, so
+    V = Q(2^b) is c(2^b) mod N for the canonical form c = Q mod Phi_E. Q sums ||Q||_1
+    signed powers x^k, and each z^k has canonical coefficients at most c_E, so every
+    |c_i| <= R < 2^(b-1). With S = (2^(b phi) - 1) / (2^b - 1), |c(2^b)| <= R * S and
+    N >= 2^(b phi) - A * S, so 2 |c(2^b)| < N: the centered residue (V + h) % N - h is
+    c(2^b) (N is odd, as Phi_E(0) = +-1). c is rational exactly when |c(2^b)| < 2^(b-1),
+    and then c(2^b) = c_0: a top nonzero c_j, j >= 1, makes |c(2^b)| > 2^(bj-1), as the
+    digits below it add up to less than 2^(bj-1). A product a * b is Q = a * b with
+    ||Q||_1 <= ||a||_1 * ||b||_1, so r = ||a||_1 * ||b||_1; a reduction of a vector raw
+    takes r = ||raw||_1.
+    """
+    bound = 2 * r * coefficient_bound(e) + max(map(abs, cyclotomic_polynomial(e))) + 1
+    b = next((w for w in widths if 1 << w >= bound), None) if widths else (bound - 1).bit_length()
+    if b is None:
+        raise GuardExceeded(f"{what} digits of 2^b >= 2R + A + 1 = {bound}, "
+                            f"above the widest digit of 2^{max(widths)}")
+    big_n = _evaluate(cyclotomic_polynomial(e), b)
+    return b, big_n, big_n >> 1
+
+
+def _evaluate(coeffs: Iterable[int], b: int) -> int:
+    """c(2^b) for the coefficient vector c, ascending by degree."""
+    return sum(map(lshift, coeffs, count(0, b)))
+
+
+def _reduced(order: int, r: int, *factors: CycPoly) -> CycPoly:
+    """The canonical coefficients of the product of ``factors`` (of one: its reduction),
+    given r >= its ||.||_1 (``_kronecker``). b has no cap on its width, so this never
+    raises ``GuardExceeded``.
+
+    The product is one int multiply at 2^b. The centered residue c(2^b) plus 2^(b-1) on
+    every digit has digits c_i + 2^(b-1) in [0, 2^b), read by shift and mask.
+    """
+    b, big_n, half_n = _kronecker(order, r)
+    phi, mask, top = euler_phi(order), (1 << b) - 1, 1 << (b - 1)
+    value = (prod(map(_evaluate, factors, repeat(b))) + half_n) % big_n - half_n
+    value += ((1 << b * phi) - 1) // mask * top
+    return tuple([(value >> s & mask) - top for s in range(0, b * phi, b)])
+
+
+def _digit_reader(e: int, r: int, what: str) -> tuple[int, Callable[[Iterable[int]], array]]:
+    """The least width b in ``_DIGITS`` that reads sums of r signed root powers
+    (``_kronecker``), and a reader of their shift-ring values into one signed ``array``
+    of canonical coefficients, phi(E) b-bit digits a value.
+
+    The ring is Z/(2^(Lb) + 1) with L = E/2 for even E, or Z/(2^(Lb) - 1) with L = E for
+    odd E (``partition._shift_passes``). Phi_E divides x^L +- 1 (z^(E/2) = -1 for even E,
+    z^E = 1), so N = Phi_E(2^b) divides the ring's modulus, and the centered residue mod N
+    of a value P(2^b) is c(2^b) for c = P mod Phi_E. As every |c_i| < 2^(b-1), adding
+    ``off``, 2^(b-1) on every digit, leaves digits c_i + 2^(b-1) in [0, 2^b); flipping each
+    digit's top bit (xor ``off``) turns them into c_i in b-bit two's complement, so a
+    signed ``array`` of the little-endian bytes holds the coefficients. N, h and ``off``
+    are made once per reader.
+    """
+    phi = euler_phi(e)
+    b, big_n, half_n = _kronecker(e, r, tuple(sorted(_DIGITS)), what)
+    off = ((1 << b * phi) - 1) // ((1 << b) - 1) << (b - 1)
+    center, residue, shift, flip = half_n.__add__, big_n.__rmod__, (off - half_n).__add__, off.__xor__
+    width, little = repeat(phi * b // 8), repeat("little")
+
+    def read(values: Iterable[int]) -> array:
+        texts = map(int.to_bytes, map(flip, map(shift, map(residue, map(center, values)))),
+                    width, little)
+        digits = array(_DIGITS[b], b"".join(texts))
+        if sys.byteorder == "big":
+            digits.byteswap()
+        return digits
+
+    return b, read
 
 
 def split_prime(order: int, bound: int) -> tuple[int, int]:

@@ -13,8 +13,9 @@ Exactness: every transform sums products of entries in Z[z], z a primitive
 root of order E. A value is one int V = Q(2^b), Q the sum of products of the
 entries' coefficient polynomials (Kronecker substitution), read once as its
 centered residue mod Phi_E(2^b): exact, rational or not, for the b that each
-transform takes from a bound on ||Q||_1 (``partition._kronecker``). With only
-rational matrices a cell is its count; two irrational orders are rejected.
+transform takes from a bound on ||Q||_1 (``cyclotomic._kronecker``, the one
+width rule of the package's exact forms of Z[z]). With only rational
+matrices a cell is its count; two irrational orders are rejected.
 
 Product: the matrix is the Kronecker product of the factor matrices, so the
 dual count at l is sum_m A(m) prod_i K_i[m_i][l_i] / |C|, which
@@ -55,11 +56,11 @@ from math import comb, prod
 from operator import add, floordiv, mod, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cyclotomic import euler_phi
+from .cyclotomic import _kronecker, euler_phi
 from .errors import GuardExceeded, InputError, VerificationFailure
 from .group import ELEMENT_GUARD, Code
 from .induced import product_group
-from .partition import KrawtchoukMatrix, Partition, _kronecker, dual_partition, krawtchouk
+from .partition import KrawtchoukMatrix, Partition, dual_partition, krawtchouk
 
 @dataclass(frozen=True)
 class LinearEnumerator:
@@ -124,13 +125,7 @@ def _grid_counts(cells: list[int], code_size: int, read: Callable | None) -> lis
 
 def _root_order(matrices: Iterable[KrawtchoukMatrix]) -> int:
     """The one root order of the irrational matrices, 1 if every matrix is rational."""
-    irrational = []
-    for k in matrices:
-        try:
-            k.integer_entries()
-        except VerificationFailure:
-            irrational.append(k.order)
-    orders = list(dict.fromkeys(irrational))
+    orders = list(dict.fromkeys(k.order for k in matrices if not k._rational))
     if len(orders) > 1:
         raise InputError(f"mixed root orders {orders[0]} and {orders[1]}; "
                          "lift with change_order first")
@@ -168,7 +163,9 @@ def _evaluation(order: int, norm: Callable[[], int]) -> tuple[int, Callable | No
 
 class _Rows(dict):
     """Row m of ``matrix`` as (l, x(2^b)) for each nonzero entry x, read on first use;
-    at b = 0, where every matrix is rational, x is its constant coefficient."""
+    at b = 0, where every matrix is rational, x is its constant coefficient. One loop
+    over the row's nonzero coefficients: ``cyclotomic._evaluate`` an entry took twice
+    as long on singleton matrices, whose entries are single root powers."""
 
     def __init__(self, matrix: KrawtchoukMatrix, b: int) -> None:
         self.matrix, self.b = matrix, b

@@ -37,8 +37,9 @@ radix passes as the sweep's transform, whichever costs fewer pairing rows.
 function. One plan (``_transform_plan``) and one executor (``_run_passes``)
 serve the sweep, the rows and ``fourier_transform``, as F_p and the shift
 ring each lower the plan to their own root terms, reduction and twiddle; one
-reader (``_digit_reader``) turns the ring values of the last two into
-coefficients by their base-2^b digits.
+reader (``cyclotomic._digit_reader``) turns the ring values of the last two
+into coefficients by their base-2^b digits, with b from the width rule that
+``cyclotomic._kronecker`` states and proves for every exact form of Z[z].
 
 The dual is kept on the partition object, so its reflexivity test, bidual,
 and generalized Krawtchouk matrices with any character partition that
@@ -59,7 +60,6 @@ labels. ``group`` owns the pairing whose rows the sweep reads.
 from __future__ import annotations
 
 import random
-import sys
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial, reduce
@@ -67,7 +67,7 @@ from itertools import accumulate, compress, repeat
 from operator import add, itemgetter, lshift, mul, sub
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
-from .cyclotomic import (CycInt, _radices, coefficient_bound, cyclotomic_polynomial,
+from .cyclotomic import (CycInt, _digit_reader, _evaluate, _radices, coefficient_bound,
                          euler_phi, split_prime, unit_generators, zero)
 from .errors import GuardExceeded, InputError, VerificationFailure
 from .group import ELEMENT_GUARD, Element, GroupSpec, _outer, _pairing_exponents, elements
@@ -75,10 +75,10 @@ from .group import ELEMENT_GUARD, Element, GroupSpec, _outer, _pairing_exponents
 MATRIX_GUARD = 5_000_000
 """Most exact coefficients a Krawtchouk matrix may hold: rows x columns x phi(E).
 
-A coefficient costs b/8 bytes in its row (``_digit_reader``; b is 8 to 32 under
-the element guard). Printing 2.5M and 4.4M coefficients, random partitions
-of (2,)^11 and (2,)^12 at b = 8, peaked at 21.8 and 25.8 MiB of RSS on
-Python 3.11, the interpreter included."""
+A coefficient costs b/8 bytes in its row (``cyclotomic._digit_reader``; b is 8
+to 32 under the element guard). Printing 2.5M and 4.4M coefficients, random
+partitions of (2,)^11 and (2,)^12 at b = 8, peaked at 21.8 and 25.8 MiB of RSS
+on Python 3.11, the interpreter included."""
 
 Block = tuple[Element, ...]
 
@@ -416,34 +416,6 @@ def _signature_rows(part: Partition, max_size: int = ELEMENT_GUARD) -> dict[Elem
     return dict(zip(chars, _galois_refine(grp, labels, count)))
 
 
-_DIGITS = {array(code).itemsize * 8: code for code in "bhilq"}
-"""A signed ``array`` typecode for each digit width in bits: 8, 16, 32 and 64."""
-
-
-def _kronecker(e: int, r: int, widths: tuple[int, ...] = (), what: str = "") -> tuple[int, ...]:
-    """Kronecker substitution z -> 2^b for values of Z[z], z of order E, that are integer
-    polynomials Q with ||Q||_1 <= r: the width b, N = Phi_E(2^b) and h = (N - 1) / 2. b is
-    the least width (of ``widths``, if given) with 2^b >= 2R + A + 1, R = r * c_E and A the
-    largest |coefficient| of Phi_E; ``GuardExceeded``, opening with ``what``, if none is.
-
-    Exactness. x -> x(2^b) mod N is a ring map from Z[x] that sends Phi_E to 0, so
-    V = Q(2^b) is c(2^b) mod N for the canonical form c = Q mod Phi_E. Q sums ||Q||_1
-    signed powers x^k, and each z^k has canonical coefficients at most c_E, so every
-    |c_i| <= R < 2^(b-1). With S = (2^(b phi) - 1) / (2^b - 1), |c(2^b)| <= R * S and
-    N >= 2^(b phi) - A * S, so 2 |c(2^b)| < N: the centered residue (V + h) % N - h is
-    c(2^b) (N is odd, as Phi_E(0) = +-1). c is rational exactly when |c(2^b)| < 2^(b-1),
-    and then c(2^b) = c_0: a top nonzero c_j, j >= 1, makes |c(2^b)| > 2^(bj-1), as the
-    digits below it add up to less than 2^(bj-1).
-    """
-    bound = 2 * r * coefficient_bound(e) + max(map(abs, cyclotomic_polynomial(e))) + 1
-    b = next((w for w in widths if 1 << w >= bound), None) if widths else (bound - 1).bit_length()
-    if b is None:
-        raise GuardExceeded(f"{what} digits of 2^b >= 2R + A + 1 = {bound}, "
-                            f"above the widest digit of 2^{max(widths)}")
-    big_n = sum(c << (b * i) for i, c in enumerate(cyclotomic_polynomial(e)) if c)
-    return b, big_n, big_n >> 1
-
-
 def _shift_passes(plan: list[Pass], e: int, b: int) -> tuple:
     """The plan in Z/(2^n + 1) for even E or Z/(2^n - 1) for odd E, n = L * b, as
     ``_run_passes`` takes it: the root z^k is 2^(bk), a shift by b * k.
@@ -476,37 +448,6 @@ def _shift_passes(plan: list[Pass], e: int, b: int) -> tuple:
         return values if signs is None else map(mul, values, signs)
 
     return _lowered(plan, root, twiddle), reduced, twiddled
-
-
-def _digit_reader(e: int, r: int, what: str) -> tuple[int, Callable[[Iterable[int]], array]]:
-    """The least width b in ``_DIGITS`` that reads sums of r signed root powers
-    (``_kronecker``), and a reader of their shift-ring values into one signed ``array``
-    of canonical coefficients, phi(E) b-bit digits a value.
-
-    The ring is Z/(2^(Lb) + 1) with L = E/2 for even E, or Z/(2^(Lb) - 1) with L = E for
-    odd E (``_shift_passes``). Phi_E divides x^L +- 1 (z^(E/2) = -1 for even E, z^E = 1),
-    so N = Phi_E(2^b) divides the ring's modulus, and the centered residue mod N of a
-    value P(2^b) is c(2^b) for c = P mod Phi_E. As every |c_i| < 2^(b-1), adding ``off``,
-    2^(b-1) on every digit, leaves digits c_i + 2^(b-1) in [0, 2^b); flipping each digit's
-    top bit (xor ``off``) turns them into c_i in b-bit two's complement, so a signed
-    ``array`` of the little-endian bytes holds the coefficients. N, h and ``off`` are
-    made once per reader.
-    """
-    phi = euler_phi(e)
-    b, big_n, half_n = _kronecker(e, r, tuple(sorted(_DIGITS)), what)
-    off = ((1 << b * phi) - 1) // ((1 << b) - 1) << (b - 1)
-    center, residue, shift, flip = half_n.__add__, big_n.__rmod__, (off - half_n).__add__, off.__xor__
-    width, little = repeat(phi * b // 8), repeat("little")
-
-    def read(values: Iterable[int]) -> array:
-        texts = map(int.to_bytes, map(flip, map(shift, map(residue, map(center, values)))),
-                    width, little)
-        digits = array(_DIGITS[b], b"".join(texts))
-        if sys.byteorder == "big":
-            digits.byteswap()
-        return digits
-
-    return b, read
 
 
 def _packed_rows(part: Partition, chars: list[Element]) -> list[array]:
@@ -581,8 +522,7 @@ def fourier_transform(group: GroupSpec, f: Mapping[Element, CycInt | int],
     polys = [(zero(e) + f[g]).coeffs for g in els]
     b, read = _digit_reader(e, sum(sum(map(abs, c)) for c in polys), "the Fourier transform needs")
     plan, place = _transform_plan(group)
-    values = _run_passes([sum(c << b * i for i, c in enumerate(cs) if c) for cs in polys],
-                         *_shift_passes(plan, e, b))
+    values = _run_passes([_evaluate(cs, b) for cs in polys], *_shift_passes(plan, e, b))
     digits, phi = read(map(values.__getitem__, place)), euler_phi(e)
     return {chi: CycInt(e, tuple(digits[r * phi:(r + 1) * phi])) for r, chi in enumerate(els)}
 
@@ -617,12 +557,17 @@ class KrawtchoukMatrix:
         return tuple(tuple(CycInt(self.order, tuple(row[j:j + phi]))
                            for j in range(0, len(row), phi)) for row in self.rows)
 
+    @property
+    def _rational(self) -> bool:
+        """Whether every entry is rational: zero past its constant coefficient."""
+        phi = euler_phi(self.order)
+        return not any(any(row[k::phi]) for row in self.rows for k in range(1, phi))
+
     def integer_entries(self) -> tuple[tuple[int, ...], ...]:
         """All entries as plain integers; fails if any entry is irrational."""
-        phi = euler_phi(self.order)
-        if any(any(row[k::phi]) for row in self.rows for k in range(1, phi)):
+        if not self._rational:
             raise VerificationFailure("matrix has an irrational entry")
-        return tuple(tuple(row[::phi]) for row in self.rows)
+        return tuple(tuple(row[::euler_phi(self.order)]) for row in self.rows)
 
 
 def dual_partition(part: Partition, max_size: int = ELEMENT_GUARD) -> Partition:

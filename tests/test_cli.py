@@ -15,6 +15,7 @@ import pytest
 
 import dualpart.checks
 import dualpart.cli
+import dualpart.cyclotomic
 import dualpart.induced
 import dualpart.partition
 import dualpart.poset
@@ -635,7 +636,7 @@ def test_dual_and_macwilliams_check_the_matrix_guard_before_the_sweep(cmd, monke
 
 def test_a_digit_wider_than_64_bits_is_a_guard_error(monkeypatch, capsys):
     """With c_E = 2^63, singletons on (4,) need 2^b >= 2 * 2^63 + 1 + 1."""
-    monkeypatch.setattr(dualpart.partition, "coefficient_bound", lambda e: 1 << 63)
+    monkeypatch.setattr(dualpart.cyclotomic, "coefficient_bound", lambda e: 1 << 63)
     singles = '{"blocks":[[[0]],[[1]],[[2]],[[3]]]}'
     assert main(["krawtchouk", "--group", '{"orders":[4]}', "--partition", singles]) == 2
     captured = capsys.readouterr()

@@ -97,6 +97,16 @@ def test_order_mismatch_rejected():
         zeta_pow(4, 1) + zeta_pow(6, 1)
 
 
+@pytest.mark.parametrize("order, coeffs", [(4, (0.5,)), (4, (True, False)), (4, ("1",)),
+                                           (4, ("1", "2", "3")), (4.0, (1,)), (True, (1,))],
+                         ids=str)
+def test_non_integer_input_is_refused(order, coeffs):
+    """Stored as given, 0.5 * 0.5 would read (0.25, 0), and strings raise a bare TypeError."""
+    message = "coefficients must be integers" if type(order) is int else "root order must be"
+    with pytest.raises(InputError, match=message):
+        CycInt(order, coeffs)
+
+
 def test_change_order_round_trip():
     a = zeta_pow(4, 1) + integer(4, 2)
     lifted = a.change_order(12)

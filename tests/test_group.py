@@ -3,7 +3,7 @@ import random
 import pytest
 
 import dualpart.group
-from dualpart.cyclotomic import CycInt, euler_phi, integer, zero, zeta_pow
+from dualpart.cyclotomic import CycInt, _digit_reader, euler_phi, integer, zero, zeta_pow
 from dualpart.errors import GuardExceeded, InputError
 from dualpart.group import (
     ELEMENTS_CACHE,
@@ -17,7 +17,7 @@ from dualpart.group import (
     pairing,
     pairing_exponent,
 )
-from dualpart.partition import Partition, _digit_reader, fourier_transform
+from dualpart.partition import Partition, fourier_transform
 from test_sweep import SMALL_CARRIERS, carriers
 
 Z6 = GroupSpec((6,))

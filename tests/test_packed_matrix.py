@@ -22,14 +22,15 @@ from operator import add
 
 import pytest
 
+import dualpart.cyclotomic
 import dualpart.partition
 import dualpart.serialization
-from dualpart.cyclotomic import CycInt, euler_phi, zeta_coeff_table
+from dualpart.cyclotomic import _DIGITS, CycInt, _digit_reader, euler_phi, zeta_coeff_table
 from dualpart.enumerator import _evaluation, _norm, _root_order, _Rows
 from dualpart.errors import VerificationFailure
 from dualpart.group import GroupSpec, _pairing_exponents
-from dualpart.partition import (_DIGITS, MATRIX_GUARD, Partition, _digit_reader, _packed_rows,
-                                dual_partition, krawtchouk, random_partition)
+from dualpart.partition import (MATRIX_GUARD, Partition, _packed_rows, dual_partition, krawtchouk,
+                                random_partition)
 from dualpart.serialization import write_json
 from test_product_grid import oracle_sparse_rows, read_coefficients
 from test_serialization import cycint_to_json, written
@@ -302,7 +303,7 @@ def test_forced_digit_widths_read_the_same_rows(orders, width, monkeypatch):
              for part in method_partitions(GroupSpec(orders))]
     assert all(_digit_reader(GroupSpec(orders).exponent, max(map(len, part.blocks)), "")[0]
                < width for part, _ in cases)
-    monkeypatch.setattr(dualpart.partition, "_DIGITS", {width: _DIGITS[width]})
+    monkeypatch.setattr(dualpart.cyclotomic, "_DIGITS", {width: _DIGITS[width]})
     for part, chars in cases:
         want = character_rows(part, chars)
         for way, cost in WAYS.items():

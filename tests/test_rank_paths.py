@@ -12,8 +12,10 @@ implementation each replaced: the breadth-first closure of ``generate``, the
 pair-loop closure test of ``Code.from_elements``, the closure search of
 ``all_subgroups`` with its second greedy pass, the coset loop of
 ``unit_generators``, ``refines`` and
-``mismatch_witness`` on element sets, the two long divisions, and the
-fixed-point transitive closure of ``Poset.from_covers``. Canonical block
+``mismatch_witness`` on element sets, the two long divisions, the ``CycInt``
+product by convolution and reduction by long division that the Kronecker
+substitution replaced, and the fixed-point transitive closure of
+``Poset.from_covers``. Canonical block
 order, which ``from_blocks`` now also takes from ``from_labels``, is checked
 against ``sorted`` over element sets.
 """
@@ -27,7 +29,8 @@ from collections import Counter
 import pytest
 
 import dualpart.enumerator
-from dualpart.cyclotomic import CycInt, _poly_divmod, integer, unit_generators
+from dualpart.cyclotomic import (CycInt, _poly_divmod, cyclotomic_polynomial, euler_phi, integer,
+                                 unit_generators)
 from dualpart.enumerator import (
     _evaluation,
     _grid_step,
@@ -653,6 +656,51 @@ def test_divmod_matches_the_two_long_divisions():
         exact = poly_mul(tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 8))), den)
         q, r = _poly_divmod(exact, den)
         assert q == old_poly_div_exact(exact, den) and not any(r)
+
+
+def old_reduced(order, raw):
+    """The canonical coefficients of raw by long division, as CycInt reduced before."""
+    phi = euler_phi(order)
+    if len(raw) > phi:
+        raw = _poly_divmod(tuple(raw), cyclotomic_polynomial(order))[1]
+    return tuple(raw) + (0,) * (phi - len(raw))
+
+
+def old_conjugate(order, coeffs):
+    raw = [0] * order
+    for i, c in enumerate(coeffs):
+        raw[i * (order - 1) % order] += c
+    return old_reduced(order, raw)
+
+
+def random_vector(rng, length):
+    """Dense, or one or two terms, which the width rule reads at its tightest."""
+    top = 1 << rng.choice((2, 20, 40))
+    if rng.random() < 0.5:
+        return tuple(rng.randint(-top, top) for _ in range(length))
+    out = [0] * length
+    for _ in range(rng.randint(1, 2)):
+        out[rng.randrange(length)] = rng.randint(-top, top)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("orders", [range(1, 65), range(65, 129), range(129, 193),
+                                    range(193, 257)], ids=lambda r: f"{r.start}-{r.stop - 1}")
+def test_kronecker_arithmetic_matches_convolution_and_long_division(orders):
+    """Products, over-long reductions, conjugates and lifts at every order up to 256,
+    coefficients up to 2^40 (widths past 64 bits), against poly_mul and _poly_divmod."""
+    rng = random.Random(orders.start)
+    for e in orders:
+        phi = euler_phi(e)
+        for _ in range(3):
+            a, b = random_vector(rng, phi), random_vector(rng, phi)
+            assert (CycInt(e, a) * CycInt(e, b)).coeffs == old_reduced(e, poly_mul(a, b)), e
+            raw = random_vector(rng, rng.randint(phi + 1, 2 * e))
+            assert CycInt(e, raw).coeffs == old_reduced(e, raw), e
+            assert CycInt(e, a).conjugate().coeffs == old_conjugate(e, a), e
+            m = rng.randint(2, 4)
+            assert CycInt(e, a).change_order(e * m).coeffs == old_reduced(
+                e * m, [c for x in a for c in (x,) + (0,) * (m - 1)]), e
 
 
 def old_closure_below(n, covers):

@@ -95,6 +95,26 @@ def test_median_child_takes_each_timing_from_its_median_child(monkeypatch):
                                               "b_seconds": 0.5, "b_runs": 7}
 
 
+def test_a_sweep_case_takes_each_timing_from_its_median_child(monkeypatch):
+    """A sweep case runs in CHILDREN children, as every other kind does."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import sweep_cases
+
+    children = iter([(3.0, 1, 0.5, 7), (1.0, 2, 0.2, 8), (2.0, 3, 0.9, 9)])
+
+    def child(row, code, timeout):
+        s, r, k, q = next(children)
+        return {**row, "seconds": s, "runs": r, "krawtchouk_seconds": k, "krawtchouk_runs": q,
+                "peak_rss_mb": s, "status": "ok"}
+
+    monkeypatch.setattr(sweep_cases, "run_child", child)
+    monkeypatch.setattr(sweep_cases, "CHILDREN", 3)
+    case = sweep_cases.run_case("(64,64) hamming", str(ROOT / "src"), 2.0, 60.0)
+    assert (case["seconds"], case["runs"], case["krawtchouk_seconds"],
+            case["krawtchouk_runs"], case["peak_rss_mb"]) == (2.0, 3, 0.5, 7, 3.0)
+    assert next(children, None) is None
+
+
 def test_sweep_cases_script_skips_a_matrix_over_the_guard():
     doc = json.loads(run_script("sweep_cases.py", "--case", "(4096,) random", "--timeout", "60"))
     (case,) = doc["cases"]
