@@ -18,7 +18,6 @@ from .group import (
     dual_code,
     elements,
     generate,
-    pairing,
     pairing_exponent,
 )
 from .partition import (
@@ -84,7 +83,7 @@ __all__ = [
     "CycInt", "cyclotomic_polynomial", "euler_phi", "integer", "one", "zero", "zeta_pow",
     "GuardExceeded", "InputError", "VerificationFailure",
     "Code", "Element", "GroupSpec", "all_subgroups", "dual_code", "elements",
-    "generate", "pairing", "pairing_exponent",
+    "generate", "pairing_exponent",
     "KrawtchoukMatrix", "Partition", "all_partitions", "bidual", "dual_partition",
     "fourier_transform", "is_reflexive", "join", "kk_product_check", "krawtchouk", "meet",
     "mismatch_witness", "negate", "random_partition", "random_reflexive_partition",

@@ -36,7 +36,7 @@ from functools import lru_cache, partial, reduce
 from operator import add, itemgetter, mod, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cyclotomic import CycInt, _close, _greedy_generators, zeta_pow
+from .cyclotomic import _close, _greedy_generators
 from .errors import GuardExceeded, InputError, VerificationFailure, count_text
 
 Element = tuple[int, ...]
@@ -146,11 +146,6 @@ def pairing_exponent(group: GroupSpec, chi: Element, g: Element) -> int:
     if len(chi) != len(g) or len(g) != len(group.orders):
         raise InputError("character and element must match the factor count")
     return sum((e // n) * c * x for n, c, x in zip(group.orders, chi, g)) % e
-
-
-def pairing(group: GroupSpec, chi: Element, g: Element) -> CycInt:
-    """Character value <chi, g> as an exact cyclotomic integer."""
-    return zeta_pow(group.exponent, pairing_exponent(group, chi, g))
 
 
 def _outer(a: list, b: list) -> list:

@@ -551,13 +551,6 @@ class KrawtchoukMatrix:
         return (len(self.rows), self.col_part.num_blocks)
 
     @property
-    def entries(self) -> tuple[tuple[CycInt, ...], ...]:
-        """The entries as ``CycInt`` values, built anew on every call."""
-        phi = euler_phi(self.order)
-        return tuple(tuple(CycInt(self.order, tuple(row[j:j + phi]))
-                           for j in range(0, len(row), phi)) for row in self.rows)
-
-    @property
     def _rational(self) -> bool:
         """Whether every entry is rational: zero past its constant coefficient."""
         phi = euler_phi(self.order)
@@ -575,8 +568,9 @@ def dual_partition(part: Partition, max_size: int = ELEMENT_GUARD) -> Partition:
 
     One signature sweep makes it on first use, and it is kept on the
     partition object, so the dual, bidual, reflexivity test and Krawtchouk
-    matrices of one object share that sweep. When P* = P, then P** = P*, so
-    the dual is given a fresh copy of itself as its own dual and the bidual
+    matrices of one object share that sweep. P** refines P and has |P*|
+    blocks, so |P*| = |P| forces P** = P: the dual of a reflexive partition
+    is given a fresh copy of the partition as its own dual, and the bidual
     costs no sweep. No partition refers back to itself, so a kept dual is
     freed with its partition by reference counting alone.
     """
@@ -584,8 +578,8 @@ def dual_partition(part: Partition, max_size: int = ELEMENT_GUARD) -> Partition:
     if part._dual is None:
         rows = _signature_rows(part, max_size=max_size)  # in rank order
         dual = Partition.from_labels(part.group, rows.values())
-        if dual == part:
-            object.__setattr__(dual, "_dual", replace(dual))
+        if dual.num_blocks == part.num_blocks:
+            object.__setattr__(dual, "_dual", replace(part))
         object.__setattr__(part, "_dual", dual)
     return part._dual
 
@@ -594,7 +588,7 @@ def bidual(part: Partition, max_size: int = ELEMENT_GUARD) -> Partition:
     """Dual of the dual, read back on the original carrier.
 
     The pairing is symmetric, so no pullback bookkeeping is needed: the
-    second dual lands on the same residue-tuple carrier. A self-dual
+    second dual lands on the same residue-tuple carrier. A reflexive
     partition is swept once.
     """
     return dual_partition(dual_partition(part, max_size), max_size)

@@ -1,9 +1,11 @@
 """End-to-end runs of every subcommand through main()."""
 
+import contextlib
 import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import random
 import resource
@@ -11,7 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import dualpart.checks
 import dualpart.cli
@@ -19,6 +23,7 @@ import dualpart.cyclotomic
 import dualpart.induced
 import dualpart.partition
 import dualpart.poset
+import reference as ref
 from dualpart.cli import main
 from dualpart.errors import GuardExceeded, InputError
 from dualpart.group import GroupSpec
@@ -893,3 +898,61 @@ def test_closed_stdout_exits_141_without_a_traceback(read_first, tmp_path):
     assert proc.wait(timeout=60) == 141
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+PAYLOADS = {"dual": ["--partition"], "bidual": ["--partition"], "reflexive": ["--partition"],
+            "krawtchouk": ["--partition"], "macwilliams": ["--partition", "--code"],
+            "product": ["--partition", "--code"], "symmetrize": ["--partition", "--code"],
+            "poset-partition": ["--poset"], "poset-krawtchouk": ["--poset"],
+            "poset-check": ["--poset"], "subgroups": []}
+"""The flags besides ``--group`` of the 11 subcommands that take payloads."""
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 9), st.text(max_size=4),
+                 st.lists(st.integers(-1, 5), max_size=3))
+
+
+@st.composite
+def cli_runs(draw):
+    """A subcommand and its payloads on a carrier of at most 16 elements: singletons or
+    blocks from random labels, codes from random generators, orders from random covers,
+    each payload at times replaced by junk, left unparsable or left out."""
+    cmd = draw(st.sampled_from(list(PAYLOADS)))
+    orders = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)
+                  .filter(lambda o: math.prod(o) <= 16))
+    els = ref.elements(GroupSpec(tuple(orders)))
+    labels = draw(st.just(range(len(els))) | st.lists(st.integers(0, 3), min_size=len(els),
+                                                       max_size=len(els)))
+    blocks = [[list(g) for g, at in zip(els, labels) if at == label] for label in set(labels)]
+    copies = draw(st.sampled_from([1, 1, 2, 2, 3, 0]))
+    words = els if cmd == "macwilliams" else ref.elements(GroupSpec(tuple(orders) * copies))
+    pairs = st.tuples(st.integers(1, len(orders)), st.integers(1, len(orders)))
+    payloads = {"--group": {"orders": orders}, "--partition": {"blocks": blocks},
+                "--code": {"generators": draw(st.lists(st.sampled_from(words), max_size=2))},
+                "--poset": {"n": len(orders), "cover": draw(st.lists(pairs, max_size=3))}}
+    argv = [cmd]
+    for flag in ["--group", *PAYLOADS[cmd]]:
+        how = draw(st.sampled_from(["valid"] * 12 + ["junk", "unparsable", "missing"]))
+        if how != "missing":
+            text = json.dumps(draw(JUNK) if how == "junk" else payloads[flag])
+            argv += [flag, text[:-1] if how == "unparsable" else text]
+    if cmd in ("product", "symmetrize"):
+        argv += ["--copies", str(copies)] + draw(st.sampled_from([[], ["--check"]]))
+    return argv + draw(st.sampled_from([[], [], ["--max-group", "8"]]))
+
+
+@given(cli_runs())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_random_payloads_exit_cleanly_and_dual_matches_the_reference(argv):
+    """Every run exits 0 to 3, raising nothing; a run that exits 0 prints one JSON
+    document, and a dual printed has the blocks of the reference's dual."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
+        return
+    doc = json.loads(out.getvalue())
+    if argv[0] == "dual":
+        grp = group_from_json(doc["group"])
+        want = ref.dual(partition_from_json(doc["partition"], grp))
+        assert doc["dual"]["blocks"] == [[list(g) for g in b] for b in want.blocks]

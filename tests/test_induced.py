@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import reference as ref
 from dualpart.errors import InputError
 from dualpart.group import GroupSpec, elements
 from dualpart.induced import (
@@ -21,37 +22,6 @@ from dualpart.partition import (
 )
 
 
-
-# Element-wise helpers the library no longer needs: the enumerators read a code
-# by coordinate columns. They remain the oracles' way to cut and join words.
-
-
-def split_element(groups, flat):
-    """Cut a product-carrier tuple back into per-factor coordinates."""
-    out = []
-    pos = 0
-    for g in groups:
-        k = len(g.orders)
-        out.append(flat[pos : pos + k])
-        pos += k
-    if pos != len(flat):
-        raise InputError("element length does not match the factor list")
-    return tuple(out)
-
-
-def flatten_element(coords):
-    return tuple(x for c in coords for x in c)
-
-
-def composition_vector(base, coords):
-    """How many coordinates fall in each block of the base partition."""
-    counts = [0] * base.num_blocks
-    block_of, rank = base.block_of, base.group.rank
-    for c in coords:
-        counts[block_of[rank(c)]] += 1
-    return tuple(counts)
-
-
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
 Z4 = GroupSpec((4,))
@@ -66,9 +36,7 @@ def hamming(g):
 def test_carrier_concatenation():
     assert product_group([Z2, Z3]).orders == (2, 3)
     assert power_group(K4, 2).orders == (2, 2, 2, 2)
-    flat = flatten_element([(1, 0), (0, 1)])
-    assert flat == (1, 0, 0, 1)
-    assert split_element([K4, K4], flat) == ((1, 0), (0, 1))
+    assert ref.split([K4, K4], (1, 0, 0, 1)) == ((1, 0), (0, 1))
 
 
 def test_product_partition_blocks():
@@ -116,7 +84,7 @@ def test_symmetrized_partition_blocks():
 
 def test_composition_vector():
     p = Partition.from_blocks(Z4, [[(0,)], [(1,), (3,)], [(2,)]])
-    assert composition_vector(p, [(0,), (1,), (2,), (3,)]) == (1, 2, 1)
+    assert ref.composition(p, [(0,), (1,), (2,), (3,)]) == (1, 2, 1)
 
 
 def test_symmetrized_refines_relation():

@@ -1,55 +1,43 @@
-"""Packed Krawtchouk matrices against the ``CycInt`` matrix they replaced.
+"""Packed Krawtchouk matrices against the reference's exact block sums.
 
-The oracles are the library's former code, kept here. ``signature`` (in
-``test_sweep``) built one ``CycInt`` per entry; ``character_rows`` built the
-packed rows from sparse root-power rows, with no ring and no digit read; ``integer_entries`` and the
-sparse transform step (``oracle_sparse_rows`` in ``test_product_grid``) read
-those entries one at a time; the matrix document printed each entry by
-``cycint_to_json`` and its approx by ``approx_complex``. Every reader of the
-packed rows must agree with it: the ``entries`` view, ``integer_entries``
-(which raises on an irrational entry), the transforms' row reader ``_Rows``
-(each entry evaluated at z = 2^b, read back by ``read_coefficients``),
-and the bytes ``write_json`` prints for the matrix, which must be those of ``json.dumps(indent=2)`` of the oracle's document
-wherever the matrix sits and however its rows fall into batches.
+Every reader of the packed rows must give the reference's entries: the
+matrix's ``rows`` themselves, ``integer_entries`` (which raises on an
+irrational entry), the transforms' row reader ``_Rows`` (each entry evaluated
+at z = 2^b, read back by ``read_coefficients``), and the bytes ``write_json``
+prints for the matrix, which must be those of ``json.dumps(indent=2)`` of the
+document built from the reference's entries, wherever the matrix sits and
+however its rows fall into batches. Both ways to the rows, per character and
+one transform per primal block, must give them too.
 """
 
+import itertools
 import json
 import math
 import random
 import textwrap
-from collections import Counter
-from operator import add
 
 import pytest
 
 import dualpart.cyclotomic
 import dualpart.partition
 import dualpart.serialization
-from dualpart.cyclotomic import _DIGITS, CycInt, _digit_reader, euler_phi, zeta_coeff_table
+import reference as ref
+from dualpart.cyclotomic import _DIGITS, _digit_reader
 from dualpart.enumerator import _evaluation, _norm, _root_order, _Rows
 from dualpart.errors import VerificationFailure
-from dualpart.group import GroupSpec, _pairing_exponents
+from dualpart.group import GroupSpec
 from dualpart.partition import (MATRIX_GUARD, Partition, _packed_rows, dual_partition, krawtchouk,
                                 random_partition)
 from dualpart.serialization import write_json
-from test_product_grid import oracle_sparse_rows, read_coefficients
-from test_serialization import cycint_to_json, written
-from test_sweep import SMALL_CARRIERS, hamming, lee, signature
+from test_product_grid import read_coefficients
+from test_serialization import written
+from test_sweep import SMALL_CARRIERS, hamming, lee
 
 
-def oracle_entries(part, char_part):
-    return tuple(signature(part, block[0]) for block in char_part.blocks)
-
-
-def oracle_integer_entries(entries):
-    """The former ``integer_entries``, with None in place of its error."""
-    out = []
-    for row in entries:
-        vals = [x.as_rational_integer() for x in row]
-        if any(v is None for v in vals):
-            return None
-        out.append(tuple(vals))
-    return tuple(out)
+def integers(entries):
+    """The entries as ints, or None when one is irrational."""
+    out = tuple(tuple(map(ref.rational, row)) for row in entries)
+    return None if any(None in row for row in out) else out
 
 
 def approx_pair(z):
@@ -61,23 +49,27 @@ def approx_pair(z):
     return [clean(z.real), clean(z.imag)]
 
 
-def oracle_document(entries, matrix):
+def document(entries, matrix):
+    """The matrix document: a rational entry as its int, else its order and decimal
+    coefficient strings, and each entry's approx."""
+    e = matrix.order
     return {
-        "entries": [[cycint_to_json(x) for x in row] for row in entries],
-        "approx": [[approx_pair(x.approx_complex()) for x in row] for row in entries],
+        "entries": [[x[0] if ref.rational(x) is not None else
+                     {"order": e, "coeffs": list(map(str, x))} for x in row] for row in entries],
+        "approx": [[approx_pair(ref.approx(x, e)) for x in row] for row in entries],
         "row_blocks": [[list(g) for g in b] for b in matrix.row_part.blocks],
         "col_blocks": [[list(g) for g in b] for b in matrix.col_part.blocks],
     }
 
 
 def check_matrix(part, char_part):
-    """Compare every reader of krawtchouk(part, char_part) with the oracle;
+    """Compare every reader of krawtchouk(part, char_part) with the reference;
     True when the matrix has an irrational entry."""
     k = krawtchouk(part, char_part)
-    entries = oracle_entries(part, char_part)
+    entries = ref.krawtchouk(part, char_part)
     assert k.shape == (char_part.num_blocks, part.num_blocks)
-    assert k.entries == entries
-    ints = oracle_integer_entries(entries)
+    assert ref.entries(k) == entries
+    ints = integers(entries)
     if ints is None:
         with pytest.raises(VerificationFailure, match="irrational"):
             k.integer_entries()
@@ -87,9 +79,11 @@ def check_matrix(part, char_part):
     assert (order == 1) is (ints is not None)  # entries are plain ints
     b, _ = _evaluation(order, lambda: _norm(k))
     rows = _Rows(k, b)
-    assert [[(l, CycInt(k.order, read_coefficients(x, order, b)) if ints is None else x)
-             for l, x in rows[m]] for m in range(k.shape[0])] == oracle_sparse_rows(k)
-    check_written(k, oracle_document(entries, k))
+    assert [[(l, read_coefficients(x, order, b) if ints is None else x) for l, x in rows[m]]
+            for m in range(k.shape[0])] == \
+        [[(l, x if ints is None else x[0]) for l, x in enumerate(row) if any(x)]
+         for row in entries]
+    check_written(k, document(entries, k))
     return ints is None
 
 
@@ -101,14 +95,14 @@ PLACEMENTS = {  # name: (depth of the matrix, the document holding it, _BATCH_TE
 }
 
 
-def check_written(k, document):
+def check_written(k, doc):
     """``write_json`` prints ``k``, at every placement, as ``json.dumps`` prints the
-    oracle's document, with the default batches and with rows spanning many batches.
+    reference's document, with the default batches and with rows spanning many batches.
 
-    The oracle's text is dumped once: ``json.dumps`` prints a value at depth d as
-    at depth 0 with 2 * d more spaces after each newline, as no JSON string holds one.
+    That text is dumped once: ``json.dumps`` prints a value at depth d as at depth 0
+    with 2 * d more spaces after each newline, as no JSON string holds one.
     """
-    text = json.dumps(document, indent=2)
+    text = json.dumps(doc, indent=2)
     for name, (depth, place, batch) in PLACEMENTS.items():
         expected = json.dumps(place("\0"), indent=2).replace(
             '"\\u0000"', text.replace("\n", "\n" + "  " * depth))
@@ -149,7 +143,7 @@ def test_small_carriers_hold_both_kinds_of_matrix():
 
 def row_kind(row):
     """"rational", "irrational" or "mixed", by the entries of a matrix row."""
-    irrational = {x.as_rational_integer() is None for x in row}
+    irrational = {ref.rational(x) is None for x in row}
     return "mixed" if len(irrational) == 2 else "irrational" if True in irrational else "rational"
 
 
@@ -164,7 +158,8 @@ def test_writer_prints_every_kind_of_row():
         "singletons-5": (Partition.singletons(five), Partition.singletons(five)),
         "singletons-12": (Partition.singletons(GroupSpec((12,))),) * 2,
     }
-    kinds = {name: set(map(row_kind, krawtchouk(*pair).entries)) for name, pair in pairs.items()}
+    kinds = {name: set(map(row_kind, ref.entries(krawtchouk(*pair))))
+             for name, pair in pairs.items()}
     assert kinds == {"phi-1": {"rational"}, "no-zero-singleton": {"rational", "irrational"},
                      "singletons-5": {"rational", "mixed"},
                      "singletons-12": {"rational", "mixed"}}
@@ -178,11 +173,11 @@ def test_writer_streams_a_matrix_a_batch_of_rows_at_a_time(orders, monkeypatch):
     monkeypatch.setattr(dualpart.serialization, "_BATCH_TEXT", 64)
     singles = Partition.singletons(GroupSpec(orders))
     k = krawtchouk(singles, singles)
-    document = oracle_document(oracle_entries(singles, singles), k)
-    expected = json.dumps(document, indent=2)
+    doc = document(ref.krawtchouk(singles, singles), k)
+    expected = json.dumps(doc, indent=2)
     # a row of the whole-document matrix is printed at indent 2, four spaces
     longest_row = max(len(textwrap.indent(json.dumps(row, indent=2), "    "))
-                      for row in document["entries"] + document["approx"])
+                      for row in doc["entries"] + doc["approx"])
 
     class Sink(list):
         def write(self, text):
@@ -200,36 +195,15 @@ def test_writer_streams_a_matrix_a_batch_of_rows_at_a_time(orders, monkeypatch):
 
 
 def character_rows(part, chars):
-    """The packed rows, one character at a time, in exact integers.
-
-    This is the library's former per-character row builder, kept as the
-    oracle of both ways in the shift ring: a ``Counter`` per character counts
-    the (block, root power) pairs met on the carrier, on int keys
-    block * span + exponent (span bounds ``_pairing_exponents``), and each key
-    adds its count times the sparse canonical row of its power
-    (``zeta_coeff_table``) at its block's offset.
-    """
-    grp = part.group
-    e = grp.exponent
-    phi, span = euler_phi(e), e * max(1, len(grp.orders))
-    table = zeta_coeff_table(e)
-    offsets = [b * span for b in part.block_of]
-    out = []
-    for chi in chars:
-        row = [0] * (part.num_blocks * phi)
-        for key, n in Counter(map(add, offsets, _pairing_exponents(grp, chi))).items():
-            base = key // span * phi
-            for i, c in zip(*table[key % e]):
-                row[base + i] += n * c
-        out.append(row)
-    return out
+    """The packed rows of the given characters: their exact block sums, in a row each."""
+    return [list(itertools.chain(*ref.signature(part, chi))) for chi in chars]
 
 
 WAYS = {"transform": 0, "per-character": math.inf}  # transform costs that force each way
 
 
 def rows_both_ways(part, char_part):
-    """The matrix rows with each way forced in turn; both must equal the oracle."""
+    """The matrix rows with each way forced in turn; both must equal the reference."""
     want = character_rows(part, [block[0] for block in char_part.blocks])
     for way, cost in WAYS.items():
         with pytest.MonkeyPatch.context() as patch:
@@ -253,7 +227,7 @@ def way_taken(part, char_part):
 def largest_column_at_zero(part, char_part, rows):
     """The zero character's entry in the largest block's column is that block's size,
     as a rational integer: the column the transform derives from the others."""
-    phi = euler_phi(part.group.exponent)
+    phi = ref.phi(part.group.exponent)
     largest = max(range(part.num_blocks), key=lambda m: len(part.blocks[m]))
     assert char_part.blocks[0][0] == part.group.zero
     entry = rows[0][largest * phi:(largest + 1) * phi]
@@ -328,7 +302,7 @@ def test_three_blocks_of_1155_take_the_transform():
     """E = 1155 = 3 * 5 * 7 * 11 has c_E = 9 and phi(E) = 480, and every
     character is alone in the dual. Per character, the 1155 rows took about
     15 s with sparse root-power rows; sampled rows of the transformed matrix
-    equal the oracle's."""
+    equal the reference's."""
     grp = GroupSpec((1155,))
     rng = random.Random(0)
     part = Partition.from_labels(grp, [rng.randrange(3) for _ in range(grp.size)])

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import weakref
+from dataclasses import replace
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -26,7 +27,8 @@ from dualpart.partition import (
     random_reflexive_partition,
     refines,
 )
-from test_sweep import signature
+import reference as ref
+from test_sweep import SMALL_CARRIERS
 
 Z6 = GroupSpec((6,))
 
@@ -126,26 +128,6 @@ def test_blocks_are_built_once_by_the_sweep():
     assert "blocks" not in vars(dual)
 
 
-def union_find_join(a, b):
-    """Oracle of ``join``: union-find over the members of every block of both."""
-    grp = a.group
-    parent = list(range(grp.size))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for part in (a, b):
-        for block in part.blocks:
-            first = find(grp.rank(block[0]))
-            for g in block[1:]:
-                root = find(grp.rank(g))
-                if root != first:
-                    parent[root] = first
-    return Partition.from_labels(grp, map(find, range(grp.size)))
-
-
 @pytest.mark.parametrize("orders", [(2,), (5,), (6,), (2, 2), (2, 4), (3, 3), (2, 2, 2)])
 def test_join_equals_the_union_find_oracle(orders):
     g = GroupSpec(orders)
@@ -153,7 +135,7 @@ def test_join_equals_the_union_find_oracle(orders):
     for _ in range(50):
         a = Partition.from_labels(g, random_labels(g, rng))
         b = Partition.from_labels(g, random_labels(g, rng))
-        want = union_find_join(a, b)
+        want = ref.join(a, b)
         assert join(a, b) == want and join(b, a) == want
         assert refines(a, want) and refines(b, want)
 
@@ -180,10 +162,9 @@ def test_worked_example_non_reflexive():
 
 def test_signature_values():
     p = part6([0], [1, 3, 5], [2, 4])
-    from dualpart.cyclotomic import integer
-    assert signature(p, (0,)) == (integer(6, 1), integer(6, 3), integer(6, 2))
-    assert signature(p, (1,)) == signature(p, (5,))
-    assert signature(p, (1,)) != signature(p, (3,))
+    assert ref.signature(p, (0,)) == ((1, 0), (3, 0), (2, 0))
+    assert ref.signature(p, (1,)) == ref.signature(p, (5,))
+    assert ref.signature(p, (1,)) != ref.signature(p, (3,))
 
 
 def test_lee_partition_z4_reflexive():
@@ -247,6 +228,26 @@ def test_kept_sweep_forms_no_reference_cycle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_reflexive_partition_that_is_not_self_dual_is_swept_once(monkeypatch):
+    """P** refines P and has |P*| blocks, so |P*| = |P| gives P** = P: the bidual of a
+    reflexive partition P != P* takes one sweep, and equals a fresh sweep of the dual."""
+    parts = []
+    for orders in SMALL_CARRIERS:
+        for seed in range(3):
+            part = random_reflexive_partition(GroupSpec(orders), random.Random(seed))
+            if dual_partition(part) != part:
+                parts.append(replace(part))  # without its kept sweep
+    assert len(parts) >= 18
+    swept = []
+    real = dualpart.partition._signature_rows
+    monkeypatch.setattr(dualpart.partition, "_signature_rows",
+                        lambda part, **kwargs: swept.append(part) or real(part, **kwargs))
+    for part in parts:
+        swept.clear()
+        assert bidual(part) == part and swept == [part]
+        assert dual_partition(replace(dual_partition(part))) == part
 
 
 def test_krawtchouk_cross_carrier_rejected():

@@ -37,19 +37,30 @@ def test_poset_refinement_sweep_counts_the_labeled_posets():
             assert f"n={n} q={q}: {count} labeled posets;" in out
 
 
+def sweep_cases(monkeypatch, capsys, *args):
+    """The document of ``scripts/sweep_cases.py``, its ``main`` run in this process
+    with each case in one child process."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import sweep_cases
+
+    monkeypatch.setattr(sweep_cases, "CHILDREN", 1)
+    assert sweep_cases.main(list(args)) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 def least_of_repeats(seconds, runs):
     """Whether a field was timed as the least of 1 to 20 runs that stopped once they
     took 0.5 s: all runs but the last, each at least the least, took under 0.5 s."""
     return seconds > 0 and 1 <= runs <= 20 and (runs - 1) * seconds < 0.5
 
 
-def test_sweep_cases_script_reports_each_case():
-    doc = json.loads(run_script("sweep_cases.py", "--case", "(256,) lee",
-                                "--case", "(12,)^3 singletons, 12 words",
-                                "--case", "(7,)^5 lee, 49 words",
-                                "--case", "(64,64) hamming",
-                                "--case", "(2,)^12 hamming, 64 words",
-                                "--case", "(2,)^5 subgroups", "--timeout", "60"))
+def test_sweep_cases_script_reports_each_case(monkeypatch, capsys):
+    doc = sweep_cases(monkeypatch, capsys, "--case", "(256,) lee",
+                      "--case", "(12,)^3 singletons, 12 words",
+                      "--case", "(7,)^5 lee, 49 words",
+                      "--case", "(64,64) hamming",
+                      "--case", "(2,)^12 hamming, 64 words",
+                      "--case", "(2,)^5 subgroups", "--timeout", "60")
     assert doc["limit_gib"] == 2.0
     assert [(c["name"], c["status"], c["blocks"], c["dual_blocks"]) for c in doc["cases"]] == [
         ("(256,) lee", "ok", 129, 129), ("(64,64) hamming", "ok", 3, 3)]
@@ -115,17 +126,16 @@ def test_a_sweep_case_takes_each_timing_from_its_median_child(monkeypatch):
     assert next(children, None) is None
 
 
-def test_sweep_cases_script_skips_a_matrix_over_the_guard():
-    doc = json.loads(run_script("sweep_cases.py", "--case", "(4096,) random", "--timeout", "60"))
+def test_sweep_cases_script_skips_a_matrix_over_the_guard(monkeypatch, capsys):
+    doc = sweep_cases(monkeypatch, capsys, "--case", "(4096,) random", "--timeout", "60")
     (case,) = doc["cases"]
     assert case["status"] == "ok" and (case["blocks"], case["dual_blocks"]) == (2309, 4096)
     assert case["krawtchouk_seconds"] is None and case["krawtchouk_peak_rss_mb"] is None
     assert case["krawtchouk_runs"] is None
 
 
-def test_sweep_cases_script_prints_the_cli_document():
-    doc = json.loads(run_script("sweep_cases.py", "--case", "(4,)^6 lee symmetrize",
-                                "--timeout", "60"))
+def test_sweep_cases_script_prints_the_cli_document(monkeypatch, capsys):
+    doc = sweep_cases(monkeypatch, capsys, "--case", "(4,)^6 lee symmetrize", "--timeout", "60")
     (case,) = doc["print_cases"]
     assert (case["name"], case["status"]) == ("(4,)^6 lee symmetrize", "ok")
     assert least_of_repeats(case["print_seconds"], case["print_runs"])
@@ -141,7 +151,7 @@ def test_sweep_cases_script_prints_the_cli_document():
     assert case["sha256"] == hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_sweep_cases_script_times_the_few_block_matrices():
+def test_sweep_cases_script_times_the_few_block_matrices(monkeypatch, capsys):
     """The five urn cases: few blocks, every character apart, and the matrix
     document's sha256 equal to that of the library's own matrix."""
     import random
@@ -154,7 +164,7 @@ def test_sweep_cases_script_times_the_few_block_matrices():
              "(16,16) 6 urns": ((16, 16), 6), "(3,)^5 6 urns": ((3,) * 5, 6),
              "(1155,) 3 urns": ((1155,), 3)}
     args = [arg for name in cases for arg in ("--case", name)]
-    doc = json.loads(run_script("sweep_cases.py", *args, "--timeout", "60"))
+    doc = sweep_cases(monkeypatch, capsys, *args, "--timeout", "60")
     assert [c["name"] for c in doc["cases"]] == list(cases)
     for case in doc["cases"]:
         orders, urns = cases[case["name"]]
@@ -171,7 +181,7 @@ def test_sweep_cases_script_times_the_few_block_matrices():
             assert case["krawtchouk_sha256"] == hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def test_sweep_cases_script_times_the_poset_weights():
+def test_sweep_cases_script_times_the_poset_weights(monkeypatch, capsys):
     """A random and a hierarchical order: both timings the least of repeats,
     and the label and report digests equal to the library's own."""
     import random
@@ -179,8 +189,8 @@ def test_sweep_cases_script_times_the_poset_weights():
     from dualpart.group import GroupSpec
     from dualpart.poset import Poset, hierarchical_poset, poset_duality_check, poset_partition
 
-    doc = json.loads(run_script("sweep_cases.py", "--case", "(3,)^6 random poset",
-                                "--case", "(2,)^9 hierarchical poset", "--timeout", "60"))
+    doc = sweep_cases(monkeypatch, capsys, "--case", "(3,)^6 random poset",
+                      "--case", "(2,)^9 hierarchical poset", "--timeout", "60")
     rng = random.Random(0)
     perm = list(range(6))
     rng.shuffle(perm)

@@ -1,23 +1,17 @@
-"""The modular signature sweep against the dense exact sweep it replaced.
+"""The modular signature sweep against the reference's exact block sums.
 
-``dense_signature_rows`` is that sweep, kept here as the oracle: it adds the
-dense canonical coefficient vector of every root power it meets, so its rows
-are the exact block sums. The library's sweep never builds them; it works in
-F_p with a Galois refinement, and builds exact rows only for matrices. Its
-first labels come from one of two paths, the dense F_p sweep or per-axis
-F_p transforms; ``naive_transform`` is the O(|G|^2) oracle of the latter.
-``signature``, the library's former ``CycInt`` row builder, is the oracle of
-the packed matrix rows (``tests/test_packed_matrix.py``).
+The library's sweep never builds an exact sum: it works in F_p with a Galois
+refinement, and builds exact rows only for matrices. Its first labels come
+from one of two paths, the dense F_p sweep or per-axis F_p transforms. The
+dual, the matrix rows and the F_p transform are each compared with their
+definitions in ``reference``.
 """
 
 import math
 import random
-from collections import Counter
 import subprocess
 import sys
 import textwrap
-from functools import lru_cache
-from operator import add
 from pathlib import Path
 from unittest import mock
 
@@ -25,16 +19,14 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import dualpart.partition
+import reference as ref
 from dualpart.cyclotomic import (
-    CycInt,
     coefficient_bound,
-    euler_phi,
     split_prime,
     unit_generators,
     zeta_coeff_table,
-    zeta_pow,
 )
-from dualpart.group import GroupSpec, _pairing_exponents, elements, pairing_exponent
+from dualpart.group import GroupSpec, elements
 from dualpart.partition import (
     Partition,
     _fp_passes,
@@ -49,63 +41,10 @@ from dualpart.partition import (
 )
 
 
-@lru_cache(maxsize=1)
-def exponent_table(grp):
-    """pairing_exponent(chi, g) for every character and element, by rank."""
-    els = elements(grp)
-    return [[pairing_exponent(grp, chi, g) for g in els] for chi in els]
-
-
-def signature(part, chi):
-    """Vector of block sums of the character chi, one exact ``CycInt`` per block.
-
-    This is the library's former row builder, kept as the oracle of the
-    packed rows: each (block, root power) pair met on the carrier adds its
-    count times the sparse canonical row of that power.
-    """
-    grp = part.group
-    e = grp.exponent
-    table = zeta_coeff_table(e)
-    acc = [[0] * euler_phi(e) for _ in part.blocks]
-    pairs = Counter(zip(part.block_of, _pairing_exponents(grp, grp.validate(chi))))
-    for (b, k), n in pairs.items():
-        indices, coeffs = table[k % e]
-        row = acc[b]
-        for i, c in zip(indices, coeffs):
-            row[i] += n * c
-    return tuple(CycInt(e, tuple(row)) for row in acc)
-
-
-def dense_signature_rows(part):
-    """Exact block-sum coefficient vectors of every character, densely."""
-    grp = part.group
-    e = grp.exponent
-    ztab = [zeta_pow(e, k).coeffs for k in range(e)]
-    blocks = [[grp.rank(g) for g in members] for members in part.blocks]
-    out = {}
-    for chi, exps in zip(elements(grp), exponent_table(grp)):
-        sig = []
-        for members in blocks:
-            acc = (0,) * len(ztab[0])
-            for r in members:
-                acc = tuple(map(add, acc, ztab[exps[r]]))
-            sig.append(acc)
-        out[chi] = tuple(sig)
-    return out
-
-
-def check_against_oracle(part, chi):
-    rows = dense_signature_rows(part)
-    buckets = {}
-    for x, row in rows.items():
-        buckets.setdefault(row, []).append(x)
+def check_against_reference(part):
     dual = dual_partition(part)
-    assert dual == Partition.from_blocks(part.group, buckets.values())
-    e = part.group.exponent
-    exact = {x: tuple(CycInt(e, c) for c in row) for x, row in rows.items()}
-    assert signature(part, chi) == exact[chi]
-    matrix = krawtchouk(part, dual)
-    assert matrix.entries == tuple(exact[block[0]] for block in dual.blocks)
+    assert dual == ref.dual(part)
+    assert ref.entries(krawtchouk(part, dual)) == ref.krawtchouk(part, dual)
 
 
 def carriers(limit):
@@ -128,28 +67,16 @@ def make_partition(orders, kind, seed):
     return random_partition(g, random.Random(seed), zero_block=kind == "zero-block")
 
 
-@given(st.sampled_from(SMALL_CARRIERS), KINDS, st.integers(0, 10 ** 9), st.data())
+@given(st.sampled_from(SMALL_CARRIERS), KINDS, st.integers(0, 10 ** 9))
 @settings(max_examples=300, deadline=None)
-def test_sweep_matches_dense_oracle(orders, kind, seed, data):
-    part = make_partition(orders, kind, seed)
-    chi = data.draw(st.sampled_from(elements(part.group)))
-    check_against_oracle(part, chi)
+def test_sweep_matches_dense_oracle(orders, kind, seed):
+    check_against_reference(make_partition(orders, kind, seed))
 
 
 @given(st.sampled_from([(105,), (210,)]), KINDS, st.integers(0, 10 ** 9))
 @settings(max_examples=4, deadline=None)
 def test_sweep_matches_dense_oracle_where_c_e_is_2(orders, kind, seed):
-    part = make_partition(orders, kind, seed)
-    check_against_oracle(part, (seed % orders[0],))
-
-
-def naive_transform(grp, x, p, w):
-    """sum over g of x(g) * w^<chi, g> mod p, for every chi in rank order."""
-    e = grp.exponent
-    powers = [pow(w, k, p) for k in range(e)]
-    els = elements(grp)
-    return [sum(v * powers[pairing_exponent(grp, chi, g)] for v, g in zip(x, els)) % p
-            for chi in els]
+    check_against_reference(make_partition(orders, kind, seed))
 
 
 def fast_transform(grp, x, p, w):
@@ -170,7 +97,7 @@ def test_transform_matches_the_naive_dft():
         for x in ([rng.randrange(p) for _ in range(grp.size)],
                   [rng.randrange(2) for _ in range(grp.size)],
                   [1] + [0] * (grp.size - 1)):
-            assert fast_transform(grp, x, p, w) == naive_transform(grp, x, p, w), orders
+            assert fast_transform(grp, x, p, w) == ref.fp_fourier(grp, x, p, w), orders
 
 
 def test_shift_ring_transform_matches_the_direct_sum():
@@ -178,7 +105,7 @@ def test_shift_ring_transform_matches_the_direct_sum():
     mod 2^n + 1 (even E) or 2^n - 1 (odd E), n = L * b, for every chi."""
     for orders in TRANSFORM_CARRIERS + [(2,) * 5, (3,) * 4, (4,) * 3]:
         grp = GroupSpec(orders)
-        e, els = grp.exponent, elements(grp)
+        e, els = grp.exponent, ref.elements(grp)
         plan, place = _transform_plan(grp)
         rng = random.Random(sum(orders))
         for b in (8, 16):
@@ -188,7 +115,7 @@ def test_shift_ring_transform_matches_the_direct_sum():
                       [rng.randrange(2) for _ in range(grp.size)],
                       [1] + [0] * (grp.size - 1)):
                 values = _run_passes(list(x), *_shift_passes(plan, e, b))
-                direct = [sum(v << b * pairing_exponent(grp, chi, g) for v, g in zip(x, els))
+                direct = [sum(v << b * ref.pairing_exponent(grp, chi, g) for v, g in zip(x, els))
                           % modulus for chi in els]
                 assert [values[i] % modulus for i in place] == direct, (orders, b)
 
@@ -226,21 +153,13 @@ SHAPED = {
 PATHS = {"transform": 0, "summed": 10 ** 9}  # transform costs that force each way
 
 
-def dense_classes(part):
-    """The dual by the dense oracle: characters grouped by exact block sums."""
-    buckets = {}
-    for chi, row in dense_signature_rows(part).items():
-        buckets.setdefault(row, []).append(chi)
-    return Partition.from_blocks(part.group, buckets.values())
-
-
 def test_both_paths_match_the_dense_oracle_on_every_small_carrier():
     """Every block transformed, then every block summed, on all 441 carriers."""
     for orders in SMALL_CARRIERS:
         grp = GroupSpec(orders)
         for kind, make in SHAPED.items():
             part = make(grp)
-            want = dense_classes(part)
+            want = ref.dual(part)
             for path, cost in PATHS.items():
                 with mock.patch.object(dualpart.partition, "_transform_cost",
                                        lambda grp: cost):
@@ -302,13 +221,13 @@ def test_refinement_splits_a_first_pass_collision():
     assert (p, w) == (17, 9)
     first = {}
     for chi in elements(g):
-        sums = tuple(sum(pow(w, pairing_exponent(g, chi, x), p) for x in b) % p
+        sums = tuple(sum(pow(w, ref.pairing_exponent(g, chi, x), p) for x in b) % p
                      for b in part.blocks)
         first.setdefault(sums, []).append(chi)
     merged = [b for b in first.values() if len(b) > 1]
     assert len(first) == 7 and len(merged) == 1
     a, b = merged[0]
-    assert signature(part, a) != signature(part, b)
+    assert ref.signature(part, a) != ref.signature(part, b)
     assert dual_partition(part) == Partition.singletons(g)
 
 
@@ -328,11 +247,7 @@ def test_coefficient_bound_reads_the_table_of_the_radical():
 def test_zeta_rows_are_the_canonical_powers():
     for e in list(range(1, 41)) + [105]:
         for k, (indices, coeffs) in enumerate(zeta_coeff_table(e)):
-            dense = [0] * len(zeta_pow(e, 0).coeffs)
-            for i, c in zip(indices, coeffs):
-                dense[i] = c
-            assert tuple(dense) == zeta_pow(e, k).coeffs
-            assert all(coeffs)
+            assert list(zip(indices, coeffs)) == ref.powers(e)[k]
 
 
 def is_prime(n):
