@@ -83,8 +83,14 @@ def test_symmetrized_partition_blocks():
 
 
 def test_composition_vector():
+    """Two words share a symmetrized block when their coordinates fall in the base's
+    blocks the same number of times: with base blocks of sizes 1, 2 and 1 on Z4, the six
+    composition vectors of two copies have 1, 4, 1, 4, 2 and 4 words."""
     p = Partition.from_blocks(Z4, [[(0,)], [(1,), (3,)], [(2,)]])
-    assert ref.composition(p, [(0,), (1,), (2,), (3,)]) == (1, 2, 1)
+    sp = symmetrized_partition(p, 2)
+    assert sorted(map(len, sp.blocks)) == [1, 1, 2, 4, 4, 4]
+    assert sp.blocks[sp.block_index_of((1, 3))] == ((1, 1), (1, 3), (3, 1), (3, 3))
+    assert sp.blocks[sp.block_index_of((0, 2))] == ((0, 2), (2, 0))
 
 
 def test_symmetrized_refines_relation():

@@ -161,10 +161,12 @@ def test_worked_example_non_reflexive():
 
 
 def test_signature_values():
+    """The trivial character sums to the block sizes; characters 1 and 5 give equal
+    sums and share a dual block, character 3 does not."""
     p = part6([0], [1, 3, 5], [2, 4])
-    assert ref.signature(p, (0,)) == ((1, 0), (3, 0), (2, 0))
-    assert ref.signature(p, (1,)) == ref.signature(p, (5,))
-    assert ref.signature(p, (1,)) != ref.signature(p, (3,))
+    d = dual_partition(p)
+    assert d.block_index_of((1,)) == d.block_index_of((5,)) != d.block_index_of((3,))
+    assert krawtchouk(p, d).integer_entries()[d.block_index_of((0,))] == (1, 3, 2)
 
 
 def test_lee_partition_z4_reflexive():

@@ -67,9 +67,9 @@ def read_coefficients(v, order, b):
 
 
 def grid_cells(monkeypatch, fn, *args):
-    """fn(*args), or the VerificationFailure it raised, and the cells of its last grid
+    """fn(*args), or the VerificationFailure it raised, the cells of its last grid
     step, each read into its canonical coefficients and padded to phi(order) of that
-    step's matrix."""
+    step's matrix, and the number of grid steps it made."""
     steps = []
 
     def step(grid, rows):
@@ -84,14 +84,15 @@ def grid_cells(monkeypatch, fn, *args):
     rows, cells = steps[-1]
     order, phi = rows.matrix.order if rows.b else 1, ref.phi(rows.matrix.order)
     return out, [c + (0,) * (phi - len(c)) for c in
-                 (read_coefficients(v, order, rows.b) for v in cells)]
+                 (read_coefficients(v, order, rows.b) for v in cells)], len(steps)
 
 
 def kk_by_the_step(part, k, k2, monkeypatch):
     """kk_product_check's verdicts and its K'K, with K and K' given in place of its own."""
     monkeypatch.setattr(dualpart.enumerator, "krawtchouk",
                         lambda p, c, max_size: k if p is part else k2)
-    verdicts, cells = grid_cells(monkeypatch, kk_product_check, part)
+    verdicts, cells, steps = grid_cells(monkeypatch, kk_product_check, part)
+    assert steps == 1
     cols = part.num_blocks
     return verdicts, [cells[r * cols:(r + 1) * cols] for r in range(k2.shape[0])]
 

@@ -11,7 +11,6 @@ floating approximations, ``generate``, the closure test of
 """
 
 import itertools
-import math
 import random
 from collections import Counter
 
@@ -134,17 +133,15 @@ def test_symmetrized_partition_matches_composition_fibers(orders):
 # dual codes
 
 
-# every carrier up to 64 elements once up to the order of its factors, and
-# in every factor order up to 16 elements; the (2,)^6 case alone takes about 4 s
-DUAL_CODE_CARRIERS = sorted({o if math.prod(o) <= 16 else tuple(sorted(o))
-                             for o in SMALL_CARRIERS if o})
-
-
-@pytest.mark.parametrize("orders", DUAL_CODE_CARRIERS)
+@pytest.mark.parametrize("orders", SMALL_CARRIERS)
 def test_dual_code_matches_the_pairing_definition(orders):
+    """The dual of every subgroup of every carrier up to 64 elements; each dual is
+    one of those subgroups, so each double dual is checked too."""
     g = GroupSpec(orders)
     for code in all_subgroups(g):
-        assert dual_code(g, code) == ref.dual_code(g, code.generators)
+        perp = dual_code(g, code)
+        assert perp == ref.dual_code(g, code.generators)
+        assert code.size * perp.size == g.size
 
 
 def test_dual_code_of_given_generators():
@@ -186,10 +183,12 @@ def random_dists(rows, rng):
 
 def check_steps(dist, matrix, monkeypatch):
     """Every cell of ``product_transform`` on ``dist`` by ``matrix`` in each coordinate,
-    each exact sum the reference gives, irrational ones included."""
+    each exact sum the reference gives, irrational ones included: one grid step per
+    coordinate."""
     width = len(next(iter(dist)))
-    _, cells = grid_cells(monkeypatch, product_transform, ProductEnumerator(dist),
-                          [matrix] * width, 1)
+    _, cells, steps = grid_cells(monkeypatch, product_transform, ProductEnumerator(dist),
+                                 [matrix] * width, 1)
+    assert steps == width
     assert cells == list(ref.product_transform(dist, [pair(matrix)] * width).values())
 
 
@@ -286,11 +285,12 @@ def test_approx_skipping_zeros_serializes_the_same(orders):
 
 @pytest.mark.parametrize("orders", SMALL_CARRIERS)
 def test_generate_equals_the_breadth_first_closure(orders):
+    """Random generator lists, and the generators of every subgroup."""
     g = GroupSpec(orders)
     els = elements(g)
     rng = random.Random(repr(orders))
-    for count in (0, 1, 1, 2, 2, 3, 4):
-        gens = [rng.choice(els) for _ in range(count)]
+    drawn = [[rng.choice(els) for _ in range(count)] for count in (0, 1, 1, 2, 2, 3, 4)]
+    for gens in drawn + [code.generators for code in all_subgroups(g)]:
         assert generate(g, gens) == ref.generate(g, gens)
 
 
@@ -311,7 +311,7 @@ def test_closure_verdict_matches_the_pair_loop_on_every_member_set(orders):
     assert accepted == len(all_subgroups(g))
 
 
-@pytest.mark.parametrize("orders", carriers(32))
+@pytest.mark.parametrize("orders", SMALL_CARRIERS)
 def test_all_subgroups_equals_the_closure_search(orders):
     g = GroupSpec(orders)
     assert all_subgroups(g) == ref.all_subgroups(g)
@@ -332,7 +332,6 @@ def test_subgroups_of_the_binary_space_of_dimension_six():
     assert len({c.elements for c in subs}) == len(subs) == 2825
     sizes = Counter(c.size for c in subs)
     assert sizes == {2 ** k: gaussian_binomial(6, k, 2) for k in range(7)}
-    assert all(c == ref.code(g, c.elements) for c in subs)
 
 
 def test_unit_generators_equal_the_coset_loop():
