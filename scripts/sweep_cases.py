@@ -262,9 +262,10 @@ from dualpart.partition import Partition, dual_partition, krawtchouk, random_ref
 orders, kind, copies, gens = {orders!r}, {kind!r}, {copies!r}, {gens!r}
 g = GroupSpec(orders)
 if kind == "hamming":
-    base = Partition.from_weight(g, lambda x: sum(1 for c in x if c))
+    base = Partition.from_labels(g, map(lambda x: sum(1 for c in x if c), elements(g, g.size)))
 elif kind == "lee":
-    base = Partition.from_weight(g, lambda x: sum(min(c, n - c) for c, n in zip(x, orders)))
+    base = Partition.from_labels(g, map(lambda x: sum(min(c, n - c) for c, n in zip(x, orders)),
+                                        elements(g, g.size)))
 elif kind == "singletons":
     base = Partition.singletons(g)
 else:
@@ -333,16 +334,16 @@ limit = {limit}
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 sys.path.insert(0, {src!r})
 from dualpart.errors import GuardExceeded
-from dualpart.group import GroupSpec
+from dualpart.group import GroupSpec, elements
 from dualpart.partition import Partition, dual_partition, krawtchouk, random_partition
 from dualpart.serialization import write_json
 orders, kind = {orders!r}, {kind!r}
 g = GroupSpec(orders)
 if kind == "hamming":
-    part = Partition.from_weight(g, lambda x: sum(1 for c in x if c), max_size=g.size)
+    part = Partition.from_labels(g, map(lambda x: sum(1 for c in x if c), elements(g, g.size)))
 elif kind == "lee":
-    part = Partition.from_weight(g, lambda x: sum(min(c, n - c) for c, n in zip(x, orders)),
-                                 max_size=g.size)
+    part = Partition.from_labels(g, map(lambda x: sum(min(c, n - c) for c, n in zip(x, orders)),
+                                        elements(g, g.size)))
 elif kind.startswith("urns"):
     rng = random.Random(0)
     part = Partition.from_labels(g, [rng.randrange(int(kind[4:])) for _ in range(g.size)])

@@ -20,7 +20,6 @@ from dualpart import (
     macwilliams_transform,
     meet,
     poset_krawtchouk_bruteforce,
-    rt_krawtchouk,
 )
 from dualpart.poset import chain
 
@@ -121,9 +120,9 @@ def main():
     print("  the double duals coincide")
 
     print("\n== chain-order matrices ==")
-    show_matrix("closed form, chain of length 2 over order 2", rt_krawtchouk(2, 2))
-    brute = poset_krawtchouk_bruteforce(chain(2), GroupSpec((2, 2)))
-    assert rt_krawtchouk(2, 2) == brute
+    closed = hierarchical_krawtchouk((1, 1), 2)
+    show_matrix("closed form, chain of length 2 over order 2", closed)
+    assert closed == poset_krawtchouk_bruteforce(chain(2), GroupSpec((2, 2)))
     mixed = hierarchical_krawtchouk((1, 1), (2, 3))
     show_matrix("mixed orders (2, 3) on the chain", mixed)
     assert mixed == poset_krawtchouk_bruteforce(chain(2), GroupSpec((2, 3)))

@@ -74,7 +74,6 @@ from .poset import (
     poset_krawtchouk_bruteforce,
     poset_partition,
     poset_weight,
-    rt_krawtchouk,
 )
 
 __version__ = "0.1.0"
@@ -97,6 +96,6 @@ __all__ = [
     "antichain", "chain", "classical_krawtchouk", "dual_poset",
     "hierarchical_krawtchouk", "hierarchical_poset", "is_hierarchical", "level_orders",
     "poset_duality_check", "poset_krawtchouk_bruteforce", "poset_partition",
-    "poset_weight", "rt_krawtchouk",
+    "poset_weight",
     "__version__",
 ]

@@ -91,9 +91,11 @@ def _group(args: argparse.Namespace):
 
 
 def _partition_args(args: argparse.Namespace):
-    """The carrier, the --partition on it, and the element guard."""
-    grp = _group(args)
-    return grp, partition_from_json(_load_json(args.partition), grp), _element_guard(args)
+    """The carrier, the --partition on it, and the element guard, which refuses an
+    oversized carrier before the payload is read."""
+    grp, ms = _group(args), _element_guard(args)
+    elements(grp, ms)
+    return grp, partition_from_json(_load_json(args.partition), grp), ms
 
 
 def _element_guard(args: argparse.Namespace) -> int:

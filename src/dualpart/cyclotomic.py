@@ -172,12 +172,6 @@ class CycInt:
         c = self.coeffs
         return CycInt(self.order, c[:1] + (0,) * (self.order - len(c)) + c[:0:-1])
 
-    def as_rational_integer(self) -> int | None:
-        """The value as a plain integer, or None if it is irrational."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
-
     def change_order(self, new_order: int) -> "CycInt":
         """Re-express the value at a root order that the current one divides."""
         if new_order % self.order != 0:
@@ -185,19 +179,6 @@ class CycInt:
                 f"target order {new_order} is not a multiple of {self.order}"
             )
         return CycInt(new_order, _stretch(self.coeffs, new_order // self.order))
-
-    def approx_complex(self) -> complex:
-        """Floating approximation, for display only; never used in comparisons.
-
-        Zero coefficients are skipped. Their terms are +-0, so the sum can
-        differ only in the sign of a zero component, and compares equal.
-        """
-        powers = _float_root_powers(self.order)
-        return sum((c * powers[i] for i, c in enumerate(self.coeffs) if c), complex(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
 
 def integer(order: int, value: int) -> CycInt:
@@ -261,7 +242,8 @@ def zeta_coeff_table(order: int) -> tuple[tuple[array, array], ...]:
 
 @lru_cache(maxsize=ZETA_TABLE_CACHE)
 def _float_root_powers(order: int) -> tuple[complex, ...]:
-    """z**i for i < phi(order), z = exp(2 pi i / order): the display terms of approx_complex."""
+    """z**i for i < phi(order), z = exp(2 pi i / order): a value's display approx is
+    the sum of c_i * z**i over its nonzero coefficients c_i, in index order from 0j."""
     z = cmath.exp(2j * cmath.pi / order)
     return tuple(z**i for i in range(euler_phi(order)))
 

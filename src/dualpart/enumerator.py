@@ -68,10 +68,6 @@ class LinearEnumerator:
 
     counts: tuple[int, ...]
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 @dataclass
 class ProductEnumerator:
@@ -79,20 +75,12 @@ class ProductEnumerator:
 
     counts: dict[tuple[int, ...], int]
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 @dataclass
 class SymmetrizedEnumerator:
     """Sparse count over composition vectors of the base partition."""
 
     counts: dict[tuple[int, ...], int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def linear_enumerator(code: Code, part: Partition) -> LinearEnumerator:

@@ -16,11 +16,11 @@ the radix passes it runs on.
 
 Subgroups are closed on packed words (``_words``): each element is one int,
 two words add slotwise with no per-coordinate loop, and words order as the
-tuples do. ``generate``, ``dual_code``, ``all_subgroups`` and
-``Code.from_elements`` all close through ``_close`` and
-``_greedy_generators`` on that add, and turn words back into tuples once, in
-sorted order (``all_subgroups`` takes the carrier's own tuples). ``dual_code`` never lists the carrier: it closes generators
-of the annihilator read off the integer kernel of the pairing.
+tuples do. ``generate``, ``dual_code`` and ``all_subgroups`` all close
+through ``_close`` and ``_greedy_generators`` on that add, and turn words
+back into tuples once, in sorted order (``all_subgroups`` takes the
+carrier's own tuples). ``dual_code`` never lists the carrier: it closes
+generators of the annihilator read off the integer kernel of the pairing.
 
 The factor list is kept verbatim: carriers with the same abstract group but
 different factorizations (say orders (6,) and (2, 3)) are distinct here.
@@ -108,13 +108,6 @@ class GroupSpec:
         for x, n in zip(g, self.orders):
             i = i * n + x
         return i
-
-    def unrank(self, i: int) -> Element:
-        out = []
-        for n in reversed(self.orders):
-            out.append(i % n)
-            i //= n
-        return tuple(reversed(out))
 
 
 ELEMENTS_CACHE = 8
@@ -252,29 +245,6 @@ class Code:
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    @classmethod
-    def from_elements(cls, group: GroupSpec, members: Iterable[Element]) -> "Code":
-        """The code with exactly these members; fails unless they form a subgroup.
-
-        Closure is tested against the greedy generators only, which is exact:
-        members that hold 0 and are closed under adding each generator contain
-        the span of the generators, and that span contains every member, since
-        each member is a generator or already in the span when it is met.
-        """
-        elems = tuple(sorted({group.validate(g) for g in members}))
-        if not elems or group.zero not in elems:
-            raise InputError("a code must contain the zero element")
-        word, unpack, add = _words(group)
-        words = list(map(word, elems))
-        gens = _greedy_generators(add, 0, words)
-        wset = set(words)
-        for g in gens:
-            for a in words:
-                if add(a, g) not in wset:
-                    a, g = unpack([a, g])
-                    raise InputError(f"not closed under addition: {a} + {g}")
-        return cls(group, unpack(gens), elems)
 
 
 def generate(group: GroupSpec, gens: Iterable[Element]) -> Code:

@@ -138,12 +138,6 @@ class Partition:
         return cls(group, block_of, len(ids))
 
     @classmethod
-    def from_weight(cls, group: GroupSpec, weight: Callable[[Element], Hashable],
-                    max_size: int = ELEMENT_GUARD) -> "Partition":
-        """Partition into the fibers of a weight-like labelling function."""
-        return cls.from_labels(group, map(weight, elements(group, max_size)))
-
-    @classmethod
     def singletons(cls, group: GroupSpec, max_size: int = ELEMENT_GUARD) -> "Partition":
         return cls.from_labels(group, range(len(elements(group, max_size))))
 
@@ -159,9 +153,6 @@ class Partition:
         for g, i in zip(elements(self.group, self.group.size), self.block_of):
             blocks[i].append(g)
         return tuple(map(tuple, blocks))
-
-    def block_index_of(self, g: Element) -> int:
-        return self.block_of[self.group.rank(self.group.validate(g))]
 
 
 # ---------------------------------------------------------------------------

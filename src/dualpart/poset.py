@@ -117,20 +117,13 @@ def dual_poset(p: Poset) -> Poset:
                             for i in range(p.n)))
 
 
-def ideal(p: Poset, coords: Iterable[int]) -> frozenset[int]:
-    """Downward closure of a coordinate set."""
-    s = set(coords)
-    if any(not 0 <= x < p.n for x in s):
-        raise InputError("coordinate out of range")
-    mask = reduce(or_, (p.below[x] | 1 << x for x in s), 0)
-    return frozenset(x for x in range(p.n) if mask >> x & 1)
-
-
 def poset_weight(p: Poset, group: GroupSpec, g: Element) -> int:
-    """Size of the ideal generated by the support of g."""
+    """Size of the ideal generated by the support of g: the bits of the OR of
+    down(i) over the support, the rule of the table of ideal sizes (module docstring)."""
     if len(group.orders) != p.n:
         raise InputError("carrier must have one cyclic factor per coordinate")
-    return len(ideal(p, (i for i, x in enumerate(group.validate(g)) if x)))
+    support = (i for i, x in enumerate(group.validate(g)) if x)
+    return reduce(or_, (p.below[i] | 1 << i for i in support), 0).bit_count()
 
 
 def poset_partition(p: Poset, group: GroupSpec,
@@ -239,30 +232,6 @@ def hierarchical_krawtchouk(
                 row.append(0)
             else:
                 row.append(pre * classical_krawtchouk(levels[s - 1], qs[s - 1], mu, lam))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def rt_krawtchouk(n: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """Chain-poset Krawtchouk matrix in its direct four-case form.
-
-    Agrees with hierarchical_krawtchouk((1,) * n, q); kept separate because
-    the chain case has this much simpler description.
-    """
-    if type(n) is not int or type(q) is not int or n < 1 or q < 2:
-        raise InputError("need integers n >= 1 and q >= 2")
-    out = []
-    for l in range(n + 1):
-        row = []
-        for m in range(n + 1):
-            if m == 0:
-                row.append(1)
-            elif l < n + 1 - m:
-                row.append(q ** (m - 1) * (q - 1))
-            elif l == n + 1 - m:
-                row.append(-(q ** (m - 1)))
-            else:
-                row.append(0)
         out.append(tuple(row))
     return tuple(out)
 

@@ -155,7 +155,8 @@ def write_json(doc: Any, stream: TextIO) -> None:
     - a ``Partition`` prints as the partition format above, its canonical
       ``blocks`` in order;
     - a ``KrawtchoukMatrix`` prints as a dict of its ``entries`` (each in
-      the cyclotomic format above), their ``approx`` pairs (``approx_complex``
+      the cyclotomic format above), their ``approx`` pairs (the real and
+      imaginary parts of sum_i c_i * z**i, z = exp(2 pi i / order), each
       rounded to 12 places), and the blocks of its ``row_part`` and
       ``col_part`` as ``row_blocks`` and ``col_blocks``.
 
@@ -255,11 +256,12 @@ def _matrix_fields(k: KrawtchoukMatrix, level: int) -> dict:
     (``_block_texts``), printed from their labels.
 
     A cell is the slice ``row[j:j + phi]``. A rational one (no coefficient
-    past the first) prints its value v, with the approx [float(v), 0.0] that
-    rounding its ``approx_complex`` gives. An irrational one joins its quoted
-    coefficients and sums c * z**i over its nonzero c in index order from 0j,
-    as ``approx_complex`` does; adding 0.0 to the rounded parts turns -0.0
-    into 0.0 and keeps every other float. Each value's texts are made once.
+    past the first) prints its value v, with the approx [float(v), 0.0]. An
+    irrational one joins its quoted coefficients and sums c * z**i,
+    z = exp(2 pi i / order), over its nonzero c in index order from 0j. The
+    terms of the zero c are +-0, so skipping them can change only the sign
+    of a zero part; adding 0.0 to the rounded parts turns -0.0 into 0.0 and
+    keeps every other float. Each value's texts are made once.
     """
     ind = ["\n" + "  " * i for i in range(level, level + 6)]
     e, phi = k.order, euler_phi(k.order)

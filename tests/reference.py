@@ -18,7 +18,8 @@ from the package but the value types it builds and compares (``GroupSpec``,
 - Partitions: the lattice, negation and the induced partitions on element sets.
 - Enumerators count code words; each transform is the sum over the input keys
   of the count times the product of exact entries, at every output key.
-- Posets: an order is its set of pairs (i, j), i < j.
+- Posets: an order is its set of pairs (i, j), i < j; the chain's Krawtchouk
+  matrix is its four-case formula.
 """
 
 import cmath
@@ -542,6 +543,16 @@ def weight(lt, g):
 
 def weight_partition(lt, group):
     return fibers(group, lambda g: weight(lt, g), elements(group))
+
+
+def chain_krawtchouk(n, q):
+    """The Krawtchouk matrix of the chain on n coordinates of order q (the
+    Rosenbloom-Tsfasman space), rows by dual weight l and columns by weight m, in its
+    four cases: 1 at m = 0, q^(m-1) (q - 1) for l < n + 1 - m, -q^(m-1) at
+    l = n + 1 - m, and 0 past it."""
+    return tuple(tuple(1 if m == 0 else q ** (m - 1) * (q - 1) if l < n + 1 - m
+                       else -q ** (m - 1) if l == n + 1 - m else 0
+                       for m in range(n + 1)) for l in range(n + 1))
 
 
 def hierarchy(n, lt):

@@ -394,6 +394,23 @@ def test_poset_carrier_guard_checked_before_the_order_is_built(cmd, capsys, monk
     assert f"carrier has {2 ** 400} elements, above the guard of 4096" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [["dual"], ["bidual"], ["reflexive"], ["krawtchouk"],
+                                   ["macwilliams", "--code", '{"generators":[]}'],
+                                   ["product", "--copies", "2"],
+                                   ["symmetrize", "--copies", "0"]], ids=lambda e: e[0])
+def test_partition_carrier_guard_checked_before_the_payload_is_read(extra, capsys,
+                                                                    monkeypatch):
+    def refuse(obj, group):
+        raise AssertionError("the partition was parsed")
+
+    monkeypatch.setattr(dualpart.cli, "partition_from_json", refuse)
+    code = main([extra[0], "--group", '{"orders":[4097]}', "--partition", "@/nonexistent",
+                 *extra[1:]])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "guard exceeded: carrier has 4097 elements, above the guard of 4096\n"
+
+
 @pytest.mark.parametrize("cmd", ["product", "symmetrize"])
 def test_induced_transform_of_a_thirteen_block_base(cmd, capsys):
     singletons = json.dumps({"blocks": [[[x]] for x in range(13)]})
@@ -531,9 +548,9 @@ for _cmd in ("product", "symmetrize"):
         HUGE_INPUTS[f"{_cmd}-{_copies}-copies"] = (
             [_cmd, "--group", '{"orders":[2]}', "--partition", HAMMING2, "--copies", _copies],
             2, "13 copies of the carrier have 8192 elements, above the guard of 4096")
-HUGE_INPUTS["dual-on-twenty-thousand-factors"] = (
+HUGE_INPUTS["dual-on-twenty-thousand-factors"] = (  # the guard runs before the payload is read
     ["dual", "--group", TWENTY_THOUSAND_FACTORS, "--partition", HAMMING2],
-    1, "element (0,) has 1 coordinates, but the carrier has 20000 factors")
+    2, "carrier has at least 2^20000 elements, above the guard of 4096")
 HUGE_INPUTS["symmetrize-one-element-carrier"] = (
     ["symmetrize", "--group", '{"orders":[]}', "--partition", '{"blocks":[[[]]]}',
      "--copies", "200000000"],

@@ -1,7 +1,9 @@
 import doctest
 import importlib
+import json
 import pkgutil
 import random
+from array import array
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -22,6 +24,10 @@ from dualpart.cyclotomic import (
     zeta_pow,
 )
 from dualpart.errors import InputError
+from dualpart.group import GroupSpec
+from dualpart.partition import KrawtchoukMatrix, Partition
+from test_packed_matrix import approx_pair
+from test_serialization import written
 
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(dualpart.__path__, "dualpart."))
@@ -103,13 +109,13 @@ def test_change_order_round_trip():
 
 
 def test_rational_detection():
-    assert integer(8, 5).as_rational_integer() == 5
-    assert zeta_pow(8, 1).as_rational_integer() is None
-    assert (zeta_pow(8, 2) + zeta_pow(8, 6)).as_rational_integer() == 0
+    assert ref.rational(integer(8, 5).coeffs) == 5
+    assert ref.rational(zeta_pow(8, 1).coeffs) is None
+    assert ref.rational((zeta_pow(8, 2) + zeta_pow(8, 6)).coeffs) == 0
 
 
 def test_approx_complex():
-    z = zeta_pow(8, 1).approx_complex()
+    z = ref.approx(zeta_pow(8, 1).coeffs, 8)
     assert abs(z - complex(2 ** -0.5, 2 ** -0.5)) < 1e-12
 
 
@@ -173,12 +179,15 @@ def test_order_caches_are_bounded():
 
 
 def test_approx_complex_is_bit_identical_to_the_direct_sum():
-    """Skipping the zero coefficients changes no bit of the sum over all of them."""
+    """The approx the writer prints, which skips the zero coefficients, is the sum over
+    all of them rounded: ten random cells of one matrix row at each order."""
     rng = random.Random(1304)
+    g = GroupSpec((10,))
     for order in range(1, 65):
-        for _ in range(10):
-            coeffs = tuple(rng.randint(-10**9, 10**9) if rng.random() < 0.6 else 0
-                           for _ in range(euler_phi(order)))
-            got, want = CycInt(order, coeffs).approx_complex(), ref.approx(coeffs, order)
-            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        cells = [[rng.randint(-10**9, 10**9) if rng.random() < 0.6 else 0
+                  for _ in range(euler_phi(order))] for _ in range(10)]
+        k = KrawtchoukMatrix(order, (array("q", sum(cells, [])),), Partition.one_block(g),
+                             Partition.singletons(g))
+        want = [approx_pair(ref.approx(c, order)) for c in cells]
+        assert json.loads(written(k))["approx"] == [want]
 

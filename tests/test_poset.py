@@ -1,5 +1,6 @@
 import pytest
 
+import reference as ref
 from dualpart.errors import InputError
 from dualpart.group import GroupSpec
 from dualpart.partition import dual_partition
@@ -12,13 +13,11 @@ from dualpart.poset import (
     dual_poset,
     hierarchical_krawtchouk,
     hierarchical_poset,
-    ideal,
     is_hierarchical,
     poset_duality_check,
     poset_krawtchouk_bruteforce,
     poset_partition,
     poset_weight,
-    rt_krawtchouk,
 )
 
 
@@ -36,10 +35,14 @@ def test_covers_is_a_transitive_reduction():
 
 
 def test_ideal():
-    p = chain(3)
-    assert ideal(p, [2]) == frozenset({0, 1, 2})
-    assert ideal(p, [0]) == frozenset({0})
-    assert ideal(antichain(3), [2]) == frozenset({2})
+    """The weight is the size of the ideal of the support."""
+    g = GroupSpec((2, 2, 2))
+    assert ref.ideal(ref.order_of(chain(3)), [2]) == frozenset({0, 1, 2})
+    assert poset_weight(chain(3), g, (0, 0, 1)) == 3
+    assert ref.ideal(ref.order_of(chain(3)), [0]) == frozenset({0})
+    assert poset_weight(chain(3), g, (1, 0, 0)) == 1
+    assert ref.ideal(ref.order_of(antichain(3)), [2]) == frozenset({2})
+    assert poset_weight(antichain(3), g, (0, 0, 1)) == 1
 
 
 def test_weights_chain_and_antichain():
@@ -91,16 +94,16 @@ def test_classical_krawtchouk_row():
 
 
 def test_rt_matrix_small():
-    assert rt_krawtchouk(2, 2) == ((1, 1, 2), (1, 1, -2), (1, -1, 0))
-    assert rt_krawtchouk(1, 3) == ((1, 2), (1, -1))
+    assert hierarchical_krawtchouk((1, 1), 2) == ((1, 1, 2), (1, 1, -2), (1, -1, 0))
+    assert hierarchical_krawtchouk((1,), 3) == ((1, 2), (1, -1))
 
 
 CLOSED_FORM_INPUTS = {
     "classical x above n": (classical_krawtchouk, (3, 2, 1, 5)),
     "classical x below 0": (classical_krawtchouk, (3, 2, 1, -1)),
     "classical float q": (classical_krawtchouk, (3, 2.0, 1, 1)),
-    "rt float q": (rt_krawtchouk, (2, 2.5)),
-    "rt bool n": (rt_krawtchouk, (True, 2)),
+    "rt float q": (hierarchical_krawtchouk, ((1, 1), 2.5)),
+    "rt bool n": (hierarchical_krawtchouk, ((1, True), 2)),
     "poset bool level": (hierarchical_poset, ([True, 2],)),
     "closed form bool level": (hierarchical_krawtchouk, ([True, 2], 2)),
     "closed form float q": (hierarchical_krawtchouk, ((2,), 2.5)),
@@ -115,10 +118,11 @@ def test_closed_form_inputs_must_be_integers_in_range(name):
 
 
 def test_rt_matches_levels_form_and_bruteforce():
-    for n in range(1, 5):
-        for q in (2, 3):
-            m = rt_krawtchouk(n, q)
-            assert m == hierarchical_krawtchouk((1,) * n, q)
+    """The chain's levels form against its four-case formula and brute force."""
+    for n in range(1, 12):
+        for q in range(2, 9):
+            m = hierarchical_krawtchouk((1,) * n, q)
+            assert m == ref.chain_krawtchouk(n, q)
             if q ** n <= 81:
                 assert m == poset_krawtchouk_bruteforce(chain(n), GroupSpec((q,) * n))
 

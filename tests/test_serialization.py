@@ -37,7 +37,7 @@ def partition_to_json(part):
 
 
 def cycint_to_json(x):
-    n = x.as_rational_integer()
+    n = ref.rational(x.coeffs)
     return n if n is not None else {"order": x.order, "coeffs": [str(c) for c in x.coeffs]}
 
 

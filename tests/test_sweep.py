@@ -134,12 +134,12 @@ def test_outer_concatenates_strings_in_rank_order():
 
 
 def hamming(grp):
-    return Partition.from_weight(grp, lambda g: sum(1 for x in g if x))
+    return Partition.from_labels(grp, [sum(1 for x in g if x) for g in elements(grp)])
 
 
 def lee(grp):
-    return Partition.from_weight(
-        grp, lambda g: sum(min(x, n - x) for x, n in zip(g, grp.orders)))
+    return Partition.from_labels(
+        grp, [sum(min(x, n - x) for x, n in zip(g, grp.orders)) for g in elements(grp)])
 
 
 SHAPED = {
@@ -307,8 +307,9 @@ def test_worst_legal_input_fits_in_two_gib():
         few = Partition.from_blocks(g, urns.values())
         many = random_partition(g, random.Random(0))
         weight = lambda x: sum(1 for c in x if c)
-        hamming = [Partition.from_weight(GroupSpec(o), weight) for o in ((2, 2048), (64, 64))]
-        lee = Partition.from_weight(g, lambda x: min(x[0], 4096 - x[0]))
+        hamming = [Partition.from_labels(GroupSpec(o), map(weight, elements(GroupSpec(o))))
+                   for o in ((2, 2048), (64, 64))]
+        lee = Partition.from_labels(g, [min(x, 4096 - x) for x in range(4096)])
         for part in (few, many, *hamming, lee):
             print(part.num_blocks, dual_partition(part).num_blocks)
     """)

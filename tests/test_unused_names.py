@@ -1,9 +1,13 @@
 """Every module-level function and class of ``src/dualpart`` is used by name there,
-and every defaulted parameter of its functions is passed by some call.
+every method and property of its classes is read as an attribute there, and
+every defaulted parameter of its functions is passed by some call.
 
 Code that only tests call belongs in ``tests/``. A name counts as used when it
 appears in the package outside its own definition: as a name, an attribute or
-an imported name, the package exports included. Docstrings, comments and other
+an imported name, the package exports included. A class member counts as used
+when the package reads it as an attribute (``x.name``) outside the member's own
+body; dunders, which Python calls by protocol, and overrides of an attribute of
+a base class, which the base calls, are exempt. Docstrings, comments and other
 strings do not count.
 
 A parameter whose default no call in the package, the tests or the scripts
@@ -15,6 +19,7 @@ whose imports are the package's exports.
 """
 
 import ast
+import importlib
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -58,6 +63,54 @@ def test_a_definition_used_only_by_itself_or_in_a_docstring_is_found(tmp_path):
         "def exported():\n    return 2\n")
     (tmp_path / "b.py").write_text("from .a import exported\n\nX = used()\n")
     assert unreferenced_definitions(tmp_path) == ["a.py:2 lonely", "a.py:5 Alone"]
+
+
+def attributes(node):
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def unread_members(src=SRC):
+    """``module:line Class.member`` of each method or property of a module-level class
+    that the package reads as an attribute only inside the member itself.
+
+    The package is imported as ``src.name`` to see each class's bases.
+    """
+    trees = {path: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    read = sum(map(attributes, trees.values()), Counter())
+    found = []
+    for path, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            module = importlib.import_module(f"{src.name}.{path.stem}")
+            bases = getattr(module, cls.name).__mro__[1:]
+            found += [f"{path.name}:{fn.lineno} {cls.name}.{fn.name}" for fn in cls.body
+                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                      and not any(hasattr(base, fn.name) for base in bases)
+                      and read[fn.name] == attributes(fn)[fn.name]]
+    return found
+
+
+def test_every_class_member_is_read_in_the_package():
+    assert unread_members() == []
+
+
+def test_a_member_read_only_by_itself_or_in_a_docstring_is_found(tmp_path, monkeypatch):
+    src = tmp_path / "unread_members_case"
+    src.mkdir()
+    (src / "__init__.py").write_text("")
+    (src / "a.py").write_text(
+        '"""Mentions ``K.alone`` and ``K().lonely()``."""\n'
+        "class K(dict):\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def copy(self):\n        return K()\n\n"
+        "    def lonely(self, n):\n        return self.lonely(n - 1) if n else 0\n\n"
+        "    @property\n    def alone(self):\n        return 1\n\n"
+        "    def used(self):\n        return 2\n")
+    (src / "b.py").write_text("from .a import K\n\nX = K().used()\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert unread_members(src) == ["a.py:9 K.lonely", "a.py:13 K.alone"]
 
 
 def defaulted_parameters(fn, method):
