@@ -28,13 +28,13 @@ def sweep(max_n: int, orders: list[int]) -> None:
             holds = 0
             for p in posets:
                 rep = poset_duality_check(p, grp)
-                if rep.dual_refines_transposed:
+                if rep["dual_refines_transposed"]:
                     holds += 1
-                if rep.equal:
+                if rep["equal"]:
                     tally["equal"] += 1
-                elif rep.dual_refines_transposed:
+                elif rep["dual_refines_transposed"]:
                     tally["strictly finer"] += 1
-                elif rep.transposed_refines_dual:
+                elif rep["transposed_refines_dual"]:
                     tally["strictly coarser"] += 1
                 else:
                     tally["incomparable"] += 1

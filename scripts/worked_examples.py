@@ -70,11 +70,11 @@ def main():
     km = krawtchouk(char_side, primal)
     b = macwilliams_transform(a, km, c.size)
     show_matrix("transform matrix (rows = primal blocks)", km.integer_entries())
-    print(f"  A = {a.counts}, B = {b.counts}")
+    print(f"  A = {a}, B = {b}")
     perp = dual_code(z6, c)
     direct = linear_enumerator(perp, char_side)
     print(f"  dual code {tuple(x[0] for x in perp.elements)} counted directly: "
-          f"{direct.counts}")
+          f"{direct}")
     assert b == direct
 
     print("\n== meet and join leave the self-dual family ==")

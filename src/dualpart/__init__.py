@@ -46,9 +46,6 @@ from .induced import (
     symmetrized_partition,
 )
 from .enumerator import (
-    LinearEnumerator,
-    ProductEnumerator,
-    SymmetrizedEnumerator,
     kk_product_check,
     linear_enumerator,
     macwilliams_transform,
@@ -58,9 +55,7 @@ from .enumerator import (
     symmetrized_transform,
 )
 from .poset import (
-    HierarchicalShape,
     Poset,
-    PosetDualityReport,
     all_posets,
     antichain,
     chain,
@@ -89,11 +84,9 @@ __all__ = [
     "refines",
     "check_product_duality", "check_symmetrized_duality", "power_group", "product_group",
     "product_partition", "symmetrized_partition",
-    "LinearEnumerator", "ProductEnumerator", "SymmetrizedEnumerator",
     "linear_enumerator", "macwilliams_transform", "product_enumerator",
     "product_transform", "symmetrized_enumerator", "symmetrized_transform",
-    "HierarchicalShape", "Poset", "PosetDualityReport", "all_posets",
-    "antichain", "chain", "classical_krawtchouk", "dual_poset",
+    "Poset", "all_posets", "antichain", "chain", "classical_krawtchouk", "dual_poset",
     "hierarchical_krawtchouk", "hierarchical_poset", "is_hierarchical", "level_orders",
     "poset_duality_check", "poset_krawtchouk_bruteforce", "poset_partition",
     "poset_weight",

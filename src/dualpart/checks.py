@@ -1,15 +1,15 @@
 """Self-verification suites: every library identity checked at desk scale.
 
-Each check function runs an exact sweep and returns a CheckResult. A check's
-defaults are what ``dualpart check`` runs; the acceptance tests pass larger
-sizes. Each random check draws from its own fixed seed, so every run is
+Each check function runs an exact sweep and returns its row of ``dualpart
+check``: a dict of its ``name``, whether it ``passed``, and a ``detail``. A
+check's defaults are what ``dualpart check`` runs; the acceptance tests pass
+larger sizes. Each random check draws from its own fixed seed, so every run is
 reproducible.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .cyclotomic import CycInt, euler_phi, integer, one, zero, zeta_pow
@@ -65,13 +65,6 @@ from .poset import (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
 # carriers with at most this many elements, used by the random sweeps
 SWEEP_GROUPS: tuple[GroupSpec, ...] = tuple(
     GroupSpec(o)
@@ -103,10 +96,12 @@ def all_carriers(max_size: int) -> list[GroupSpec]:
     return sorted(out, key=lambda g: (g.size, g.orders))
 
 
-def _result(name: str, failures: list[str], ran: int) -> CheckResult:
+def _result(name: str, failures: list[str], ran: int) -> dict:
+    """A check's row as ``dualpart check`` prints it: its name, whether it passed, a detail."""
     if failures:
-        return CheckResult(name, False, f"{len(failures)} failure(s), first: {failures[0]}")
-    return CheckResult(name, True, f"{ran} case(s) verified")
+        return {"name": name, "passed": False,
+                "detail": f"{len(failures)} failure(s), first: {failures[0]}"}
+    return {"name": name, "passed": True, "detail": f"{ran} case(s) verified"}
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +116,7 @@ def _random_cycint(rng: random.Random, order: int) -> CycInt:
 _MAX_ORDER = 24
 
 
-def check_ring_laws() -> CheckResult:
+def check_ring_laws() -> dict:
     rng = random.Random(0)
     failures: list[str] = []
     for _ in range(150):
@@ -138,7 +133,7 @@ def check_ring_laws() -> CheckResult:
     return _result("cyclotomic ring laws", failures, 150)
 
 
-def check_conjugation() -> CheckResult:
+def check_conjugation() -> dict:
     rng = random.Random(1)
     failures: list[str] = []
     for _ in range(100):
@@ -154,7 +149,7 @@ def check_conjugation() -> CheckResult:
     return _result("conjugation", failures, 100)
 
 
-def check_root_sums() -> CheckResult:
+def check_root_sums() -> dict:
     failures: list[str] = []
     for e in range(2, _MAX_ORDER + 1):
         total = zero(e)
@@ -167,7 +162,7 @@ def check_root_sums() -> CheckResult:
     return _result("full root sums vanish", failures, _MAX_ORDER - 1)
 
 
-def check_order_changes() -> CheckResult:
+def check_order_changes() -> dict:
     rng = random.Random(2)
     failures: list[str] = []
     for _ in range(80):
@@ -189,7 +184,7 @@ def check_order_changes() -> CheckResult:
 # groups, codes, Fourier
 
 
-def check_orthogonality(max_size: int = 12) -> CheckResult:
+def check_orthogonality(max_size: int = 12) -> dict:
     failures: list[str] = []
     ran = 0
     for grp in all_carriers(max_size):
@@ -205,7 +200,7 @@ def check_orthogonality(max_size: int = 12) -> CheckResult:
     return _result("character orthogonality", failures, ran)
 
 
-def check_bilinearity() -> CheckResult:
+def check_bilinearity() -> dict:
     failures: list[str] = []
     ran = 0
     for grp in all_carriers(12):
@@ -222,7 +217,7 @@ def check_bilinearity() -> CheckResult:
     return _result("pairing bilinearity and symmetry", failures, ran)
 
 
-def check_code_duality() -> CheckResult:
+def check_code_duality() -> dict:
     failures: list[str] = []
     ran = 0
     for grp in CODE_GROUPS:
@@ -245,7 +240,7 @@ def _random_function(grp: GroupSpec, rng: random.Random) -> dict:
     return {g: _random_cycint(rng, e) for g in elements(grp)}
 
 
-def check_fourier_identities(max_size: int = 9, functions_per_group: int = 1) -> CheckResult:
+def check_fourier_identities(max_size: int = 9, functions_per_group: int = 1) -> dict:
     """Inversion and the dual-summation identity for random exact functions."""
     rng = random.Random(3)
     failures: list[str] = []
@@ -284,7 +279,7 @@ def _sweep_partitions(n_samples: int, seed: int) -> Iterator[Partition]:
         yield random_partition(SWEEP_GROUPS[i % len(SWEEP_GROUPS)], rng)
 
 
-def check_epsilon_singleton() -> CheckResult:
+def check_epsilon_singleton() -> dict:
     failures: list[str] = []
     for part in _sweep_partitions(120, 4):
         dual = dual_partition(part)
@@ -307,14 +302,14 @@ def _order_properties_hold(part: Partition) -> bool:
             and (dual.num_blocks == part.num_blocks) == (dd == part))
 
 
-def check_dual_order_properties(n_samples: int = 150) -> CheckResult:
+def check_dual_order_properties(n_samples: int = 150) -> dict:
     """Block-count inequality, bidual refinement, and the reflexivity criterion."""
     failures = [f"{part.group.orders}, blocks {part.blocks}"
                 for part in _sweep_partitions(n_samples, 5) if not _order_properties_hold(part)]
     return _result("dual block-count and reflexivity criterion", failures, n_samples)
 
 
-def check_dual_order_properties_exhaustive(max_n: int = 4) -> CheckResult:
+def check_dual_order_properties_exhaustive(max_n: int = 4) -> dict:
     failures: list[str] = []
     ran = 0
     for n in range(2, max_n + 1):
@@ -327,7 +322,7 @@ def check_dual_order_properties_exhaustive(max_n: int = 4) -> CheckResult:
                    failures, ran)
 
 
-def check_dual_monotonicity() -> CheckResult:
+def check_dual_monotonicity() -> dict:
     rng = random.Random(6)
     failures: list[str] = []
     for i in range(60):
@@ -351,7 +346,7 @@ def check_dual_monotonicity() -> CheckResult:
     return _result("dualization preserves refinement", failures, 60)
 
 
-def check_negation_rules() -> CheckResult:
+def check_negation_rules() -> dict:
     failures: list[str] = []
     for part in _sweep_partitions(60, 7):
         dual = dual_partition(part)
@@ -362,7 +357,7 @@ def check_negation_rules() -> CheckResult:
     return _result("negation stability of duals", failures, 60)
 
 
-def check_join_duality(n_pairs: int = 30) -> CheckResult:
+def check_join_duality(n_pairs: int = 30) -> dict:
     """Joins of reflexive partitions stay reflexive and commute with dualization."""
     rng = random.Random(8)
     failures: list[str] = []
@@ -378,7 +373,7 @@ def check_join_duality(n_pairs: int = 30) -> CheckResult:
     return _result("join duality for reflexive pairs", failures, n_pairs)
 
 
-def check_lattice_counterexamples() -> CheckResult:
+def check_lattice_counterexamples() -> dict:
     """The frozen meet and join counterexamples on cyclic carriers of order 8 and 5."""
     failures: list[str] = []
 
@@ -416,7 +411,7 @@ def check_lattice_counterexamples() -> CheckResult:
     return _result("meet and join counterexamples", failures, 2)
 
 
-def check_kk_pattern(n_samples: int = 30) -> CheckResult:
+def check_kk_pattern(n_samples: int = 30) -> dict:
     """Entrywise structure of the double Krawtchouk product, plus the reflexive case."""
     rng = random.Random(9)
     failures: list[str] = []
@@ -441,7 +436,7 @@ def check_kk_pattern(n_samples: int = 30) -> CheckResult:
 # MacWilliams sweeps
 
 
-def check_macwilliams(partitions_per_group: int = 8) -> CheckResult:
+def check_macwilliams(partitions_per_group: int = 8) -> dict:
     """Transform equals brute-forced dual distribution for every subgroup."""
     rng = random.Random(10)
     failures: list[str] = []
@@ -462,7 +457,7 @@ def check_macwilliams(partitions_per_group: int = 8) -> CheckResult:
                         f"mismatch at {grp.orders}, |C|={code.size}, "
                         f"blocks={char_part.num_blocks}"
                     )
-                if any(c < 0 for c in out.counts):
+                if any(c < 0 for c in out):
                     failures.append(f"negative count at {grp.orders}")
                 ran += 1
     return _result("distribution transform vs direct dual enumeration", failures, ran)
@@ -477,7 +472,7 @@ _INDUCED_BASES = (GroupSpec((2,)), GroupSpec((3,)), GroupSpec((4,)), GroupSpec((
 
 def _induced_duality_sweep(name: str, n_samples: int, seed: int,
                            witness: Callable[[GroupSpec, random.Random, int], object]
-                           ) -> CheckResult:
+                           ) -> dict:
     """Draw a witness of non-commuting for each base and for 2, then 3 copies in turn."""
     rng = random.Random(seed)
     failures: list[str] = []
@@ -490,7 +485,7 @@ def _induced_duality_sweep(name: str, n_samples: int, seed: int,
     return _result(name, failures, n_samples)
 
 
-def check_product_duality_sweep(n_samples: int = 40) -> CheckResult:
+def check_product_duality_sweep(n_samples: int = 40) -> dict:
     """Dualization commutes with products of zero-block partitions."""
     return _induced_duality_sweep(
         "product duality with zero blocks", n_samples, 11,
@@ -498,14 +493,14 @@ def check_product_duality_sweep(n_samples: int = 40) -> CheckResult:
             [random_partition(base, rng, zero_block=True) for _ in range(copies)]))
 
 
-def check_symmetrized_duality_sweep(n_samples: int = 40) -> CheckResult:
+def check_symmetrized_duality_sweep(n_samples: int = 40) -> dict:
     return _induced_duality_sweep(
         "symmetrized duality with zero blocks", n_samples, 12,
         lambda base, rng, copies: check_symmetrized_duality(
             random_partition(base, rng, zero_block=True), copies))
 
 
-def check_single_block_strictness() -> CheckResult:
+def check_single_block_strictness() -> dict:
     """Without a zero block the commuting fails, in the refinement direction."""
     failures: list[str] = []
     for base in _INDUCED_BASES:
@@ -536,10 +531,10 @@ def _product_transform_cases(base: Partition, matrix: KrawtchoukMatrix, copies: 
         prod = product_transform(
             product_enumerator(code, [base] * copies), [matrix] * copies, code.size
         )
-        yield code, perp, prod.counts == product_enumerator(perp, [dual_base] * copies).counts
+        yield code, perp, prod == product_enumerator(perp, [dual_base] * copies)
 
 
-def check_transform_oracle() -> CheckResult:
+def check_transform_oracle() -> dict:
     """Product and symmetrized transforms vs dual-code distributions, all subgroups."""
     hamming2 = Partition.from_blocks(GroupSpec((2,)), [[(0,)], [(1,)]])
     hamming3 = Partition.from_blocks(GroupSpec((3,)), [[(0,)], [(1,), (2,)]])
@@ -559,13 +554,13 @@ def check_transform_oracle() -> CheckResult:
                 symmetrized_enumerator(code, base, copies), matrix, code.size
             )
             sym_direct = symmetrized_enumerator(perp, dual_base, copies)
-            if sym.counts != sym_direct.counts:
+            if sym != sym_direct:
                 failures.append(f"symmetrized transform at {base.group.orders}^{copies}")
             ran += 1
     return _result("induced transforms vs dual distributions", failures, ran)
 
 
-def check_matrix_code_identity() -> CheckResult:
+def check_matrix_code_identity() -> dict:
     """Chain-weight product transform for codes of 2x2 binary matrices, rows as coordinates."""
     row_part = poset_partition(chain(2), GroupSpec((2, 2)))
     matrix = krawtchouk(dual_partition(row_part), row_part)
@@ -578,7 +573,7 @@ def check_matrix_code_identity() -> CheckResult:
 # posets
 
 
-def check_poset_duality_theorem(max_n: int = 3) -> CheckResult:
+def check_poset_duality_theorem(max_n: int = 3) -> dict:
     """Equality of dualized and transposed weight partitions iff hierarchical.
 
     Coordinate orders are uniform here, so the equal-orders-per-level side
@@ -592,8 +587,7 @@ def check_poset_duality_theorem(max_n: int = 3) -> CheckResult:
             grp = GroupSpec((q,) * n)
             for p in posets:
                 report = poset_duality_check(p, grp)
-                hier = report.shape is not None
-                if report.equal != hier:
+                if report["equal"] != report["hierarchical"]:
                     failures.append(f"n={n}, q={q}, covers={p.covers()}")
                 prim = poset_partition(p, grp)
                 if prim.num_blocks != n + 1:
@@ -602,19 +596,19 @@ def check_poset_duality_theorem(max_n: int = 3) -> CheckResult:
     return _result("weight-partition duality iff hierarchical", failures, ran)
 
 
-def check_mixed_order_levels() -> CheckResult:
+def check_mixed_order_levels() -> dict:
     """Equal orders inside each level is genuinely required."""
     failures: list[str] = []
     grp23 = GroupSpec((2, 3))
     # two-level chain: one coordinate per level, so mixed orders are fine
     rep = poset_duality_check(chain(2), grp23)
-    if not (rep.equal and rep.shape is not None and rep.levels_equal_order):
+    if not (rep["equal"] and rep["hierarchical"] and rep["levels_equal_order"]):
         failures.append("two-level chain on mixed orders should dualize cleanly")
     # one level of two coordinates with different orders: equality must fail
     rep2 = poset_duality_check(antichain(2), grp23)
-    if rep2.shape is None or rep2.levels_equal_order:
+    if not rep2["hierarchical"] or rep2["levels_equal_order"]:
         failures.append("antichain on mixed orders misreported")
-    if rep2.equal:
+    if rep2["equal"]:
         failures.append("antichain on mixed orders should not dualize to itself")
     return _result("mixed coordinate orders inside a level break duality", failures, 2)
 
@@ -622,7 +616,7 @@ def check_mixed_order_levels() -> CheckResult:
 def check_hierarchical_closed_forms(
     cases: Sequence[tuple[tuple[int, ...], int]] = (
         ((1, 1), 2), ((2,), 2), ((1, 2), 2), ((1, 1, 1), 2), ((3,), 3)),
-) -> CheckResult:
+) -> dict:
     """Closed-form matrices vs brute-force character sums."""
     failures: list[str] = []
     for levels, q in cases:
@@ -635,7 +629,7 @@ def check_hierarchical_closed_forms(
     return _result("hierarchical closed form vs brute force", failures, len(cases))
 
 
-def check_rt_chain(max_n: int = 3) -> CheckResult:
+def check_rt_chain(max_n: int = 3) -> dict:
     """The chain (Rosenbloom-Tsfasman) poset is hierarchical with one coordinate a
     level: its closed form vs brute-force character sums."""
     cases = [(n, q) for n in range(1, max_n + 1) for q in (2, 3)]
@@ -649,7 +643,7 @@ def check_rt_chain(max_n: int = 3) -> CheckResult:
 # suite registry
 
 
-SUITES: dict[str, list[Callable[[], CheckResult]]] = {
+SUITES: dict[str, list[Callable[[], dict]]] = {
     "cyclotomic": [check_ring_laws, check_conjugation, check_root_sums, check_order_changes],
     "group": [check_orthogonality, check_bilinearity, check_code_duality,
               check_fourier_identities],
@@ -680,7 +674,7 @@ SUITES: dict[str, list[Callable[[], CheckResult]]] = {
 }
 
 
-def run_suite(name: str) -> list[CheckResult]:
+def run_suite(name: str) -> list[dict]:
     """Run one named suite, or all of them."""
     if name == "all":
         out = []

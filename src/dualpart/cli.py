@@ -53,7 +53,6 @@ from .serialization import (
     element_to_json,
     group_from_json,
     group_to_json,
-    linear_enumerator_to_json,
     partition_from_json,
     poset_from_json,
     poset_to_json,
@@ -211,9 +210,9 @@ def _cmd_macwilliams(args) -> tuple[dict, int]:
         "char_partition": char_part,
         "primal_partition": prim,
         "code": code_to_json(code, include_elements=True),
-        "a": linear_enumerator_to_json(counts),
+        "a": list(counts),
         "krawtchouk": matrix,
-        "b": linear_enumerator_to_json(out),
+        "b": list(out),
         "dual_code": code_to_json(perp, include_elements=True),
         "verified": True,
     }, 0
@@ -276,7 +275,7 @@ def _cmd_induced(args) -> tuple[dict, int]:
             counts = symmetrized_enumerator(code, base, copies)
             out = symmetrized_transform(counts, matrix, code.size, ms)
             direct = symmetrized_enumerator(perp, dual_base, copies)
-        if out.counts != direct.counts:
+        if out != direct:
             raise VerificationFailure("transformed distribution differs from the dual code's")
         doc["code"] = code_to_json(code, include_elements=False)
         doc["code_size"] = code.size
@@ -320,7 +319,7 @@ def _cmd_poset_krawtchouk(args) -> tuple[dict, int]:
     shape = is_hierarchical(p)
     qs = None if shape is None else level_orders(shape, grp)
     if qs is not None:
-        closed = hierarchical_krawtchouk(shape.levels, qs)
+        closed = hierarchical_krawtchouk(shape[0], qs)
         doc["closed_form"] = [list(row) for row in closed]
         doc["closed_form_matches"] = closed == brute
         if closed != brute:
@@ -332,17 +331,11 @@ def _cmd_poset_check(args) -> tuple[dict, int]:
     grp = _group(args)
     p = _poset(args, grp)
     ms = _element_guard(args)
-    report = poset_duality_check(p, grp, ms)
     return {
         "command": "poset-check",
         "group": group_to_json(grp),
         "poset": poset_to_json(p),
-        "equal": report.equal,
-        "dual_refines_transposed": report.dual_refines_transposed,
-        "transposed_refines_dual": report.transposed_refines_dual,
-        "hierarchical": report.shape is not None,
-        "levels": None if report.shape is None else list(report.shape.levels),
-        "levels_equal_order": report.levels_equal_order,
+        **poset_duality_check(p, grp, ms),
     }, 0
 
 
@@ -366,15 +359,8 @@ def _cmd_subgroups(args) -> tuple[dict, int]:
 
 def _cmd_check(args) -> tuple[dict, int]:
     results = run_suite(args.suite)
-    failed = sum(1 for r in results if not r.passed)
-    doc = {
-        "command": "check",
-        "suite": args.suite,
-        "results": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
-        "failed": failed,
-    }
+    failed = sum(1 for r in results if not r["passed"])
+    doc = {"command": "check", "suite": args.suite, "results": results, "failed": failed}
     return doc, (3 if failed else 0)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import count, repeat
 from math import gcd, prod
@@ -102,8 +102,7 @@ def euler_phi(order: int) -> int:
     return reduce(lambda phi, q: phi - phi // q, set(_radices(order)), order)
 
 
-@dataclass(frozen=True)
-class CycInt:
+class CycInt(namedtuple("CycInt", "order coeffs")):
     """Canonical residue of an integer polynomial in a primitive root of unity.
 
     Construction reduces the coefficient vector modulo the cyclotomic
@@ -117,21 +116,19 @@ class CycInt:
     CycInt(order=6, coeffs=(1, 0))
     """
 
-    order: int
-    coeffs: CycPoly
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if type(self.order) is not int or self.order < 1:
+    def __new__(cls, order: int, coeffs: CycPoly) -> "CycInt":
+        if type(order) is not int or order < 1:
             raise InputError("root order must be a positive integer")
-        coeffs = self.coeffs
         if not {int}.issuperset(map(type, coeffs)):
             raise InputError("coefficients must be integers")
-        phi = euler_phi(self.order)
+        phi = euler_phi(order)
         if len(coeffs) > phi:
-            coeffs = _reduced(self.order, sum(map(abs, coeffs)), coeffs)
+            coeffs = _reduced(order, sum(map(abs, coeffs)), coeffs)
         if len(coeffs) < phi:
             coeffs = tuple(coeffs) + (0,) * (phi - len(coeffs))
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        return tuple.__new__(cls, (order, tuple(coeffs)))
 
     def _coerce(self, other: "CycInt | int") -> "CycInt":
         if isinstance(other, int):

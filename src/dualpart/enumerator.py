@@ -1,11 +1,12 @@
 """Weight enumerators of additive codes and their exact linear transforms.
 
-Three granularities: a count vector over the blocks of one partition, a
-sparse joint distribution over per-coordinate block indices for product
-partitions, and a sparse distribution over composition vectors for
-symmetrized partitions. Each transform recovers the dual code's distribution
-from the primal one, divided exactly by the code size; a non-integer or
-irrational count raises, since only a wrong pairing of partitions gives one.
+Three granularities, each a plain value: a tuple of counts over the blocks
+of one partition, a dict of counts by per-coordinate block index tuple for
+product partitions, and a dict of counts by composition vector for
+symmetrized partitions. Each transform takes and returns the same kind of
+value: it recovers the dual code's distribution from the primal one, divided
+exactly by the code size; a non-integer or irrational count raises, since
+only a wrong pairing of partitions gives one.
 The enumerators read a code by coordinate columns, with ``map``s for ranks
 and block indices and one ``Counter`` for the keys, in first-seen order.
 
@@ -50,7 +51,6 @@ Orientation conventions, fixed once:
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import chain, compress, product, repeat
 from math import comb, prod
 from operator import add, floordiv, mod, mul, sub
@@ -62,32 +62,13 @@ from .group import ELEMENT_GUARD, Code
 from .induced import product_group
 from .partition import KrawtchoukMatrix, Partition, dual_partition, krawtchouk
 
-@dataclass(frozen=True)
-class LinearEnumerator:
+
+def linear_enumerator(code: Code, part: Partition) -> tuple[int, ...]:
     """Count of code elements per block of one partition."""
-
-    counts: tuple[int, ...]
-
-
-@dataclass
-class ProductEnumerator:
-    """Sparse joint count over per-coordinate block index tuples."""
-
-    counts: dict[tuple[int, ...], int]
-
-
-@dataclass
-class SymmetrizedEnumerator:
-    """Sparse count over composition vectors of the base partition."""
-
-    counts: dict[tuple[int, ...], int]
-
-
-def linear_enumerator(code: Code, part: Partition) -> LinearEnumerator:
     if code.group != part.group:
         raise InputError("code and partition must share a carrier")
     counts = Counter(_block_keys(code, [part]))
-    return LinearEnumerator(tuple(counts[(b,)] for b in range(part.num_blocks)))
+    return tuple(counts[(b,)] for b in range(part.num_blocks))
 
 
 def _exact_count(value: int | None, divisor: int) -> int:
@@ -190,23 +171,22 @@ def _grid_step(grid: list[int], rows: _Rows) -> list[int]:
 
 
 def macwilliams_transform(
-    enum: LinearEnumerator, matrix: KrawtchoukMatrix, code_size: int
-) -> LinearEnumerator:
+    counts: tuple[int, ...], matrix: KrawtchoukMatrix, code_size: int
+) -> tuple[int, ...]:
     """Dual distribution counts(P) . matrix / code_size, exactly.
 
     ``matrix`` must be krawtchouk(Q, P) for the character-side partition Q
-    whose dual P indexed ``enum``; its rows then line up with the counts.
+    whose dual P indexed ``counts``; its rows then line up with the counts.
     """
     rows, cols = matrix.shape
-    if rows != len(enum.counts):
-        raise InputError(f"matrix has {rows} rows but the enumerator has "
-                         f"{len(enum.counts)} counts")
+    if rows != len(counts):
+        raise InputError(f"matrix has {rows} rows but the enumerator has {len(counts)} counts")
     if code_size <= 0:
         raise InputError("code size must be positive")
-    b, read = _evaluation(_root_order([matrix]), lambda: sum(map(abs, enum.counts)) *
-                          _norm(matrix, compress(range(rows), enum.counts)))
-    cells = _grid_step(list(enum.counts), _Rows(matrix, b))
-    return LinearEnumerator(tuple(_grid_counts(cells, code_size, read)))
+    b, read = _evaluation(_root_order([matrix]), lambda: sum(map(abs, counts)) *
+                          _norm(matrix, compress(range(rows), counts)))
+    cells = _grid_step(list(counts), _Rows(matrix, b))
+    return tuple(_grid_counts(cells, code_size, read))
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +207,20 @@ def _block_keys(code: Code, parts: Sequence[Partition]) -> Iterator[tuple[int, .
     return zip(*blocks) if blocks else repeat((), len(words))
 
 
-def product_enumerator(code: Code, parts: Sequence[Partition]) -> ProductEnumerator:
-    """Joint distribution of per-coordinate block indices over the code."""
+def product_enumerator(code: Code, parts: Sequence[Partition]) -> dict[tuple[int, ...], int]:
+    """Joint distribution of per-coordinate block indices over the code: a sparse
+    count per block index tuple."""
     if code.group != product_group([p.group for p in parts]):
         raise InputError("code carrier must be the product of the factor carriers")
-    return ProductEnumerator(dict(Counter(_block_keys(code, parts))))
+    return dict(Counter(_block_keys(code, parts)))
 
 
 def product_transform(
-    enum: ProductEnumerator,
+    counts: dict[tuple[int, ...], int],
     matrices: Sequence[KrawtchoukMatrix],
     code_size: int,
     max_size: int = ELEMENT_GUARD,
-) -> ProductEnumerator:
+) -> dict[tuple[int, ...], int]:
     """Dual joint distribution, contracting one factor axis of a dense grid at a time.
 
     Each matrix must be krawtchouk(dual(P_i), P_i) for the i-th factor, so that row m
@@ -250,7 +231,7 @@ def product_transform(
         raise InputError("code size must be positive")
     if not matrices:
         raise InputError("need one matrix per coordinate")
-    if set(map(len, enum.counts)) - {len(matrices)}:
+    if set(map(len, counts)) - {len(matrices)}:
         raise InputError("enumerator key length does not match the matrices")
     size = prod(max(k.shape) for k in matrices)
     if size > max_size:
@@ -258,44 +239,46 @@ def product_transform(
     distinct = {id(k): k for k in matrices}
     order = _root_order(distinct.values())
     rows = [k.shape[0] for k in matrices]
-    columns = list(zip(*enum.counts))
+    columns = list(zip(*counts))
     if any(min(c) < 0 or max(c) >= r for c, r in zip(columns, rows)):
         raise InputError("enumerator key is out of range of the matrix rows")
     index: Iterable[int] = columns[0] if columns else ()
     for c, r in zip(columns[1:], rows[1:]):
         index = map(add, map(mul, index, repeat(r)), c)
-    b, read = _evaluation(order, lambda: sum(map(abs, enum.counts.values())) * prod(
+    b, read = _evaluation(order, lambda: sum(map(abs, counts.values())) * prod(
         _norm(k) ** sum(m is k for m in matrices) for k in distinct.values()))
     grid = [0] * prod(rows)
-    deque(map(grid.__setitem__, index, enum.counts.values()), 0)
+    deque(map(grid.__setitem__, index, counts.values()), 0)
     steps = {i: _Rows(k, b) for i, k in distinct.items()}
     for k in matrices:
         grid = _grid_step(grid, steps[id(k)])
-    counts = _grid_counts(grid, code_size, read)
-    keys = compress(product(*(range(k.shape[1]) for k in matrices)), counts)
-    return ProductEnumerator(dict(zip(keys, compress(counts, counts))))
+    dual = _grid_counts(grid, code_size, read)
+    keys = compress(product(*(range(k.shape[1]) for k in matrices)), dual)
+    return dict(zip(keys, compress(dual, dual)))
 
 
 # ---------------------------------------------------------------------------
 # symmetrized partitions
 
 
-def symmetrized_enumerator(code: Code, base: Partition, copies: int) -> SymmetrizedEnumerator:
-    """Distribution of composition vectors over the code. A word's sorted block
-    indices fix its composition; each distinct sorted tuple is converted once."""
+def symmetrized_enumerator(code: Code, base: Partition,
+                           copies: int) -> dict[tuple[int, ...], int]:
+    """Distribution of composition vectors over the code: a sparse count per
+    composition of the base partition. A word's sorted block indices fix its
+    composition; each distinct sorted tuple is converted once."""
     if code.group != product_group([base.group] * copies):
         raise InputError("code carrier must be the matching power of the base carrier")
     words = Counter(map(tuple, map(sorted, _block_keys(code, [base] * copies))))
     blocks = range(base.num_blocks)
-    return SymmetrizedEnumerator({tuple(map(key.count, blocks)): c for key, c in words.items()})
+    return {tuple(map(key.count, blocks)): c for key, c in words.items()}
 
 
 def symmetrized_transform(
-    enum: SymmetrizedEnumerator,
+    counts: dict[tuple[int, ...], int],
     matrix: KrawtchoukMatrix,
     code_size: int,
     max_size: int = ELEMENT_GUARD,
-) -> SymmetrizedEnumerator:
+) -> dict[tuple[int, ...], int]:
     """Dual composition distribution, contracting sorted representative keys.
 
     ``matrix`` must be krawtchouk(dual(P), P) of a reflexive base partition.
@@ -305,11 +288,11 @@ def symmetrized_transform(
     if code_size <= 0:
         raise InputError("code size must be positive")
     rows, cols = matrix.shape
-    if any(len(key) != rows for key in enum.counts):
+    if any(len(key) != rows for key in counts):
         raise InputError("composition length does not match the matrix rows")
-    if any(s < 0 for key in enum.counts for s in key):
+    if any(s < 0 for key in counts for s in key):
         raise InputError("a composition has a negative part")
-    totals = {sum(key) for key in enum.counts}
+    totals = {sum(key) for key in counts}
     if len(totals) != 1 or 0 in totals:
         raise InputError("compositions must all sum to the same positive number of copies")
     (copies,) = totals
@@ -318,11 +301,11 @@ def symmetrized_transform(
         raise GuardExceeded(f"symmetrized transform has {size} keys, "
                             f"above the guard of {max_size}")
     # up to cols^copies keys l share one composition t: ||Q_t||_1 <= sum |A| (cols norm)^copies
-    b, read = _evaluation(_root_order([matrix]), lambda: sum(map(abs, enum.counts.values())) *
+    b, read = _evaluation(_root_order([matrix]), lambda: sum(map(abs, counts.values())) *
                           (cols * _norm(matrix)) ** copies)
     entries = _Rows(matrix, b)
     state = {tuple(m for m, s in enumerate(key) for _ in range(s)): c
-             for key, c in enum.counts.items()}
+             for key, c in counts.items()}
     for i in range(copies):
         out: dict[tuple[int, ...], int] = {}
         for key, v in state.items():
@@ -333,8 +316,8 @@ def symmetrized_transform(
         state = out
     comps = {tuple(map(key.count, range(cols))): v for key, v in state.items()}
     keys = sorted(comps)
-    counts = _grid_counts(list(map(comps.__getitem__, keys)), code_size, read)
-    return SymmetrizedEnumerator(dict(zip(compress(keys, counts), compress(counts, counts))))
+    dual = _grid_counts(list(map(comps.__getitem__, keys)), code_size, read)
+    return dict(zip(compress(keys, dual), compress(dual, dual)))
 
 
 # ---------------------------------------------------------------------------

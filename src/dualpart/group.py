@@ -31,10 +31,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial, reduce
 from operator import add, itemgetter, mod, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .cyclotomic import _close, _greedy_generators
 from .errors import GuardExceeded, InputError, VerificationFailure, count_text
@@ -61,17 +61,16 @@ def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
         raise InputError(f"{what} must be integers: {exc}") from None
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(namedtuple("GroupSpec", "orders")):
     """A finite abelian group given by the orders of its cyclic factors."""
 
-    orders: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        orders = _integers(self.orders, "cyclic orders")
+    def __new__(cls, orders: Iterable[int]) -> "GroupSpec":
+        orders = _integers(orders, "cyclic orders")
         if any(n < 2 for n in orders):
             raise InputError("every cyclic order must be at least 2")
-        object.__setattr__(self, "orders", orders)
+        return tuple.__new__(cls, (orders,))
 
     @property
     def size(self) -> int:
@@ -234,8 +233,7 @@ def _words(group: GroupSpec) -> tuple[Callable[[Element], int],
     return word, unpack, add
 
 
-@dataclass(frozen=True)
-class Code:
+class Code(NamedTuple):
     """An additive code: a subgroup of the carrier, with its full element list."""
 
     group: GroupSpec

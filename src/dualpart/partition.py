@@ -61,11 +61,10 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field, replace
 from functools import cached_property, partial, reduce
 from itertools import accumulate, compress, repeat
 from operator import add, itemgetter, lshift, mul, sub
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .cyclotomic import (CycInt, _digit_reader, _evaluate, _radices, coefficient_bound,
                          euler_phi, split_prime, unit_generators, zero)
@@ -83,16 +82,27 @@ on Python 3.11, the interpreter included."""
 Block = tuple[Element, ...]
 
 
-@dataclass(frozen=True)
 class Partition:
     """A set partition of the carrier of a finite abelian group, stored as the
-    canonical block index of each element in rank order (``from_labels``)."""
+    canonical block index of each element in rank order (``from_labels``).
 
-    group: GroupSpec
-    block_of: tuple[int, ...]
-    num_blocks: int = field(compare=False)
-    _dual: "Partition | None" = field(default=None, init=False, compare=False, repr=False)
-    # set once by dual_partition, and dropped with the partition
+    Two partitions are equal when their carriers and labels are; ``_dual`` is
+    set once by ``dual_partition``, and dropped with the partition."""
+
+    def __init__(self, group: GroupSpec, block_of: tuple[int, ...], num_blocks: int) -> None:
+        self.group, self.block_of, self.num_blocks = group, block_of, num_blocks
+        self._dual: Partition | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return self.group == other.group and self.block_of == other.block_of
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.block_of))
+
+    def __repr__(self) -> str:
+        return f"Partition({self.group!r}, {self.block_of!r}, {self.num_blocks!r})"
 
     @classmethod
     def from_blocks(cls, group: GroupSpec, blocks: Iterable[Iterable[Element]]) -> "Partition":
@@ -518,8 +528,7 @@ def fourier_transform(group: GroupSpec, f: Mapping[Element, CycInt | int],
     return {chi: CycInt(e, tuple(digits[r * phi:(r + 1) * phi])) for r, chi in enumerate(els)}
 
 
-@dataclass(frozen=True)
-class KrawtchoukMatrix:
+class KrawtchoukMatrix(NamedTuple):
     """Block-sum matrix of a primal/character partition pair.
 
     Rows follow the character-side blocks, columns the primal blocks; the
@@ -570,8 +579,8 @@ def dual_partition(part: Partition, max_size: int = ELEMENT_GUARD) -> Partition:
         rows = _signature_rows(part, max_size=max_size)  # in rank order
         dual = Partition.from_labels(part.group, rows.values())
         if dual.num_blocks == part.num_blocks:
-            object.__setattr__(dual, "_dual", replace(part))
-        object.__setattr__(part, "_dual", dual)
+            dual._dual = Partition(part.group, part.block_of, part.num_blocks)
+        part._dual = dual
     return part._dual
 
 

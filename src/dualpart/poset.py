@@ -16,12 +16,16 @@ from one table of ideal sizes, filled by ideal(m) = ideal(m & (m - 1)) |
 down(lowest bit of m), with down(i) = ``below[i]`` plus bit i: O(1) a mask,
 and exact because the ideal of a union is the union of the ideals. The
 table has 2^n entries, at most |G|, since every cyclic order is at least 2.
+
+The results are plain values: ``is_hierarchical`` gives the pair (level
+sizes, level of each coordinate), and ``poset_duality_check`` the dict of
+fields that ``dualpart poset-check`` prints.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from math import comb, prod
 from operator import or_
@@ -32,29 +36,26 @@ from .group import ELEMENT_GUARD, Element, GroupSpec, _outer, elements
 from .partition import Partition, dual_partition, krawtchouk, refines
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(namedtuple("Poset", "n below")):
     """Strict partial order on coordinates 0..n-1 as down-set bit masks:
     bit i of ``below[j]`` is set when i < j."""
 
-    n: int
-    below: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int, below: Iterable[int]) -> "Poset":
+        if n < 1:
             raise InputError("a poset needs at least one coordinate")
-        below = tuple(self.below)
-        if len(below) != self.n or any(type(m) is not int or not 0 <= m < 1 << self.n
-                                       for m in below):
+        below = tuple(below)
+        if len(below) != n or any(type(m) is not int or not 0 <= m < 1 << n for m in below):
             raise InputError("down-sets must be n bit masks below 2^n")
         if any(m >> j & 1 for j, m in enumerate(below)):
             raise InputError("strict order cannot be reflexive")
-        pairs = [(i, j) for j, m in enumerate(below) for i in range(self.n) if m >> i & 1]
+        pairs = [(i, j) for j, m in enumerate(below) for i in range(n) if m >> i & 1]
         if any(below[i] >> j & 1 for i, j in pairs):
             raise InputError("order relation is not antisymmetric")
         if any(below[i] & ~below[j] for i, j in pairs):
             raise InputError("order relation is not transitive")
-        object.__setattr__(self, "below", below)
+        return tuple.__new__(cls, (n, below))
 
     @classmethod
     def from_covers(cls, n: int, covers: Iterable[tuple[int, int]]) -> "Poset":
@@ -147,16 +148,9 @@ def poset_partition(p: Poset, group: GroupSpec,
 # hierarchical structure
 
 
-@dataclass(frozen=True)
-class HierarchicalShape:
-    """Level sizes bottom-up plus the level index of every coordinate."""
-
-    levels: tuple[int, ...]
-    level_of: tuple[int, ...]
-
-
-def is_hierarchical(p: Poset) -> HierarchicalShape | None:
-    """Shape of the poset when it is a full alignment of antichain levels.
+def is_hierarchical(p: Poset) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Shape of the poset when it is a full alignment of antichain levels: the
+    level sizes bottom-up, and the level index of every coordinate.
 
     Strips minimal elements layer by layer, and requires every member of a
     layer to have exactly the lower layers as its down-set: x < y exactly
@@ -173,13 +167,16 @@ def is_hierarchical(p: Poset) -> HierarchicalShape | None:
             level_of[x] = len(sizes)
             lower |= 1 << x
         sizes.append(len(layer))
-    return HierarchicalShape(tuple(sizes), tuple(level_of))
+    return tuple(sizes), tuple(level_of)
 
 
-def level_orders(shape: HierarchicalShape, group: GroupSpec) -> tuple[int, ...] | None:
-    """The common coordinate order of each level, or None when a level mixes orders."""
-    per_level = [{group.orders[i] for i, at in enumerate(shape.level_of) if at == lv}
-                 for lv in range(len(shape.levels))]
+def level_orders(shape: tuple[tuple[int, ...], tuple[int, ...]],
+                 group: GroupSpec) -> tuple[int, ...] | None:
+    """The common coordinate order of each level of an ``is_hierarchical`` shape,
+    or None when a level mixes orders."""
+    levels, level_of = shape
+    per_level = [{group.orders[i] for i, at in enumerate(level_of) if at == lv}
+                 for lv in range(len(levels))]
     return tuple(min(o) for o in per_level) if all(len(o) == 1 for o in per_level) else None
 
 
@@ -199,17 +196,17 @@ def classical_krawtchouk(n: int, q: int, m: int, x: int) -> int:
 
 
 def hierarchical_krawtchouk(
-    shape: HierarchicalShape | Sequence[int], q: Sequence[int] | int
+    levels: Sequence[int], q: Sequence[int] | int
 ) -> tuple[tuple[int, ...], ...]:
     """Closed-form Krawtchouk matrix of a hierarchical poset, weights 0..n.
 
-    Rows are dual-poset weights, columns primal weights. ``q`` gives the
-    common coordinate order of each level, one value per level or a single
-    value broadcast. Entries factor into a full-level prefactor, a binomial
+    Rows are dual-poset weights, columns primal weights. ``levels`` gives the
+    level sizes bottom-up, and ``q`` the common coordinate order of each level,
+    one value per level or a single value broadcast. Entries factor into a full-level prefactor, a binomial
     block-size term below the critical level, zero above it, and a classical
     Krawtchouk value exactly on it.
     """
-    levels = tuple(shape.levels) if isinstance(shape, HierarchicalShape) else tuple(shape)
+    levels = tuple(levels)
     if not levels or any(type(k) is not int or k < 1 for k in levels):
         raise InputError("levels must be positive integers")
     t = len(levels)
@@ -271,34 +268,25 @@ def poset_krawtchouk_bruteforce(
 # duality report
 
 
-@dataclass(frozen=True)
-class PosetDualityReport:
-    """Outcome of comparing the dual weight partition with the transposed order's."""
-
-    equal: bool
-    dual_refines_transposed: bool
-    transposed_refines_dual: bool
-    shape: HierarchicalShape | None
-    levels_equal_order: bool | None
-
-
 def poset_duality_check(p: Poset, group: GroupSpec,
-                        max_size: int = ELEMENT_GUARD) -> PosetDualityReport:
+                        max_size: int = ELEMENT_GUARD) -> dict:
     """Compare dual(weight partition) against the transposed order's weights.
 
     Reports equality and both refinement directions, plus whether the poset is
-    hierarchical and, if so, whether the coordinate orders agree within every
-    level (the two conditions that together characterize equality). Nothing is
+    hierarchical, its level sizes if so, and whether the coordinate orders
+    agree within every level (the two conditions that together characterize
+    equality): the fields of ``dualpart poset-check``, in its order. Nothing is
     assumed about non-hierarchical posets; the refinement flags are empirical.
     """
     prim = poset_partition(p, group, max_size)
     dualized = dual_partition(prim, max_size)
     transposed = poset_partition(dual_poset(p), group, max_size)
     shape = is_hierarchical(p)
-    return PosetDualityReport(
-        equal=dualized == transposed,
-        dual_refines_transposed=refines(dualized, transposed),
-        transposed_refines_dual=refines(transposed, dualized),
-        shape=shape,
-        levels_equal_order=None if shape is None else level_orders(shape, group) is not None,
-    )
+    return {
+        "equal": dualized == transposed,
+        "dual_refines_transposed": refines(dualized, transposed),
+        "transposed_refines_dual": refines(transposed, dualized),
+        "hierarchical": shape is not None,
+        "levels": None if shape is None else list(shape[0]),
+        "levels_equal_order": None if shape is None else level_orders(shape, group) is not None,
+    }

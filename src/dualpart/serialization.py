@@ -38,7 +38,6 @@ from types import GeneratorType
 from typing import Any, TextIO
 
 from .cyclotomic import _float_root_powers, euler_phi
-from .enumerator import LinearEnumerator, ProductEnumerator, SymmetrizedEnumerator
 from .errors import InputError
 from .group import Code, Element, GroupSpec, _outer, generate
 from .partition import KrawtchoukMatrix, Partition
@@ -119,13 +118,9 @@ def poset_from_json(obj: Any) -> Poset:
     return Poset.from_covers(n, covers)
 
 
-def linear_enumerator_to_json(e: LinearEnumerator) -> list[int]:
-    return list(e.counts)
-
-
-def product_enumerator_to_json(e: ProductEnumerator | SymmetrizedEnumerator) -> list[dict]:
+def product_enumerator_to_json(counts: dict[tuple[int, ...], int]) -> list[dict]:
     """Sorted key/count records; symmetrized enumerators use the same form."""
-    return [{"key": list(k), "count": e.counts[k]} for k in sorted(e.counts)]
+    return [{"key": list(k), "count": counts[k]} for k in sorted(counts)]
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ def _finish(num: int, label: str, limit: float, t0: float, ok: bool, detail: str
 
 
 def _all_passed(results) -> tuple[bool, str]:
-    bad = [r for r in results if not r.passed]
-    return (not bad, "; ".join(f"{r.name}: {r.detail}" for r in bad))
+    bad = [r for r in results if not r["passed"]]
+    return (not bad, "; ".join(f"{r['name']}: {r['detail']}" for r in bad))
 
 
 def test_criterion_01_worked_example():

@@ -797,6 +797,22 @@ def test_second_pass_in_one_process_writes_the_same_bytes(capsys):
         "  [ 1  ~  ~ ]",
         "verified           True",
     ]),
+    (["macwilliams", "--group", '{"orders":[4]}', "--partition", '{"blocks":[[[0]],[[1],[3]],[[2]]]}',
+      "--code", '{"generators":[[1]]}'], [
+        "char_partition     {0} | {1,3} | {2}",
+        "primal_partition   {0} | {1,3} | {2}",
+        "krawtchouk:",
+        "  [ 1   2   1 ]",
+        "  [ 1   0  -1 ]",
+        "  [ 1  -2   1 ]",
+        "verified           True",
+        "a                  [1, 2, 1]",
+        "b                  [1, 0, 0]",
+    ]),
+    (["poset-check", "--group", '{"orders":[2,3]}', "--poset", '{"n":2,"cover":[]}'], [
+        "equal              False",
+        "hierarchical       True",
+    ]),
     (["check", "--suite", "cyclotomic"], [
         "failed             0",
         "PASS cyclotomic ring laws (150 case(s) verified)",
@@ -804,7 +820,8 @@ def test_second_pass_in_one_process_writes_the_same_bytes(capsys):
         "PASS full root sums vanish (23 case(s) verified)",
         "PASS order lifting is a ring map (80 case(s) verified)",
     ]),
-], ids=["dual", "dual-irrational", "product-code", "product-code-irrational", "check"])
+], ids=["dual", "dual-irrational", "product-code", "product-code-irrational", "macwilliams-lee",
+        "poset-check", "check"])
 def test_pretty_adds_tables_on_stderr_only(argv, table, capsys):
     assert main(argv) == 0
     plain = capsys.readouterr()
@@ -915,6 +932,15 @@ def test_closed_stdout_exits_141_without_a_traceback(read_first, tmp_path):
     assert proc.wait(timeout=60) == 141
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    """``import dualpart.cli`` in a fresh interpreter: ``dataclasses`` would load
+    ``inspect``, ``dis``, ``ast`` and ``tokenize`` into every cold start."""
+    probe = "import sys, dualpart.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env=_cli_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 PAYLOADS = {"dual": ["--partition"], "bidual": ["--partition"], "reflexive": ["--partition"],

@@ -30,8 +30,7 @@ def assert_order_matches(p: Poset) -> None:
     lt = ref.order_of(p)
     assert p.covers() == ref.covers(lt)
     assert ref.order_of(dual_poset(p)) == ref.transposed(lt)
-    shape = is_hierarchical(p)
-    assert (None if shape is None else (shape.levels, shape.level_of)) == ref.hierarchy(p.n, lt)
+    assert is_hierarchical(p) == ref.hierarchy(p.n, lt)
     binary = GroupSpec((2,) * p.n)
     for support in elements(binary):
         assert poset_weight(p, binary, support) == ref.weight(lt, support)
@@ -48,12 +47,17 @@ def assert_weights_match(p: Poset, grp: GroupSpec) -> None:
     dualized = dual_partition(prim)
     transposed = ref.weight_partition(ref.transposed(lt), grp)
     report = poset_duality_check(p, grp)
-    assert (report.equal, report.dual_refines_transposed, report.transposed_refines_dual) \
+    assert list(report) == ["equal", "dual_refines_transposed", "transposed_refines_dual",
+                            "hierarchical", "levels", "levels_equal_order"]
+    assert (report["equal"], report["dual_refines_transposed"],
+            report["transposed_refines_dual"]) \
         == (dualized == transposed, refines(dualized, transposed), refines(transposed, dualized))
-    assert (None if report.shape is None else (report.shape.levels, report.shape.level_of)) \
-        == ref.hierarchy(p.n, lt)
-    assert report.levels_equal_order == (
-        None if report.shape is None else level_orders(report.shape, grp) is not None)
+    shape = is_hierarchical(p)
+    assert shape == ref.hierarchy(p.n, lt)
+    assert (report["hierarchical"], report["levels"]) \
+        == (shape is not None, None if shape is None else list(shape[0]))
+    assert report["levels_equal_order"] == (
+        None if shape is None else level_orders(shape, grp) is not None)
     try:
         km = krawtchouk(prim, transposed)
     except VerificationFailure:
